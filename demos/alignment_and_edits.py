@@ -7,31 +7,30 @@ from zhcorrect import (
     apply_edits,
     extract_edits,
     format_edit_records,
-    to_units,
 )
 
-src = to_units("他是学生生")
-tgt = to_units("他是学生")
+src = "他是学生生"
+tgt = "他是学生"
 
 path = align(src, tgt)
-print(f"{src.text} -> {tgt.text}  (cost {path.total_cost:g})")
+print(f"{src} -> {tgt}  (cost {path.total_cost:g})")
 for op in path.ops:
     print(f"  {op.kind.value:5s} src[{op.src_index}] tgt[{op.tgt_index}]")
 
 edits = extract_edits(path)
 for e in edits.edits:
-    repl = e.replacement.text or "(delete)"
+    repl = e.replacement or "(delete)"
     print(f"edit [{e.start},{e.end}) -> {repl}  kind={e.kind.value}")
 
-print("applied:", apply_edits(src, edits).text)
+print("applied:", apply_edits(src, edits))
 
 # a messier pair: substitution next to an insertion merges into one edit
 # under maximal-runs, stays two edits under none
-src2, tgt2 = to_units("他好"), to_units("你们好")
+src2, tgt2 = "他好", "你们好"
 path2 = align(src2, tgt2)
 for policy in (MergePolicy.MAXIMAL_RUNS, MergePolicy.NONE):
     sets = extract_edits(path2, policy)
-    spans = [(e.start, e.end, e.replacement.text) for e in sets.edits]
+    spans = [(e.start, e.end, e.replacement) for e in sets.edits]
     print(f"{policy.value}: {spans}")
 
 # the same content as a gold edit file record

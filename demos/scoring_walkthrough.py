@@ -11,7 +11,6 @@ from zhcorrect import (
     parse_edit_file,
     score_cgc,
     score_csc,
-    to_units,
 )
 
 rows = [
@@ -21,9 +20,7 @@ rows = [
     ("我们吃饭", "我们吃饭", "我们吃饭"),   # clean, untouched
     ("工做很忙", "工作很忙", "工做很忙"),   # missed
 ]
-items = [(to_units(s), to_units(r), to_units(h)) for s, r, h in rows]
-
-report = score_csc(items, dataset="toy-csc")
+report = score_csc(rows, dataset="toy-csc")
 print(f"sentence level: P={report.precision:.4f} R={report.recall:.4f} "
       f"F1={report.f_beta:.4f} (tp={report.counts.tp} fp={report.counts.fp} "
       f"fn={report.counts.fn})")
@@ -32,14 +29,14 @@ print(f"sentence level: P={report.precision:.4f} R={report.recall:.4f} "
 # the same outputs against them
 gold_text = format_edit_records(
     [
-        (to_units(s), [extract_edits(align(to_units(s), to_units(r)), source_id=str(i))])
+        (s, [extract_edits(align(s, r), source_id=str(i))])
         for i, (s, r, _) in enumerate(rows)
     ]
 )
 print()
 print(gold_text, end="")
 gold = parse_edit_file(io.StringIO(gold_text))
-hyp = [(to_units(s), to_units(h)) for s, _, h in rows]
+hyp = [(s, h) for s, _, h in rows]
 report = score_cgc(hyp, gold, dataset="toy-cgc")
 print(f"edit level: P={report.precision:.4f} R={report.recall:.4f} "
       f"F0.5={report.f_beta:.4f}")

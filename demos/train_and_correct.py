@@ -39,7 +39,7 @@ print()
 print("a few corrections:")
 shown = 0
 for (src, ref, hyp) in items:
-    if src.units != hyp.units and shown < 5:
-        mark = "ok " if hyp.units == ref.units else "BAD"
-        print(f"  {mark} {src.text} -> {hyp.text}")
+    if src != hyp and shown < 5:
+        mark = "ok " if hyp == ref else "BAD"
+        print(f"  {mark} {src} -> {hyp}")
         shown += 1

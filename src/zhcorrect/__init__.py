@@ -19,10 +19,7 @@ from .textnorm import (
     WIDTHFOLD_POLICY,
     NormalizePolicy,
     UnicodeForm,
-    UnitSeq,
-    join_units,
     normalize,
-    to_units,
     units_of,
 )
 from .corpus import (
@@ -81,7 +78,6 @@ from .model import (
     NgramLM,
     Stage,
     StageConfig,
-    TrainingProvenance,
     conditional,
     dataset_objective,
     decode,
@@ -100,9 +96,9 @@ __all__ = [
     "__version__",
     "ZhcorrectError", "NormalizationError", "FormatError", "ConfigError",
     "UsageError", "StructuralError",
-    "NormalizePolicy", "UnicodeForm", "UnitSeq",
+    "NormalizePolicy", "UnicodeForm",
     "DEFAULT_POLICY", "RAW_POLICY", "WIDTHFOLD_POLICY",
-    "normalize", "to_units", "units_of", "join_units",
+    "normalize", "units_of",
     "Corpus", "CorpusTag", "ParallelPair",
     "parse_parallel", "serialize_parallel", "exact_duplicate_count", "unify", "split",
     "AlignOp", "AlignmentPath", "CostScheme", "OpKind",
@@ -116,7 +112,7 @@ __all__ = [
     "score_csc", "score_cgc", "sentence_edit_counts",
     "BOUNDARY", "UNK", "DEFAULT_MIX_GRID",
     "NgramLM", "ConfusionChannel", "MixtureCorrectorModel",
-    "Stage", "StageConfig", "TrainingProvenance",
+    "Stage", "StageConfig",
     "initial_model", "conditional", "nll", "dataset_objective",
     "fit_stage", "stage_heldout", "decode", "save_model", "load_model",
     "stage1_config", "stage2_config",

@@ -21,22 +21,14 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from . import __version__
 from .alignment import align
 from .corpus import Corpus, CorpusTag, parse_parallel, unify
-from .edits import (
-    EditSet,
-    GoldEditCorpus,
-    MatchCounts,
-    MergePolicy,
-    extract_edits,
-    format_edit_records,
-    parse_edit_file,
-)
+from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
 from .errors import FormatError, UsageError, ZhcorrectError
-from .metrics import ScoreReport, f_beta, macro_average, precision_recall, score_csc, sentence_edit_counts
+from .metrics import ScoreReport, macro_average, score_cgc, score_csc
 from .model import (
     decode,
     dataset_objective,
@@ -48,14 +40,7 @@ from .model import (
     stage2_config,
     stage_heldout,
 )
-from .textnorm import (
-    DEFAULT_POLICY,
-    NormalizePolicy,
-    RAW_POLICY,
-    WIDTHFOLD_POLICY,
-    UnitSeq,
-    units_of,
-)
+from .textnorm import DEFAULT_POLICY, NormalizePolicy, RAW_POLICY, WIDTHFOLD_POLICY, units_of
 
 _POLICIES: dict[str, NormalizePolicy] = {
     "default": DEFAULT_POLICY,
@@ -147,22 +132,26 @@ def _default_jobs() -> int:
         raise UsageError(f"ZHCORRECT_JOBS must be an integer, got {raw!r}") from None
 
 
-def _read_lines(path: str) -> list[str]:
+def _read(path: str, parse: Callable[[TextIO], T]) -> T:
+    """parse(handle) over the UTF-8 text file at path. A file that cannot be
+    read is a usage error and one that is not UTF-8 a format error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
+            return parse(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8: {exc}") from None
 
 
+def _read_lines(path: str) -> list[str]:
+    return _read(path, lambda handle: handle.read().splitlines())
+
+
 def _open_corpus(path: str, fmt: str, policy: NormalizePolicy, tag: CorpusTag, name: str) -> Corpus:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return parse_parallel(handle, format=fmt, policy=policy, name=name, tag=tag)
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc}") from None
+    return _read(
+        path, partial(parse_parallel, format=fmt, policy=policy, name=name, tag=tag)
+    )
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -211,10 +200,7 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
         values = []
         for path in args.files:
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    payload = json.load(handle)
-            except OSError as exc:
-                raise UsageError(f"cannot read {path}: {exc}") from None
+                payload = _read(path, json.load)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}: not a report JSON: {exc}") from None
             if not isinstance(payload, dict) or "f_beta" not in payload:
@@ -242,45 +228,18 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
     return _finish_report(args, report, [hyp_path, gold_path], started)
 
 
-def _cgc_sentence(task: tuple[UnitSeq, UnitSeq, tuple[EditSet, ...]], beta: float, merge: MergePolicy) -> MatchCounts:
-    source, hypothesis, refs = task
-    return sentence_edit_counts(source, hypothesis, refs, beta=beta, merge=merge)
-
-
 def cmd_score_cgc(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = _POLICIES[args.normalize]
-    merge = MergePolicy(args.merge_policy)
     hyp = _open_corpus(args.hyp_file, args.format, policy, CorpusTag.CGC, Path(args.hyp_file).stem)
-    with open(args.gold_edits, "r", encoding="utf-8") as handle:
-        gold = parse_edit_file(handle)
-    index = gold.by_source()
-    tasks = []
-    for pair in hyp.pairs:
-        record = index.get(pair.source.text)
-        if record is None:
-            raise UsageError(
-                f"pair {pair.id}: no gold record for source {pair.source.text!r}"
-            )
-        tasks.append((pair.source, pair.references[0], record.refs))
-    if not tasks:
-        raise UsageError(f"{args.hyp_file} holds no sentences")
-    counts_per_sentence = _pmap(
-        partial(_cgc_sentence, beta=args.beta, merge=merge), tasks, args.jobs
-    )
-    total = MatchCounts()
-    for counts in counts_per_sentence:
-        total = total + counts
-    p, r = precision_recall(total)
-    report = ScoreReport(
-        task="cgc",
-        dataset=args.dataset or Path(args.gold_edits).stem,
+    gold = _read(args.gold_edits, parse_edit_file)
+    report = score_cgc(
+        [(pair.source, pair.references[0]) for pair in hyp.pairs],
+        gold,
         beta=args.beta,
-        precision=p,
-        recall=r,
-        f_beta=f_beta(p, r, args.beta),
-        counts=total,
-        n_sentences=len(tasks),
+        merge=MergePolicy(args.merge_policy),
+        dataset=args.dataset or Path(args.gold_edits).stem,
+        map_fn=partial(_pmap, jobs=args.jobs),
     )
     return _finish_report(args, report, [args.hyp_file, args.gold_edits], started)
 
@@ -325,7 +284,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _correct_one(line: str, model, beam: int, policy: NormalizePolicy) -> str:
-    return decode(model, units_of(line, policy), beam_width=beam).text
+    return decode(model, units_of(line, policy), beam_width=beam)
 
 
 def cmd_correct(args: argparse.Namespace) -> int:
@@ -350,8 +309,8 @@ def cmd_align(args: argparse.Namespace) -> int:
     policy = _POLICIES[args.normalize]
     path = align(units_of(args.source, policy), units_of(args.target, policy))
     payload = {
-        "source": path.src.text,
-        "target": path.tgt.text,
+        "source": path.src,
+        "target": path.tgt,
         "total_cost": path.total_cost,
         "ops": [
             {"kind": op.kind.value, "src_index": op.src_index, "tgt_index": op.tgt_index}

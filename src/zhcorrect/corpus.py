@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, FormatError, UsageError
-from .textnorm import DEFAULT_POLICY, NormalizePolicy, UnitSeq, units_of
+from .textnorm import DEFAULT_POLICY, NormalizePolicy, units_of
 
 logger = logging.getLogger(__name__)
 
@@ -37,8 +37,8 @@ class ParallelPair:
     """A source sentence with one or more reference corrections."""
 
     id: str
-    source: UnitSeq
-    references: tuple[UnitSeq, ...]
+    source: str
+    references: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not self.references:
@@ -138,11 +138,11 @@ def serialize_parallel(corpus: Corpus, format: str = "tsv") -> str:
     """Inverse of parse_parallel. TSV drops ids (they are regenerated on parse);
     JSONL round-trips losslessly."""
     if format == "tsv":
-        lines = ["\t".join([p.source.text, *(r.text for r in p.references)]) for p in corpus]
+        lines = ["\t".join([p.source, *p.references]) for p in corpus]
     elif format == "jsonl":
         lines = [
             json.dumps(
-                {"id": p.id, "source": p.source.text, "references": [r.text for r in p.references]},
+                {"id": p.id, "source": p.source, "references": list(p.references)},
                 ensure_ascii=False,
             )
             for p in corpus
@@ -156,7 +156,7 @@ def exact_duplicate_count(corpus: Corpus) -> int:
     """Number of pairs that are exact (source, references) repeats of an earlier pair."""
     seen: Counter = Counter()
     for p in corpus:
-        seen[(p.source.text, tuple(r.text for r in p.references))] += 1
+        seen[(p.source, p.references)] += 1
     return sum(c - 1 for c in seen.values())
 
 

@@ -20,7 +20,6 @@ from typing import Iterable, Sequence
 
 from .alignment import AlignmentPath, OpKind
 from .errors import FormatError, StructuralError, UsageError
-from .textnorm import UnitSeq, join_units
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
 
@@ -60,7 +59,7 @@ class Edit:
 
     start: int
     end: int
-    replacement: UnitSeq
+    replacement: str
     kind: EditKind
 
     def __post_init__(self) -> None:
@@ -71,17 +70,17 @@ class Edit:
         expected = classify_kind(self.start, self.end, len(self.replacement))
         if self.kind is not expected:
             raise StructuralError(
-                f"edit [{self.start},{self.end})->{self.replacement.text!r} "
+                f"edit [{self.start},{self.end})->{self.replacement!r} "
                 f"tagged {self.kind.value}, expected {expected.value}"
             )
 
     @classmethod
-    def make(cls, start: int, end: int, replacement: UnitSeq) -> "Edit":
+    def make(cls, start: int, end: int, replacement: str) -> "Edit":
         return cls(start, end, replacement, classify_kind(start, end, len(replacement)))
 
-    def key(self) -> tuple[int, int, tuple[str, ...]]:
+    def key(self) -> tuple[int, int, str]:
         """Identity used for matching: exact span and replacement."""
-        return (self.start, self.end, self.replacement.units)
+        return (self.start, self.end, self.replacement)
 
 
 @dataclass(frozen=True)
@@ -104,7 +103,7 @@ class EditSet:
     def __len__(self) -> int:
         return len(self.edits)
 
-    def keys(self) -> set[tuple[int, int, tuple[str, ...]]]:
+    def keys(self) -> set[tuple[int, int, str]]:
         return {e.key() for e in self.edits}
 
 
@@ -158,24 +157,23 @@ def extract_edits(
         start = run[0].src_index
         last = run[-1]
         end = last.src_index + (1 if last.kind in (OpKind.SUB, OpKind.DEL) else 0)
-        replacement = tuple(
-            path.tgt.units[op.tgt_index] for op in run if op.kind in (OpKind.SUB, OpKind.INS)
+        replacement = "".join(
+            path.tgt[op.tgt_index] for op in run if op.kind in (OpKind.SUB, OpKind.INS)
         )
-        edits.append(Edit.make(start, end, join_units(replacement)))
+        edits.append(Edit.make(start, end, replacement))
     return EditSet(source_id=source_id, ref_id=ref_id, edits=tuple(edits))
 
 
-def apply_edits(src: UnitSeq, edits: EditSet) -> UnitSeq:
+def apply_edits(src: str, edits: EditSet) -> str:
     """Apply an edit set right-to-left. Spans must lie within the source."""
     for e in edits.edits:
         if e.end > len(src):
             raise StructuralError(
                 f"edit span [{e.start},{e.end}) exceeds source length {len(src)}"
             )
-    units = list(src.units)
     for e in reversed(edits.edits):
-        units[e.start : e.end] = list(e.replacement.units)
-    return join_units(tuple(units))
+        src = src[: e.start] + e.replacement + src[e.end :]
+    return src
 
 
 def match_edits(hyp: EditSet, gold: EditSet) -> MatchCounts:
@@ -197,7 +195,7 @@ class GoldRecord:
     """One source sentence plus its reference edit sets (one per annotator)."""
 
     source_id: str
-    source: UnitSeq
+    source: str
     refs: tuple[EditSet, ...]
 
 
@@ -213,26 +211,26 @@ class GoldEditCorpus:
         duplicates are a format error."""
         index: dict[str, GoldRecord] = {}
         for rec in self.records:
-            prev = index.get(rec.source.text)
+            prev = index.get(rec.source)
             if prev is None:
-                index[rec.source.text] = rec
+                index[rec.source] = rec
             elif tuple(r.edits for r in prev.refs) != tuple(r.edits for r in rec.refs):
                 raise FormatError(
                     f"gold records {prev.source_id} and {rec.source_id} share source "
-                    f"{rec.source.text!r} but disagree on edits"
+                    f"{rec.source!r} but disagree on edits"
                 )
         return index
 
 
-def format_edit_records(records: Iterable[tuple[UnitSeq, Sequence[EditSet]]]) -> str:
+def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str:
     """Write records in the M2-like grammar. References with zero edits emit
     no "A" lines (representable only implicitly — see parse_edit_file)."""
     out: list[str] = []
     for source, refs in records:
-        out.append(f"S {source.text}")
+        out.append(f"S {source}")
         for ref in sorted(refs, key=lambda r: r.ref_id):
             for e in ref.edits:
-                repl = e.replacement.text if len(e.replacement) else EMPTY_REPLACEMENT_MARK
+                repl = e.replacement or EMPTY_REPLACEMENT_MARK
                 out.append(f"A {e.start} {e.end}|||{e.kind.value}|||{repl}|||{ref.ref_id}")
         out.append("")
     return "".join(line + "\n" for line in out)
@@ -245,7 +243,7 @@ def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
     is how a clean single-reference pair round-trips.
     """
     records: list[GoldRecord] = []
-    source: UnitSeq | None = None
+    source: str | None = None
     by_ref: dict[int, list[Edit]] = {}
 
     def close(lineno: int) -> None:
@@ -279,11 +277,11 @@ def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
         if line.startswith("S "):
             if source is not None:
                 raise FormatError(f"line {lineno}: record is missing its terminating blank line")
-            source = join_units(tuple(line[2:]))
+            source = line[2:]
         elif line == "S":
             if source is not None:
                 raise FormatError(f"line {lineno}: record is missing its terminating blank line")
-            source = join_units(())
+            source = ""
         elif line.startswith("A "):
             if source is None:
                 raise FormatError(f"line {lineno}: 'A' line before any 'S' line")
@@ -297,9 +295,9 @@ def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
                 rid = int(rid_text)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad span or ref id") from exc
-            replacement = () if repl == EMPTY_REPLACEMENT_MARK else tuple(repl)
+            replacement = "" if repl == EMPTY_REPLACEMENT_MARK else repl
             try:
-                edit = Edit.make(start, end, join_units(replacement))
+                edit = Edit.make(start, end, replacement)
             except StructuralError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
             by_ref.setdefault(rid, []).append(edit)

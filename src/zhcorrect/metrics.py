@@ -14,12 +14,12 @@ Conventions, stated once because they decide the numbers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 from .alignment import CostScheme, UNIT_COSTS, align
 from .edits import EditSet, GoldEditCorpus, MatchCounts, MergePolicy, extract_edits, match_edits
 from .errors import UsageError
-from .textnorm import UnitSeq
 
 
 @dataclass(frozen=True)
@@ -91,16 +91,16 @@ def macro_average(scores: Sequence[float]) -> float:
     return sum(scores) / len(scores)
 
 
-def csc_outcome(source: UnitSeq, reference: UnitSeq, hypothesis: UnitSeq) -> CscSentenceOutcome:
+def csc_outcome(source: str, reference: str, hypothesis: str) -> CscSentenceOutcome:
     return CscSentenceOutcome(
-        gold_changed=reference.units != source.units,
-        hyp_changed=hypothesis.units != source.units,
-        exact_correct=hypothesis.units == reference.units,
+        gold_changed=reference != source,
+        hyp_changed=hypothesis != source,
+        exact_correct=hypothesis == reference,
     )
 
 
 def score_csc(
-    items: Sequence[tuple[UnitSeq, UnitSeq, UnitSeq]],
+    items: Sequence[tuple[str, str, str]],
     dataset: str = "",
 ) -> ScoreReport:
     """Sentence-level CSC scoring (beta = 1).
@@ -139,8 +139,8 @@ def score_csc(
 
 
 def sentence_edit_counts(
-    source: UnitSeq,
-    hypothesis: UnitSeq,
+    source: str,
+    hypothesis: str,
     gold_refs: Sequence[EditSet],
     beta: float = 0.5,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
@@ -168,31 +168,42 @@ def sentence_edit_counts(
     return best
 
 
+def _sentence_counts(
+    task: tuple[str, str, Sequence[EditSet]], beta: float, merge: MergePolicy, costs: CostScheme
+) -> MatchCounts:
+    source, hypothesis, refs = task
+    return sentence_edit_counts(source, hypothesis, refs, beta=beta, merge=merge, costs=costs)
+
+
 def score_cgc(
-    hyp_corpus: Sequence[tuple[UnitSeq, UnitSeq]],
+    hyp_corpus: Sequence[tuple[str, str]],
     gold: GoldEditCorpus,
     beta: float = 0.5,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
     costs: CostScheme = UNIT_COSTS,
     dataset: str = "",
+    map_fn: Callable[[Callable, list], Iterable[MatchCounts]] = map,
 ) -> ScoreReport:
     """Edit-level scoring (beta = 0.5 by default) with multi-reference selection.
 
     hyp_corpus holds (source, hypothesis) pairs; every source must have a
     gold record. Per-sentence counts from the selected reference are
-    micro-summed before computing corpus P/R/F_beta.
+    micro-summed before computing corpus P/R/F_beta. map_fn(func, tasks)
+    computes the per-sentence counts; any order-preserving map will do, such
+    as one that fans out over processes (func is picklable).
     """
     if not hyp_corpus:
         raise UsageError("score_cgc needs at least one sentence")
     index = gold.by_source()
-    total = MatchCounts()
+    tasks = []
     for i, (source, hypothesis) in enumerate(hyp_corpus):
-        record = index.get(source.text)
+        record = index.get(source)
         if record is None:
-            raise UsageError(f"hypothesis {i} has no gold entry for source {source.text!r}")
-        total = total + sentence_edit_counts(
-            source, hypothesis, record.refs, beta=beta, merge=merge, costs=costs
-        )
+            raise UsageError(f"hypothesis {i}: no gold record for source {source!r}")
+        tasks.append((source, hypothesis, record.refs))
+    total = MatchCounts()
+    for counts in map_fn(partial(_sentence_counts, beta=beta, merge=merge, costs=costs), tasks):
+        total = total + counts
     p, r = precision_recall(total)
     return ScoreReport(
         task="cgc",

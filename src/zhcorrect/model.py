@@ -18,14 +18,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable
 
 from .corpus import Corpus, CorpusTag, ParallelPair, split
 from .alignment import OpKind, align
-from .errors import ConfigError, FormatError, StructuralError, UsageError
-from .textnorm import UnitSeq, join_units
+from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
 
 BOUNDARY = ""
 UNK = ""
@@ -47,18 +46,6 @@ class Stage(str, Enum):
 
 
 @dataclass(frozen=True)
-class TrainingProvenance:
-    """Optimizer settings of the reference system. Recorded only; the
-    count-based trainer never reads them."""
-
-    optimizer: str = "adamw"
-    learning_rate: float = 2e-5
-    warmup_steps: int = 500
-    batch_size: int = 128
-    epochs: int = 3
-
-
-@dataclass(frozen=True)
 class StageConfig:
     stage: Stage
     expected_tag: CorpusTag
@@ -67,7 +54,6 @@ class StageConfig:
     mix_grid: tuple[float, ...] = DEFAULT_MIX_GRID
     heldout_fraction: float = 0.1
     seed: int = 0
-    provenance: TrainingProvenance = field(default_factory=TrainingProvenance)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -93,6 +79,22 @@ def stage2_config(**overrides) -> StageConfig:
     return StageConfig(stage=Stage.STAGE2, expected_tag=CorpusTag.JOINT, **overrides)
 
 
+def _check_smoothing(owner: str, k: float) -> None:
+    if not 0.0 < k < math.inf:
+        raise StructuralError(f"{owner} smoothing_k must be finite and > 0, got {k!r}")
+
+
+def _context_key(vocab: AbstractSet[str], order: int, prefix: str) -> str:
+    """LM context of the unit after prefix: the last order-1 units of the
+    BOUNDARY-padded prefix, units outside vocab mapped to UNK. Reads only
+    those units, never the whole prefix."""
+    width = order - 1
+    if width == 0:
+        return ""
+    key = "".join(u if u in vocab else UNK for u in prefix[-width:])
+    return BOUNDARY * (width - len(key)) + key
+
+
 @dataclass(frozen=True)
 class NgramLM:
     """Add-k n-gram model over units; contexts are the last order-1 units of
@@ -105,20 +107,15 @@ class NgramLM:
     vocab: frozenset[str]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.order, int) or self.order < 1:
+            raise StructuralError(f"lm order must be an integer >= 1, got {self.order!r}")
+        _check_smoothing("lm", self.smoothing_k)
         if UNK not in self.vocab:
             raise StructuralError("lm vocab must contain the UNK unit")
 
-    def context_key(self, prefix: Sequence[str]) -> str:
-        width = self.order - 1
-        if width == 0:
-            return ""
-        mapped = [u if u in self.vocab else UNK for u in prefix]
-        padded = [BOUNDARY] * width + mapped
-        return "".join(padded[-width:])
-
-    def prob(self, token: str, prefix: Sequence[str]) -> float:
+    def prob(self, token: str, prefix: str) -> float:
         tok = token if token in self.vocab else UNK
-        key = self.context_key(prefix)
+        key = _context_key(self.vocab, self.order, prefix)
         count = self.counts.get(key, {}).get(tok, 0)
         total = self.context_totals.get(key, 0)
         return (count + self.smoothing_k) / (total + self.smoothing_k * len(self.vocab))
@@ -136,6 +133,7 @@ class ConfusionChannel:
     vocab: frozenset[str]
 
     def __post_init__(self) -> None:
+        _check_smoothing("channel", self.smoothing_k)
         if UNK not in self.vocab:
             raise StructuralError("channel vocab must contain the UNK unit")
 
@@ -190,25 +188,25 @@ def initial_model(
 
 def conditional(
     model: MixtureCorrectorModel,
-    prev_context: Sequence[str],
+    prev_context: str,
     aligned_src_unit: str | None,
     y_t: str,
 ) -> float:
     """Mixture probability of emitting y_t after prev_context given the
     aligned source unit; always in (0, 1]."""
     lam = model.mixing_weight
-    lm_p = model.lm.prob(y_t, tuple(prev_context))
+    lm_p = model.lm.prob(y_t, prev_context)
     ch_p = model.channel.prob(y_t, aligned_src_unit)
     return lam * lm_p + (1.0 - lam) * ch_p
 
 
-def _aligned_source_units(source: UnitSeq, target: UnitSeq) -> list[str | None]:
+def _aligned_source_units(source: str, target: str) -> list[str | None]:
     """For each target position, the source unit aligned to it (None for
     insertions), under the deterministic alignment."""
     aligned: list[str | None] = [None] * len(target)
     for op in align(source, target).ops:
         if op.kind in (OpKind.MATCH, OpKind.SUB):
-            aligned[op.tgt_index] = source.units[op.src_index]
+            aligned[op.tgt_index] = source[op.src_index]
         elif op.kind is OpKind.INS:
             aligned[op.tgt_index] = None
     return aligned
@@ -219,8 +217,8 @@ def nll(model: MixtureCorrectorModel, pair: ParallelPair) -> float:
     target = pair.references[0]
     aligned = _aligned_source_units(pair.source, target)
     total = 0.0
-    for t, unit in enumerate(target.units):
-        total -= math.log(conditional(model, target.units[:t], aligned[t], unit))
+    for t, unit in enumerate(target):
+        total -= math.log(conditional(model, target[:t], aligned[t], unit))
     return total
 
 
@@ -241,21 +239,16 @@ def _accumulate(
     pair: ParallelPair,
 ) -> None:
     target = pair.references[0]
-    vocab.update(pair.source.units)
-    vocab.update(target.units)
-    width = order - 1
-    for t, unit in enumerate(target.units):
-        if width == 0:
-            key = ""
-        else:
-            padded = (BOUNDARY,) * width + target.units[:t]
-            key = "".join(padded[-width:])
+    vocab.update(pair.source)
+    vocab.update(target)
+    for t, unit in enumerate(target):
+        key = _context_key(vocab, order, target[:t])
         lm_counts.setdefault(key, Counter())[unit] += 1
         lm_totals[key] = lm_totals.get(key, 0) + 1
     for op in align(pair.source, target).ops:
         if op.kind in (OpKind.MATCH, OpKind.SUB):
-            src = pair.source.units[op.src_index]
-            ch_counts.setdefault(src, Counter())[target.units[op.tgt_index]] += 1
+            src = pair.source[op.src_index]
+            ch_counts.setdefault(src, Counter())[target[op.tgt_index]] += 1
             ch_totals[src] = ch_totals.get(src, 0) + 1
         # Insertions have no source unit and deletions no emission; the
         # substitution-only channel records neither.
@@ -320,34 +313,28 @@ def fit_stage(
     return MixtureCorrectorModel(lm, channel, best_weight, config.stage)
 
 
-def decode(
-    model: MixtureCorrectorModel,
-    src: UnitSeq,
-    beam_width: int = 8,
-    candidates: ConfusionChannel | None = None,
-) -> UnitSeq:
+def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     """Substitution-only beam search.
 
     At source position i the lattice offers the source unit itself plus
-    every unit the candidate channel has seen emitted for it. Beams are
-    ranked by summed log conditional; ties break toward the sequence that is
-    smallest in unit code-point order. Output length always equals input
-    length.
+    every unit the channel has seen emitted for it. Beams are ranked by
+    summed log conditional; ties break toward the sequence that is smallest
+    in unit code-point order (beams are equal-length str, so plain str
+    order). Output length always equals input length.
     """
     if beam_width < 1:
         raise UsageError(f"beam_width must be >= 1, got {beam_width}")
-    channel = model.channel if candidates is None else candidates
-    beams: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
-    for unit in src.units:
-        options = sorted({unit, *channel.partners(unit)})
+    beams: list[tuple[float, str]] = [(0.0, "")]
+    for unit in src:
+        options = sorted({unit, *model.channel.partners(unit)})
         expanded = [
-            (score + math.log(conditional(model, prefix, unit, option)), prefix + (option,))
+            (score + math.log(conditional(model, prefix, unit, option)), prefix + option)
             for score, prefix in beams
             for option in options
         ]
         expanded.sort(key=lambda beam: (-beam[0], beam[1]))
         beams = expanded[:beam_width]
-    return join_units(beams[0][1])
+    return beams[0][1]
 
 
 def save_model(model: MixtureCorrectorModel, path: str) -> None:
@@ -370,11 +357,15 @@ def save_model(model: MixtureCorrectorModel, path: str) -> None:
 
 
 def load_model(path: str) -> MixtureCorrectorModel:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
+    """Read a container written by save_model. An unreadable path is a
+    UsageError; anything but a well-formed container is a FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"not a model container: {exc}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FormatError(f"{path}: not a model container: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} container")
     if payload.get("version") != MODEL_VERSION:
@@ -386,6 +377,10 @@ def load_model(path: str) -> MixtureCorrectorModel:
         vocab = frozenset(payload["vocab"])
         lm_counts = {key: Counter(c) for key, c in payload["lm_counts"].items()}
         ch_counts = {key: Counter(c) for key, c in payload["channel_counts"].items()}
+        for table in (lm_counts, ch_counts):
+            for c in table.values():
+                if not all(type(n) is int and n >= 0 for n in c.values()):
+                    raise StructuralError("counts must be non-negative integers")
         lm = NgramLM(
             order=payload["order"],
             smoothing_k=payload["lm_smoothing_k"],
@@ -405,5 +400,5 @@ def load_model(path: str) -> MixtureCorrectorModel:
             mixing_weight=payload["mixing_weight"],
             stage=Stage(payload["stage"]),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, ZhcorrectError) as exc:
         raise FormatError(f"{path}: malformed model container: {exc}") from None

@@ -22,7 +22,6 @@ import random
 from dataclasses import dataclass
 
 from .corpus import Corpus, CorpusTag, ParallelPair, unify
-from .textnorm import to_units
 
 WORD_INVENTORY: tuple[str, ...] = (
     "今天", "天气", "很好", "我们", "学校", "学生", "老师", "工作", "做饭", "吃饭",
@@ -88,7 +87,7 @@ def _length_error(rng: random.Random, text: str) -> str:
 
 
 def _pair(pair_id: str, source: str, reference: str) -> ParallelPair:
-    return ParallelPair(pair_id, to_units(source), (to_units(reference),))
+    return ParallelPair(pair_id, source, (reference,))
 
 
 def _spelling_corpus(

@@ -1,9 +1,10 @@
-"""Unit-level text representation and normalization.
+"""Text normalization ahead of all unit-level position arithmetic.
 
 All position arithmetic in the toolkit is done in "units" = Unicode scalar
 values, never encoding bytes and never grapheme clusters: Chinese correction
 corpora are overwhelmingly single-scalar characters, so scalar indexing keeps
-span math simple while staying exact.
+span math simple while staying exact. A Python str indexes by scalar, so a
+unit sequence is simply the normalized str.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator
 
 from .errors import NormalizationError
 
@@ -25,7 +25,7 @@ class UnicodeForm(Enum):
 
 @dataclass(frozen=True)
 class NormalizePolicy:
-    """How raw text is canonicalized before it becomes a UnitSeq.
+    """How raw text is canonicalized before any position arithmetic.
 
     width_fold maps half-width ASCII punctuation to its full-width form;
     it is off by default because several benchmarks treat full/half-width
@@ -75,44 +75,6 @@ def normalize(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
     return out
 
 
-@dataclass(frozen=True)
-class UnitSeq:
-    """An immutable sequence of Unicode scalar values plus the text it came from.
-
-    Invariant: ``"".join(units) == original`` (the text is expected to be
-    normalized already; see to_units / units_of).
-    """
-
-    units: tuple[str, ...]
-    original: str
-
-    @property
-    def text(self) -> str:
-        return self.original
-
-    def __len__(self) -> int:
-        return len(self.units)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.units)
-
-    def __getitem__(self, index):
-        return self.units[index]
-
-    def __repr__(self) -> str:
-        return f"UnitSeq({self.original!r})"
-
-
-def to_units(text: str) -> UnitSeq:
-    """Split already-normalized text into units. Length counts scalar values."""
-    return UnitSeq(tuple(text), text)
-
-
-def units_of(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> UnitSeq:
-    """normalize + to_units in one step."""
-    return to_units(normalize(text, policy))
-
-
-def join_units(units: tuple[str, ...]) -> UnitSeq:
-    """Build a UnitSeq directly from a unit tuple (e.g. an edit replacement)."""
-    return UnitSeq(units, "".join(units))
+def units_of(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
+    """Raw text as a unit sequence: the normalized str, which indexes by scalar."""
+    return normalize(text, policy)

@@ -32,7 +32,6 @@ from zhcorrect import (
     precision_recall,
     score_cgc,
     score_csc,
-    to_units,
 )
 from zhcorrect.model import (
     dataset_objective,
@@ -105,8 +104,7 @@ def test_criterion_3_alignment_matches_bruteforce_oracle():
     costs = CostScheme()
     checked = 0
     while checked < 1000:
-        s, t = _random_pair(rng)
-        src, tgt = to_units(s), to_units(t)
+        src, tgt = _random_pair(rng)
         assert align(src, tgt, costs).total_cost == oracle_min_cost(src, tgt, costs)
         checked += 1
     elapsed = time.perf_counter() - started
@@ -130,18 +128,18 @@ def test_criterion_4_edit_roundtrip_both_policies():
                 chars.insert(i, rng.choice(_CJK))
             else:
                 del chars[i]
-        src, tgt = to_units("".join(chars)), to_units(base)
+        src, tgt = "".join(chars), base
         path = align(src, tgt)
         for policy in MergePolicy:
-            assert apply_edits(src, extract_edits(path, policy)).units == tgt.units
+            assert apply_edits(src, extract_edits(path, policy)) == tgt
     elapsed = time.perf_counter() - started
     assert elapsed < 60, f"roundtrip sweep took {elapsed:.1f}s"
 
 
 def test_criterion_5_scorer_fixed_points():
     rows = [("天汽很好", "天气很好"), ("我们学习", "我们学习"), ("他是学生生", "他是学生")]
-    sources = [to_units(s) for s, _ in rows]
-    refs = [to_units(r) for _, r in rows]
+    sources = [s for s, _ in rows]
+    refs = [r for _, r in rows]
 
     perfect = score_csc([(s, r, r) for s, r in zip(sources, refs)])
     assert perfect.f_beta == pytest.approx(1.0, abs=1e-12)
@@ -162,7 +160,7 @@ def test_criterion_5_scorer_fixed_points():
     assert f_beta(0.0, 0.0, 0.5) == 0.0
     assert f_beta(0.0, 0.0, 1.0) == 0.0
     assert precision_recall(MatchCounts(0, 0, 0)) == (0.0, 0.0)
-    clean = [to_units("我们学习"), to_units("吃饭时间")]
+    clean = ["我们学习", "吃饭时间"]
     all_clean = score_csc([(c, c, c) for c in clean])
     assert all_clean.precision == all_clean.recall == all_clean.f_beta == 0.0
 

@@ -12,19 +12,18 @@ from zhcorrect import (
     UsageError,
     align,
     oracle_min_cost,
-    to_units,
 )
 
 _CJK = [chr(c) for c in range(0x4E00, 0x4E00 + 120)]
 
 
 def _rand_units(rng, max_len):
-    return to_units("".join(rng.choice(_CJK) for _ in range(rng.randint(0, max_len))))
+    return "".join(rng.choice(_CJK) for _ in range(rng.randint(0, max_len)))
 
 
 def _corrupt(rng, seq):
     """Random in-place edits so pairs share long common stretches."""
-    units = list(seq.units)
+    units = list(seq)
     for _ in range(rng.randint(0, 3)):
         if not units:
             break
@@ -35,24 +34,24 @@ def _corrupt(rng, seq):
             units.insert(i, rng.choice(_CJK))
         else:
             del units[i]
-    return to_units("".join(units))
+    return "".join(units)
 
 
 def test_identity_alignment():
-    path = align(to_units("我爱北京"), to_units("我爱北京"))
+    path = align("我爱北京", "我爱北京")
     assert [op.kind for op in path.ops] == [OpKind.MATCH] * 4
     assert path.total_cost == 0.0
 
 
 def test_trailing_repeat_deletes_last_unit():
-    path = align(to_units("他是学生生"), to_units("他是学生"))
+    path = align("他是学生生", "他是学生")
     assert [op.kind for op in path.ops] == [OpKind.MATCH] * 4 + [OpKind.DEL]
     assert path.ops[-1].src_index == 4
     assert path.total_cost == 1.0
 
 
 def test_empty_source_all_insertions():
-    path = align(to_units(""), to_units("北京"))
+    path = align("", "北京")
     assert [op.kind for op in path.ops] == [OpKind.INS, OpKind.INS]
     assert path.total_cost == 2.0
 
@@ -63,18 +62,18 @@ def test_cost_zero_iff_equal():
         s = _rand_units(rng, 8)
         t = _corrupt(rng, s)
         cost = align(s, t).total_cost
-        assert (cost == 0.0) == (s.units == t.units)
+        assert (cost == 0.0) == (s == t)
 
 
 def test_oracle_examples():
-    assert oracle_min_cost(to_units("ab"), to_units("b")) == 1.0
-    assert oracle_min_cost(to_units("学生"), to_units("学生")) == 0.0
-    assert oracle_min_cost(to_units("a"), to_units("bc")) == 2.0
+    assert oracle_min_cost("ab", "b") == 1.0
+    assert oracle_min_cost("学生", "学生") == 0.0
+    assert oracle_min_cost("a", "bc") == 2.0
 
 
 def test_oracle_refuses_long_input():
-    s = to_units("一二三四五六七")
-    t = to_units("一二三四五六")
+    s = "一二三四五六七"
+    t = "一二三四五六"
     assert len(s) + len(t) == 13 > ORACLE_MAX_TOTAL_UNITS
     with pytest.raises(UsageError):
         oracle_min_cost(s, t)
@@ -138,7 +137,7 @@ def test_path_consumes_both_sequences():
 
 def test_custom_costs_steer_the_path():
     costs = CostScheme(substitution=3.0, insertion=1.0, deletion=1.0)
-    path = align(to_units("a"), to_units("b"), costs)
+    path = align("a", "b", costs)
     assert [op.kind for op in path.ops] == [OpKind.DEL, OpKind.INS]
     assert path.total_cost == 2.0
 
@@ -151,17 +150,17 @@ def test_cost_scheme_validation():
 
 
 def test_alignment_is_deterministic():
-    s, t = to_units("天汽很好好"), to_units("天气很好")
+    s, t = "天汽很好好", "天气很好"
     assert align(s, t) == align(s, t)
 
 
 def test_invalid_paths_rejected():
-    s, t = to_units("ab"), to_units("ab")
+    s, t = "ab", "ab"
     with pytest.raises(UsageError):
         # match joining unequal units
         AlignmentPath(
-            to_units("ab"),
-            to_units("cd"),
+            "ab",
+            "cd",
             (AlignOp(OpKind.MATCH, 0, 0), AlignOp(OpKind.MATCH, 1, 1)),
             0.0,
         )

@@ -28,7 +28,7 @@ def _tsv(path, rows):
 
 
 def _suite_tsv(tmp_path, corpus, name):
-    rows = [(p.source.text, *(r.text for r in p.references)) for p in corpus.pairs]
+    rows = [(p.source, *p.references) for p in corpus.pairs]
     return _tsv(tmp_path / name, rows)
 
 
@@ -175,7 +175,7 @@ def _train_files(tmp_path):
     csc = _suite_tsv(tmp_path, suite.csc, "csc.tsv")
     cgc = _suite_tsv(tmp_path, suite.cgc, "cgc.tsv")
     eval_src = _write(
-        tmp_path / "eval.txt", "".join(p.source.text + "\n" for p in suite.eval_csc.pairs)
+        tmp_path / "eval.txt", "".join(p.source + "\n" for p in suite.eval_csc.pairs)
     )
     eval_gold = _suite_tsv(tmp_path, suite.eval_csc, "eval.tsv")
     return stage1, csc, cgc, eval_src, eval_gold
@@ -265,6 +265,45 @@ def test_correct_jobs_give_identical_results(tmp_path, capsys):
     assert main(["correct", str(model), eval_src, "--jobs", "1", "--out", str(a)]) == 0
     assert main(["correct", str(model), eval_src, "--jobs", "2", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["score-csc", "extract-edits", "train", "correct", "score-cgc"],
+)
+def test_unreadable_inputs_exit_two_without_traceback(tmp_path, capsys, command):
+    not_utf8 = tmp_path / "bad.tsv"
+    not_utf8.write_bytes(b"\xff\xfe\xe5\tx\n")
+    good = _tsv(tmp_path / "ok.tsv", [("天汽", "天气")])
+    hyp = _write(tmp_path / "hyp.txt", "天气\n")
+    missing = str(tmp_path / "absent")
+    model = tmp_path / "model.json"
+    argv = {
+        "score-csc": ["score-csc", hyp, str(not_utf8)],
+        "extract-edits": ["extract-edits", str(not_utf8)],
+        "train": ["train", "--stage1", str(not_utf8), "--stage2", good, "--out", str(model)],
+        "correct": ["correct", missing, hyp],
+        "score-cgc": ["score-cgc", good, missing],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("field", ["order", "lm_smoothing_k", "channel_smoothing_k"])
+def test_correct_rejects_zero_model_parameters(tmp_path, capsys, field):
+    path = tmp_path / "m.json"
+    save_model(initial_model(vocab="天气"), str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload[field] = 0
+    bad = _write(tmp_path / "zero.json", json.dumps(payload))
+    inp = _write(tmp_path / "in.txt", "天气\n")
+    assert main(["correct", bad, inp]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "order" in err or "smoothing_k" in err
 
 
 def test_align_json_payload(capsys):

@@ -14,14 +14,13 @@ from zhcorrect import (
     parse_parallel,
     serialize_parallel,
     split,
-    to_units,
     unify,
 )
 
 
 def _corpus_of(texts, name="c", tag=CorpusTag.OTHER):
     pairs = tuple(
-        ParallelPair(str(i), to_units(src), tuple(to_units(r) for r in refs))
+        ParallelPair(str(i), src, tuple(refs))
         for i, (src, *refs) in enumerate(texts)
     )
     return Corpus(name, tag, pairs)
@@ -31,14 +30,14 @@ def test_tsv_single_record():
     corpus = parse_parallel(io.StringIO("他是学生生\t他是学生\n"))
     assert len(corpus) == 1
     pair = corpus.pairs[0]
-    assert pair.source.text == "他是学生生"
+    assert pair.source == "他是学生生"
     assert len(pair.references) == 1
-    assert pair.references[0].text == "他是学生"
+    assert pair.references[0] == "他是学生"
 
 
 def test_tsv_multi_reference():
     corpus = parse_parallel(io.StringIO("源\t参1\t参2\n"))
-    assert [r.text for r in corpus.pairs[0].references] == ["参1", "参2"]
+    assert corpus.pairs[0].references == ("参1", "参2")
 
 
 def test_tsv_missing_reference_errors_with_line_number():
@@ -52,7 +51,7 @@ def test_tsv_comment_lines_skipped():
     assert len(corpus) == 1
     # '#' only counts at byte 0
     corpus = parse_parallel(io.StringIO("a#b\tc\n"))
-    assert corpus.pairs[0].source.text == "a#b"
+    assert corpus.pairs[0].source == "a#b"
 
 
 def test_empty_stream_is_empty_corpus():
@@ -115,7 +114,7 @@ def test_unify_sizes_and_tag():
 def test_unify_singleton_identity_up_to_ids():
     a = _corpus_of([("甲", "乙"), ("丙", "丁")], name="only")
     joint = unify([a])
-    assert [p.source.text for p in joint] == [p.source.text for p in a]
+    assert [p.source for p in joint] == [p.source for p in a]
     assert [p.references for p in joint] == [p.references for p in a]
     assert [p.id for p in joint] == ["only:0", "only:1"]
 
@@ -198,8 +197,8 @@ def test_split_argument_errors():
 
 def test_pair_requires_reference_and_unique_ids():
     with pytest.raises(UsageError):
-        ParallelPair("p", to_units("源"), ())
-    pair = ParallelPair("p", to_units("源"), (to_units("参"),))
+        ParallelPair("p", "源", ())
+    pair = ParallelPair("p", "源", ("参",))
     with pytest.raises(UsageError):
         Corpus("c", CorpusTag.OTHER, (pair, pair))
 

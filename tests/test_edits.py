@@ -17,10 +17,8 @@ from zhcorrect import (
     classify_kind,
     extract_edits,
     format_edit_records,
-    join_units,
     match_edits,
     parse_edit_file,
-    to_units,
 )
 
 _CJK = [chr(c) for c in range(0x4E00, 0x4E00 + 80)]
@@ -50,71 +48,71 @@ def test_classify_kind():
 
 def test_edit_validation():
     with pytest.raises(StructuralError):
-        Edit.make(3, 2, to_units("x"))
+        Edit.make(3, 2, "x")
     with pytest.raises(StructuralError):
-        Edit.make(1, 1, to_units(""))  # no-op
+        Edit.make(1, 1, "")  # no-op
     with pytest.raises(StructuralError):
-        Edit(0, 1, to_units("x"), EditKind.DELETE)  # kind mismatch
+        Edit(0, 1, "x", EditKind.DELETE)  # kind mismatch
 
 
 def test_editset_invariants():
-    e1 = Edit.make(0, 2, to_units("x"))
-    e2 = Edit.make(1, 3, to_units("y"))
+    e1 = Edit.make(0, 2, "x")
+    e2 = Edit.make(1, 3, "y")
     with pytest.raises(StructuralError):
         EditSet("s", 0, (e1, e2))  # overlap
-    i1 = Edit.make(2, 2, to_units("x"))
-    i2 = Edit.make(2, 2, to_units("y"))
+    i1 = Edit.make(2, 2, "x")
+    i2 = Edit.make(2, 2, "y")
     with pytest.raises(StructuralError):
         EditSet("s", 0, (i1, i2))  # two insertions at one point
 
 
 def test_extract_identity_is_empty():
-    path = align(to_units("我爱北京"), to_units("我爱北京"))
+    path = align("我爱北京", "我爱北京")
     assert len(extract_edits(path)) == 0
 
 
 def test_extract_single_deletion():
-    path = align(to_units("他是学生生"), to_units("他是学生"))
+    path = align("他是学生生", "他是学生")
     edit_set = extract_edits(path)
     assert len(edit_set) == 1
     edit = edit_set.edits[0]
     assert (edit.start, edit.end) == (4, 5)
-    assert edit.replacement.text == ""
+    assert edit.replacement == ""
     assert edit.kind is EditKind.DELETE
 
 
 def test_adjacent_sub_ins_merges_to_complex():
-    path = align(to_units("他好"), to_units("你们好"))
+    path = align("他好", "你们好")
     merged = extract_edits(path, MergePolicy.MAXIMAL_RUNS)
     assert len(merged) == 1
     edit = merged.edits[0]
     assert (edit.start, edit.end) == (0, 1)
-    assert edit.replacement.text == "你们"
+    assert edit.replacement == "你们"
     assert edit.kind is EditKind.COMPLEX
 
     separate = extract_edits(path, MergePolicy.NONE)
-    assert [(e.start, e.end, e.replacement.text) for e in separate.edits] == [
+    assert [(e.start, e.end, e.replacement) for e in separate.edits] == [
         (0, 1, "你"),
         (1, 1, "们"),
     ]
 
 
 def test_none_policy_coalesces_same_point_insertions():
-    path = align(to_units("a"), to_units("xya"))
+    path = align("a", "xya")
     separate = extract_edits(path, MergePolicy.NONE)
-    assert [(e.start, e.end, e.replacement.text) for e in separate.edits] == [(0, 0, "xy")]
+    assert [(e.start, e.end, e.replacement) for e in separate.edits] == [(0, 0, "xy")]
 
 
 def test_apply_edits():
-    src = to_units("他是学生生")
-    assert apply_edits(src, EditSet("s", 0, ())).text == "他是学生生"
-    deletion = EditSet("s", 0, (Edit.make(4, 5, to_units("")),))
-    assert apply_edits(src, deletion).text == "他是学生"
+    src = "他是学生生"
+    assert apply_edits(src, EditSet("s", 0, ())) == "他是学生生"
+    deletion = EditSet("s", 0, (Edit.make(4, 5, ""),))
+    assert apply_edits(src, deletion) == "他是学生"
 
 
 def test_apply_rejects_out_of_range():
-    src = to_units("abc")
-    bad = EditSet("s", 0, (Edit.make(2, 5, to_units("")),))
+    src = "abc"
+    bad = EditSet("s", 0, (Edit.make(2, 5, ""),))
     with pytest.raises(StructuralError):
         apply_edits(src, bad)
 
@@ -123,18 +121,17 @@ def test_roundtrip_random_pairs_both_policies():
     rng = random.Random(97)
     for _ in range(300):
         clean = "".join(rng.choice(_CJK) for _ in range(rng.randint(0, 10)))
-        src = to_units(_corrupt(rng, clean))
-        tgt = to_units(clean)
-        path = align(src, tgt)
+        src = _corrupt(rng, clean)
+        path = align(src, clean)
         for policy in MergePolicy:
-            assert apply_edits(src, extract_edits(path, policy)).units == tgt.units
+            assert apply_edits(src, extract_edits(path, policy)) == clean
 
 
 def test_match_edits_counts():
-    e1 = Edit.make(0, 1, to_units("甲"))
-    e2 = Edit.make(2, 3, to_units("乙"))
-    e3 = Edit.make(4, 5, to_units("丙"))
-    e4 = Edit.make(6, 7, to_units("丁"))
+    e1 = Edit.make(0, 1, "甲")
+    e2 = Edit.make(2, 3, "乙")
+    e3 = Edit.make(4, 5, "丙")
+    e4 = Edit.make(6, 7, "丁")
     gold3 = EditSet("s", 0, (e1, e2, e3))
     assert match_edits(gold3, gold3) == MatchCounts(3, 0, 0)
 
@@ -158,8 +155,8 @@ def test_match_self_never_has_errors():
     rng = random.Random(5)
     for _ in range(50):
         clean = "".join(rng.choice(_CJK) for _ in range(rng.randint(1, 8)))
-        src = to_units(_corrupt(rng, clean))
-        edit_set = extract_edits(align(src, to_units(clean)))
+        src = _corrupt(rng, clean)
+        edit_set = extract_edits(align(src, clean))
         counts = match_edits(edit_set, edit_set)
         assert (counts.fp, counts.fn) == (0, 0)
 
@@ -169,38 +166,38 @@ def test_matchcounts_addition():
 
 
 def test_format_deletion_record_exact_bytes():
-    source = to_units("他是学生生")
-    refs = [EditSet("0", 0, (Edit.make(4, 5, to_units("")),))]
+    source = "他是学生生"
+    refs = [EditSet("0", 0, (Edit.make(4, 5, ""),))]
     text = format_edit_records([(source, refs)])
     assert text == "S 他是学生生\nA 4 5|||del|||-NONE-|||0\n\n"
 
 
 def test_format_clean_record_has_no_a_lines():
-    text = format_edit_records([(to_units("他是学生"), [EditSet("0", 0, ())])])
+    text = format_edit_records([("他是学生", [EditSet("0", 0, ())])])
     assert text == "S 他是学生\n\n"
 
 
 def test_format_two_references_carry_ref_ids():
-    source = to_units("天汽很号")
+    source = "天汽很号"
     refs = [
-        EditSet("0", 0, (Edit.make(1, 2, to_units("气")), Edit.make(3, 4, to_units("好")))),
-        EditSet("0", 1, (Edit.make(1, 2, to_units("气")),)),
+        EditSet("0", 0, (Edit.make(1, 2, "气"), Edit.make(3, 4, "好"))),
+        EditSet("0", 1, (Edit.make(1, 2, "气"),)),
     ]
     text = format_edit_records([(source, refs)])
     assert "|||0\n" in text and "|||1\n" in text
 
 
 def test_parse_edit_file_roundtrip():
-    source = to_units("天汽很号")
+    source = "天汽很号"
     refs = (
-        EditSet("0", 0, (Edit.make(1, 2, to_units("气")), Edit.make(3, 4, to_units("好")))),
-        EditSet("0", 1, (Edit.make(1, 2, to_units("氣")),)),
+        EditSet("0", 0, (Edit.make(1, 2, "气"), Edit.make(3, 4, "好"))),
+        EditSet("0", 1, (Edit.make(1, 2, "氣"),)),
     )
     text = format_edit_records([(source, refs)])
     parsed = parse_edit_file(io.StringIO(text))
     assert len(parsed) == 1
     record = parsed.records[0]
-    assert record.source.units == source.units
+    assert record.source == source
     assert record.refs == refs
     # file-level fixed point
     assert format_edit_records([(record.source, record.refs)]) == text
@@ -262,20 +259,18 @@ def test_merge_policies_apply_identically():
     rng = random.Random(211)
     for _ in range(100):
         clean = "".join(rng.choice(_CJK) for _ in range(rng.randint(1, 8)))
-        src = to_units(_corrupt(rng, clean))
-        path = align(src, to_units(clean))
+        src = _corrupt(rng, clean)
+        path = align(src, clean)
         a = apply_edits(src, extract_edits(path, MergePolicy.NONE))
         b = apply_edits(src, extract_edits(path, MergePolicy.MAXIMAL_RUNS))
-        assert a.units == b.units
+        assert a == b
 
 
 def test_empty_replacement_mark_never_collides():
     # A literal replacement spelled "-NONE-" cannot round-trip; the mark is
     # reserved. Unit-level Chinese text never produces it.
-    edit = Edit.make(0, 1, join_units(tuple("-NONE-")))
-    text = format_edit_records(
-        [(to_units("甲"), [EditSet("0", 0, (edit,))])]
-    )
+    edit = Edit.make(0, 1, "-NONE-")
+    text = format_edit_records([("甲", [EditSet("0", 0, (edit,))])])
     parsed = parse_edit_file(io.StringIO(text))
     # the reserved mark parses back as an empty replacement, not the literal
-    assert parsed.records[0].refs[0].edits[0].replacement.text == ""
+    assert parsed.records[0].refs[0].edits[0].replacement == ""

@@ -14,7 +14,6 @@ from zhcorrect import (
     precision_recall,
     score_cgc,
     score_csc,
-    to_units,
 )
 
 # published precision/recall/F0.5 rows used as a cross-check of the formula
@@ -109,12 +108,12 @@ def test_macro_average_basics():
 
 
 def test_csc_outcome_flags():
-    src, ref = to_units("天汽"), to_units("天气")
-    out = csc_outcome(src, ref, to_units("天气"))
+    src, ref = "天汽", "天气"
+    out = csc_outcome(src, ref, "天气")
     assert (out.gold_changed, out.hyp_changed, out.exact_correct) == (True, True, True)
     out = csc_outcome(src, ref, src)
     assert (out.gold_changed, out.hyp_changed, out.exact_correct) == (True, False, False)
-    clean = to_units("天气")
+    clean = "天气"
     out = csc_outcome(clean, clean, clean)
     assert (out.gold_changed, out.hyp_changed, out.exact_correct) == (False, False, True)
 
@@ -125,9 +124,9 @@ def _csc_fixture():
     # 2: dirty, wrong fix               -> fn + fp
     # 3: clean, needlessly changed      -> fp
     return [
-        (to_units("天汽很好"), to_units("天气很好"), to_units("天气很好")),
-        (to_units("他是学圣"), to_units("他是学生"), to_units("他是学牲")),
-        (to_units("我们吃饭"), to_units("我们吃饭"), to_units("我们吃反")),
+        ("天汽很好", "天气很好", "天气很好"),
+        ("他是学圣", "他是学生", "他是学牲"),
+        ("我们吃饭", "我们吃饭", "我们吃反"),
     ]
 
 
@@ -151,7 +150,7 @@ def test_score_csc_perfect_and_do_nothing():
 
 
 def test_score_csc_all_clean_yields_zeros():
-    clean = to_units("我们学习")
+    clean = "我们学习"
     report = score_csc([(clean, clean, clean)] * 3)
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (0, 0, 0)
     assert report.precision == report.recall == report.f_beta == 0.0
@@ -181,8 +180,8 @@ def test_score_cgc_fixture_counts():
     # sentence 1: hypothesis fixes the duplication      -> tp 1
     # sentence 2: one wrong edit, both gold edits missed -> fp 1 fn 2
     hyp = [
-        (to_units("他是学生生"), to_units("他是学生")),
-        (to_units("天汽很号"), to_units("天汽很呺")),
+        ("他是学生生", "他是学生"),
+        ("天汽很号", "天汽很呺"),
     ]
     report = score_cgc(hyp, _cgc_gold(), dataset="fixture")
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (1, 1, 2)
@@ -196,8 +195,8 @@ def test_score_cgc_fixture_counts():
 
 def test_score_cgc_beta_one():
     hyp = [
-        (to_units("他是学生生"), to_units("他是学生")),
-        (to_units("天汽很号"), to_units("天汽很呺")),
+        ("他是学生生", "他是学生"),
+        ("天汽很号", "天汽很呺"),
     ]
     report = score_cgc(hyp, _cgc_gold(), beta=1.0)
     assert report.f_beta == pytest.approx(0.4, abs=1e-9)
@@ -205,12 +204,12 @@ def test_score_cgc_beta_one():
 
 def test_score_cgc_perfect_and_do_nothing():
     perfect = [
-        (to_units("他是学生生"), to_units("他是学生")),
-        (to_units("天汽很号"), to_units("天气很好")),
+        ("他是学生生", "他是学生"),
+        ("天汽很号", "天气很好"),
     ]
     assert score_cgc(perfect, _cgc_gold()).f_beta == pytest.approx(1.0)
-    lazy = [(to_units("他是学生生"), to_units("他是学生生")),
-            (to_units("天汽很号"), to_units("天汽很号"))]
+    lazy = [("他是学生生", "他是学生生"),
+            ("天汽很号", "天汽很号")]
     assert score_cgc(lazy, _cgc_gold()).f_beta == 0.0
 
 
@@ -225,7 +224,7 @@ def test_score_cgc_multi_reference_picks_best():
         "\n"
     )
     gold = parse_edit_file(io.StringIO(gold_text))
-    hyp = [(to_units("天汽很号"), to_units("天气很号"))]
+    hyp = [("天汽很号", "天气很号")]
     report = score_cgc(hyp, gold)
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (1, 0, 0)
 
@@ -241,13 +240,13 @@ def test_score_cgc_f_tie_keeps_lowest_ref_id():
         "\n"
     )
     gold = parse_edit_file(io.StringIO(gold_text))
-    hyp = [(to_units("天汽很号"), to_units("天汽很号"))]
+    hyp = [("天汽很号", "天汽很号")]
     report = score_cgc(hyp, gold)
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (0, 0, 2)
 
 
 def test_score_cgc_missing_gold_entry():
-    hyp = [(to_units("没有这句"), to_units("没有这句"))]
+    hyp = [("没有这句", "没有这句")]
     with pytest.raises(UsageError):
         score_cgc(hyp, _cgc_gold())
 

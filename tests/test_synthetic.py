@@ -49,14 +49,14 @@ def test_references_decompose_into_inventory_words():
     suite = _small()
     for corpus in (suite.stage1, suite.csc, suite.cgc, suite.eval_csc):
         for pair in corpus.pairs:
-            assert _decomposes_into_words(pair.references[0].text)
+            assert _decomposes_into_words(pair.references[0])
 
 
 def test_spelling_corpora_substitute_in_place():
     suite = _small()
     for corpus in (suite.csc, suite.eval_csc):
         for pair in corpus.pairs:
-            src, ref = pair.source.text, pair.references[0].text
+            src, ref = pair.source, pair.references[0]
             assert len(src) == len(ref)
             for s_ch, r_ch in zip(src, ref):
                 assert s_ch == r_ch or s_ch == CONFUSION.get(r_ch)
@@ -64,12 +64,12 @@ def test_spelling_corpora_substitute_in_place():
 
 def test_eval_set_is_fully_corrupted():
     suite = _small()
-    assert all(p.source.text != p.references[0].text for p in suite.eval_csc.pairs)
+    assert all(p.source != p.references[0] for p in suite.eval_csc.pairs)
 
 
 def test_plain_csc_keeps_some_clean_pairs():
     suite = make_suite(seed=3, stage1_size=10, csc_size=200, cgc_size=10, eval_size=10)
-    outcomes = {p.source.text == p.references[0].text for p in suite.csc.pairs}
+    outcomes = {p.source == p.references[0] for p in suite.csc.pairs}
     assert outcomes == {True, False}
 
 
@@ -89,8 +89,8 @@ def test_stage1_mixes_both_error_shapes():
 
 def test_joint_is_union_of_csc_and_cgc():
     suite = _small()
-    joint_sources = sorted(p.source.text for p in suite.joint.pairs)
+    joint_sources = sorted(p.source for p in suite.joint.pairs)
     part_sources = sorted(
-        p.source.text for p in (*suite.csc.pairs, *suite.cgc.pairs)
+        p.source for p in (*suite.csc.pairs, *suite.cgc.pairs)
     )
     assert joint_sources == part_sources

@@ -9,9 +9,7 @@ from zhcorrect import (
     NormalizationError,
     NormalizePolicy,
     UnicodeForm,
-    join_units,
     normalize,
-    to_units,
     units_of,
 )
 
@@ -75,11 +73,14 @@ def test_surrogate_rejected_with_byte_offset():
     assert "D800" in str(err.value)
 
 
-def test_to_units_counts_scalars():
-    assert to_units("北京").units == ("北", "京")
-    assert len(to_units("北京")) == 2
-    assert len(to_units("")) == 0
-    assert to_units("a北").units == ("a", "北")
+def test_units_of_counts_scalars():
+    # a unit sequence is the normalized str: one unit per Unicode scalar
+    assert tuple(units_of("北京")) == ("北", "京")
+    assert len(units_of("北京")) == 2
+    assert len(units_of("")) == 0
+    assert tuple(units_of("a北")) == ("a", "北")
+    assert len(units_of("a北")) == 2
+    assert len(units_of("\U00020000")) == 1  # outside the BMP: still one unit
 
 
 def test_unitseq_roundtrip_and_slicing():
@@ -88,18 +89,20 @@ def test_unitseq_roundtrip_and_slicing():
         raw = _random_text(rng)
         norm = normalize(raw, DEFAULT_POLICY)
         seq = units_of(raw, DEFAULT_POLICY)
-        assert "".join(seq.units) == norm
-        assert seq.text == norm
+        assert isinstance(seq, str)
+        assert seq == norm
+        assert "".join(list(seq)) == norm
         if len(seq):
             i = rng.randrange(len(seq))
             j = rng.randint(i, len(seq))
-            assert "".join(seq[i:j]) == norm[i:j]
+            assert seq[i:j] == norm[i:j]
+            assert seq[i] == norm[i] and len(seq[i]) == 1
 
 
-def test_join_units_builds_unitseq():
-    seq = join_units(("你", "好"))
-    assert seq.text == "你好"
-    assert seq.units == ("你", "好")
+def test_units_join_back_to_text():
+    units = ("你", "好")
+    assert "".join(units) == "你好"
+    assert tuple(units_of("".join(units))) == units
 
 
 def test_policy_enum_values():
