@@ -25,6 +25,7 @@ from typing import Callable, Sequence, TextIO, TypeVar
 
 from . import __version__
 from .alignment import align
+from .artifacts import write_artifact
 from .corpus import Corpus, CorpusTag, parse_parallel, unify
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
 from .errors import FormatError, UsageError, ZhcorrectError
@@ -101,9 +102,10 @@ def _write_manifest(
         version=__version__,
         wall_time_s=round(time.perf_counter() - started, 6),
     )
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest.to_json_dict(), handle, sort_keys=True, ensure_ascii=True, indent=2)
-        handle.write("\n")
+    write_artifact(
+        out_path + ".manifest.json",
+        json.dumps(manifest.to_json_dict(), sort_keys=True, ensure_ascii=True, indent=2) + "\n",
+    )
 
 
 def _options_of(args: argparse.Namespace) -> dict:
@@ -145,7 +147,10 @@ def _read(path: str, parse: Callable[[TextIO], T]) -> T:
 
 
 def _read_lines(path: str) -> list[str]:
-    return _read(path, lambda handle: handle.read().splitlines())
+    """The file's lines, split only at line feeds (and carriage returns) the
+    way parse_parallel splits them; U+0085, U+2028 and the like stay inside
+    a line."""
+    return _read(path, lambda handle: [raw.rstrip("\n").rstrip("\r") for raw in handle])
 
 
 def _open_corpus(path: str, fmt: str, policy: NormalizePolicy, tag: CorpusTag, name: str) -> Corpus:
@@ -158,8 +163,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_artifact(out, text)
 
 
 def _table(report: ScoreReport) -> str:
@@ -266,10 +270,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     model0 = initial_model(order=args.order, smoothing_k=args.smoothing_k)
     model1 = fit_stage(model0, stage1_corpus, config1)
     model2 = fit_stage(model1, joint, config2)
-    obj1 = dataset_objective(model1, stage_heldout(stage1_corpus, config1))
-    heldout2 = stage_heldout(joint, config2)
-    print(f"stage-1 heldout objective: {obj1:.6f}")
-    print(f"stage-2 heldout objective: {dataset_objective(model2, heldout2):.6f}")
+    for number, model, corpus, config in (
+        (1, model1, stage1_corpus, config1),
+        (2, model2, joint, config2),
+    ):
+        heldout = stage_heldout(corpus, config)
+        if heldout.pairs:
+            objective = f"{dataset_objective(model, heldout):.6f}"
+        else:
+            objective = "n/a (empty heldout slice)"
+        print(f"stage-{number} heldout objective: {objective}")
     print(f"mixing weight: {model2.mixing_weight:g}")
     save_model(model2, args.out)
     _write_manifest(

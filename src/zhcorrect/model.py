@@ -20,10 +20,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import AbstractSet, Iterable
+from typing import AbstractSet, Iterable, Iterator
 
 from .corpus import Corpus, CorpusTag, ParallelPair, split
 from .alignment import OpKind, align
+from .artifacts import write_artifact
 from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
 
 BOUNDARY = ""
@@ -212,21 +213,42 @@ def _aligned_source_units(source: str, target: str) -> list[str | None]:
     return aligned
 
 
+def _token_probs(
+    lm: NgramLM, channel: ConfusionChannel, pairs: Iterable[ParallelPair]
+) -> Iterator[list[tuple[float, float]]]:
+    """For each pair, the (lm_p, ch_p) of each unit of its first reference.
+    None of it depends on the mixing weight, so one table of them serves
+    every weight."""
+    for pair in pairs:
+        target = pair.references[0]
+        aligned = _aligned_source_units(pair.source, target)
+        yield [
+            (lm.prob(unit, target[:t]), channel.prob(unit, aligned[t]))
+            for t, unit in enumerate(target)
+        ]
+
+
+def _mean_nll(table: Iterable[list[tuple[float, float]]], lam: float) -> float:
+    """Mean over the table's pairs of their nll under mixing weight lam."""
+    per_pair = []
+    for probs in table:
+        total = 0.0
+        for lm_p, ch_p in probs:
+            total -= math.log(lam * lm_p + (1.0 - lam) * ch_p)
+        per_pair.append(total)
+    return sum(per_pair) / len(per_pair)
+
+
 def nll(model: MixtureCorrectorModel, pair: ParallelPair) -> float:
     """Negative log-likelihood of the pair's first reference, natural log."""
-    target = pair.references[0]
-    aligned = _aligned_source_units(pair.source, target)
-    total = 0.0
-    for t, unit in enumerate(target):
-        total -= math.log(conditional(model, target[:t], aligned[t], unit))
-    return total
+    return _mean_nll(_token_probs(model.lm, model.channel, [pair]), model.mixing_weight)
 
 
 def dataset_objective(model: MixtureCorrectorModel, corpus: Corpus) -> float:
     """Mean per-pair nll over the corpus."""
     if not corpus.pairs:
         raise UsageError("dataset_objective needs a non-empty corpus")
-    return sum(nll(model, pair) for pair in corpus.pairs) / len(corpus.pairs)
+    return _mean_nll(_token_probs(model.lm, model.channel, corpus.pairs), model.mixing_weight)
 
 
 def _accumulate(
@@ -255,9 +277,10 @@ def _accumulate(
 
 
 def stage_heldout(corpus: Corpus, config: StageConfig) -> Corpus:
-    """The held-out slice fit_stage tunes on, reproducible from the config."""
+    """The held-out slice fit_stage tunes on, reproducible from the config.
+    fit_stage tunes nothing on an empty corpus, so its slice is empty."""
     if not corpus.pairs:
-        raise UsageError("cannot take a heldout slice of an empty corpus")
+        return corpus
     return split(corpus, config.heldout_fraction, config.seed)[1]
 
 
@@ -303,10 +326,10 @@ def fit_stage(
     if not heldout_part.pairs:
         return MixtureCorrectorModel(lm, channel, init.mixing_weight, config.stage)
 
+    table = list(_token_probs(lm, channel, heldout_part.pairs))
     best_weight, best_objective = None, math.inf
     for weight in sorted(set(config.mix_grid) | {init.mixing_weight}):
-        candidate = MixtureCorrectorModel(lm, channel, weight, config.stage)
-        objective = dataset_objective(candidate, heldout_part)
+        objective = _mean_nll(table, weight)
         if objective < best_objective:
             best_weight, best_objective = weight, objective
     assert best_weight is not None
@@ -338,7 +361,8 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
 
 
 def save_model(model: MixtureCorrectorModel, path: str) -> None:
-    """Versioned JSON container; identical models produce identical bytes."""
+    """Versioned JSON container; identical models produce identical bytes.
+    The file is replaced whole (see write_artifact)."""
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -351,9 +375,9 @@ def save_model(model: MixtureCorrectorModel, path: str) -> None:
         "lm_counts": {key: dict(c) for key, c in model.lm.counts.items()},
         "channel_counts": {key: dict(c) for key, c in model.channel.counts.items()},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
-        handle.write("\n")
+    write_artifact(
+        path, json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":")) + "\n"
+    )
 
 
 def load_model(path: str) -> MixtureCorrectorModel:

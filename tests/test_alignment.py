@@ -16,6 +16,11 @@ from zhcorrect import (
 
 _CJK = [chr(c) for c in range(0x4E00, 0x4E00 + 120)]
 
+# (substitution, insertion, deletion): unit costs, a dear substitution, unequal
+# insertion and deletion, substitution dearer than insertion plus deletion,
+# and a cheap substitution.
+_BAND_SCHEMES = [(1, 1, 1), (1.5, 1, 1), (1, 0.7, 1.3), (2.5, 1, 1), (0.3, 1, 1)]
+
 
 def _rand_units(rng, max_len):
     return "".join(rng.choice(_CJK) for _ in range(rng.randint(0, max_len)))
@@ -170,3 +175,111 @@ def test_invalid_paths_rejected():
     with pytest.raises(UsageError):
         # non-monotone indices
         AlignmentPath(s, t, (AlignOp(OpKind.MATCH, 1, 1), AlignOp(OpKind.MATCH, 0, 0)), 0.0)
+
+
+def _full_table_align(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> AlignmentPath:
+    """Reference: align as it was before the band, filling the whole
+    (n+1)x(m+1) suffix table. Kept verbatim as the band's oracle."""
+    s, t = tuple(src), tuple(tgt)
+    n, m = len(s), len(t)
+    c_sub, c_ins, c_del = costs.substitution, costs.insertion, costs.deletion
+
+    # suffix[i][j] = min cost of aligning s[i:] with t[j:]
+    suffix = [[0.0] * (m + 1) for _ in range(n + 1)]
+    for j in range(m - 1, -1, -1):
+        suffix[n][j] = suffix[n][j + 1] + c_ins
+    for i in range(n - 1, -1, -1):
+        suffix[i][m] = suffix[i + 1][m] + c_del
+        row, below = suffix[i], suffix[i + 1]
+        si = s[i]
+        for j in range(m - 1, -1, -1):
+            diag = below[j + 1] + (0.0 if si == t[j] else c_sub)
+            up = below[j] + c_del
+            left = row[j + 1] + c_ins
+            best = diag
+            if up < best:
+                best = up
+            if left < best:
+                best = left
+            row[j] = best
+
+    ops: list[AlignOp] = []
+    i = j = 0
+    while i < n or j < m:
+        here = suffix[i][j]
+        if i < n and j < m and s[i] == t[j] and suffix[i + 1][j + 1] == here:
+            ops.append(AlignOp(OpKind.MATCH, i, j))
+            i, j = i + 1, j + 1
+        elif i < n and j < m and s[i] != t[j] and suffix[i + 1][j + 1] + c_sub == here:
+            ops.append(AlignOp(OpKind.SUB, i, j))
+            i, j = i + 1, j + 1
+        elif i < n and suffix[i + 1][j] + c_del == here:
+            ops.append(AlignOp(OpKind.DEL, i, j))
+            i += 1
+        else:
+            ops.append(AlignOp(OpKind.INS, i, j))
+            j += 1
+
+    return AlignmentPath(src=src, tgt=tgt, ops=tuple(ops), total_cost=suffix[0][0])
+
+
+def _band_pair(rng):
+    """A pair of 0-250 units. Small alphabets make runs of equal units and so
+    many tied optimal paths; unrelated pairs cost about their length and make
+    the band double, up to the whole table."""
+    alphabet = _CJK[: rng.choice([1, 2, 3, 5, 30, 120])]
+    top = 250 if rng.random() < 0.05 else 40
+    src = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, top)))
+    roll = rng.random()
+    if roll < 0.6:  # edited copy: the common case of correction data
+        units = list(src)
+        for _ in range(rng.randint(0, max(1, len(units) // 4))):
+            i = rng.randint(0, len(units))
+            edit = rng.random()
+            if edit < 0.4 and i < len(units):
+                units[i] = rng.choice(alphabet)
+            elif edit < 0.7:
+                units.insert(i, rng.choice(alphabet))
+            elif i < len(units):
+                del units[i]
+        tgt = "".join(units)
+    elif roll < 0.85:
+        tgt = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, top)))
+    else:
+        tgt = src
+    return (tgt, src) if rng.random() < 0.5 else (src, tgt)
+
+
+@pytest.mark.parametrize("scheme", _BAND_SCHEMES, ids=str)
+def test_band_matches_full_table_on_random_pairs(scheme):
+    costs = CostScheme(*scheme)
+    rng = random.Random(str(scheme))
+    for _ in range(1000):
+        src, tgt = _band_pair(rng)
+        assert align(src, tgt, costs) == _full_table_align(src, tgt, costs), (src, tgt)
+
+
+@pytest.mark.parametrize("scheme", _BAND_SCHEMES, ids=str)
+def test_band_matches_full_table_on_edge_cases(scheme):
+    costs = CostScheme(*scheme)
+    rng = random.Random(7)
+    long = "".join(rng.choice(_CJK) for _ in range(250))
+    other = "".join(rng.choice(_CJK[:60]) for _ in range(250))
+    skipped = "".join(u for k, u in enumerate(long) if k % 7)
+    cases = [
+        ("", ""),
+        ("", "北京"),
+        ("北京", ""),
+        ("", long),
+        (long, ""),
+        (long, long),
+        (skipped, long),  # pure insertion
+        (long, skipped),  # pure deletion
+        (long, other),  # unrelated
+        (long[:40], other),
+        ("他是学生生", "他是学生"),
+        ("学" * 30, "学" * 27),
+        ("学生" * 20, "生学" * 21),
+    ]
+    for src, tgt in cases:
+        assert align(src, tgt, costs) == _full_table_align(src, tgt, costs), (src, tgt)

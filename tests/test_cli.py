@@ -4,7 +4,7 @@ import pytest
 
 import zhcorrect
 from zhcorrect.cli import build_parser, main
-from zhcorrect.model import initial_model, save_model
+from zhcorrect.model import initial_model, load_model, save_model
 from zhcorrect.synthetic import make_suite
 
 _GOLD_EDITS = (
@@ -304,6 +304,52 @@ def test_correct_rejects_zero_model_parameters(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "order" in err or "smoothing_k" in err
+
+
+@pytest.mark.parametrize("command", ["extract-edits", "correct", "train", "score-csc"])
+def test_out_in_missing_directory_exits_two(tmp_path, capsys, command):
+    parallel = _tsv(tmp_path / "ok.tsv", [("天汽", "天气")])
+    hyp = _write(tmp_path / "hyp.txt", "天气\n")
+    model = tmp_path / "m.json"
+    save_model(initial_model(vocab="天气"), str(model))
+    out = str(tmp_path / "nodir" / "out")
+    argv = {
+        "extract-edits": ["extract-edits", parallel, "--out", out],
+        "correct": ["correct", str(model), hyp, "--out", out],
+        "train": ["train", "--stage1", parallel, "--stage2", parallel, "--out", out],
+        "score-csc": ["score-csc", hyp, parallel, "--out", out],
+    }[command]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\x1c", "\v", "\f"], ids=repr)
+def test_score_csc_splits_hypotheses_only_at_line_feeds(tmp_path, capsys, sep):
+    gold = _tsv(tmp_path / "gold.tsv", [(f"天汽{sep}很好", f"天气{sep}很好")])
+    hyp = _write(tmp_path / "hyp.txt", f"天气{sep}很好\n")
+    assert main(["score-csc", hyp, gold]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (report["n_sentences"], report["tp"], report["f_beta"]) == (1, 1, 1.0)
+
+
+@pytest.mark.parametrize("stage1_rows", [[("天汽很好", "天气很好")], []], ids=["one-pair", "empty"])
+def test_train_on_tiny_corpus_reports_empty_heldout(tmp_path, capsys, stage1_rows):
+    # One pair rounds to an empty heldout slice; an empty corpus has one too.
+    stage1 = _tsv(tmp_path / "s1.tsv", stage1_rows)
+    stage2 = _tsv(tmp_path / "s2.tsv", [("我门学习", "我们学习")])
+    model = tmp_path / "model.json"
+    assert main(["train", "--stage1", stage1, "--stage2", stage2, "--out", str(model)]) == 0
+    assert capsys.readouterr().out == (
+        "stage-1 heldout objective: n/a (empty heldout slice)\n"
+        "stage-2 heldout objective: n/a (empty heldout slice)\n"
+        "mixing weight: 0.5\n"
+    )
+    assert load_model(str(model)).stage.value == "stage2"
+    assert (tmp_path / "model.json.manifest.json").exists()
 
 
 def test_align_json_payload(capsys):

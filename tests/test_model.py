@@ -8,6 +8,7 @@ from dataclasses import replace
 import pytest
 
 from zhcorrect import ConfigError, FormatError, UsageError
+from zhcorrect.alignment import OpKind, align
 from zhcorrect.corpus import Corpus, CorpusTag, ParallelPair, split
 from zhcorrect.model import (
     BOUNDARY,
@@ -294,6 +295,40 @@ def test_stage_two_never_regresses_on_joint_heldout(small_suite, trained):
     after = dataset_objective(m2, heldout)
     assert math.isfinite(before) and math.isfinite(after)
     assert after <= before + 1e-9
+
+
+def _per_weight_nll(model, pair):
+    """nll as it was computed before the per-token table: one alignment and
+    one conditional per unit, for the model's own weight."""
+    target = pair.references[0]
+    aligned = [None] * len(target)
+    for op in align(pair.source, target).ops:
+        if op.kind in (OpKind.MATCH, OpKind.SUB):
+            aligned[op.tgt_index] = pair.source[op.src_index]
+    total = 0.0
+    for t, unit in enumerate(target):
+        total -= math.log(conditional(model, target[:t], aligned[t], unit))
+    return total
+
+
+def test_grid_search_matches_per_weight_objective_loop():
+    # The old search: one full dataset objective per grid weight. The table
+    # of weight-free probabilities must pick the same weight and give the
+    # same objective, bit for bit, at every weight.
+    suite = make_suite(0)
+    init = initial_model()
+    for corpus, config in ((suite.stage1, stage1_config()), (suite.joint, stage2_config())):
+        fitted = fit_stage(init, corpus, config)
+        heldout = stage_heldout(corpus, config)
+        best_weight, best_objective = None, math.inf
+        for weight in sorted(set(config.mix_grid) | {init.mixing_weight}):
+            candidate = replace(fitted, mixing_weight=weight)
+            expected = sum(_per_weight_nll(candidate, p) for p in heldout.pairs) / len(heldout)
+            assert dataset_objective(candidate, heldout) == expected, weight
+            if expected < best_objective:
+                best_weight, best_objective = weight, expected
+        assert fitted.mixing_weight == best_weight
+        init = fitted
 
 
 def test_stage_heldout_matches_split(small_suite):
