@@ -91,14 +91,16 @@ def align(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> AlignmentPath:
     the matches come first and the deletion lands at the end of the run), so
     extraction downstream is reproducible.
 
-    The DP fills only a diagonal band of the (n+1)x(m+1) table (Ukkonen
-    1985): the cells whose offset j - i lies within k of [min(0, m-n),
-    max(0, m-n)]. A path that leaves the band makes at least |m-n| + 2k + 2
-    insertions and deletions, so once the in-band cost is below that many
-    times min(insertion, deletion) cost, every optimal path lies in the band
-    and the op path and cost equal those of the full table. Otherwise k
-    doubles, up to the whole table. Time and memory are
-    O((n+m) * C / min(insertion, deletion)) for an alignment of cost C.
+    The DP fills only a diagonal band of the (n+1)x(m+1) suffix table
+    (Ukkonen 1985): the cells whose offset j - i lies within k of
+    [min(0, m-n), max(0, m-n)]. Every other cell stays +inf, so no path
+    passes through it. A path that leaves the band makes at least
+    |m-n| + 2k + 2 insertions and deletions, so once the in-band cost is
+    below that many times min(insertion, deletion) cost, every optimal path
+    lies in the band and the op path and cost equal those of the full table.
+    Otherwise k doubles, up to the whole table. The DP takes
+    O((n+m) * C / min(insertion, deletion)) steps for an alignment of cost C;
+    the table itself is allocated whole, (n+1)*(m+1) slots, at C speed.
     """
     # Indexing a str builds a new one-character str per access for scalars
     # above U+00FF, while a tuple hands back stored objects: on CJK text the
@@ -113,75 +115,62 @@ def align(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> AlignmentPath:
 
     k = 2
     while True:
-        lo, hi = max(-n, min(0, m - n) - k), min(m, max(0, m - n) + k)
-        band = _band_suffix(s, t, lo, hi, costs)
-        total = band[0][1 - lo]
-        if (lo == -n and hi == m) or total < (abs(m - n) + 2 * k + 2) * per_indel:
+        suffix = _band_suffix(s, t, min(0, m - n) - k, max(0, m - n) + k, costs)
+        # k >= min(n, m) puts every cell of the table in the band.
+        if k >= min(n, m) or suffix[0][0] < (abs(m - n) + 2 * k + 2) * per_indel:
             break
         k *= 2
 
-    # Cell (i, j) is band[i][x] with x = j - i - lo + 1 (see _band_suffix):
-    # a diagonal step keeps x, a deletion lowers it and an insertion raises it.
     ops: list[AlignOp] = []
     i = j = 0
-    x = 1 - lo
     while i < n or j < m:
-        here = band[i][x]
-        if i < n and j < m and s[i] == t[j] and band[i + 1][x] == here:
+        here = suffix[i][j]
+        if i < n and j < m and s[i] == t[j] and suffix[i + 1][j + 1] == here:
             ops.append(AlignOp(OpKind.MATCH, i, j))
             i, j = i + 1, j + 1
-        elif i < n and j < m and s[i] != t[j] and band[i + 1][x] + c_sub == here:
+        elif i < n and j < m and s[i] != t[j] and suffix[i + 1][j + 1] + c_sub == here:
             ops.append(AlignOp(OpKind.SUB, i, j))
             i, j = i + 1, j + 1
-        elif i < n and band[i + 1][x - 1] + c_del == here:
+        elif i < n and suffix[i + 1][j] + c_del == here:
             ops.append(AlignOp(OpKind.DEL, i, j))
-            i, x = i + 1, x - 1
+            i += 1
         else:
             ops.append(AlignOp(OpKind.INS, i, j))
-            j, x = j + 1, x + 1
+            j += 1
 
-    return AlignmentPath(src=src, tgt=tgt, ops=tuple(ops), total_cost=total)
+    return AlignmentPath(src=src, tgt=tgt, ops=tuple(ops), total_cost=suffix[0][0])
 
 
 def _band_suffix(
     s: tuple[str, ...], t: tuple[str, ...], lo: int, hi: int, costs: CostScheme
 ) -> list[list[float]]:
-    """Min cost of aligning s[i:] with t[j:] for the cells with lo <= j-i <= hi.
-
-    Row i holds cell (i, j) at index j - i - lo + 1, so a cell's diagonal
-    neighbour (i+1, j+1) sits at the same index of the next row and the
-    deletion neighbour (i+1, j) one to the left. Index 0 and the last index
-    pad the band; they and every cell off the band or outside the table stay
-    +inf, so no path can pass through them.
-    """
+    """suffix[i][j] = min cost of aligning s[i:] with t[j:] through cells
+    with lo <= j - i <= hi, filled only for those cells; the rest stay +inf.
+    Needs lo <= min(0, m-n) and hi >= max(0, m-n), so (0, 0) and (n, m) are
+    in the band."""
     n, m = len(s), len(t)
     c_sub, c_ins, c_del = costs.substitution, costs.insertion, costs.deletion
-    inf = math.inf
-    band = [[inf] * (hi - lo + 3) for _ in range(n + 1)]
-
-    last, base = band[n], n + lo - 1  # cell (n, j) is at last[j - base]
-    last[m - base] = 0.0
-    for x in range(m - base - 1, 0, -1):  # j = m-1 down to n+lo, as lo >= -n
-        last[x] = last[x + 1] + c_ins
+    suffix = [[math.inf] * (m + 1) for _ in range(n + 1)]
+    last = suffix[n]
+    last[m] = 0.0
+    for j in range(m - 1, max(0, n + lo) - 1, -1):
+        last[j] = last[j + 1] + c_ins
     for i in range(n - 1, -1, -1):
-        row, below, base = band[i], band[i + 1], i + lo - 1
-        top = i + hi
-        if top >= m:
-            row[m - base] = below[m - base - 1] + c_del
-            top = m - 1
+        row, below = suffix[i], suffix[i + 1]
+        if m - i <= hi:
+            row[m] = below[m] + c_del
         si = s[i]
-        for j in range(top, (i + lo if i + lo > 0 else 0) - 1, -1):
-            x = j - base
-            diag = below[x] + (0.0 if si == t[j] else c_sub)
-            up = below[x - 1] + c_del
-            left = row[x + 1] + c_ins
+        for j in range(min(m - 1, i + hi), max(0, i + lo) - 1, -1):
+            diag = below[j + 1] + (0.0 if si == t[j] else c_sub)
+            up = below[j] + c_del
+            left = row[j + 1] + c_ins
             best = diag
             if up < best:
                 best = up
             if left < best:
                 best = left
-            row[x] = best
-    return band
+            row[j] = best
+    return suffix
 
 
 def oracle_min_cost(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> float:

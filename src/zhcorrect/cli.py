@@ -26,7 +26,7 @@ from typing import Callable, Sequence, TextIO, TypeVar
 from . import __version__
 from .alignment import align
 from .artifacts import write_artifact
-from .corpus import Corpus, CorpusTag, parse_parallel, unify
+from .corpus import Corpus, CorpusTag, iter_lines, parse_parallel, unify
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
 from .errors import FormatError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
@@ -147,10 +147,8 @@ def _read(path: str, parse: Callable[[TextIO], T]) -> T:
 
 
 def _read_lines(path: str) -> list[str]:
-    """The file's lines, split only at line feeds (and carriage returns) the
-    way parse_parallel splits them; U+0085, U+2028 and the like stay inside
-    a line."""
-    return _read(path, lambda handle: [raw.rstrip("\n").rstrip("\r") for raw in handle])
+    """The file's lines, split the way parse_parallel splits them."""
+    return _read(path, lambda handle: list(iter_lines(handle)))
 
 
 def _open_corpus(path: str, fmt: str, policy: NormalizePolicy, tag: CorpusTag, name: str) -> Corpus:

@@ -103,6 +103,14 @@ def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> Parall
     )
 
 
+def iter_lines(stream: Iterable[str]) -> Iterator[str]:
+    """The stream's lines with the trailing "\\n" and then "\\r" removed.
+    Iterating a text handle splits only at line feeds, so U+0085, U+2028
+    and the like stay inside a line, where str.splitlines would split."""
+    for raw in stream:
+        yield raw.rstrip("\n").rstrip("\r")
+
+
 def parse_parallel(
     stream: Iterable[str],
     format: str = "tsv",
@@ -119,8 +127,7 @@ def parse_parallel(
         raise UsageError(f"unknown corpus format {format!r}")
     pairs: list[ParallelPair] = []
     seen_ids: set[str] = set()
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+    for lineno, line in enumerate(iter_lines(stream), start=1):
         if format == "tsv":
             if line.startswith("#"):
                 continue

@@ -19,6 +19,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .alignment import AlignmentPath, OpKind
+from .corpus import iter_lines
 from .errors import FormatError, StructuralError, UsageError
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
@@ -269,8 +270,7 @@ def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
         source, by_ref = None, {}
 
     lineno = 0
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
+    for lineno, line in enumerate(iter_lines(stream), start=1):
         if not line:
             close(lineno)
             continue

@@ -20,7 +20,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import AbstractSet, Iterable, Iterator
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, CorpusTag, ParallelPair, split
 from .alignment import OpKind, align
@@ -195,9 +195,14 @@ def conditional(
 ) -> float:
     """Mixture probability of emitting y_t after prev_context given the
     aligned source unit; always in (0, 1]."""
-    lam = model.mixing_weight
-    lm_p = model.lm.prob(y_t, prev_context)
-    ch_p = model.channel.prob(y_t, aligned_src_unit)
+    return _mix(
+        model.mixing_weight,
+        model.lm.prob(y_t, prev_context),
+        model.channel.prob(y_t, aligned_src_unit),
+    )
+
+
+def _mix(lam: float, lm_p: float, ch_p: float) -> float:
     return lam * lm_p + (1.0 - lam) * ch_p
 
 
@@ -234,7 +239,7 @@ def _mean_nll(table: Iterable[list[tuple[float, float]]], lam: float) -> float:
     for probs in table:
         total = 0.0
         for lm_p, ch_p in probs:
-            total -= math.log(lam * lm_p + (1.0 - lam) * ch_p)
+            total -= math.log(_mix(lam, lm_p, ch_p))
         per_pair.append(total)
     return sum(per_pair) / len(per_pair)
 
@@ -244,11 +249,18 @@ def nll(model: MixtureCorrectorModel, pair: ParallelPair) -> float:
     return _mean_nll(_token_probs(model.lm, model.channel, [pair]), model.mixing_weight)
 
 
-def dataset_objective(model: MixtureCorrectorModel, corpus: Corpus) -> float:
-    """Mean per-pair nll over the corpus."""
+def dataset_objective(
+    model: MixtureCorrectorModel, corpus: Corpus, weights: Sequence[float] | None = None
+) -> float | list[float]:
+    """Mean per-pair nll over the corpus at the model's mixing weight or,
+    given weights, the list of it at each weight. Every weight is scored
+    from one table, so each pair is aligned once however many there are."""
     if not corpus.pairs:
         raise UsageError("dataset_objective needs a non-empty corpus")
-    return _mean_nll(_token_probs(model.lm, model.channel, corpus.pairs), model.mixing_weight)
+    table = list(_token_probs(model.lm, model.channel, corpus.pairs))
+    if weights is None:
+        return _mean_nll(table, model.mixing_weight)
+    return [_mean_nll(table, weight) for weight in weights]
 
 
 def _accumulate(
@@ -323,17 +335,17 @@ def fit_stage(
 
     lm = NgramLM(config.order, config.smoothing_k, lm_counts, lm_totals, frozenset(vocab))
     channel = ConfusionChannel(config.smoothing_k, ch_counts, ch_totals, frozenset(vocab))
+    fitted = MixtureCorrectorModel(lm, channel, init.mixing_weight, config.stage)
     if not heldout_part.pairs:
-        return MixtureCorrectorModel(lm, channel, init.mixing_weight, config.stage)
+        return fitted
 
-    table = list(_token_probs(lm, channel, heldout_part.pairs))
+    grid = sorted(set(config.mix_grid) | {init.mixing_weight})
     best_weight, best_objective = None, math.inf
-    for weight in sorted(set(config.mix_grid) | {init.mixing_weight}):
-        objective = _mean_nll(table, weight)
+    for weight, objective in zip(grid, dataset_objective(fitted, heldout_part, grid)):
         if objective < best_objective:
             best_weight, best_objective = weight, objective
     assert best_weight is not None
-    return MixtureCorrectorModel(lm, channel, best_weight, config.stage)
+    return replace(fitted, mixing_weight=best_weight)
 
 
 def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -283,3 +284,20 @@ def test_band_matches_full_table_on_edge_cases(scheme):
     ]
     for src, tgt in cases:
         assert align(src, tgt, costs) == _full_table_align(src, tgt, costs), (src, tgt)
+
+
+def test_band_memory_stays_within_the_full_table():
+    # A band held as [lo, hi] offsets per row grows to about n * (n - m)
+    # slots when the source is much longer than the target; the table must
+    # not outgrow the full (n+1)*(m+1) one (here about 15,000 slots).
+    rng = random.Random(11)
+    long = "".join(rng.choice(_CJK) for _ in range(5000))
+    for tgt in ("", long[:2], long[2500:2502]):
+        tracemalloc.start()
+        try:
+            path = align(long, tgt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000, (len(tgt), peak)
+        assert path == _full_table_align(long, tgt), tgt

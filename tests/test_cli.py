@@ -327,6 +327,20 @@ def test_out_in_missing_directory_exits_two(tmp_path, capsys, command):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_out_through_a_symlink_writes_the_linked_file(tmp_path, capsys):
+    parallel = _tsv(tmp_path / "ok.tsv", [("天汽", "天气")])
+    real = tmp_path / "real.m2"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.m2"
+    link.symlink_to(real)
+    assert main(["extract-edits", parallel]) == 0
+    expected = capsys.readouterr().out
+    assert main(["extract-edits", parallel, "--out", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == expected
+    assert (tmp_path / "link.m2.manifest.json").exists()
+
+
 @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\x1c", "\v", "\f"], ids=repr)
 def test_score_csc_splits_hypotheses_only_at_line_feeds(tmp_path, capsys, sep):
     gold = _tsv(tmp_path / "gold.tsv", [(f"天汽{sep}很好", f"天气{sep}很好")])

@@ -320,13 +320,16 @@ def test_grid_search_matches_per_weight_objective_loop():
     for corpus, config in ((suite.stage1, stage1_config()), (suite.joint, stage2_config())):
         fitted = fit_stage(init, corpus, config)
         heldout = stage_heldout(corpus, config)
-        best_weight, best_objective = None, math.inf
-        for weight in sorted(set(config.mix_grid) | {init.mixing_weight}):
+        grid = sorted(set(config.mix_grid) | {init.mixing_weight})
+        best_weight, best_objective, objectives = None, math.inf, []
+        for weight in grid:
             candidate = replace(fitted, mixing_weight=weight)
             expected = sum(_per_weight_nll(candidate, p) for p in heldout.pairs) / len(heldout)
             assert dataset_objective(candidate, heldout) == expected, weight
+            objectives.append(expected)
             if expected < best_objective:
                 best_weight, best_objective = weight, expected
+        assert dataset_objective(fitted, heldout, grid) == objectives
         assert fitted.mixing_weight == best_weight
         init = fitted
 
