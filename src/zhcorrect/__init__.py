@@ -34,10 +34,8 @@ from .corpus import (
 )
 from .alignment import (
     ORACLE_MAX_TOTAL_UNITS,
-    UNIT_COSTS,
     AlignOp,
     AlignmentPath,
-    CostScheme,
     OpKind,
     align,
     oracle_min_cost,
@@ -101,8 +99,8 @@ __all__ = [
     "normalize", "units_of",
     "Corpus", "CorpusTag", "ParallelPair",
     "parse_parallel", "serialize_parallel", "exact_duplicate_count", "unify", "split",
-    "AlignOp", "AlignmentPath", "CostScheme", "OpKind",
-    "UNIT_COSTS", "ORACLE_MAX_TOTAL_UNITS", "align", "oracle_min_cost",
+    "AlignOp", "AlignmentPath", "OpKind",
+    "ORACLE_MAX_TOTAL_UNITS", "align", "oracle_min_cost",
     "Edit", "EditKind", "EditSet", "MergePolicy", "MatchCounts",
     "GoldRecord", "GoldEditCorpus", "EMPTY_REPLACEMENT_MARK",
     "classify_kind", "extract_edits", "apply_edits", "match_edits",

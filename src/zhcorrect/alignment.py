@@ -1,9 +1,9 @@
 """Character-level minimum-cost alignment between two unit sequences (str).
 
 The alignment is the substrate for edit extraction and edit-level scoring.
-Costs default to the unit scheme (sub = ins = del = 1, match = 0);
-phonetic/glyph-aware substitution costs are deliberately out of scope, and
-all scorer fixtures are written against this scheme.
+Costs are unit costs (sub = ins = del = 1, match = 0); phonetic/glyph-aware
+substitution costs are deliberately out of scope, and all scorer fixtures
+are written against this scheme.
 """
 
 from __future__ import annotations
@@ -40,23 +40,6 @@ class AlignOp:
 
 
 @dataclass(frozen=True)
-class CostScheme:
-    """Per-operation costs. Match is always free; the rest must be positive."""
-
-    substitution: float = 1.0
-    insertion: float = 1.0
-    deletion: float = 1.0
-
-    def __post_init__(self) -> None:
-        for field_name in ("substitution", "insertion", "deletion"):
-            if getattr(self, field_name) <= 0:
-                raise UsageError(f"{field_name} cost must be > 0")
-
-
-UNIT_COSTS = CostScheme()
-
-
-@dataclass(frozen=True)
 class AlignmentPath:
     """A monotone op path from (0,0) to (n,m) over src and tgt."""
 
@@ -82,7 +65,7 @@ class AlignmentPath:
             raise UsageError(f"path ends at ({i},{j}), expected ({len(self.src)},{len(self.tgt)})")
 
 
-def align(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> AlignmentPath:
+def align(src: str, tgt: str) -> AlignmentPath:
     """Globally minimum-cost alignment with a deterministic tie-break.
 
     Ties are resolved by walking forward from (0,0) along optimal
@@ -95,29 +78,25 @@ def align(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> AlignmentPath:
     (Ukkonen 1985): the cells whose offset j - i lies within k of
     [min(0, m-n), max(0, m-n)]. Every other cell stays +inf, so no path
     passes through it. A path that leaves the band makes at least
-    |m-n| + 2k + 2 insertions and deletions, so once the in-band cost is
-    below that many times min(insertion, deletion) cost, every optimal path
-    lies in the band and the op path and cost equal those of the full table.
-    Otherwise k doubles, up to the whole table. The DP takes
-    O((n+m) * C / min(insertion, deletion)) steps for an alignment of cost C;
-    the table itself is allocated whole, (n+1)*(m+1) slots, at C speed.
+    |m-n| + 2k + 2 insertions and deletions, each of cost 1, so once the
+    in-band cost is below that, every optimal path lies in the band and the
+    op path and cost equal those of the full table. Otherwise k doubles, up
+    to the whole table. The DP takes O((n+m) * C) steps for an alignment of
+    cost C; the table itself is allocated whole, (n+1)*(m+1) slots, at C
+    speed.
     """
     # Indexing a str builds a new one-character str per access for scalars
     # above U+00FF, while a tuple hands back stored objects: on CJK text the
     # DP below takes about 40 % less time over tuples.
     s, t = tuple(src), tuple(tgt)
     n, m = len(s), len(t)
-    c_sub, c_ins, c_del = costs.substitution, costs.insertion, costs.deletion
-    # A path's cost is a float sum of at most n+m op costs, which can fall
-    # short of the exact sum by about one rounding step per op; the slack
-    # keeps the band test on the safe side of that.
-    per_indel = min(c_ins, c_del) * (1.0 - (n + m + 4) * 2.0**-52)
 
     k = 2
     while True:
-        suffix = _band_suffix(s, t, min(0, m - n) - k, max(0, m - n) + k, costs)
+        suffix = _band_suffix(s, t, min(0, m - n) - k, max(0, m - n) + k)
+        # Every cell holds an integer-valued float, so the test is exact.
         # k >= min(n, m) puts every cell of the table in the band.
-        if k >= min(n, m) or suffix[0][0] < (abs(m - n) + 2 * k + 2) * per_indel:
+        if k >= min(n, m) or suffix[0][0] < abs(m - n) + 2 * k + 2:
             break
         k *= 2
 
@@ -128,10 +107,10 @@ def align(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> AlignmentPath:
         if i < n and j < m and s[i] == t[j] and suffix[i + 1][j + 1] == here:
             ops.append(AlignOp(OpKind.MATCH, i, j))
             i, j = i + 1, j + 1
-        elif i < n and j < m and s[i] != t[j] and suffix[i + 1][j + 1] + c_sub == here:
+        elif i < n and j < m and s[i] != t[j] and suffix[i + 1][j + 1] + 1.0 == here:
             ops.append(AlignOp(OpKind.SUB, i, j))
             i, j = i + 1, j + 1
-        elif i < n and suffix[i + 1][j] + c_del == here:
+        elif i < n and suffix[i + 1][j] + 1.0 == here:
             ops.append(AlignOp(OpKind.DEL, i, j))
             i += 1
         else:
@@ -141,29 +120,26 @@ def align(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> AlignmentPath:
     return AlignmentPath(src=src, tgt=tgt, ops=tuple(ops), total_cost=suffix[0][0])
 
 
-def _band_suffix(
-    s: tuple[str, ...], t: tuple[str, ...], lo: int, hi: int, costs: CostScheme
-) -> list[list[float]]:
+def _band_suffix(s: tuple[str, ...], t: tuple[str, ...], lo: int, hi: int) -> list[list[float]]:
     """suffix[i][j] = min cost of aligning s[i:] with t[j:] through cells
     with lo <= j - i <= hi, filled only for those cells; the rest stay +inf.
     Needs lo <= min(0, m-n) and hi >= max(0, m-n), so (0, 0) and (n, m) are
     in the band."""
     n, m = len(s), len(t)
-    c_sub, c_ins, c_del = costs.substitution, costs.insertion, costs.deletion
     suffix = [[math.inf] * (m + 1) for _ in range(n + 1)]
     last = suffix[n]
     last[m] = 0.0
     for j in range(m - 1, max(0, n + lo) - 1, -1):
-        last[j] = last[j + 1] + c_ins
+        last[j] = last[j + 1] + 1.0
     for i in range(n - 1, -1, -1):
         row, below = suffix[i], suffix[i + 1]
         if m - i <= hi:
-            row[m] = below[m] + c_del
+            row[m] = below[m] + 1.0
         si = s[i]
         for j in range(min(m - 1, i + hi), max(0, i + lo) - 1, -1):
-            diag = below[j + 1] + (0.0 if si == t[j] else c_sub)
-            up = below[j] + c_del
-            left = row[j + 1] + c_ins
+            diag = below[j + 1] + (0.0 if si == t[j] else 1.0)
+            up = below[j] + 1.0
+            left = row[j + 1] + 1.0
             best = diag
             if up < best:
                 best = up
@@ -173,7 +149,7 @@ def _band_suffix(
     return suffix
 
 
-def oracle_min_cost(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> float:
+def oracle_min_cost(src: str, tgt: str) -> float:
     """Minimum alignment cost by plain brute-force recursion (no memoization).
 
     Test oracle only: refuses pairs with more than ORACLE_MAX_TOTAL_UNITS
@@ -184,18 +160,17 @@ def oracle_min_cost(src: str, tgt: str, costs: CostScheme = UNIT_COSTS) -> float
         raise UsageError(
             f"oracle_min_cost refuses {n}+{m} units (limit {ORACLE_MAX_TOTAL_UNITS})"
         )
-    c_sub, c_ins, c_del = costs.substitution, costs.insertion, costs.deletion
 
     def go(i: int, j: int) -> float:
         if i == n:
-            return (m - j) * c_ins
+            return float(m - j)
         if j == m:
-            return (n - i) * c_del
-        best = go(i + 1, j + 1) + (0.0 if src[i] == tgt[j] else c_sub)
-        del_cost = go(i + 1, j) + c_del
+            return float(n - i)
+        best = go(i + 1, j + 1) + (0.0 if src[i] == tgt[j] else 1.0)
+        del_cost = go(i + 1, j) + 1.0
         if del_cost < best:
             best = del_cost
-        ins_cost = go(i, j + 1) + c_ins
+        ins_cost = go(i, j + 1) + 1.0
         if ins_cost < best:
             best = ins_cost
         return best

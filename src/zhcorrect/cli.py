@@ -18,7 +18,6 @@ import sys
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TextIO, TypeVar
@@ -53,26 +52,6 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    config_hash: str
-    inputs: dict[str, str]
-    seed: int
-    version: str
-    wall_time_s: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "inputs": self.inputs,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-        }
-
-
 def _sha256_file(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
@@ -86,31 +65,25 @@ def _config_hash(options: dict) -> str:
     return "sha256:" + hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _write_manifest(
-    out_path: str,
-    command: str,
-    options: dict,
-    input_paths: Sequence[str],
-    seed: int,
-    started: float,
-) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_hash=_config_hash(options),
-        inputs={p: _sha256_file(p) for p in input_paths},
-        seed=seed,
-        version=__version__,
-        wall_time_s=round(time.perf_counter() - started, 6),
-    )
-    write_artifact(
-        out_path + ".manifest.json",
-        json.dumps(manifest.to_json_dict(), sort_keys=True, ensure_ascii=True, indent=2) + "\n",
-    )
-
-
 def _options_of(args: argparse.Namespace) -> dict:
     skip = {"func", "command"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+
+
+def _write_manifest(args: argparse.Namespace, inputs: Sequence[str], started: float) -> None:
+    """Write the <args.out>.manifest.json sidecar of the artifact at args.out."""
+    manifest = {
+        "command": args.command,
+        "config_hash": _config_hash(_options_of(args)),
+        "inputs": {p: _sha256_file(p) for p in inputs},
+        "seed": getattr(args, "seed", 0),
+        "version": __version__,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    }
+    write_artifact(
+        args.out + ".manifest.json",
+        json.dumps(manifest, sort_keys=True, ensure_ascii=True, indent=2) + "\n",
+    )
 
 
 def _pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
@@ -157,11 +130,13 @@ def _open_corpus(path: str, fmt: str, policy: NormalizePolicy, tag: CorpusTag, n
     )
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(args: argparse.Namespace, text: str, inputs: Sequence[str], started: float) -> None:
+    """Write text to stdout or, given --out, to that artifact and its manifest."""
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        write_artifact(out, text)
+        write_artifact(args.out, text)
+        _write_manifest(args, inputs, started)
 
 
 def _table(report: ScoreReport) -> str:
@@ -186,13 +161,7 @@ def _report_json(report: ScoreReport) -> str:
 
 def _finish_report(args: argparse.Namespace, report: ScoreReport, inputs: list[str], started: float) -> int:
     sys.stdout.write(_table(report))
-    if args.out is None:
-        sys.stdout.write(_report_json(report))
-    else:
-        _emit(_report_json(report), args.out)
-        _write_manifest(
-            args.out, args.command, _options_of(args), inputs, getattr(args, "seed", 0), started
-        )
+    _emit(args, _report_json(report), inputs, started)
     return 0
 
 
@@ -280,14 +249,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         print(f"stage-{number} heldout objective: {objective}")
     print(f"mixing weight: {model2.mixing_weight:g}")
     save_model(model2, args.out)
-    _write_manifest(
-        args.out,
-        args.command,
-        _options_of(args),
-        [args.stage1, *args.stage2],
-        args.seed,
-        started,
-    )
+    _write_manifest(args, [args.stage1, *args.stage2], started)
     return 0
 
 
@@ -303,12 +265,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
     corrected = _pmap(
         partial(_correct_one, model=model, beam=args.beam, policy=policy), lines, args.jobs
     )
-    _emit("".join(line + "\n" for line in corrected), args.out)
-    if args.out is not None:
-        _write_manifest(
-            args.out, args.command, _options_of(args), [args.model, args.input],
-            getattr(args, "seed", 0), started,
-        )
+    _emit(args, "".join(line + "\n" for line in corrected), [args.model, args.input], started)
     return 0
 
 
@@ -325,11 +282,7 @@ def cmd_align(args: argparse.Namespace) -> int:
             for op in path.ops
         ],
     }
-    _emit(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", args.out)
-    if args.out is not None:
-        _write_manifest(
-            args.out, args.command, _options_of(args), [], getattr(args, "seed", 0), started
-        )
+    _emit(args, json.dumps(payload, ensure_ascii=False, indent=2) + "\n", [], started)
     return 0
 
 
@@ -347,12 +300,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
             for j, ref in enumerate(pair.references)
         )
         records.append((pair.source, refs))
-    _emit(format_edit_records(records), args.out)
-    if args.out is not None:
-        _write_manifest(
-            args.out, args.command, _options_of(args), [args.parallel],
-            getattr(args, "seed", 0), started,
-        )
+    _emit(args, format_edit_records(records), [args.parallel], started)
     return 0
 
 
@@ -424,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("align", help="print the alignment between two sentences as JSON")
     p.add_argument("source")
     p.add_argument("target")
-    p.add_argument("--costs", choices=("unit",), default="unit")
     _add_common(p, fmt=False)
     p.set_defaults(func=cmd_align)
 

@@ -61,23 +61,16 @@ class Edit:
     start: int
     end: int
     replacement: str
-    kind: EditKind
 
     def __post_init__(self) -> None:
         if self.start < 0 or self.end < self.start:
             raise StructuralError(f"bad edit span [{self.start},{self.end})")
         if self.start == self.end and len(self.replacement) == 0:
             raise StructuralError(f"no-op edit at {self.start}")
-        expected = classify_kind(self.start, self.end, len(self.replacement))
-        if self.kind is not expected:
-            raise StructuralError(
-                f"edit [{self.start},{self.end})->{self.replacement!r} "
-                f"tagged {self.kind.value}, expected {expected.value}"
-            )
 
-    @classmethod
-    def make(cls, start: int, end: int, replacement: str) -> "Edit":
-        return cls(start, end, replacement, classify_kind(start, end, len(replacement)))
+    @property
+    def kind(self) -> EditKind:
+        return classify_kind(self.start, self.end, len(self.replacement))
 
     def key(self) -> tuple[int, int, str]:
         """Identity used for matching: exact span and replacement."""
@@ -161,7 +154,7 @@ def extract_edits(
         replacement = "".join(
             path.tgt[op.tgt_index] for op in run if op.kind in (OpKind.SUB, OpKind.INS)
         )
-        edits.append(Edit.make(start, end, replacement))
+        edits.append(Edit(start, end, replacement))
     return EditSet(source_id=source_id, ref_id=ref_id, edits=tuple(edits))
 
 
@@ -206,21 +199,6 @@ class GoldEditCorpus:
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def by_source(self) -> dict[str, GoldRecord]:
-        """Index records by source text; identical duplicates collapse, conflicting
-        duplicates are a format error."""
-        index: dict[str, GoldRecord] = {}
-        for rec in self.records:
-            prev = index.get(rec.source)
-            if prev is None:
-                index[rec.source] = rec
-            elif tuple(r.edits for r in prev.refs) != tuple(r.edits for r in rec.refs):
-                raise FormatError(
-                    f"gold records {prev.source_id} and {rec.source_id} share source "
-                    f"{rec.source!r} but disagree on edits"
-                )
-        return index
 
 
 def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str:
@@ -297,7 +275,7 @@ def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
                 raise FormatError(f"line {lineno}: bad span or ref id") from exc
             replacement = "" if repl == EMPTY_REPLACEMENT_MARK else repl
             try:
-                edit = Edit.make(start, end, replacement)
+                edit = Edit(start, end, replacement)
             except StructuralError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
             by_ref.setdefault(rid, []).append(edit)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
-from .alignment import CostScheme, UNIT_COSTS, align
+from .alignment import align
 from .edits import EditSet, GoldEditCorpus, MatchCounts, MergePolicy, extract_edits, match_edits
 from .errors import UsageError
 
@@ -144,7 +144,6 @@ def sentence_edit_counts(
     gold_refs: Sequence[EditSet],
     beta: float = 0.5,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
-    costs: CostScheme = UNIT_COSTS,
 ) -> MatchCounts:
     """Counts for one sentence against its best-scoring gold reference.
 
@@ -155,7 +154,7 @@ def sentence_edit_counts(
     if not gold_refs:
         raise UsageError("sentence has no gold references")
     sid = gold_refs[0].source_id
-    hyp_set = extract_edits(align(source, hypothesis, costs), merge, source_id=sid)
+    hyp_set = extract_edits(align(source, hypothesis), merge, source_id=sid)
     best: MatchCounts | None = None
     best_f = -1.0
     for ref in sorted(gold_refs, key=lambda r: r.ref_id):
@@ -169,10 +168,10 @@ def sentence_edit_counts(
 
 
 def _sentence_counts(
-    task: tuple[str, str, Sequence[EditSet]], beta: float, merge: MergePolicy, costs: CostScheme
+    task: tuple[str, str, Sequence[EditSet]], beta: float, merge: MergePolicy
 ) -> MatchCounts:
     source, hypothesis, refs = task
-    return sentence_edit_counts(source, hypothesis, refs, beta=beta, merge=merge, costs=costs)
+    return sentence_edit_counts(source, hypothesis, refs, beta=beta, merge=merge)
 
 
 def score_cgc(
@@ -180,29 +179,36 @@ def score_cgc(
     gold: GoldEditCorpus,
     beta: float = 0.5,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
-    costs: CostScheme = UNIT_COSTS,
     dataset: str = "",
     map_fn: Callable[[Callable, list], Iterable[MatchCounts]] = map,
 ) -> ScoreReport:
     """Edit-level scoring (beta = 0.5 by default) with multi-reference selection.
 
-    hyp_corpus holds (source, hypothesis) pairs; every source must have a
-    gold record. Per-sentence counts from the selected reference are
-    micro-summed before computing corpus P/R/F_beta. map_fn(func, tasks)
-    computes the per-sentence counts; any order-preserving map will do, such
-    as one that fans out over processes (func is picklable).
+    hyp_corpus holds (source, hypothesis) pairs, paired with the gold
+    records by position as in the M2 scorers: the i-th hypothesis is scored
+    against the i-th record, whose source must equal its own. Per-sentence
+    counts from the selected reference are micro-summed before computing
+    corpus P/R/F_beta. map_fn(func, tasks) computes the per-sentence counts;
+    any order-preserving map will do, such as one that fans out over
+    processes (func is picklable).
     """
     if not hyp_corpus:
         raise UsageError("score_cgc needs at least one sentence")
-    index = gold.by_source()
+    if len(hyp_corpus) != len(gold.records):
+        raise UsageError(
+            f"hypothesis count {len(hyp_corpus)} differs from gold record count "
+            f"{len(gold.records)}"
+        )
     tasks = []
-    for i, (source, hypothesis) in enumerate(hyp_corpus):
-        record = index.get(source)
-        if record is None:
-            raise UsageError(f"hypothesis {i}: no gold record for source {source!r}")
+    for i, ((source, hypothesis), record) in enumerate(zip(hyp_corpus, gold.records)):
+        if source != record.source:
+            raise UsageError(
+                f"hypothesis {i}: source {source!r} differs from gold record source "
+                f"{record.source!r}"
+            )
         tasks.append((source, hypothesis, record.refs))
     total = MatchCounts()
-    for counts in map_fn(partial(_sentence_counts, beta=beta, merge=merge, costs=costs), tasks):
+    for counts in map_fn(partial(_sentence_counts, beta=beta, merge=merge), tasks):
         total = total + counts
     p, r = precision_recall(total)
     return ScoreReport(

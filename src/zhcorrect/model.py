@@ -49,10 +49,8 @@ class Stage(str, Enum):
 @dataclass(frozen=True)
 class StageConfig:
     stage: Stage
-    expected_tag: CorpusTag
     order: int = DEFAULT_ORDER
     smoothing_k: float = DEFAULT_SMOOTHING_K
-    mix_grid: tuple[float, ...] = DEFAULT_MIX_GRID
     heldout_fraction: float = 0.1
     seed: int = 0
 
@@ -61,23 +59,24 @@ class StageConfig:
             raise ConfigError(f"lm order must be >= 1, got {self.order}")
         if self.smoothing_k <= 0.0:
             raise ConfigError(f"smoothing_k must be > 0, got {self.smoothing_k}")
-        if not self.mix_grid:
-            raise ConfigError("mix_grid must be non-empty")
-        for w in self.mix_grid:
-            if not 0.0 <= w <= 1.0:
-                raise ConfigError(f"mix_grid values must be in [0, 1], got {w}")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError(
                 f"heldout_fraction must be in (0, 1), got {self.heldout_fraction}"
             )
 
+    @property
+    def expected_tag(self) -> CorpusTag:
+        """Stage 2 trains on the joint corpus, every other stage on
+        alignment-tagged data."""
+        return CorpusTag.JOINT if self.stage is Stage.STAGE2 else CorpusTag.ALIGN
+
 
 def stage1_config(**overrides) -> StageConfig:
-    return StageConfig(stage=Stage.STAGE1, expected_tag=CorpusTag.ALIGN, **overrides)
+    return StageConfig(stage=Stage.STAGE1, **overrides)
 
 
 def stage2_config(**overrides) -> StageConfig:
-    return StageConfig(stage=Stage.STAGE2, expected_tag=CorpusTag.JOINT, **overrides)
+    return StageConfig(stage=Stage.STAGE2, **overrides)
 
 
 def _check_smoothing(owner: str, k: float) -> None:
@@ -213,8 +212,6 @@ def _aligned_source_units(source: str, target: str) -> list[str | None]:
     for op in align(source, target).ops:
         if op.kind in (OpKind.MATCH, OpKind.SUB):
             aligned[op.tgt_index] = source[op.src_index]
-        elif op.kind is OpKind.INS:
-            aligned[op.tgt_index] = None
     return aligned
 
 
@@ -279,13 +276,12 @@ def _accumulate(
         key = _context_key(vocab, order, target[:t])
         lm_counts.setdefault(key, Counter())[unit] += 1
         lm_totals[key] = lm_totals.get(key, 0) + 1
-    for op in align(pair.source, target).ops:
-        if op.kind in (OpKind.MATCH, OpKind.SUB):
-            src = pair.source[op.src_index]
-            ch_counts.setdefault(src, Counter())[target[op.tgt_index]] += 1
+    # Insertions have no source unit and deletions no emission; the
+    # substitution-only channel records neither.
+    for src, unit in zip(_aligned_source_units(pair.source, target), target):
+        if src is not None:
+            ch_counts.setdefault(src, Counter())[unit] += 1
             ch_totals[src] = ch_totals.get(src, 0) + 1
-        # Insertions have no source unit and deletions no emission; the
-        # substitution-only channel records neither.
 
 
 def stage_heldout(corpus: Corpus, config: StageConfig) -> Corpus:
@@ -302,9 +298,9 @@ def fit_stage(
     """One curriculum stage: accumulate corpus counts onto init's, then pick
     the mixing weight minimizing the held-out objective.
 
-    The candidate grid always includes init's weight, so on the slice the
-    search runs over the tuned objective cannot exceed init's under the same
-    counts. Deterministic for a fixed config seed.
+    The candidates are DEFAULT_MIX_GRID plus init's weight, so on the slice
+    the search runs over the tuned objective cannot exceed init's under the
+    same counts. Deterministic for a fixed config seed.
     """
     if config.stage is Stage.INITIAL:
         raise ConfigError("cannot fit toward the initial stage")
@@ -339,7 +335,7 @@ def fit_stage(
     if not heldout_part.pairs:
         return fitted
 
-    grid = sorted(set(config.mix_grid) | {init.mixing_weight})
+    grid = sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight})
     best_weight, best_objective = None, math.inf
     for weight, objective in zip(grid, dataset_objective(fitted, heldout_part, grid)):
         if objective < best_objective:

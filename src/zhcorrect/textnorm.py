@@ -9,6 +9,7 @@ unit sequence is simply the normalized str.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -48,13 +49,16 @@ _WIDTH_FOLD_TABLE = str.maketrans(
 )
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def _check_scalars(text: str) -> None:
-    for i, ch in enumerate(text):
-        if 0xD800 <= ord(ch) <= 0xDFFF:
-            offset = len(text[:i].encode("utf-8", "surrogatepass"))
-            raise NormalizationError(
-                f"invalid Unicode scalar U+{ord(ch):04X} at byte offset {offset}"
-            )
+    found = _SURROGATE.search(text)
+    if found is not None:
+        offset = len(text[: found.start()].encode("utf-8", "surrogatepass"))
+        raise NormalizationError(
+            f"invalid Unicode scalar U+{ord(found.group()):04X} at byte offset {offset}"
+        )
 
 
 def normalize(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:

@@ -18,7 +18,6 @@ import pytest
 
 import zhcorrect
 from zhcorrect import (
-    CostScheme,
     MatchCounts,
     MergePolicy,
     align,
@@ -101,11 +100,10 @@ def _random_pair(rng, max_total=12):
 def test_criterion_3_alignment_matches_bruteforce_oracle():
     started = time.perf_counter()
     rng = random.Random(2024)
-    costs = CostScheme()
     checked = 0
     while checked < 1000:
         src, tgt = _random_pair(rng)
-        assert align(src, tgt, costs).total_cost == oracle_min_cost(src, tgt, costs)
+        assert align(src, tgt).total_cost == oracle_min_cost(src, tgt)
         checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 60, f"oracle sweep took {elapsed:.1f}s"

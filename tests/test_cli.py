@@ -123,7 +123,19 @@ def test_score_cgc_missing_gold_record(tmp_path, capsys):
     gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
     hyp = _tsv(tmp_path / "hyp.tsv", [("从未见过", "从未见过")])
     assert main(["score-cgc", hyp, gold]) == 2
-    assert "no gold record" in capsys.readouterr().err
+    assert "hypothesis count 1 differs from gold record count 2" in capsys.readouterr().err
+
+
+def test_score_cgc_scores_its_own_gold_with_a_repeated_source(tmp_path, capsys):
+    # Two lines share a source but fix different characters: the gold file
+    # holds two records for one source, and each line is scored against its own.
+    par = _tsv(tmp_path / "dup.tsv", [("天汽很号", "天气很号"), ("天汽很号", "天汽很好")])
+    gold = str(tmp_path / "dup.m2")
+    assert main(["extract-edits", par, "--out", gold]) == 0
+    assert main(["score-cgc", par, gold]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (report["tp"], report["fp"], report["fn"]) == (2, 0, 0)
+    assert report["f_beta"] == 1.0
 
 
 def test_extract_edits_exact_output(tmp_path, capsys):
@@ -367,7 +379,7 @@ def test_train_on_tiny_corpus_reports_empty_heldout(tmp_path, capsys, stage1_row
 
 
 def test_align_json_payload(capsys):
-    assert main(["align", "他是学生生", "他是学生", "--costs", "unit"]) == 0
+    assert main(["align", "他是学生生", "他是学生"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["source"] == "他是学生生"
     assert payload["total_cost"] == 1.0

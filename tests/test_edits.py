@@ -48,20 +48,18 @@ def test_classify_kind():
 
 def test_edit_validation():
     with pytest.raises(StructuralError):
-        Edit.make(3, 2, "x")
+        Edit(3, 2, "x")
     with pytest.raises(StructuralError):
-        Edit.make(1, 1, "")  # no-op
-    with pytest.raises(StructuralError):
-        Edit(0, 1, "x", EditKind.DELETE)  # kind mismatch
+        Edit(1, 1, "")  # no-op
 
 
 def test_editset_invariants():
-    e1 = Edit.make(0, 2, "x")
-    e2 = Edit.make(1, 3, "y")
+    e1 = Edit(0, 2, "x")
+    e2 = Edit(1, 3, "y")
     with pytest.raises(StructuralError):
         EditSet("s", 0, (e1, e2))  # overlap
-    i1 = Edit.make(2, 2, "x")
-    i2 = Edit.make(2, 2, "y")
+    i1 = Edit(2, 2, "x")
+    i2 = Edit(2, 2, "y")
     with pytest.raises(StructuralError):
         EditSet("s", 0, (i1, i2))  # two insertions at one point
 
@@ -106,13 +104,13 @@ def test_none_policy_coalesces_same_point_insertions():
 def test_apply_edits():
     src = "他是学生生"
     assert apply_edits(src, EditSet("s", 0, ())) == "他是学生生"
-    deletion = EditSet("s", 0, (Edit.make(4, 5, ""),))
+    deletion = EditSet("s", 0, (Edit(4, 5, ""),))
     assert apply_edits(src, deletion) == "他是学生"
 
 
 def test_apply_rejects_out_of_range():
     src = "abc"
-    bad = EditSet("s", 0, (Edit.make(2, 5, ""),))
+    bad = EditSet("s", 0, (Edit(2, 5, ""),))
     with pytest.raises(StructuralError):
         apply_edits(src, bad)
 
@@ -128,10 +126,10 @@ def test_roundtrip_random_pairs_both_policies():
 
 
 def test_match_edits_counts():
-    e1 = Edit.make(0, 1, "甲")
-    e2 = Edit.make(2, 3, "乙")
-    e3 = Edit.make(4, 5, "丙")
-    e4 = Edit.make(6, 7, "丁")
+    e1 = Edit(0, 1, "甲")
+    e2 = Edit(2, 3, "乙")
+    e3 = Edit(4, 5, "丙")
+    e4 = Edit(6, 7, "丁")
     gold3 = EditSet("s", 0, (e1, e2, e3))
     assert match_edits(gold3, gold3) == MatchCounts(3, 0, 0)
 
@@ -167,7 +165,7 @@ def test_matchcounts_addition():
 
 def test_format_deletion_record_exact_bytes():
     source = "他是学生生"
-    refs = [EditSet("0", 0, (Edit.make(4, 5, ""),))]
+    refs = [EditSet("0", 0, (Edit(4, 5, ""),))]
     text = format_edit_records([(source, refs)])
     assert text == "S 他是学生生\nA 4 5|||del|||-NONE-|||0\n\n"
 
@@ -180,8 +178,8 @@ def test_format_clean_record_has_no_a_lines():
 def test_format_two_references_carry_ref_ids():
     source = "天汽很号"
     refs = [
-        EditSet("0", 0, (Edit.make(1, 2, "气"), Edit.make(3, 4, "好"))),
-        EditSet("0", 1, (Edit.make(1, 2, "气"),)),
+        EditSet("0", 0, (Edit(1, 2, "气"), Edit(3, 4, "好"))),
+        EditSet("0", 1, (Edit(1, 2, "气"),)),
     ]
     text = format_edit_records([(source, refs)])
     assert "|||0\n" in text and "|||1\n" in text
@@ -190,8 +188,8 @@ def test_format_two_references_carry_ref_ids():
 def test_parse_edit_file_roundtrip():
     source = "天汽很号"
     refs = (
-        EditSet("0", 0, (Edit.make(1, 2, "气"), Edit.make(3, 4, "好"))),
-        EditSet("0", 1, (Edit.make(1, 2, "氣"),)),
+        EditSet("0", 0, (Edit(1, 2, "气"), Edit(3, 4, "好"))),
+        EditSet("0", 1, (Edit(1, 2, "氣"),)),
     )
     text = format_edit_records([(source, refs)])
     parsed = parse_edit_file(io.StringIO(text))
@@ -242,19 +240,6 @@ def test_parse_rejects_overlapping_edits_as_format_error():
     assert "record ending at line" in str(err.value)
 
 
-def test_by_source_collapses_identical_duplicates():
-    text = "S 好学生\nA 0 1|||sub|||壞|||0\n\nS 好学生\nA 0 1|||sub|||壞|||0\n\n"
-    corpus = parse_edit_file(io.StringIO(text))
-    assert len(corpus) == 2
-    assert len(corpus.by_source()) == 1
-
-
-def test_by_source_rejects_conflicting_duplicates():
-    text = "S 好学生\nA 0 1|||sub|||壞|||0\n\nS 好学生\nA 1 2|||sub|||坏|||0\n\n"
-    with pytest.raises(FormatError):
-        parse_edit_file(io.StringIO(text)).by_source()
-
-
 def test_merge_policies_apply_identically():
     rng = random.Random(211)
     for _ in range(100):
@@ -269,7 +254,7 @@ def test_merge_policies_apply_identically():
 def test_empty_replacement_mark_never_collides():
     # A literal replacement spelled "-NONE-" cannot round-trip; the mark is
     # reserved. Unit-level Chinese text never produces it.
-    edit = Edit.make(0, 1, "-NONE-")
+    edit = Edit(0, 1, "-NONE-")
     text = format_edit_records([("甲", [EditSet("0", 0, (edit,))])])
     parsed = parse_edit_file(io.StringIO(text))
     # the reserved mark parses back as an empty replacement, not the literal

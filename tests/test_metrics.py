@@ -251,6 +251,15 @@ def test_score_cgc_missing_gold_entry():
         score_cgc(hyp, _cgc_gold())
 
 
+def test_score_cgc_rejects_reordered_hypotheses():
+    hyp = [("天汽很号", "天气很好"), ("他是学生生", "他是学生")]
+    with pytest.raises(UsageError) as err:
+        score_cgc(hyp, _cgc_gold())
+    message = str(err.value)
+    assert "hypothesis 0" in message
+    assert "'天汽很号'" in message and "'他是学生生'" in message
+
+
 def test_score_cgc_rejects_empty():
     with pytest.raises(UsageError):
         score_cgc([], _cgc_gold())

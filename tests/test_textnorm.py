@@ -73,6 +73,36 @@ def test_surrogate_rejected_with_byte_offset():
     assert "D800" in str(err.value)
 
 
+def _loop_check_scalars(text):
+    """The per-character scan that the regex replaced, kept as its oracle:
+    the first surrogate and its UTF-8 byte offset, or None."""
+    for i, ch in enumerate(text):
+        if 0xD800 <= ord(ch) <= 0xDFFF:
+            return ch, len(text[:i].encode("utf-8", "surrogatepass"))
+    return None
+
+
+def test_surrogate_scan_matches_per_character_loop():
+    rng = random.Random(5)
+    surrogates = ["\ud800", "\udbff", "\udc00", "\udfff", chr(rng.randint(0xD800, 0xDFFF))]
+    edges = ["\ud7ff", "\ue000", "\U00010000", "\U0010ffff"]  # neighbours, not surrogates
+    for _ in range(2000):
+        units = list(_random_text(rng, 40)) + rng.sample(edges, rng.randint(0, 2))
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            units.insert(rng.randint(0, len(units)), rng.choice(surrogates))
+        text = "".join(units)
+        expected = _loop_check_scalars(text)
+        if expected is None:
+            assert normalize(text, RAW_POLICY) == text
+            continue
+        with pytest.raises(NormalizationError) as err:
+            normalize(text, RAW_POLICY)
+        ch, offset = expected
+        assert str(err.value) == (
+            f"invalid Unicode scalar U+{ord(ch):04X} at byte offset {offset}"
+        )
+
+
 def test_units_of_counts_scalars():
     # a unit sequence is the normalized str: one unit per Unicode scalar
     assert tuple(units_of("北京")) == ("北", "京")
