@@ -11,7 +11,8 @@ class ZhcorrectError(Exception):
 
 
 class NormalizationError(ZhcorrectError):
-    """Input text is not a sequence of Unicode scalar values."""
+    """Input text is not a sequence of Unicode scalar values, or it holds a
+    unit the model reserves (BOUNDARY, UNK)."""
 
 
 class FormatError(ZhcorrectError):

@@ -204,7 +204,8 @@ def score_cgc(
         if source != record.source:
             raise UsageError(
                 f"hypothesis {i}: source {source!r} differs from gold record source "
-                f"{record.source!r}"
+                f"{record.source!r}; gold S lines are compared as written, while "
+                f"hypothesis sources are read normalized"
             )
         tasks.append((source, hypothesis, record.refs))
     total = MatchCounts()

@@ -6,7 +6,8 @@ channel conditioned on the aligned source unit. Training is count
 accumulation: stage 1 fits on alignment-tagged data, stage 2 keeps those
 counts and accumulates the joint corpus on top, re-tuning the mixing weight
 on a held-out slice by grid search. Decoding is substitution-only beam
-search over a per-position candidate lattice.
+search over a per-position candidate lattice, scored from a cache that
+lives on the model.
 
 Reserved units: BOUNDARY pads LM contexts at the sentence start and UNK
 absorbs units outside the vocabulary, so every probability stays positive
@@ -18,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -156,10 +157,19 @@ class ConfusionChannel:
 
 @dataclass(frozen=True)
 class MixtureCorrectorModel:
+    """The LM and channel mixed with weight mixing_weight on the LM.
+
+    decode caches its scores in _columns, which is no parameter: it is left
+    out of ==, repr and save_model, and every new model (replace, fit_stage,
+    load_model) starts with it empty. So a model must not be mutated once it
+    has decoded, or decode would go on reading scores of the old counts.
+    """
+
     lm: NgramLM
     channel: ConfusionChannel
     mixing_weight: float
     stage: Stage
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.mixing_weight <= 1.0:
@@ -352,18 +362,33 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     summed log conditional; ties break toward the sequence that is smallest
     in unit code-point order (beams are equal-length str, so plain str
     order). Output length always equals input length.
+
+    A beam's cost is its negated score, so sorting (cost, prefix) tuples
+    ranks them as above; negation is exact, so the sums are the same floats.
+    A conditional reads only the last order-1 units of the prefix (its
+    tail), so model._columns maps each source unit to a dict from tail to
+    its column: the (-log conditional, option) pairs of its options.
     """
     if beam_width < 1:
         raise UsageError(f"beam_width must be >= 1, got {beam_width}")
+    columns = model._columns
+    width = model.lm.order - 1
     beams: list[tuple[float, str]] = [(0.0, "")]
-    for unit in src:
-        options = sorted({unit, *model.channel.partners(unit)})
-        expanded = [
-            (score + math.log(conditional(model, prefix, unit, option)), prefix + option)
-            for score, prefix in beams
-            for option in options
-        ]
-        expanded.sort(key=lambda beam: (-beam[0], beam[1]))
+    for i, unit in enumerate(src):
+        by_tail = columns.setdefault(unit, {})
+        start = max(0, i - width)
+        expanded = []
+        for cost, prefix in beams:
+            tail = prefix[start:]
+            column = by_tail.get(tail)
+            if column is None:
+                column = by_tail[tail] = tuple(
+                    (-math.log(conditional(model, tail, unit, option)), option)
+                    for option in sorted({unit, *model.channel.partners(unit)})
+                )
+            for step, option in column:
+                expanded.append((cost + step, prefix + option))
+        expanded.sort()
         beams = expanded[:beam_width]
     return beams[0][1]
 

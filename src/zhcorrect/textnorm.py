@@ -49,24 +49,27 @@ _WIDTH_FOLD_TABLE = str.maketrans(
 )
 
 
-_SURROGATE = re.compile("[\ud800-\udfff]")
+# Surrogates are not scalars; U+0002 and U+001A are the model's reserved
+# BOUNDARY and UNK units, which input text must not forge.
+_REJECTED = re.compile("[\x02\x1a\ud800-\udfff]")
 
 
 def _check_scalars(text: str) -> None:
-    found = _SURROGATE.search(text)
+    found = _REJECTED.search(text)
     if found is not None:
         offset = len(text[: found.start()].encode("utf-8", "surrogatepass"))
-        raise NormalizationError(
-            f"invalid Unicode scalar U+{ord(found.group()):04X} at byte offset {offset}"
-        )
+        code = ord(found.group())
+        kind = "reserved unit" if code < 0xD800 else "invalid Unicode scalar"
+        raise NormalizationError(f"{kind} U+{code:04X} at byte offset {offset}")
 
 
 def normalize(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
     """Apply the policy to raw text. Idempotent and deterministic.
 
     With ``RAW_POLICY`` the output equals the input (identity).
-    Raises NormalizationError if the text contains surrogate code points,
-    naming the UTF-8 byte offset of the first offender.
+    Raises NormalizationError if the text contains surrogate code points or
+    the reserved units U+0002 and U+001A, naming the first offender and its
+    UTF-8 byte offset.
     """
     _check_scalars(text)
     out = text

@@ -138,6 +138,27 @@ def test_score_cgc_scores_its_own_gold_with_a_repeated_source(tmp_path, capsys):
     assert report["f_beta"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "raw, normalized", [(" padded", "padded"), ("e\u0301te\u0301", "\u00e9t\u00e9")]
+)
+def test_score_cgc_names_the_policy_for_an_unnormalized_gold_source(
+    tmp_path, capsys, raw, normalized
+):
+    # The spans index the S line as written, so it is not normalized; the
+    # hypothesis source is, and the message says that this is why they differ.
+    gold = _write(tmp_path / "gold.m2", f"S {raw}\n\n")
+    hyp = _tsv(tmp_path / "hyp.tsv", [(raw, raw)])
+    assert main(["score-cgc", hyp, gold]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: hypothesis 0: source {normalized!r} differs from gold record source "
+        f"{raw!r}; gold S lines are compared as written, while hypothesis sources "
+        f"are read normalized\n"
+    )
+    assert main(["score-cgc", hyp, gold, "--normalize", "none"]) == 0
+    capsys.readouterr()
+
+
 def test_extract_edits_exact_output(tmp_path, capsys):
     parallel = _tsv(
         tmp_path / "par.tsv",
@@ -302,6 +323,29 @@ def test_unreadable_inputs_exit_two_without_traceback(tmp_path, capsys, command)
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not model.exists()
+
+
+@pytest.mark.parametrize("normalize", ["default", "none"])
+@pytest.mark.parametrize("command", ["score-csc", "train", "correct"])
+@pytest.mark.parametrize("reserved", ["\x02", "\x1a"])
+def test_reserved_units_in_input_exit_two(tmp_path, capsys, command, normalize, reserved):
+    # U+0002 (BOUNDARY) and U+001A (UNK) would pass as LM context units.
+    forged = f"天{reserved}气"
+    good = _tsv(tmp_path / "ok.tsv", [("天汽", "天气")])
+    bad = _tsv(tmp_path / "bad.tsv", [("天汽", "天气"), (forged, "天气")])
+    model = tmp_path / "m.json"
+    save_model(initial_model(vocab="天气"), str(model))
+    out = tmp_path / "trained.json"
+    argv = {
+        "score-csc": ["score-csc", _write(tmp_path / "hyp.txt", "天气\n天气\n"), bad],
+        "train": ["train", "--stage1", bad, "--stage2", good, "--out", str(out)],
+        "correct": ["correct", str(model), _write(tmp_path / "in.txt", f"天气\n{forged}\n")],
+    }[command]
+    assert main([*argv, "--normalize", normalize]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: reserved unit U+{ord(reserved):04X} at byte offset 3\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["order", "lm_smoothing_k", "channel_smoothing_k"])

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -396,6 +397,164 @@ def test_decode_preserves_length(small_suite, trained):
     _, model = trained
     for pair in small_suite.eval_csc.pairs[:40]:
         assert len(decode(model, pair.source)) == len(pair.source)
+
+
+def _reference_decode(model, src, beam_width=8):
+    """decode as it was before the column cache, kept verbatim as its oracle."""
+    if beam_width < 1:
+        raise UsageError(f"beam_width must be >= 1, got {beam_width}")
+    beams: list[tuple[float, str]] = [(0.0, "")]
+    for unit in src:
+        options = sorted({unit, *model.channel.partners(unit)})
+        expanded = [
+            (score + math.log(conditional(model, prefix, unit, option)), prefix + option)
+            for score, prefix in beams
+            for option in options
+        ]
+        expanded.sort(key=lambda beam: (-beam[0], beam[1]))
+        beams = expanded[:beam_width]
+    return beams[0][1]
+
+
+_ORACLE_VOCAB = "甲乙丙丁戊己"
+_ORACLE_OOV = "庚辛x"
+
+
+def _random_model(rng, order, weight):
+    """A hand-built model with random counts: LM contexts over vocab,
+    BOUNDARY and UNK; 甲 without channel entry, 乙 emitting only itself,
+    丙 and 丁 with several partners (one of them outside the vocab, and a
+    zero count that partners must skip)."""
+    vocab = frozenset(_ORACLE_VOCAB) | {UNK}
+    context_units = sorted(vocab | {BOUNDARY})
+    lm_counts = {}
+    for _ in range(rng.randint(0, 25)):
+        key = "".join(rng.choice(context_units) for _ in range(order - 1))
+        lm_counts.setdefault(key, Counter())[rng.choice(sorted(vocab))] += rng.randint(1, 9)
+    channel_counts = {
+        "乙": Counter({"乙": rng.randint(1, 9)}),
+        "丙": Counter({"丙": rng.randint(1, 9), "丁": rng.randint(1, 9), "戊": 0}),
+        "丁": Counter({"丁": 5, "丙": rng.randint(1, 9), "己": rng.randint(1, 9), "庚": 1}),
+    }
+    lm = NgramLM(
+        order, 0.1, lm_counts, {k: sum(c.values()) for k, c in lm_counts.items()}, vocab
+    )
+    channel = ConfusionChannel(
+        0.2, channel_counts, {k: sum(c.values()) for k, c in channel_counts.items()}, vocab
+    )
+    return MixtureCorrectorModel(lm, channel, weight, Stage.STAGE1)
+
+
+def test_decode_matches_reference_on_random_models():
+    rng = random.Random(61)
+    units = _ORACLE_VOCAB + _ORACLE_OOV
+    checked = 0
+    for order in (1, 2, 3, 4):
+        for weight in (0.0, 0.35, 1.0):
+            model = _random_model(rng, order, weight)
+            for n in range(171):
+                src = "".join(rng.choice(units) for _ in range(rng.randint(0, 40)))
+                beam_width = (1, 2, 8)[n % 3]
+                assert decode(model, src, beam_width) == _reference_decode(
+                    model, src, beam_width
+                ), (order, weight, src, beam_width)
+                checked += 1
+            assert model._columns  # one warm model served every source
+    assert checked >= 2000
+
+
+def test_decode_breaks_exact_ties_across_beams_by_code_point():
+    # Pure LM of order 2. After the first unit the beam "b" leads "a", yet
+    # "ba" and "ab" end on the same float score (hi + lo against lo + hi), so
+    # only the tie-break on the sequence, not the order of the beams, picks
+    # "ab".
+    vocab = frozenset("ab") | {UNK}
+    lm_counts = {
+        BOUNDARY: Counter({"a": 1, "b": 3}),
+        "b": Counter({"a": 1, UNK: 3}),
+        "a": Counter({"b": 3, UNK: 1}),
+    }
+    channel_counts = {"a": Counter({"b": 1}), "b": Counter({"a": 1})}
+    model = MixtureCorrectorModel(
+        NgramLM(2, 0.01, lm_counts, {k: 4 for k in lm_counts}, vocab),
+        ConfusionChannel(0.01, channel_counts, {"a": 1, "b": 1}, vocab),
+        1.0,
+        Stage.STAGE1,
+    )
+    score_ab = math.log(conditional(model, "", "a", "a")) + math.log(conditional(model, "a", "b", "b"))
+    score_ba = math.log(conditional(model, "", "a", "b")) + math.log(conditional(model, "b", "b", "a"))
+    assert score_ab == score_ba
+    assert conditional(model, "", "a", "b") > conditional(model, "", "a", "a")
+    for beam_width in (2, 8):
+        assert decode(model, "ab", beam_width) == "ab" == _lattice_oracle(model, "ab")
+        assert decode(model, "ba", beam_width) == "ab"
+
+
+@pytest.fixture(scope="module")
+def suite0_model():
+    suite = make_suite(0)
+    m1 = fit_stage(initial_model(), suite.stage1, stage1_config())
+    return suite, fit_stage(m1, suite.joint, stage2_config())
+
+
+def test_decode_matches_reference_on_suite_eval(suite0_model):
+    suite, model = suite0_model
+    changed = 0
+    for pair in suite.eval_csc.pairs:
+        fixed = decode(model, pair.source)
+        assert fixed == _reference_decode(model, pair.source)
+        changed += fixed != pair.source
+    assert changed  # the comparison covers lines the decoder rewrites
+
+
+def test_decode_cache_ignores_line_order(suite0_model):
+    suite, trained_model = suite0_model
+    sources = [pair.source for pair in suite.eval_csc.pairs[:80]]
+    model = replace(trained_model)
+    assert not model._columns
+    in_order = [decode(model, src) for src in sources]
+    shuffled = list(range(len(sources)))
+    random.Random(3).shuffle(shuffled)
+    for i in shuffled:
+        assert decode(model, sources[i]) == in_order[i]
+    cold = [decode(replace(trained_model), src) for src in sources]
+    assert cold == in_order
+
+
+def test_decode_after_replace_scores_the_new_weight(suite0_model):
+    suite, trained_model = suite0_model
+    model = replace(trained_model)
+    sources = [pair.source for pair in suite.eval_csc.pairs[:60]]
+    for src in sources:
+        decode(model, src)
+    assert model._columns
+    heavier = replace(model, mixing_weight=0.9)
+    assert not heavier._columns
+    outputs = [decode(heavier, src) for src in sources]
+    assert outputs == [_reference_decode(heavier, src) for src in sources]
+    assert outputs != [decode(model, src) for src in sources]  # the weight matters here
+
+
+def test_warm_model_equals_cold_reload_and_saves_same_bytes(tmp_path, suite0_model):
+    suite, model = suite0_model
+    cold_path, warm_path = tmp_path / "cold.json", tmp_path / "warm.json"
+    save_model(model, str(cold_path))
+    cold = load_model(str(cold_path))
+    for pair in suite.eval_csc.pairs[:20]:
+        decode(model, pair.source)
+    assert model._columns and not cold._columns
+    assert model == cold
+    assert "_columns" not in repr(model)
+    save_model(model, str(warm_path))
+    assert warm_path.read_bytes() == cold_path.read_bytes()
+
+
+def test_decode_signature_is_stable():
+    # perfbench/tracing.py binds decode's arguments by these names to count
+    # model.decode.expansions, so they are part of decode's contract.
+    params = inspect.signature(decode).parameters
+    assert list(params) == ["model", "src", "beam_width"]
+    assert params["beam_width"].default == 8
 
 
 def test_save_load_roundtrip(tmp_path, trained):

@@ -12,6 +12,7 @@ from zhcorrect import (
     normalize,
     units_of,
 )
+from zhcorrect.model import BOUNDARY, UNK
 
 _POOL = (
     "我爱北京他是学生天气很好"
@@ -101,6 +102,43 @@ def test_surrogate_scan_matches_per_character_loop():
         assert str(err.value) == (
             f"invalid Unicode scalar U+{ord(ch):04X} at byte offset {offset}"
         )
+
+
+@pytest.mark.parametrize("policy", [DEFAULT_POLICY, RAW_POLICY, WIDTHFOLD_POLICY])
+def test_reserved_units_rejected_with_byte_offset(policy):
+    # U+0002 and U+001A are the model's BOUNDARY and UNK: text carrying them
+    # would forge a sentence-start context or an out-of-vocabulary unit.
+    assert (BOUNDARY, UNK) == ("\x02", "\x1a")
+    for text, code, offset in [
+        ("\x02\x02好", "0002", 0),
+        ("好\x02", "0002", 3),
+        ("我a\x1ax", "001A", 4),
+        (" \x1a\ud800", "001A", 1),  # the first offender is named
+        ("\ud800\x02", "D800", 0),
+    ]:
+        with pytest.raises(NormalizationError) as err:
+            units_of(text, policy)
+        kind = "invalid Unicode scalar" if code == "D800" else "reserved unit"
+        assert str(err.value) == f"{kind} U+{code} at byte offset {offset}"
+
+
+def test_reserved_scan_matches_per_character_loop():
+    rng = random.Random(9)
+    rejected = ["\x02", "\x1a", "\ud800", "\udfff"]
+    neighbours = ["\x01", "\x03", "\x19", "\x1b"]
+    for _ in range(1000):
+        units = list(_random_text(rng, 30)) + rng.sample(neighbours, rng.randint(0, 2))
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            units.insert(rng.randint(0, len(units)), rng.choice(rejected))
+        text = "".join(units)
+        first = next((i for i, ch in enumerate(text) if ch in rejected), None)
+        if first is None:
+            assert normalize(text, RAW_POLICY) == text
+            continue
+        with pytest.raises(NormalizationError) as err:
+            normalize(text, RAW_POLICY)
+        offset = len(text[:first].encode("utf-8", "surrogatepass"))
+        assert f"U+{ord(text[first]):04X} at byte offset {offset}" in str(err.value)
 
 
 def test_units_of_counts_scalars():
