@@ -14,7 +14,8 @@ tgt = "他是学生"
 
 path = align(src, tgt)
 print(f"{src} -> {tgt}  (cost {path.total_cost:g})")
-for op in path.ops:
+print(f"  ops {path.ops}")
+for op in path.steps():
     print(f"  {op.kind.value:5s} src[{op.src_index}] tgt[{op.tgt_index}]")
 
 edits = extract_edits(path)

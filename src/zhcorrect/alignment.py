@@ -4,13 +4,19 @@ The alignment is the substrate for edit extraction and edit-level scoring.
 Costs are unit costs (sub = ins = del = 1, match = 0); phonetic/glyph-aware
 substitution costs are deliberately out of scope, and all scorer fixtures
 are written against this scheme.
+
+A path is a str of one-letter op codes: M (match), S (substitution), D
+(deletion: consumes a source unit only) and I (insertion: consumes a target
+unit only). Consumers read the codes directly; `AlignmentPath.steps()`
+spells them out as `AlignOp`s with their cursor positions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from typing import Iterator
 
 from .errors import UsageError
 
@@ -23,6 +29,12 @@ class OpKind(Enum):
     SUB = "sub"
     INS = "ins"
     DEL = "del"
+
+
+_KIND_OF_CODE = {"M": OpKind.MATCH, "S": OpKind.SUB, "I": OpKind.INS, "D": OpKind.DEL}
+_NON_CODES = str.maketrans("", "", "MSDI")
+_DROP_INS = str.maketrans("", "", "I")
+_DROP_DEL = str.maketrans("", "", "D")
 
 
 @dataclass(frozen=True)
@@ -41,28 +53,40 @@ class AlignOp:
 
 @dataclass(frozen=True)
 class AlignmentPath:
-    """A monotone op path from (0,0) to (n,m) over src and tgt."""
+    """A monotone op path from (0,0) to (n,m) over src and tgt, as a str of
+    M/S/D/I codes."""
 
     src: str
     tgt: str
-    ops: tuple[AlignOp, ...]
+    ops: str
     total_cost: float
 
     def __post_init__(self) -> None:
+        ops = self.ops
+        if not isinstance(ops, str) or ops.translate(_NON_CODES):
+            raise UsageError(f"ops must be a str of M/S/D/I codes, got {ops!r}")
+        # Each code but I consumes a source unit, each but D a target unit.
+        on_src, on_tgt = ops.translate(_DROP_INS), ops.translate(_DROP_DEL)
+        if (len(on_src), len(on_tgt)) != (len(self.src), len(self.tgt)):
+            raise UsageError(
+                f"path ends at ({len(on_src)},{len(on_tgt)}), "
+                f"expected ({len(self.src)},{len(self.tgt)})"
+            )
+        # The k-th M joins the k-th matched unit of each side.
+        if "".join(compress(self.src, map("M".__eq__, on_src))) != "".join(
+            compress(self.tgt, map("M".__eq__, on_tgt))
+        ):
+            raise UsageError("a match op joins unequal units")
+
+    def steps(self) -> Iterator[AlignOp]:
+        """The path's ops with the cursor positions before each."""
         i = j = 0
-        for op in self.ops:
-            if (op.src_index, op.tgt_index) != (i, j):
-                raise UsageError(f"op {op} breaks monotone traversal at ({i},{j})")
-            if op.kind in (OpKind.MATCH, OpKind.SUB):
-                if op.kind is OpKind.MATCH and self.src[i] != self.tgt[j]:
-                    raise UsageError(f"match op at ({i},{j}) joins unequal units")
-                i, j = i + 1, j + 1
-            elif op.kind is OpKind.DEL:
+        for code in self.ops:
+            yield AlignOp(_KIND_OF_CODE[code], i, j)
+            if code != "I":
                 i += 1
-            else:
+            if code != "D":
                 j += 1
-        if (i, j) != (len(self.src), len(self.tgt)):
-            raise UsageError(f"path ends at ({i},{j}), expected ({len(self.src)},{len(self.tgt)})")
 
 
 def align(src: str, tgt: str) -> AlignmentPath:
@@ -74,79 +98,81 @@ def align(src: str, tgt: str) -> AlignmentPath:
     the matches come first and the deletion lands at the end of the run), so
     extraction downstream is reproducible.
 
-    The DP fills only a diagonal band of the (n+1)x(m+1) suffix table
-    (Ukkonen 1985): the cells whose offset j - i lies within k of
-    [min(0, m-n), max(0, m-n)]. Every other cell stays +inf, so no path
-    passes through it. A path that leaves the band makes at least
-    |m-n| + 2k + 2 insertions and deletions, each of cost 1, so once the
-    in-band cost is below that, every optimal path lies in the band and the
-    op path and cost equal those of the full table. Otherwise k doubles, up
-    to the whole table. The DP takes O((n+m) * C) steps for an alignment of
-    cost C; the table itself is allocated whole, (n+1)*(m+1) slots, at C
-    speed.
+    The walk reads suffix costs D[i][j], the cost of aligning src[i:] with
+    tgt[j:], from the bit-parallel edit-distance recurrence of G. Myers ("A
+    fast bit-vector algorithm for approximate string matching based on
+    dynamic programming", JACM 46(3), 1999) in the global form of H. Hyyrö
+    ("Explaining and extending the bit-parallel approximate string matching
+    algorithm of Myers", 2001). It runs over the reversed strings: bit c-1
+    of a row's vectors is the vertical delta E[r][c] - E[r][c-1] of the
+    table E[r][c] = cost(src[n-r:], tgt[m-c:]), +1 in Pv and -1 in Mv, and
+    E[r][0] = r. Row r = n-i then gives
+
+        D[i][j] = (n-i) + popcount(Pv & mask) - popcount(Mv & mask),
+        mask = (1 << (m-j)) - 1.
+
+    Python ints serve as m-bit vectors, so each source unit costs a fixed
+    number of int operations however long the target is, and memory is n+1
+    pairs of m-bit ints instead of an (n+1)x(m+1) table.
     """
-    # Indexing a str builds a new one-character str per access for scalars
-    # above U+00FF, while a tuple hands back stored objects: on CJK text the
-    # DP below takes about 40 % less time over tuples.
-    s, t = tuple(src), tuple(tgt)
-    n, m = len(s), len(t)
+    n, m = len(src), len(tgt)
+    full = (1 << m) - 1
+    # peq[u] has bit c-1 set where tgt[m-c] == u: the target, reversed.
+    peq: dict[str, int] = {}
+    bit = 1 << m
+    for unit in tgt:
+        bit >>= 1
+        peq[unit] = peq.get(unit, 0) | bit
 
-    k = 2
-    while True:
-        suffix = _band_suffix(s, t, min(0, m - n) - k, max(0, m - n) + k)
-        # Every cell holds an integer-valued float, so the test is exact.
-        # k >= min(n, m) puts every cell of the table in the band.
-        if k >= min(n, m) or suffix[0][0] < abs(m - n) + 2 * k + 2:
-            break
-        k *= 2
+    pvs, mvs = [full], [0]
+    pv, mv = full, 0
+    for unit in reversed(src):
+        eq = peq.get(unit, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        # Row 0 of E grows by one per source unit: shift in a +1.
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
+        mv = ph & xv
+        pvs.append(pv)
+        mvs.append(mv)
 
-    ops: list[AlignOp] = []
+    total = n + pv.bit_count() - mv.bit_count()
+    ops: list[str] = []
     i = j = 0
-    while i < n or j < m:
-        here = suffix[i][j]
-        if i < n and j < m and s[i] == t[j] and suffix[i + 1][j + 1] == here:
-            ops.append(AlignOp(OpKind.MATCH, i, j))
-            i, j = i + 1, j + 1
-        elif i < n and j < m and s[i] != t[j] and suffix[i + 1][j + 1] + 1.0 == here:
-            ops.append(AlignOp(OpKind.SUB, i, j))
-            i, j = i + 1, j + 1
-        elif i < n and suffix[i + 1][j] + 1.0 == here:
-            ops.append(AlignOp(OpKind.DEL, i, j))
+    here = total
+    while i < n and j < m:
+        if src[i] == tgt[j]:
+            # With unit costs a match is always an optimal continuation.
+            ops.append("M")
             i += 1
-        else:
-            ops.append(AlignOp(OpKind.INS, i, j))
             j += 1
-
-    return AlignmentPath(src=src, tgt=tgt, ops=tuple(ops), total_cost=suffix[0][0])
-
-
-def _band_suffix(s: tuple[str, ...], t: tuple[str, ...], lo: int, hi: int) -> list[list[float]]:
-    """suffix[i][j] = min cost of aligning s[i:] with t[j:] through cells
-    with lo <= j - i <= hi, filled only for those cells; the rest stay +inf.
-    Needs lo <= min(0, m-n) and hi >= max(0, m-n), so (0, 0) and (n, m) are
-    in the band."""
-    n, m = len(s), len(t)
-    suffix = [[math.inf] * (m + 1) for _ in range(n + 1)]
-    last = suffix[n]
-    last[m] = 0.0
-    for j in range(m - 1, max(0, n + lo) - 1, -1):
-        last[j] = last[j + 1] + 1.0
-    for i in range(n - 1, -1, -1):
-        row, below = suffix[i], suffix[i + 1]
-        if m - i <= hi:
-            row[m] = below[m] + 1.0
-        si = s[i]
-        for j in range(min(m - 1, i + hi), max(0, i + lo) - 1, -1):
-            diag = below[j + 1] + (0.0 if si == t[j] else 1.0)
-            up = below[j] + 1.0
-            left = row[j + 1] + 1.0
-            best = diag
-            if up < best:
-                best = up
-            if left < best:
-                best = left
-            row[j] = best
-    return suffix
+            continue
+        r = n - i - 1
+        mask = (1 << (m - j - 1)) - 1
+        diag = r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count()
+        if diag + 1 == here:
+            ops.append("S")
+            i += 1
+            j += 1
+            here = diag
+            continue
+        mask = (mask << 1) | 1
+        up = r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count()
+        if up + 1 == here:
+            ops.append("D")
+            i += 1
+            here = up
+        else:
+            ops.append("I")
+            j += 1
+            here -= 1
+    # One side is used up: the rest of the other is deleted or inserted.
+    ops.append("D" * (n - i) + "I" * (m - j))
+    return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=float(total))
 
 
 def oracle_min_cost(src: str, tgt: str) -> float:

@@ -279,7 +279,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         "total_cost": path.total_cost,
         "ops": [
             {"kind": op.kind.value, "src_index": op.src_index, "tgt_index": op.tgt_index}
-            for op in path.ops
+            for op in path.steps()
         ],
     }
     _emit(args, json.dumps(payload, ensure_ascii=False, indent=2) + "\n", [], started)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ConfigError, FormatError, UsageError
-from .textnorm import DEFAULT_POLICY, NormalizePolicy, units_of
+from .errors import ConfigError, FormatError, NormalizationError, UsageError
+from .textnorm import DEFAULT_POLICY, RAW_POLICY, NormalizePolicy, normalize, units_of
 
 logger = logging.getLogger(__name__)
 
@@ -111,6 +111,20 @@ def iter_lines(stream: Iterable[str]) -> Iterator[str]:
         yield raw.rstrip("\n").rstrip("\r")
 
 
+def _located(line: str, lineno: int, format: str, exc: NormalizationError) -> NormalizationError:
+    """A field's NormalizationError prefixed with its line number. In TSV the
+    byte offset is counted from the start of the line: tabs pass the check
+    and fields are checked in line order, so the whole line's first offender
+    is the field's. A JSONL value is decoded first, so there the offset
+    stays within the JSON string."""
+    if format == "tsv":
+        try:
+            normalize(line, RAW_POLICY)
+        except NormalizationError as whole:
+            exc = whole
+    return NormalizationError(f"line {lineno}: {exc}")
+
+
 def parse_parallel(
     stream: Iterable[str],
     format: str = "tsv",
@@ -120,20 +134,24 @@ def parse_parallel(
 ) -> Corpus:
     """Parse a parallel corpus from an iterable of lines.
 
-    Malformed lines raise FormatError with the 1-based line number. An empty
-    stream yields an empty corpus (not an error).
+    Malformed lines raise FormatError with the 1-based line number, and text
+    that fails normalization raises NormalizationError prefixed the same
+    way. An empty stream yields an empty corpus (not an error).
     """
     if format not in ("tsv", "jsonl"):
         raise UsageError(f"unknown corpus format {format!r}")
     pairs: list[ParallelPair] = []
     seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
-        if format == "tsv":
-            if line.startswith("#"):
-                continue
-            pair = _parse_tsv_line(line, lineno, policy, pair_id=str(len(pairs)))
-        else:
-            pair = _parse_jsonl_line(line, lineno, policy)
+        try:
+            if format == "tsv":
+                if line.startswith("#"):
+                    continue
+                pair = _parse_tsv_line(line, lineno, policy, pair_id=str(len(pairs)))
+            else:
+                pair = _parse_jsonl_line(line, lineno, policy)
+        except NormalizationError as exc:
+            raise _located(line, lineno, format, exc) from exc
         if pair.id in seen_ids:
             raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
         seen_ids.add(pair.id)

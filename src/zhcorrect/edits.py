@@ -14,11 +14,12 @@ with zero "A" lines denotes a single no-edit reference (ref 0).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .alignment import AlignmentPath, OpKind
+from .alignment import AlignmentPath
 from .corpus import iter_lines
 from .errors import FormatError, StructuralError, UsageError
 
@@ -30,6 +31,11 @@ class MergePolicy(Enum):
     MAXIMAL_RUNS = "maximal-runs"
     # Each op is its own edit.
     NONE = "none"
+
+
+# The op-code runs each policy turns into edits. Consecutive insertions
+# share one source point, so they form one edit even under NONE.
+_RUNS = {MergePolicy.MAXIMAL_RUNS: re.compile("[^M]+"), MergePolicy.NONE: re.compile("I+|[SD]")}
 
 
 class EditKind(Enum):
@@ -122,39 +128,20 @@ def extract_edits(
     Applying the result to the path's source reproduces its target exactly,
     under either merge policy.
     """
-    runs: list[list] = []
-    current: list = []
-    for op in path.ops:
-        if op.kind is OpKind.MATCH:
-            if current:
-                runs.append(current)
-                current = []
-        elif merge is MergePolicy.NONE:
-            # Consecutive insertions share one source point and must form a
-            # single edit even when nothing else merges.
-            if (
-                op.kind is OpKind.INS
-                and runs
-                and runs[-1][-1].kind is OpKind.INS
-                and runs[-1][-1].src_index == op.src_index
-            ):
-                runs[-1].append(op)
-            else:
-                runs.append([op])
-        else:
-            current.append(op)
-    if current:
-        runs.append(current)
-
+    ops, tgt = path.ops, path.tgt
+    # A code's source index is its position less the I codes before it, and
+    # its target index its position less the D codes before it.
+    ins = dels = at = 0
     edits = []
-    for run in runs:
-        start = run[0].src_index
-        last = run[-1]
-        end = last.src_index + (1 if last.kind in (OpKind.SUB, OpKind.DEL) else 0)
-        replacement = "".join(
-            path.tgt[op.tgt_index] for op in run if op.kind in (OpKind.SUB, OpKind.INS)
-        )
-        edits.append(Edit(start, end, replacement))
+    for run in _RUNS[merge].finditer(ops):
+        start, stop = run.span()
+        ins += ops.count("I", at, start)
+        dels += ops.count("D", at, start)
+        src_start, tgt_start = start - ins, start - dels
+        ins += ops.count("I", start, stop)
+        dels += ops.count("D", start, stop)
+        at = stop
+        edits.append(Edit(src_start, stop - ins, tgt[tgt_start : stop - dels]))
     return EditSet(source_id=source_id, ref_id=ref_id, edits=tuple(edits))
 
 

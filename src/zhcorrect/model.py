@@ -24,7 +24,7 @@ from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .corpus import Corpus, CorpusTag, ParallelPair, split
-from .alignment import OpKind, align
+from .alignment import align
 from .artifacts import write_artifact
 from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
 
@@ -219,9 +219,16 @@ def _aligned_source_units(source: str, target: str) -> list[str | None]:
     """For each target position, the source unit aligned to it (None for
     insertions), under the deterministic alignment."""
     aligned: list[str | None] = [None] * len(target)
-    for op in align(source, target).ops:
-        if op.kind in (OpKind.MATCH, OpKind.SUB):
-            aligned[op.tgt_index] = source[op.src_index]
+    i = j = 0
+    for code in align(source, target).ops:
+        if code == "I":
+            j += 1
+        elif code == "D":
+            i += 1
+        else:
+            aligned[j] = source[i]
+            i += 1
+            j += 1
     return aligned
 
 

@@ -8,6 +8,7 @@ from zhcorrect import (
     Corpus,
     CorpusTag,
     FormatError,
+    NormalizationError,
     ParallelPair,
     UsageError,
     exact_duplicate_count,
@@ -44,6 +45,32 @@ def test_tsv_missing_reference_errors_with_line_number():
     with pytest.raises(FormatError) as err:
         parse_parallel(io.StringIO("好\t很好\n只有源\n"))
     assert "line 2" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # column 1: the offset is the field's
+        ("天\x02气\t天气", "line 2: reserved unit U+0002 at byte offset 3"),
+        # column 2: the offset counts the first field (6 bytes) and its tab
+        ("天气\t天\x02气", "line 2: reserved unit U+0002 at byte offset 10"),
+        # column 3: two fields and two tabs before it
+        ("天气\t天气\t天\x1a气", "line 2: reserved unit U+001A at byte offset 17"),
+        ("天气\t天\ud800", "line 2: invalid Unicode scalar U+D800 at byte offset 10"),
+    ],
+)
+def test_tsv_normalization_error_names_line_and_line_offset(line, message):
+    with pytest.raises(NormalizationError) as err:
+        parse_parallel(io.StringIO(f"天汽\t天气\n{line}\n"))
+    assert str(err.value) == message
+
+
+def test_jsonl_normalization_error_names_line():
+    text = '{"id": "a", "source": "天", "references": ["天"]}\n'
+    text += '{"id": "b", "source": "天", "references": ["天\\u0002"]}\n'
+    with pytest.raises(NormalizationError) as err:
+        parse_parallel(io.StringIO(text), "jsonl")
+    assert str(err.value) == "line 2: reserved unit U+0002 at byte offset 3"
 
 
 def test_tsv_comment_lines_skipped():

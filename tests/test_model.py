@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from zhcorrect import ConfigError, FormatError, UsageError
-from zhcorrect.alignment import OpKind, align
+from zhcorrect.alignment import align
 from zhcorrect.corpus import Corpus, CorpusTag, ParallelPair, split
 from zhcorrect.model import (
     BOUNDARY,
@@ -299,10 +299,13 @@ def _per_weight_nll(model, pair):
     """nll as it was computed before the per-token table: one alignment and
     one conditional per unit, for the model's own weight."""
     target = pair.references[0]
-    aligned = [None] * len(target)
-    for op in align(pair.source, target).ops:
-        if op.kind in (OpKind.MATCH, OpKind.SUB):
-            aligned[op.tgt_index] = pair.source[op.src_index]
+    ops = align(pair.source, target).ops
+    # The source units that M and S codes consume, in order, against one
+    # code per target unit.
+    consumed = iter(
+        [unit for unit, code in zip(pair.source, ops.replace("I", "")) if code != "D"]
+    )
+    aligned = [None if code == "I" else next(consumed) for code in ops.replace("D", "")]
     total = 0.0
     for t, unit in enumerate(target):
         total -= math.log(conditional(model, target[:t], aligned[t], unit))
