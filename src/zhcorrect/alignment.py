@@ -116,6 +116,10 @@ def align(src: str, tgt: str) -> AlignmentPath:
     pairs of m-bit ints instead of an (n+1)x(m+1) table.
     """
     n, m = len(src), len(tgt)
+    if src == tgt:
+        # All matches: with unit costs a match is always an optimal
+        # continuation, the walk's own first choice.
+        return AlignmentPath(src=src, tgt=tgt, ops="M" * n, total_cost=0.0)
     full = (1 << m) - 1
     # peq[u] has bit c-1 set where tgt[m-c] == u: the target, reversed.
     peq: dict[str, int] = {}

@@ -27,7 +27,7 @@ from .alignment import align
 from .artifacts import write_artifact
 from .corpus import Corpus, CorpusTag, iter_lines, parse_parallel, unify
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
-from .errors import FormatError, UsageError, ZhcorrectError
+from .errors import FormatError, NormalizationError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
 from .model import (
     decode,
@@ -119,9 +119,18 @@ def _read(path: str, parse: Callable[[TextIO], T]) -> T:
         raise FormatError(f"{path} is not UTF-8: {exc}") from None
 
 
-def _read_lines(path: str) -> list[str]:
-    """The file's lines, split the way parse_parallel splits them."""
-    return _read(path, lambda handle: list(iter_lines(handle)))
+def _read_units(path: str, policy: NormalizePolicy) -> list[str]:
+    """The file's lines, split the way parse_parallel splits them and each
+    normalized under policy. A NormalizationError names its line, as
+    parse_parallel's do."""
+    lines = _read(path, lambda handle: list(iter_lines(handle)))
+    units = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            units.append(units_of(line, policy))
+        except NormalizationError as exc:
+            raise NormalizationError(f"line {lineno}: {exc}") from exc
+    return units
 
 
 def _open_corpus(path: str, fmt: str, policy: NormalizePolicy, tag: CorpusTag, name: str) -> Corpus:
@@ -185,16 +194,13 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
     hyp_path, gold_path = args.files
     policy = _POLICIES[args.normalize]
     gold = _open_corpus(gold_path, args.format, policy, CorpusTag.CSC, Path(gold_path).stem)
-    hyp_lines = _read_lines(hyp_path)
-    if len(hyp_lines) != len(gold.pairs):
+    hyps = _read_units(hyp_path, policy)
+    if len(hyps) != len(gold.pairs):
         raise UsageError(
-            f"line count mismatch: {hyp_path} has {len(hyp_lines)} hypotheses, "
+            f"line count mismatch: {hyp_path} has {len(hyps)} hypotheses, "
             f"{gold_path} has {len(gold.pairs)} pairs"
         )
-    items = [
-        (pair.source, pair.references[0], units_of(line, policy))
-        for pair, line in zip(gold.pairs, hyp_lines)
-    ]
+    items = [(pair.source, pair.references[0], hyp) for pair, hyp in zip(gold.pairs, hyps)]
     report = score_csc(items, dataset=args.dataset or gold.name)
     return _finish_report(args, report, [hyp_path, gold_path], started)
 
@@ -253,18 +259,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _correct_one(line: str, model, beam: int, policy: NormalizePolicy) -> str:
-    return decode(model, units_of(line, policy), beam_width=beam)
-
-
 def cmd_correct(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
-    policy = _POLICIES[args.normalize]
-    lines = _read_lines(args.input)
-    corrected = _pmap(
-        partial(_correct_one, model=model, beam=args.beam, policy=policy), lines, args.jobs
-    )
+    lines = _read_units(args.input, _POLICIES[args.normalize])
+    corrected = _pmap(partial(decode, model, beam_width=args.beam), lines, args.jobs)
     _emit(args, "".join(line + "\n" for line in corrected), [args.model, args.input], started)
     return 0
 

@@ -237,23 +237,56 @@ def _token_probs(
 ) -> Iterator[list[tuple[float, float]]]:
     """For each pair, the (lm_p, ch_p) of each unit of its first reference.
     None of it depends on the mixing weight, so one table of them serves
-    every weight."""
+    every weight.
+
+    The values are NgramLM.prob and ConfusionChannel.prob, read straight
+    from the count tables by the same float expression. The target is mapped
+    to UNK once, so each LM context is a slice of the padded, mapped target.
+    A model's LM and channel share one vocabulary.
+    """
+    vocab = lm.vocab
+    width = lm.order - 1
+    lm_counts, lm_totals = lm.counts, lm.context_totals
+    ch_counts, ch_totals = channel.counts, channel.totals
+    lm_k, ch_k = lm.smoothing_k, channel.smoothing_k
+    lm_kv, ch_kv = lm_k * len(vocab), ch_k * len(vocab)
+    no_counts: dict[str, int] = {}
     for pair in pairs:
-        target = pair.references[0]
-        aligned = _aligned_source_units(pair.source, target)
-        yield [
-            (lm.prob(unit, target[:t]), channel.prob(unit, aligned[t]))
-            for t, unit in enumerate(target)
-        ]
+        reference = pair.references[0]
+        target = "".join(u if u in vocab else UNK for u in reference)
+        padded = BOUNDARY * width + target
+        aligned = _aligned_source_units(pair.source, reference)
+        row = []
+        for t, (unit, src) in enumerate(zip(target, aligned)):
+            key = padded[t : t + width]
+            lm_p = (lm_counts.get(key, no_counts).get(unit, 0) + lm_k) / (
+                lm_totals.get(key, 0) + lm_kv
+            )
+            if src is None:
+                count = total = 0
+            else:
+                if src not in vocab:
+                    src = UNK
+                count = ch_counts.get(src, no_counts).get(unit, 0)
+                total = ch_totals.get(src, 0)
+            row.append((lm_p, (count + ch_k) / (total + ch_kv)))
+        yield row
 
 
 def _mean_nll(table: Iterable[list[tuple[float, float]]], lam: float) -> float:
-    """Mean over the table's pairs of their nll under mixing weight lam."""
+    """Mean over the table's pairs of their nll under mixing weight lam.
+
+    The mixture is _mix written out. The sum over a pair's units is a
+    left-to-right loop on purpose: sum() of floats is compensated from
+    Python 3.12 on, so it would give the objective other bits.
+    """
+    mu = 1.0 - lam
+    log = math.log
     per_pair = []
     for probs in table:
         total = 0.0
         for lm_p, ch_p in probs:
-            total -= math.log(_mix(lam, lm_p, ch_p))
+            total -= log(lam * lm_p + mu * ch_p)
         per_pair.append(total)
     return sum(per_pair) / len(per_pair)
 
@@ -289,15 +322,25 @@ def _accumulate(
     target = pair.references[0]
     vocab.update(pair.source)
     vocab.update(target)
+    # Every unit of target is in vocab now, so none maps to UNK and each LM
+    # context (see _context_key) is a slice of the BOUNDARY-padded target.
+    width = order - 1
+    padded = BOUNDARY * width + target
     for t, unit in enumerate(target):
-        key = _context_key(vocab, order, target[:t])
-        lm_counts.setdefault(key, Counter())[unit] += 1
+        key = padded[t : t + width]
+        counts = lm_counts.get(key)
+        if counts is None:
+            counts = lm_counts[key] = Counter()
+        counts[unit] += 1
         lm_totals[key] = lm_totals.get(key, 0) + 1
     # Insertions have no source unit and deletions no emission; the
     # substitution-only channel records neither.
     for src, unit in zip(_aligned_source_units(pair.source, target), target):
         if src is not None:
-            ch_counts.setdefault(src, Counter())[unit] += 1
+            counts = ch_counts.get(src)
+            if counts is None:
+                counts = ch_counts[src] = Counter()
+            counts[unit] += 1
             ch_totals[src] = ch_totals.get(src, 0) + 1
 
 

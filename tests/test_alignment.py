@@ -370,6 +370,15 @@ def test_band_matches_full_table_on_edge_cases(seed):
         _assert_matches_oracles(src, tgt)
 
 
+def test_equal_pair_is_all_matches():
+    rng = random.Random(5)
+    texts = ["", "学", "x" * 300, "学生" * 150, "".join(rng.choice(_CJK) for _ in range(300))]
+    for text in texts:
+        path = align(text, text)
+        assert (path.ops, path.total_cost) == ("M" * len(text), 0.0)
+        _assert_matches_oracles(text, text, path)
+
+
 def test_band_memory_stays_within_the_full_table():
     # align keeps n+1 pairs of m-bit ints, so a source much longer than the
     # target stays far below the full (n+1)*(m+1) table (here about 15,000
@@ -391,7 +400,11 @@ def test_band_memory_stays_within_the_full_table():
 def _small_alphabet_pairs(draw):
     alphabet = draw(st.lists(st.sampled_from(_CJK), min_size=1, max_size=4, unique=True))
     text = st.text(alphabet=alphabet, max_size=30)
-    return draw(text), draw(text)
+    src = draw(text)
+    # Random pairs almost never coincide, so a quarter are (s, s) outright.
+    if draw(st.integers(0, 3)) == 0:
+        return src, src
+    return src, draw(text)
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)

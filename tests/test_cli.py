@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -244,6 +245,25 @@ def test_train_correct_score_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_train_writes_the_pinned_model_bytes(tmp_path, capsys):
+    # Training's promise is byte-identical output: the model file and the
+    # report lines of make_suite(0) are pinned here.
+    suite = make_suite(0)
+    stage1 = _suite_tsv(tmp_path, suite.stage1, "stage1.tsv")
+    csc = _suite_tsv(tmp_path, suite.csc, "csc.tsv")
+    cgc = _suite_tsv(tmp_path, suite.cgc, "cgc.tsv")
+    model = tmp_path / "model.json"
+    argv = ["train", "--stage1", stage1, "--stage2", csc, cgc, "--seed", "0", "--out", str(model)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "stage-1 heldout objective: 1.269563\n"
+        "stage-2 heldout objective: 0.855721\n"
+        "mixing weight: 0\n"
+    )
+    digest = hashlib.sha256(model.read_bytes()).hexdigest()
+    assert digest == "039dd0c055eefd03d1766e7027d629d6f414d218c27a2d556d017d18acab1a86"
+
+
 def test_train_requires_stage2_values(tmp_path, capsys):
     stage1, csc, _, _, _ = _train_files(tmp_path)
     model = tmp_path / "model.json"
@@ -326,13 +346,14 @@ def test_unreadable_inputs_exit_two_without_traceback(tmp_path, capsys, command)
 
 
 @pytest.mark.parametrize("normalize", ["default", "none"])
-@pytest.mark.parametrize("command", ["score-csc", "train", "correct"])
+@pytest.mark.parametrize("command", ["score-csc", "train", "correct", "score-csc-hyp"])
 @pytest.mark.parametrize("reserved", ["\x02", "\x1a"])
 def test_reserved_units_in_input_exit_two(tmp_path, capsys, command, normalize, reserved):
     # U+0002 (BOUNDARY) and U+001A (UNK) would pass as LM context units.
     forged = f"天{reserved}气"
     good = _tsv(tmp_path / "ok.tsv", [("天汽", "天气")])
     bad = _tsv(tmp_path / "bad.tsv", [("天汽", "天气"), (forged, "天气")])
+    gold = _tsv(tmp_path / "gold.tsv", [("天汽", "天气"), ("天汽", "天气")])
     model = tmp_path / "m.json"
     save_model(initial_model(vocab="天气"), str(model))
     out = tmp_path / "trained.json"
@@ -340,13 +361,13 @@ def test_reserved_units_in_input_exit_two(tmp_path, capsys, command, normalize, 
         "score-csc": ["score-csc", _write(tmp_path / "hyp.txt", "天气\n天气\n"), bad],
         "train": ["train", "--stage1", bad, "--stage2", good, "--out", str(out)],
         "correct": ["correct", str(model), _write(tmp_path / "in.txt", f"天气\n{forged}\n")],
+        "score-csc-hyp": ["score-csc", _write(tmp_path / "hyp.txt", f"天气\n{forged}\n"), gold],
     }[command]
     assert main([*argv, "--normalize", normalize]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # Corpus files name the line; correct reads plain lines of text.
-    where = "" if command == "correct" else "line 2: "
-    assert captured.err == f"error: {where}reserved unit U+{ord(reserved):04X} at byte offset 3\n"
+    # Corpus files and plain-line inputs alike name the line.
+    assert captured.err == f"error: line 2: reserved unit U+{ord(reserved):04X} at byte offset 3\n"
     assert not out.exists()
 
 

@@ -31,7 +31,10 @@ from zhcorrect.model import (
     stage1_config,
     stage2_config,
     stage_heldout,
+    _accumulate,
+    _aligned_source_units,
     _context_key,
+    _token_probs,
 )
 from zhcorrect.synthetic import CONFUSION, WORD_INVENTORY, make_suite
 
@@ -333,6 +336,109 @@ def test_grid_search_matches_per_weight_objective_loop():
         assert dataset_objective(fitted, heldout, grid) == objectives
         assert fitted.mixing_weight == best_weight
         init = fitted
+
+
+def _reference_accumulate(lm_counts, lm_totals, ch_counts, ch_totals, vocab, order, pair):
+    """_accumulate as it was before it sliced its context keys, kept
+    verbatim as its oracle."""
+    target = pair.references[0]
+    vocab.update(pair.source)
+    vocab.update(target)
+    for t, unit in enumerate(target):
+        key = _context_key(vocab, order, target[:t])
+        lm_counts.setdefault(key, Counter())[unit] += 1
+        lm_totals[key] = lm_totals.get(key, 0) + 1
+    # Insertions have no source unit and deletions no emission; the
+    # substitution-only channel records neither.
+    for src, unit in zip(_aligned_source_units(pair.source, target), target):
+        if src is not None:
+            ch_counts.setdefault(src, Counter())[unit] += 1
+            ch_totals[src] = ch_totals.get(src, 0) + 1
+
+
+def _reference_token_probs(lm, channel, pairs):
+    """_token_probs as it was before it read the count tables directly,
+    kept verbatim as its oracle."""
+    for pair in pairs:
+        target = pair.references[0]
+        aligned = _aligned_source_units(pair.source, target)
+        yield [
+            (lm.prob(unit, target[:t]), channel.prob(unit, aligned[t]))
+            for t, unit in enumerate(target)
+        ]
+
+
+def _random_training_pairs(rng, pool, count):
+    """Pairs over pool: edited copies, unrelated pairs and equal pairs, some
+    of them empty."""
+    pairs = []
+    for n in range(count):
+        src = "".join(rng.choice(pool) for _ in range(rng.randint(0, 14)))
+        roll = rng.random()
+        if roll < 0.6:
+            units = list(src)
+            for _ in range(rng.randint(0, 3)):
+                i = rng.randint(0, len(units))
+                edit = rng.random()
+                if edit < 0.5 and i < len(units):
+                    units[i] = rng.choice(pool)
+                elif edit < 0.75:
+                    units.insert(i, rng.choice(pool))
+                elif i < len(units):
+                    del units[i]
+            ref = "".join(units)
+        elif roll < 0.8:
+            ref = "".join(rng.choice(pool) for _ in range(rng.randint(0, 14)))
+        else:
+            ref = src
+        pairs.append(_pair(str(n), src, ref))
+    return pairs
+
+
+def _with_unk_counts(rng, lm_counts, lm_totals, ch_counts, ch_totals, vocab):
+    """Copies of the count tables with UNK counted as a unit, in contexts
+    and as a channel source, the way a hand-written container may count it."""
+    lm_counts = {key: Counter(c) for key, c in lm_counts.items()}
+    ch_counts = {key: Counter(c) for key, c in ch_counts.items()}
+    for key in list(lm_counts):
+        lm_counts[key][UNK] += rng.randint(1, 5)
+        if key:
+            lm_counts.setdefault(key[:-1] + UNK, Counter())[rng.choice(sorted(vocab))] += 2
+    for src in list(ch_counts):
+        ch_counts[src][UNK] += rng.randint(1, 5)
+    ch_counts[UNK] = Counter({UNK: rng.randint(1, 5), rng.choice(sorted(vocab)): 2})
+    lm_totals = {key: sum(c.values()) for key, c in lm_counts.items()}
+    ch_totals = {key: sum(c.values()) for key, c in ch_counts.items()}
+    return lm_counts, lm_totals, ch_counts, ch_totals
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+def test_accumulate_and_token_probs_match_their_references(order):
+    # Exact ==, not approx: training must keep every count and every bit.
+    rng = random.Random(order)
+    seen, unseen = "甲乙丙丁戊", "己庚辛"
+    for k in (0.01, 0.37, 1.0):
+        tables = [({}, {}, {}, {}, {UNK}) for _ in range(2)]
+        # Two batches: the second accumulates onto counts it did not start,
+        # as stage 2 does onto stage 1's.
+        for batch in range(2):
+            for pair in _random_training_pairs(rng, seen[: 3 + 2 * batch], 150):
+                _accumulate(*tables[0], order, pair)
+                _reference_accumulate(*tables[1], order, pair)
+            assert tables[0] == tables[1]
+        # Heldout pairs hold units outside the training vocabulary on both
+        # sides, which map to UNK, and contexts training never saw.
+        heldout = _random_training_pairs(rng, seen + unseen, 200)
+        assert any(set(p.source + p.references[0]) & set(unseen) for p in heldout)
+        vocab = tables[0][4]
+        # Training never counts UNK, but a model container may; only then
+        # does mapping a unit to UNK change its probability.
+        with_unk = _with_unk_counts(rng, *tables[0])
+        for lm_counts, lm_totals, ch_counts, ch_totals in (tables[0][:4], with_unk):
+            lm = NgramLM(order, k, lm_counts, lm_totals, frozenset(vocab))
+            channel = ConfusionChannel(k, ch_counts, ch_totals, frozenset(vocab))
+            expected = list(_reference_token_probs(lm, channel, heldout))
+            assert list(_token_probs(lm, channel, heldout)) == expected
 
 
 def test_stage_heldout_matches_split(small_suite):
