@@ -17,7 +17,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TextIO, TypeVar
@@ -92,6 +91,10 @@ def _pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
     if jobs == 1 or len(items) <= 1:
         return [func(item) for item in items]
+    # Imported here, so that a run with one job does not pay for the pool's
+    # import (concurrent.futures, multiprocessing, logging) at start-up.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(items) // (jobs * 4))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(func, items, chunksize=chunk))
@@ -109,9 +112,10 @@ def _default_jobs() -> int:
 
 def _read(path: str, parse: Callable[[TextIO], T]) -> T:
     """parse(handle) over the UTF-8 text file at path. A file that cannot be
-    read is a usage error and one that is not UTF-8 a format error."""
+    read is a usage error and one that is not UTF-8 a format error. Lines
+    end only at line feeds: a lone carriage return stays inside its line."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="\n") as handle:
             return parse(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
@@ -397,3 +401,7 @@ def main_entry() -> None:
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -11,7 +11,6 @@ File formats (external interfaces):
 from __future__ import annotations
 
 import json
-import logging
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -19,9 +18,7 @@ from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, FormatError, NormalizationError, UsageError
-from .textnorm import DEFAULT_POLICY, RAW_POLICY, NormalizePolicy, normalize, units_of
-
-logger = logging.getLogger(__name__)
+from .textnorm import DEFAULT_POLICY, NormalizePolicy, normalize_fields, units_of
 
 
 class CorpusTag(Enum):
@@ -67,20 +64,6 @@ class Corpus:
         return iter(self.pairs)
 
 
-def _parse_tsv_line(line: str, lineno: int, policy: NormalizePolicy, pair_id: str) -> ParallelPair:
-    cols = line.split("\t")
-    if len(cols) < 2:
-        raise FormatError(
-            f"line {lineno}: expected a source and at least one reference "
-            f"(got {len(cols)} column{'s' if len(cols) != 1 else ''})"
-        )
-    return ParallelPair(
-        id=pair_id,
-        source=units_of(cols[0], policy),
-        references=tuple(units_of(c, policy) for c in cols[1:]),
-    )
-
-
 def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> ParallelPair:
     try:
         obj = json.loads(line)
@@ -111,20 +94,6 @@ def iter_lines(stream: Iterable[str]) -> Iterator[str]:
         yield raw.rstrip("\n").rstrip("\r")
 
 
-def _located(line: str, lineno: int, format: str, exc: NormalizationError) -> NormalizationError:
-    """A field's NormalizationError prefixed with its line number. In TSV the
-    byte offset is counted from the start of the line: tabs pass the check
-    and fields are checked in line order, so the whole line's first offender
-    is the field's. A JSONL value is decoded first, so there the offset
-    stays within the JSON string."""
-    if format == "tsv":
-        try:
-            normalize(line, RAW_POLICY)
-        except NormalizationError as whole:
-            exc = whole
-    return NormalizationError(f"line {lineno}: {exc}")
-
-
 def parse_parallel(
     stream: Iterable[str],
     format: str = "tsv",
@@ -138,20 +107,35 @@ def parse_parallel(
     that fails normalization raises NormalizationError prefixed the same
     way. An empty stream yields an empty corpus (not an error).
     """
-    if format not in ("tsv", "jsonl"):
-        raise UsageError(f"unknown corpus format {format!r}")
     pairs: list[ParallelPair] = []
+    if format == "tsv":
+        # The line is stripped as iter_lines does, then normalized whole and
+        # split after (normalize_fields), so a NormalizationError's byte offset
+        # counts from the start of the line. Ids are positions: none repeats.
+        for lineno, line in enumerate(stream, start=1):
+            line = line.rstrip("\n").rstrip("\r")
+            if line.startswith("#"):
+                continue
+            if "\t" not in line:
+                raise FormatError(
+                    f"line {lineno}: expected a source and at least one reference (got 1 column)"
+                )
+            try:
+                source, *references = normalize_fields(line, policy)
+            except NormalizationError as exc:
+                raise NormalizationError(f"line {lineno}: {exc}") from exc
+            pairs.append(ParallelPair(str(len(pairs)), source, tuple(references)))
+        return Corpus(name=name, tag=tag, pairs=tuple(pairs), policy=policy)
+    if format != "jsonl":
+        raise UsageError(f"unknown corpus format {format!r}")
+    # A decoded JSON value may hold a real tab, so each value is normalized
+    # on its own, and a byte offset counts within its JSON string.
     seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
         try:
-            if format == "tsv":
-                if line.startswith("#"):
-                    continue
-                pair = _parse_tsv_line(line, lineno, policy, pair_id=str(len(pairs)))
-            else:
-                pair = _parse_jsonl_line(line, lineno, policy)
+            pair = _parse_jsonl_line(line, lineno, policy)
         except NormalizationError as exc:
-            raise _located(line, lineno, format, exc) from exc
+            raise NormalizationError(f"line {lineno}: {exc}") from exc
         if pair.id in seen_ids:
             raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
         seen_ids.add(pair.id)
@@ -216,7 +200,9 @@ def unify(parts: Sequence[Corpus], name: str = "joint") -> Corpus:
     joint = Corpus(name=name, tag=CorpusTag.JOINT, pairs=tuple(pairs), policy=policy)
     dupes = exact_duplicate_count(joint)
     if dupes:
-        logger.info("unify(%s): %d exact duplicate pair(s) kept", name, dupes)
+        import logging  # imported only here: the CLI's start-up would pay for it
+
+        logging.getLogger(__name__).info("unify(%s): %d exact duplicate pair(s) kept", name, dupes)
     return joint
 
 

@@ -63,6 +63,15 @@ def _check_scalars(text: str) -> None:
         raise NormalizationError(f"{kind} U+{code:04X} at byte offset {offset}")
 
 
+def _canonical(text: str, policy: NormalizePolicy) -> str:
+    _check_scalars(text)
+    if policy.unicode_form is UnicodeForm.NFC:
+        text = unicodedata.normalize("NFC", text)
+    if policy.width_fold:
+        text = text.translate(_WIDTH_FOLD_TABLE)
+    return text
+
+
 def normalize(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
     """Apply the policy to raw text. Idempotent and deterministic.
 
@@ -71,15 +80,23 @@ def normalize(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
     the reserved units U+0002 and U+001A, naming the first offender and its
     UTF-8 byte offset.
     """
-    _check_scalars(text)
-    out = text
-    if policy.unicode_form is UnicodeForm.NFC:
-        out = unicodedata.normalize("NFC", out)
-    if policy.width_fold:
-        out = out.translate(_WIDTH_FOLD_TABLE)
-    if policy.strip_outer_whitespace:
-        out = out.strip()
-    return out
+    out = _canonical(text, policy)
+    return out.strip() if policy.strip_outer_whitespace else out
+
+
+def normalize_fields(line: str, policy: NormalizePolicy = DEFAULT_POLICY) -> list[str]:
+    """The TAB-separated fields of line, each normalized under policy:
+    equal to ``[normalize(f, policy) for f in line.split("\\t")]``, from one
+    pass over the line.
+
+    This is exact because TAB is a starter (canonical combining class 0)
+    that no canonical composition or decomposition involves, so NFC never
+    acts across it, and the width-fold table does not map it. A
+    NormalizationError names the line's first offender, with its byte
+    offset counted from the start of the line.
+    """
+    fields = _canonical(line, policy).split("\t")
+    return [f.strip() for f in fields] if policy.strip_outer_whitespace else fields
 
 
 def units_of(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -420,13 +424,38 @@ def test_out_through_a_symlink_writes_the_linked_file(tmp_path, capsys):
     assert (tmp_path / "link.m2.manifest.json").exists()
 
 
-@pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\x1c", "\v", "\f"], ids=repr)
+@pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\x1c", "\v", "\f", "\r"], ids=repr)
 def test_score_csc_splits_hypotheses_only_at_line_feeds(tmp_path, capsys, sep):
     gold = _tsv(tmp_path / "gold.tsv", [(f"天汽{sep}很好", f"天气{sep}很好")])
     hyp = _write(tmp_path / "hyp.txt", f"天气{sep}很好\n")
     assert main(["score-csc", hyp, gold]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (report["n_sentences"], report["tp"], report["f_beta"]) == (1, 1, 1.0)
+
+
+def test_crlf_files_give_the_bytes_of_lf_files(tmp_path, capsys):
+    gold = "天汽很好\t天气很好\n# note\n他是学生生\t他是学生\n我们学习\t我们学习\n"
+    hyp = "天气很好\n他是学生生\n我们学习\n"
+    outputs = {}
+    for end in ("\n", "\r\n"):
+        folder = tmp_path / repr(end)[1:-1]
+        folder.mkdir()
+        gold_path, hyp_path, m2 = folder / "gold.tsv", folder / "hyp.txt", folder / "gold.m2"
+        gold_path.write_bytes(gold.replace("\n", end).encode("utf-8"))
+        hyp_path.write_bytes(hyp.replace("\n", end).encode("utf-8"))
+        m2.write_bytes(_GOLD_EDITS.replace("\n", end).encode("utf-8"))
+        cgc_hyp = _tsv(folder / "hyp.tsv", [("他是学生生", "他是学生"), ("天汽很号", "天汽很呺")])
+        runs = [
+            ["score-csc", str(hyp_path), str(gold_path)],
+            ["extract-edits", str(gold_path)],
+            ["score-cgc", cgc_hyp, str(m2)],
+        ]
+        outputs[end] = []
+        for argv in runs:
+            assert main(argv) == 0
+            outputs[end].append(capsys.readouterr().out)
+    assert outputs["\r\n"] == outputs["\n"]
+    assert "\r" not in "".join(outputs["\n"])
 
 
 @pytest.mark.parametrize("stage1_rows", [[("天汽很好", "天气很好")], []], ids=["one-pair", "empty"])
@@ -468,6 +497,35 @@ def test_version_and_bad_invocations(capsys):
     assert "zhcorrect" in capsys.readouterr().out
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_import_leaves_the_process_pool_unimported():
+    # A run with one job never starts a pool, so it does not import one.
+    done = _python(
+        "-S",
+        "-c",
+        "import sys, zhcorrect.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing', 'logging'} & set(sys.modules)))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("module", ["zhcorrect", "zhcorrect.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    done = _python("-m", module, "--version")
+    version = f"zhcorrect {zhcorrect.__version__}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, version, "")
 
 
 def test_env_var_sets_jobs_default(monkeypatch):

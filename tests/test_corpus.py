@@ -4,6 +4,9 @@ import random
 import pytest
 
 from zhcorrect import (
+    DEFAULT_POLICY,
+    RAW_POLICY,
+    WIDTHFOLD_POLICY,
     ConfigError,
     Corpus,
     CorpusTag,
@@ -11,12 +14,19 @@ from zhcorrect import (
     NormalizationError,
     ParallelPair,
     UsageError,
+    NormalizePolicy,
     exact_duplicate_count,
+    normalize,
     parse_parallel,
     serialize_parallel,
     split,
     unify,
+    units_of,
 )
+from zhcorrect.corpus import iter_lines
+from zhcorrect.synthetic import make_suite
+
+_POLICIES = [DEFAULT_POLICY, RAW_POLICY, WIDTHFOLD_POLICY]
 
 
 def _corpus_of(texts, name="c", tag=CorpusTag.OTHER):
@@ -239,3 +249,111 @@ def test_split_property_random():
         train, heldout = split(corpus, frac, seed=rng.randint(0, 999))
         assert len(heldout) == int(n * frac + 0.5)
         assert len(train) + len(heldout) == n
+
+
+# The TSV path of parse_parallel as it was when each field was normalized on
+# its own (units_of per column), kept verbatim but for the JSONL branch as the
+# oracle of the one-pass path (normalize_fields on the whole line).
+def _parse_tsv_line(line: str, lineno: int, policy: NormalizePolicy, pair_id: str) -> ParallelPair:
+    cols = line.split("\t")
+    if len(cols) < 2:
+        raise FormatError(
+            f"line {lineno}: expected a source and at least one reference "
+            f"(got {len(cols)} column{'s' if len(cols) != 1 else ''})"
+        )
+    return ParallelPair(
+        id=pair_id,
+        source=units_of(cols[0], policy),
+        references=tuple(units_of(c, policy) for c in cols[1:]),
+    )
+
+
+def _located(line: str, lineno: int, exc: NormalizationError) -> NormalizationError:
+    try:
+        normalize(line, RAW_POLICY)
+    except NormalizationError as whole:
+        exc = whole
+    return NormalizationError(f"line {lineno}: {exc}")
+
+
+def _oracle_parse_tsv(stream, policy=DEFAULT_POLICY, name="corpus", tag=CorpusTag.OTHER):
+    pairs: list[ParallelPair] = []
+    seen_ids: set[str] = set()
+    for lineno, line in enumerate(iter_lines(stream), start=1):
+        try:
+            if line.startswith("#"):
+                continue
+            pair = _parse_tsv_line(line, lineno, policy, pair_id=str(len(pairs)))
+        except NormalizationError as exc:
+            raise _located(line, lineno, exc) from exc
+        if pair.id in seen_ids:
+            raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
+        seen_ids.add(pair.id)
+        pairs.append(pair)
+    return Corpus(name=name, tag=tag, pairs=tuple(pairs), policy=policy)
+
+
+def _both_parses(text, policy):
+    got = parse_parallel(io.StringIO(text), "tsv", policy, name="n", tag=CorpusTag.CSC)
+    want = _oracle_parse_tsv(io.StringIO(text), policy, name="n", tag=CorpusTag.CSC)
+    return got, want
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=["default", "none", "widthfold"])
+def test_tsv_parse_equals_per_field_oracle_on_the_suite(policy):
+    suite = make_suite(0)
+    for corpus in (suite.stage1, suite.csc, suite.cgc, suite.joint, suite.eval_csc):
+        got, want = _both_parses(serialize_parallel(corpus, "tsv"), policy)
+        assert got == want
+        assert len(got) == len(corpus)
+
+
+# Text that sits next to the tabs: padding that strip removes, NFD pinyin,
+# half-width punctuation, a combining mark that could compose across a tab.
+_TSV_PIECES = ["天", "气", "学生", " ", "\u3000", "\x1c", "a\u0301", "\u0301", "ǎ", ",", "!", "#", "\r"]
+
+
+def _random_tsv(rng):
+    lines = []
+    for _ in range(rng.randint(0, 40)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append("#" + "".join(rng.choices(_TSV_PIECES, k=rng.randint(0, 5))))
+            continue
+        fields = [
+            "".join(rng.choices(_TSV_PIECES, k=rng.randint(0, 6)))
+            for _ in range(rng.randint(2, 4))
+        ]
+        lines.append("\t".join(fields))
+    ends = ["\n", "\n", "\r\n"]
+    text = "".join(line + rng.choice(ends) for line in lines)
+    return text if rng.random() < 0.8 else text.rstrip("\n")
+
+
+def test_tsv_parse_equals_per_field_oracle_on_random_lines():
+    rng = random.Random(13)
+    for _ in range(400):
+        text = _random_tsv(rng)
+        for policy in _POLICIES:
+            got, want = _both_parses(text, policy)
+            assert got == want
+
+
+_BAD_LINES = ["只有源", "", "\r", " 天\u0301\t\x1a", "天气\t天\udfff\t天\x02"] + [
+    "\t".join("天\u0301气" if i != column else f"天{bad}气" for i in range(3))
+    for bad in ("\x02", "\x1a", "\ud800")
+    for column in range(3)
+]
+
+
+@pytest.mark.parametrize("line", _BAD_LINES, ids=repr)
+def test_tsv_errors_equal_the_per_field_oracle(line):
+    text = f"# head\n天汽\t天气\r\n{line}\n天\t天\n"
+    for policy in _POLICIES:
+        with pytest.raises((FormatError, NormalizationError)) as got:
+            parse_parallel(io.StringIO(text), "tsv", policy)
+        with pytest.raises((FormatError, NormalizationError)) as want:
+            _oracle_parse_tsv(io.StringIO(text), policy)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("line 3: ")

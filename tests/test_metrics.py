@@ -142,6 +142,22 @@ def test_score_csc_counts_and_f1():
     assert report.n_sentences == 3
 
 
+def test_score_csc_counts_follow_csc_outcome():
+    # Every equality pattern of (source, reference, hypothesis), one at a time
+    # and all together, counted from csc_outcome's flags as the oracle.
+    texts = ("甲", "乙", "丙")
+    items = [(s, r, h) for s in texts for r in texts for h in texts]
+    for batch in [[item] for item in items] + [items]:
+        tp = fp = fn = 0
+        for item in batch:
+            o = csc_outcome(*item)
+            tp += o.gold_changed and o.exact_correct
+            fn += o.gold_changed and not o.exact_correct
+            fp += o.hyp_changed and not (o.gold_changed and o.exact_correct)
+        counts = score_csc(batch).counts
+        assert (counts.tp, counts.fp, counts.fn) == (tp, fp, fn)
+
+
 def test_score_csc_perfect_and_do_nothing():
     items = [(s, r, r) for s, r, _ in _csc_fixture()]
     assert score_csc(items).f_beta == pytest.approx(1.0)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhcorrect import (
     DEFAULT_POLICY,
@@ -13,6 +15,7 @@ from zhcorrect import (
     units_of,
 )
 from zhcorrect.model import BOUNDARY, UNK
+from zhcorrect.textnorm import normalize_fields
 
 _POOL = (
     "我爱北京他是学生天气很好"
@@ -177,3 +180,31 @@ def test_policy_enum_values():
     assert UnicodeForm.NFC.value == "nfc"
     assert DEFAULT_POLICY.strip_outer_whitespace
     assert not DEFAULT_POLICY.width_fold
+
+
+# Units that a whole-line pass could get wrong at a tab: combining marks, NFD
+# pinyin and Hangul jamo that compose with a neighbour, singletons that NFC
+# replaces, whitespace that strip removes (U+001C, U+0085, U+3000, CR),
+# half-width punctuation, the reserved units and both surrogate halves.
+_FIELD_UNITS = (
+    "\t\t\t天气ae,.! \r\x1c\x85\u3000"
+    "\u0301\u0300\u0308\u0304\u1100\u1161\u11a8\uac00\u212b\u0344"
+    "\x02\x1a\ud800\udc00"
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(
+    st.lists(st.sampled_from(_FIELD_UNITS), max_size=24).map("".join),
+    st.sampled_from([DEFAULT_POLICY, RAW_POLICY, WIDTHFOLD_POLICY]),
+)
+def test_normalize_fields_equals_normalize_per_field(line, policy):
+    try:
+        normalize(line, RAW_POLICY)
+    except NormalizationError as whole:
+        # the line's first offender, its offset counted from the line's start
+        with pytest.raises(NormalizationError) as err:
+            normalize_fields(line, policy)
+        assert str(err.value) == str(whole)
+        return
+    assert normalize_fields(line, policy) == [normalize(f, policy) for f in line.split("\t")]
