@@ -89,6 +89,22 @@ class AlignmentPath:
                 j += 1
 
 
+def _run_length(a: str, b: str) -> int:
+    """Length of the longest common prefix of a and b.
+
+    A binary search over slice comparisons, so the units are compared in C,
+    not one per Python step.
+    """
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) >> 1
+        if a[:mid] == b[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def align(src: str, tgt: str) -> AlignmentPath:
     """Globally minimum-cost alignment with a deterministic tie-break.
 
@@ -114,23 +130,50 @@ def align(src: str, tgt: str) -> AlignmentPath:
     Python ints serve as m-bit vectors, so each source unit costs a fixed
     number of int operations however long the target is, and memory is n+1
     pairs of m-bit ints instead of an (n+1)x(m+1) table.
+
+    The recurrence, and with it n, m, Pv and Mv above, covers only the core
+    x, y of the pair: what is left of src and tgt after cutting their
+    common prefix of p units and then the common suffix w (s units) of the
+    rests. As in E. W. Myers ("An O(ND) difference algorithm and its
+    variations", Algorithmica 1(2), 1986) the free diagonal runs come
+    first. The rest of the walk is forced, so the ops are those of the
+    whole-pair table:
+
+    - the walk takes M on every equal pair without a lookup, so the prefix
+      is "M" * p;
+    - ed(x' + w, y' + w) = ed(x', y') at unit costs, so every cost the walk
+      reads inside the core box, up to and including its last row and
+      column, equals the same cell of the core's own table;
+    - once the walk reaches the core's last row or column, one side's rest
+      is w and the other's is a tail of the core followed by w. The cost
+      left is then the length gap, which S can never keep, so each step is
+      M on equal units and otherwise I (the source core is used up) or D
+      (the target core is). At the corner this is "M" * s.
+
+    The greedy tail, not "M" * s appended after the core's D/I rest, keeps
+    the tie-break: xbb/yb aligns as SMD, not SDM.
     """
     n, m = len(src), len(tgt)
     if src == tgt:
         # All matches: with unit costs a match is always an optimal
         # continuation, the walk's own first choice.
         return AlignmentPath(src=src, tgt=tgt, ops="M" * n, total_cost=0.0)
-    full = (1 << m) - 1
-    # peq[u] has bit c-1 set where tgt[m-c] == u: the target, reversed.
+    p = _run_length(src, tgt)
+    s = _run_length(src[p:][::-1], tgt[p:][::-1])
+    x, y = src[p : n - s], tgt[p : m - s]
+    nx, my = len(x), len(y)
+
+    full = (1 << my) - 1
+    # peq[u] has bit c-1 set where y[my-c] == u: the target core, reversed.
     peq: dict[str, int] = {}
-    bit = 1 << m
-    for unit in tgt:
+    bit = 1 << my
+    for unit in y:
         bit >>= 1
         peq[unit] = peq.get(unit, 0) | bit
 
     pvs, mvs = [full], [0]
     pv, mv = full, 0
-    for unit in reversed(src):
+    for unit in reversed(x):
         eq = peq.get(unit, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
@@ -144,19 +187,19 @@ def align(src: str, tgt: str) -> AlignmentPath:
         pvs.append(pv)
         mvs.append(mv)
 
-    total = n + pv.bit_count() - mv.bit_count()
-    ops: list[str] = []
+    total = nx + pv.bit_count() - mv.bit_count()
+    ops = ["M" * p]
     i = j = 0
     here = total
-    while i < n and j < m:
-        if src[i] == tgt[j]:
+    while i < nx and j < my:
+        if x[i] == y[j]:
             # With unit costs a match is always an optimal continuation.
             ops.append("M")
             i += 1
             j += 1
             continue
-        r = n - i - 1
-        mask = (1 << (m - j - 1)) - 1
+        r = nx - i - 1
+        mask = (1 << (my - j - 1)) - 1
         diag = r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count()
         if diag + 1 == here:
             ops.append("S")
@@ -174,7 +217,24 @@ def align(src: str, tgt: str) -> AlignmentPath:
             ops.append("I")
             j += 1
             here -= 1
-    # One side is used up: the rest of the other is deleted or inserted.
+
+    # The forced tail: runs of M, each ended by the one op that skips a unit
+    # of the longer rest, until one side is used up.
+    skip = "I" if i == nx else "D"
+    i += p
+    j += p
+    while True:
+        run = _run_length(src[i:], tgt[j:])
+        ops.append("M" * run)
+        i += run
+        j += run
+        if i == n or j == m:
+            break
+        ops.append(skip)
+        if skip == "I":
+            j += 1
+        else:
+            i += 1
     ops.append("D" * (n - i) + "I" * (m - j))
     return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=float(total))
 

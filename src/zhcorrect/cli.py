@@ -185,11 +185,12 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
         for path in args.files:
             try:
                 payload = _read(path, json.load)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise FormatError(f"{path}: not a report JSON: {exc}") from None
-            if not isinstance(payload, dict) or "f_beta" not in payload:
-                raise FormatError(f"{path}: report JSON lacks an f_beta field")
-            values.append(payload["f_beta"])
+            value = payload.get("f_beta") if isinstance(payload, dict) else None
+            if type(value) not in (int, float):
+                raise FormatError(f"{path}: report JSON lacks a numeric f_beta field")
+            values.append(value)
         print(f"Avg. F1 {macro_average(values):.4f}")
         return 0
 

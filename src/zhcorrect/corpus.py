@@ -69,6 +69,8 @@ def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> Parall
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise FormatError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise FormatError(f"line {lineno}: invalid JSON (nested too deep)") from None
     if not isinstance(obj, dict):
         raise FormatError(f"line {lineno}: expected a JSON object")
     try:

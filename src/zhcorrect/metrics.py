@@ -13,6 +13,7 @@ Conventions, stated once because they decide the numbers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -57,6 +58,12 @@ class CscSentenceOutcome:
     exact_correct: bool
 
 
+def _check_beta(beta: float) -> None:
+    # NaN fails both comparisons; an infinite beta makes every F NaN.
+    if not 0.0 < beta < math.inf:
+        raise UsageError(f"beta must be finite and > 0, got {beta}")
+
+
 def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
     """Weighted harmonic mean of precision and recall.
 
@@ -67,8 +74,7 @@ def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
         raise UsageError(f"precision must be in [0, 1], got {precision}")
     if not 0.0 <= recall <= 1.0:
         raise UsageError(f"recall must be in [0, 1], got {recall}")
-    if beta <= 0.0:
-        raise UsageError(f"beta must be > 0, got {beta}")
+    _check_beta(beta)
     denominator = beta * beta * precision + recall
     if denominator == 0.0:
         return 0.0
@@ -192,6 +198,7 @@ def score_cgc(
     any order-preserving map will do, such as one that fans out over
     processes (func is picklable).
     """
+    _check_beta(beta)
     if not hyp_corpus:
         raise UsageError("score_cgc needs at least one sentence")
     if len(hyp_corpus) != len(gold.records):

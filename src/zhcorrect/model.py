@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -35,6 +36,9 @@ MODEL_FORMAT = "zhcorrect-model"
 MODEL_VERSION = 1
 
 DEFAULT_ORDER = 3
+# An LM context is a str of order-1 units, built for every unit the model
+# counts or scores; an order past the longest sentence only adds padding.
+MAX_ORDER = 64
 DEFAULT_SMOOTHING_K = 0.01
 DEFAULT_MIX_GRID: tuple[float, ...] = tuple(i / 20 for i in range(21))
 
@@ -56,10 +60,10 @@ class StageConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ConfigError(f"lm order must be >= 1, got {self.order}")
-        if self.smoothing_k <= 0.0:
-            raise ConfigError(f"smoothing_k must be > 0, got {self.smoothing_k}")
+        if not 1 <= self.order <= MAX_ORDER:
+            raise ConfigError(f"lm order must be in [1, {MAX_ORDER}], got {self.order}")
+        if not 0.0 < self.smoothing_k < math.inf:
+            raise ConfigError(f"smoothing_k must be finite and > 0, got {self.smoothing_k}")
         if not 0.0 < self.heldout_fraction < 1.0:
             raise ConfigError(
                 f"heldout_fraction must be in (0, 1), got {self.heldout_fraction}"
@@ -80,9 +84,23 @@ def stage2_config(**overrides) -> StageConfig:
     return StageConfig(stage=Stage.STAGE2, **overrides)
 
 
-def _check_smoothing(owner: str, k: float) -> None:
+def _check_smoothing(owner: str, k: float, totals: dict[str, int], vocab_size: int) -> None:
+    """k must keep every add-k probability (count + k) / (total + k·|V|) of
+    the table a normal float: then a mixture of two, at any weight, is at
+    least half the smaller and stays positive, so its log is finite. The
+    least of them is k / (largest total + k·|V|), as float division rounds
+    monotonically."""
     if not 0.0 < k < math.inf:
         raise StructuralError(f"{owner} smoothing_k must be finite and > 0, got {k!r}")
+    try:
+        least = k / (max(totals.values(), default=0) + k * vocab_size)
+    except OverflowError:  # a count total beyond any float
+        least = 0.0
+    if not least >= sys.float_info.min:
+        raise ConfigError(
+            f"{owner} smoothing_k {k!r} makes a probability {least!r} over "
+            f"{vocab_size} units; every probability must be a positive normal float"
+        )
 
 
 def _context_key(vocab: AbstractSet[str], order: int, prefix: str) -> str:
@@ -108,9 +126,11 @@ class NgramLM:
     vocab: frozenset[str]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or self.order < 1:
-            raise StructuralError(f"lm order must be an integer >= 1, got {self.order!r}")
-        _check_smoothing("lm", self.smoothing_k)
+        if not isinstance(self.order, int) or not 1 <= self.order <= MAX_ORDER:
+            raise StructuralError(
+                f"lm order must be an integer in [1, {MAX_ORDER}], got {self.order!r}"
+            )
+        _check_smoothing("lm", self.smoothing_k, self.context_totals, len(self.vocab))
         if UNK not in self.vocab:
             raise StructuralError("lm vocab must contain the UNK unit")
 
@@ -134,7 +154,7 @@ class ConfusionChannel:
     vocab: frozenset[str]
 
     def __post_init__(self) -> None:
-        _check_smoothing("channel", self.smoothing_k)
+        _check_smoothing("channel", self.smoothing_k, self.totals, len(self.vocab))
         if UNK not in self.vocab:
             raise StructuralError("channel vocab must contain the UNK unit")
 
@@ -463,6 +483,21 @@ def save_model(model: MixtureCorrectorModel, path: str) -> None:
     )
 
 
+def _count_table(raw: object) -> dict[str, Counter]:
+    """A container's count table, key -> unit -> count. decode emits the
+    counted units, so each must be a single unit."""
+    if not isinstance(raw, dict):
+        raise StructuralError("a count table must be a JSON object")
+    table = {}
+    for key, counts in raw.items():
+        if not isinstance(counts, dict) or not all(
+            len(u) == 1 and type(n) is int and n >= 0 for u, n in counts.items()
+        ):
+            raise StructuralError("counts must map single units to non-negative integers")
+        table[key] = Counter(counts)
+    return table
+
+
 def load_model(path: str) -> MixtureCorrectorModel:
     """Read a container written by save_model. An unreadable path is a
     UsageError; anything but a well-formed container is a FormatError."""
@@ -471,7 +506,7 @@ def load_model(path: str) -> MixtureCorrectorModel:
             payload = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise FormatError(f"{path}: not a model container: {exc}") from None
     if not isinstance(payload, dict) or payload.get("format") != MODEL_FORMAT:
         raise FormatError(f"{path}: not a {MODEL_FORMAT} container")
@@ -482,12 +517,10 @@ def load_model(path: str) -> MixtureCorrectorModel:
         )
     try:
         vocab = frozenset(payload["vocab"])
-        lm_counts = {key: Counter(c) for key, c in payload["lm_counts"].items()}
-        ch_counts = {key: Counter(c) for key, c in payload["channel_counts"].items()}
-        for table in (lm_counts, ch_counts):
-            for c in table.values():
-                if not all(type(n) is int and n >= 0 for n in c.values()):
-                    raise StructuralError("counts must be non-negative integers")
+        if not all(type(u) is str and len(u) == 1 for u in vocab):
+            raise StructuralError("vocab must be a list of single units")
+        lm_counts = _count_table(payload["lm_counts"])
+        ch_counts = _count_table(payload["channel_counts"])
         lm = NgramLM(
             order=payload["order"],
             smoothing_k=payload["lm_smoothing_k"],

@@ -191,6 +191,74 @@ def test_align_signature_is_stable():
     assert cli.align is metrics.align is model.align is align
 
 
+def _untrimmed_align(src: str, tgt: str) -> AlignmentPath:
+    """Reference: align as it was before the common prefix and suffix were
+    trimmed, running the bit-parallel recurrence over the whole pair. Kept
+    verbatim as an oracle."""
+    n, m = len(src), len(tgt)
+    if src == tgt:
+        # All matches: with unit costs a match is always an optimal
+        # continuation, the walk's own first choice.
+        return AlignmentPath(src=src, tgt=tgt, ops="M" * n, total_cost=0.0)
+    full = (1 << m) - 1
+    # peq[u] has bit c-1 set where tgt[m-c] == u: the target, reversed.
+    peq: dict[str, int] = {}
+    bit = 1 << m
+    for unit in tgt:
+        bit >>= 1
+        peq[unit] = peq.get(unit, 0) | bit
+
+    pvs, mvs = [full], [0]
+    pv, mv = full, 0
+    for unit in reversed(src):
+        eq = peq.get(unit, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        # Row 0 of E grows by one per source unit: shift in a +1.
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
+        mv = ph & xv
+        pvs.append(pv)
+        mvs.append(mv)
+
+    total = n + pv.bit_count() - mv.bit_count()
+    ops: list[str] = []
+    i = j = 0
+    here = total
+    while i < n and j < m:
+        if src[i] == tgt[j]:
+            # With unit costs a match is always an optimal continuation.
+            ops.append("M")
+            i += 1
+            j += 1
+            continue
+        r = n - i - 1
+        mask = (1 << (m - j - 1)) - 1
+        diag = r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count()
+        if diag + 1 == here:
+            ops.append("S")
+            i += 1
+            j += 1
+            here = diag
+            continue
+        mask = (mask << 1) | 1
+        up = r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count()
+        if up + 1 == here:
+            ops.append("D")
+            i += 1
+            here = up
+        else:
+            ops.append("I")
+            j += 1
+            here -= 1
+    # One side is used up: the rest of the other is deleted or inserted.
+    ops.append("D" * (n - i) + "I" * (m - j))
+    return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=float(total))
+
+
 def _full_table_align(src: str, tgt: str) -> AlignmentPath:
     """Reference: align as it was before the band, filling the whole
     (n+1)x(m+1) suffix table. Kept verbatim as an oracle, at the unit costs
@@ -305,6 +373,7 @@ def _band_suffix(s: tuple[str, ...], t: tuple[str, ...], lo: int, hi: int) -> li
 
 def _assert_matches_oracles(src: str, tgt: str, path: AlignmentPath | None = None) -> None:
     path = align(src, tgt) if path is None else path
+    assert path == _untrimmed_align(src, tgt), (src, tgt)
     assert path == _full_table_align(src, tgt), (src, tgt)
     assert path == _banded_align(src, tgt), (src, tgt)
 
@@ -379,6 +448,58 @@ def test_equal_pair_is_all_matches():
         _assert_matches_oracles(text, text, path)
 
 
+def _trim_pair(rng):
+    """prefix + core_a + suffix against prefix + core_b + suffix. Cores are
+    often empty on one side (a pure insertion or deletion), and a small
+    alphabet makes runs of equal units that cross the trim boundary."""
+    alphabet = _CJK[: rng.choice([1, 2, 3, 6, 120])]
+
+    def text(top):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, top)))
+
+    prefix, suffix = text(rng.choice([0, 3, 40])), text(rng.choice([0, 3, 40]))
+    core_a = text(6)
+    core_b = "" if rng.random() < 0.3 else text(6)
+    if rng.random() < 0.3:  # a unit of the shared run doubled or dropped
+        run = prefix[-1:] if rng.random() < 0.5 else suffix[:1]
+        core_b = core_b + run * rng.randint(1, 3)
+    src, tgt = prefix + core_a + suffix, prefix + core_b + suffix
+    return (tgt, src) if rng.random() < 0.5 else (src, tgt)
+
+
+def test_trimmed_align_matches_untrimmed_on_shared_prefix_and_suffix():
+    rng = random.Random(10)
+    for _ in range(3000):
+        src, tgt = _trim_pair(rng)
+        path = align(src, tgt)
+        expected = _untrimmed_align(src, tgt)
+        assert (path.ops, path.total_cost) == (expected.ops, expected.total_cost), (src, tgt)
+
+
+@pytest.mark.parametrize(
+    ("src", "tgt", "ops"),
+    [
+        # Appending "M" * s after the core's D/I rest would give SDM here.
+        ("xbb", "yb", "SMD"),
+        ("yb", "xbb", "SMI"),
+        ("他是学生生", "他是学生", "MMMMD"),
+        ("ab", "aXb", "MIM"),
+        ("aXb", "ab", "MDM"),
+        ("北京", "X北京", "IMM"),
+        ("北京", "北京X", "MMI"),
+        ("X北京", "北京", "DMM"),
+        ("北京X", "北京", "MMD"),
+        ("学学学", "学学学学学", "MMMII"),
+        ("学学学学学", "学学学", "MMMDD"),
+    ],
+)
+def test_trimmed_align_edge_cases(src, tgt, ops):
+    path = align(src, tgt)
+    assert path.ops == ops
+    assert path == _untrimmed_align(src, tgt)
+    assert path.total_cost == oracle_min_cost(src, tgt)
+
+
 def test_band_memory_stays_within_the_full_table():
     # align keeps n+1 pairs of m-bit ints, so a source much longer than the
     # target stays far below the full (n+1)*(m+1) table (here about 15,000
@@ -402,9 +523,14 @@ def _small_alphabet_pairs(draw):
     text = st.text(alphabet=alphabet, max_size=30)
     src = draw(text)
     # Random pairs almost never coincide, so a quarter are (s, s) outright.
-    if draw(st.integers(0, 3)) == 0:
-        return src, src
-    return src, draw(text)
+    tgt = src if draw(st.integers(0, 3)) == 0 else draw(text)
+    # Half share a prefix and a suffix, which align trims before its DP; the
+    # small alphabet makes runs that cross the trim boundary.
+    if draw(st.booleans()):
+        shared = st.text(alphabet=[*alphabet, *_CJK[:8]], max_size=12)
+        prefix, suffix = draw(shared), draw(shared)
+        src, tgt = prefix + src + suffix, prefix + tgt + suffix
+    return src, tgt
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -413,5 +539,6 @@ def test_align_matches_oracle_and_its_edits_rebuild_the_target(pair):
     src, tgt = pair
     path = align(src, tgt)
     assert path == _banded_align(src, tgt)
+    assert path == _untrimmed_align(src, tgt)
     for policy in MergePolicy:
         assert apply_edits(src, extract_edits(path, policy)) == tgt

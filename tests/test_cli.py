@@ -124,6 +124,20 @@ def test_score_cgc_beta_flag(tmp_path, capsys):
     assert "F1" in out and "0.4000" in out
 
 
+@pytest.mark.parametrize("beta", ["0", "-1", "nan", "inf"])
+def test_score_cgc_rejects_a_beta_that_is_not_finite_and_positive(tmp_path, capsys, monkeypatch, beta):
+    gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
+    hyp = _tsv(tmp_path / "hyp.tsv", [("他是学生生", "他是学生"), ("天汽很号", "天汽很呺")])
+
+    def no_align(src, tgt):
+        raise AssertionError("a sentence was aligned before beta was checked")
+
+    monkeypatch.setattr("zhcorrect.metrics.align", no_align)
+    assert main(["score-cgc", hyp, gold, "--beta", beta]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: beta must be finite and > 0, got {float(beta)}"]
+
+
 def test_score_cgc_missing_gold_record(tmp_path, capsys):
     gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
     hyp = _tsv(tmp_path / "hyp.tsv", [("从未见过", "从未见过")])
@@ -387,6 +401,29 @@ def test_correct_rejects_zero_model_parameters(tmp_path, capsys, field):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "order" in err or "smoothing_k" in err
+
+
+@pytest.mark.parametrize(
+    ("flag", "value", "message"),
+    [
+        # k·|V| overflows to inf, so a probability is k / inf = 0.
+        ("--smoothing-k", "1e308", "error: lm smoothing_k 1e+308 makes a probability 0.0"),
+        # k / (total + k·|V|) underflows to 0.
+        ("--smoothing-k", "5e-324", "error: lm smoothing_k 5e-324 makes a probability 0.0"),
+        ("--smoothing-k", "nan", "error: smoothing_k must be finite and > 0, got nan"),
+        ("--order", "1" + "0" * 30, "error: lm order must be in [1, 64], got 1" + "0" * 30),
+    ],
+)
+def test_train_rejects_settings_that_zero_a_probability_or_overflow_the_order(
+    tmp_path, capsys, flag, value, message
+):
+    parallel = _tsv(tmp_path / "p.tsv", [("天汽很好", "天气很好"), ("他是学圣", "他是学生")] * 3)
+    model = tmp_path / "m.json"
+    argv = ["train", "--stage1", parallel, "--stage2", parallel, flag, value, "--out", str(model)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(message), err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("command", ["extract-edits", "correct", "train", "score-csc"])

@@ -62,6 +62,9 @@ def test_f_beta_range_checks():
         f_beta(0.5, 0.5, 0.0)
     with pytest.raises(UsageError):
         f_beta(0.5, 0.5, -1.0)
+    for beta in (math.nan, math.inf):
+        with pytest.raises(UsageError):
+            f_beta(0.5, 0.5, beta)
 
 
 def test_f_beta_bounds_and_precision_weighting():
