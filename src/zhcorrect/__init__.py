@@ -33,12 +33,10 @@ from .corpus import (
     unify,
 )
 from .alignment import (
-    ORACLE_MAX_TOTAL_UNITS,
     AlignOp,
     AlignmentPath,
     OpKind,
     align,
-    oracle_min_cost,
 )
 from .edits import (
     EMPTY_REPLACEMENT_MARK,
@@ -57,9 +55,7 @@ from .edits import (
     parse_edit_file,
 )
 from .metrics import (
-    CscSentenceOutcome,
     ScoreReport,
-    csc_outcome,
     f_beta,
     macro_average,
     precision_recall,
@@ -88,7 +84,6 @@ from .model import (
     stage2_config,
     stage_heldout,
 )
-from .synthetic import CONFUSION, WORD_INVENTORY, SyntheticSuite, make_suite
 
 __all__ = [
     "__version__",
@@ -100,12 +95,12 @@ __all__ = [
     "Corpus", "CorpusTag", "ParallelPair",
     "parse_parallel", "serialize_parallel", "exact_duplicate_count", "unify", "split",
     "AlignOp", "AlignmentPath", "OpKind",
-    "ORACLE_MAX_TOTAL_UNITS", "align", "oracle_min_cost",
+    "align",
     "Edit", "EditKind", "EditSet", "MergePolicy", "MatchCounts",
     "GoldRecord", "GoldEditCorpus", "EMPTY_REPLACEMENT_MARK",
     "classify_kind", "extract_edits", "apply_edits", "match_edits",
     "format_edit_records", "parse_edit_file",
-    "ScoreReport", "CscSentenceOutcome", "csc_outcome",
+    "ScoreReport",
     "f_beta", "precision_recall", "macro_average",
     "score_csc", "score_cgc", "sentence_edit_counts",
     "BOUNDARY", "UNK", "DEFAULT_MIX_GRID",
@@ -116,3 +111,13 @@ __all__ = [
     "stage1_config", "stage2_config",
     "SyntheticSuite", "WORD_INVENTORY", "CONFUSION", "make_suite",
 ]
+
+
+def __getattr__(name: str):
+    """The synthetic module's names, imported on first use (PEP 562): no
+    command needs them, so none pays for that import."""
+    if name not in ("SyntheticSuite", "WORD_INVENTORY", "CONFUSION", "make_suite"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import synthetic
+
+    return getattr(synthetic, name)

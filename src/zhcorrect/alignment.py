@@ -13,16 +13,13 @@ spells them out as `AlignOp`s with their cursor positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import compress
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import UsageError
-
-# Brute-force oracle refuses above this combined length (exponential search).
-ORACLE_MAX_TOTAL_UNITS = 12
-
+from .records import Checked
 
 class OpKind(Enum):
     MATCH = "match"
@@ -37,8 +34,7 @@ _DROP_INS = str.maketrans("", "", "I")
 _DROP_DEL = str.maketrans("", "", "D")
 
 
-@dataclass(frozen=True)
-class AlignOp:
+class AlignOp(NamedTuple):
     """One step of an alignment path.
 
     src_index/tgt_index are the cursor positions *before* the op: match and
@@ -51,32 +47,28 @@ class AlignOp:
     tgt_index: int
 
 
-@dataclass(frozen=True)
-class AlignmentPath:
+class AlignmentPath(Checked, namedtuple("AlignmentPath", "src tgt ops total_cost")):
     """A monotone op path from (0,0) to (n,m) over src and tgt, as a str of
     M/S/D/I codes."""
 
-    src: str
-    tgt: str
-    ops: str
-    total_cost: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        ops = self.ops
+    def __new__(cls, src: str, tgt: str, ops: str, total_cost: float) -> AlignmentPath:
         if not isinstance(ops, str) or ops.translate(_NON_CODES):
             raise UsageError(f"ops must be a str of M/S/D/I codes, got {ops!r}")
         # Each code but I consumes a source unit, each but D a target unit.
         on_src, on_tgt = ops.translate(_DROP_INS), ops.translate(_DROP_DEL)
-        if (len(on_src), len(on_tgt)) != (len(self.src), len(self.tgt)):
+        if (len(on_src), len(on_tgt)) != (len(src), len(tgt)):
             raise UsageError(
                 f"path ends at ({len(on_src)},{len(on_tgt)}), "
-                f"expected ({len(self.src)},{len(self.tgt)})"
+                f"expected ({len(src)},{len(tgt)})"
             )
         # The k-th M joins the k-th matched unit of each side.
-        if "".join(compress(self.src, map("M".__eq__, on_src))) != "".join(
-            compress(self.tgt, map("M".__eq__, on_tgt))
+        if "".join(compress(src, map("M".__eq__, on_src))) != "".join(
+            compress(tgt, map("M".__eq__, on_tgt))
         ):
             raise UsageError("a match op joins unequal units")
+        return tuple.__new__(cls, (src, tgt, ops, total_cost))
 
     def steps(self) -> Iterator[AlignOp]:
         """The path's ops with the cursor positions before each."""
@@ -238,31 +230,3 @@ def align(src: str, tgt: str) -> AlignmentPath:
     ops.append("D" * (n - i) + "I" * (m - j))
     return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=float(total))
 
-
-def oracle_min_cost(src: str, tgt: str) -> float:
-    """Minimum alignment cost by plain brute-force recursion (no memoization).
-
-    Test oracle only: refuses pairs with more than ORACLE_MAX_TOTAL_UNITS
-    combined units.
-    """
-    n, m = len(src), len(tgt)
-    if n + m > ORACLE_MAX_TOTAL_UNITS:
-        raise UsageError(
-            f"oracle_min_cost refuses {n}+{m} units (limit {ORACLE_MAX_TOTAL_UNITS})"
-        )
-
-    def go(i: int, j: int) -> float:
-        if i == n:
-            return float(m - j)
-        if j == m:
-            return float(n - i)
-        best = go(i + 1, j + 1) + (0.0 if src[i] == tgt[j] else 1.0)
-        del_cost = go(i + 1, j) + 1.0
-        if del_cost < best:
-            best = del_cost
-        ins_cost = go(i, j + 1) + 1.0
-        if ins_cost < best:
-            best = ins_cost
-        return best
-
-    return go(0, 0)

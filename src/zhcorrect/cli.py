@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-import traceback
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence, TextIO, TypeVar
@@ -86,17 +85,19 @@ def _write_manifest(args: argparse.Namespace, inputs: Sequence[str], started: fl
 
 
 def _pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """Order-preserving map, fanned out over processes when jobs > 1."""
+    """Order-preserving map, fanned out over processes when jobs > 1: at most
+    jobs of them, and no more than there are items or CPUs."""
     if jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    if jobs == 1 or len(items) <= 1:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [func(item) for item in items]
     # Imported here, so that a run with one job does not pay for the pool's
     # import (concurrent.futures, multiprocessing, logging) at start-up.
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(items) // (jobs * 4))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    chunk = max(1, len(items) // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(func, items, chunksize=chunk))
 
 
@@ -393,6 +394,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
+        import traceback  # imported only here: every other run would pay for it
+
         traceback.print_exc()
         return 1
 

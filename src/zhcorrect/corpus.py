@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, FormatError, NormalizationError, UsageError
+from .records import Checked, Record
 from .textnorm import DEFAULT_POLICY, NormalizePolicy, normalize_fields, units_of
 
 
@@ -29,33 +29,31 @@ class CorpusTag(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class ParallelPair:
+class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
     """A source sentence with one or more reference corrections."""
 
-    id: str
-    source: str
-    references: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.references:
-            raise UsageError(f"pair {self.id!r} has no references")
+    def __new__(cls, id: str, source: str, references: tuple[str, ...]) -> ParallelPair:
+        if not references:
+            raise UsageError(f"pair {id!r} has no references")
+        return tuple.__new__(cls, (id, source, references))
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(Record):
     """An immutable list of pairs sharing one normalization policy."""
 
-    name: str
-    tag: CorpusTag
-    pairs: tuple[ParallelPair, ...]
-    policy: NormalizePolicy = DEFAULT_POLICY
+    __slots__ = _fields = ("name", "tag", "pairs", "policy")
 
-    def __post_init__(self) -> None:
-        ids = [p.id for p in self.pairs]
+    def __init__(
+        self, name: str, tag: CorpusTag, pairs: tuple[ParallelPair, ...],
+        policy: NormalizePolicy = DEFAULT_POLICY,
+    ) -> None:
+        ids = [p.id for p in pairs]
         if len(set(ids)) != len(ids):
             dupe = next(i for i, c in Counter(ids).items() if c > 1)
-            raise UsageError(f"corpus {self.name!r} has duplicate pair id {dupe!r}")
+            raise UsageError(f"corpus {name!r} has duplicate pair id {dupe!r}")
+        self._set(name, tag, pairs, policy)
 
     def __len__(self) -> int:
         return len(self.pairs)

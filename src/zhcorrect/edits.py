@@ -15,13 +15,14 @@ with zero "A" lines denotes a single no-edit reference (ref 0).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .alignment import AlignmentPath
 from .corpus import iter_lines
 from .errors import FormatError, StructuralError, UsageError
+from .records import Checked, Record
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
 
@@ -55,8 +56,7 @@ def classify_kind(start: int, end: int, replacement_len: int) -> EditKind:
     return EditKind.COMPLEX
 
 
-@dataclass(frozen=True)
-class Edit:
+class Edit(Checked, namedtuple("Edit", "start end replacement")):
     """Replace source units [start, end) with `replacement`.
 
     start == end with a non-empty replacement is an insertion; a non-empty
@@ -64,15 +64,14 @@ class Edit:
     empty replacement) is rejected.
     """
 
-    start: int
-    end: int
-    replacement: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise StructuralError(f"bad edit span [{self.start},{self.end})")
-        if self.start == self.end and len(self.replacement) == 0:
-            raise StructuralError(f"no-op edit at {self.start}")
+    def __new__(cls, start: int, end: int, replacement: str) -> Edit:
+        if start < 0 or end < start:
+            raise StructuralError(f"bad edit span [{start},{end})")
+        if start == end and len(replacement) == 0:
+            raise StructuralError(f"no-op edit at {start}")
+        return tuple.__new__(cls, (start, end, replacement))
 
     @property
     def kind(self) -> EditKind:
@@ -83,22 +82,20 @@ class Edit:
         return (self.start, self.end, self.replacement)
 
 
-@dataclass(frozen=True)
-class EditSet:
+class EditSet(Record):
     """Sorted, non-overlapping edits against one source sentence."""
 
-    source_id: str
-    ref_id: int
-    edits: tuple[Edit, ...]
+    __slots__ = _fields = ("source_id", "ref_id", "edits")
 
-    def __post_init__(self) -> None:
-        for prev, cur in zip(self.edits, self.edits[1:]):
+    def __init__(self, source_id: str, ref_id: int, edits: tuple[Edit, ...]) -> None:
+        for prev, cur in zip(edits, edits[1:]):
             if prev.end > cur.start:
                 raise StructuralError(
                     f"edits overlap: [{prev.start},{prev.end}) then [{cur.start},{cur.end})"
                 )
             if prev.start == prev.end == cur.start == cur.end:
                 raise StructuralError(f"two insertions at the same point {cur.start}")
+        self._set(source_id, ref_id, edits)
 
     def __len__(self) -> int:
         return len(self.edits)
@@ -107,8 +104,7 @@ class EditSet:
         return {e.key() for e in self.edits}
 
 
-@dataclass(frozen=True)
-class MatchCounts:
+class MatchCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -171,8 +167,7 @@ def match_edits(hyp: EditSet, gold: EditSet) -> MatchCounts:
 # M2-like gold edit files
 
 
-@dataclass(frozen=True)
-class GoldRecord:
+class GoldRecord(NamedTuple):
     """One source sentence plus its reference edit sets (one per annotator)."""
 
     source_id: str
@@ -180,9 +175,11 @@ class GoldRecord:
     refs: tuple[EditSet, ...]
 
 
-@dataclass(frozen=True)
-class GoldEditCorpus:
-    records: tuple[GoldRecord, ...]
+class GoldEditCorpus(Record):
+    __slots__ = _fields = ("records",)
+
+    def __init__(self, records: tuple[GoldRecord, ...]) -> None:
+        self._set(records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -190,14 +187,28 @@ class GoldEditCorpus:
 
 def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str:
     """Write records in the M2-like grammar. References with zero edits emit
-    no "A" lines (representable only implicitly — see parse_edit_file)."""
+    no "A" lines (representable only implicitly — see parse_edit_file).
+    Text parse_edit_file would not read back as written is a FormatError: a
+    source with a line feed or a final carriage return, or a replacement with
+    a line feed, equal to EMPTY_REPLACEMENT_MARK, or not split back out of
+    its "A" line (it holds "|||" or ends in "|")."""
     out: list[str] = []
     for source, refs in records:
+        if "\n" in source or source.endswith("\r"):
+            raise FormatError(f"source {source!r} cannot be written as an M2 'S' line")
         out.append(f"S {source}")
         for ref in sorted(refs, key=lambda r: r.ref_id):
             for e in ref.edits:
                 repl = e.replacement or EMPTY_REPLACEMENT_MARK
-                out.append(f"A {e.start} {e.end}|||{e.kind.value}|||{repl}|||{ref.ref_id}")
+                fields = [f"{e.start} {e.end}", e.kind.value, repl, str(ref.ref_id)]
+                line = "|||".join(fields)
+                unreadable = "\n" in repl or e.replacement == EMPTY_REPLACEMENT_MARK
+                if unreadable or line.split("|||") != fields:
+                    raise FormatError(
+                        f"pair {ref.source_id!r}, reference {ref.ref_id}: replacement "
+                        f"{e.replacement!r} cannot be written to an M2 file"
+                    )
+                out.append("A " + line)
         out.append("")
     return "".join(line + "\n" for line in out)
 

@@ -14,17 +14,15 @@ Conventions, stated once because they decide the numbers:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .alignment import align
 from .edits import EditSet, GoldEditCorpus, MatchCounts, MergePolicy, extract_edits, match_edits
 from .errors import UsageError
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Precision/recall/F_beta plus the raw counts they came from."""
 
     task: str
@@ -37,25 +35,10 @@ class ScoreReport:
     n_sentences: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "dataset": self.dataset,
-            "beta": self.beta,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_beta": self.f_beta,
-            "tp": self.counts.tp,
-            "fp": self.counts.fp,
-            "fn": self.counts.fn,
-            "n_sentences": self.n_sentences,
-        }
-
-
-@dataclass(frozen=True)
-class CscSentenceOutcome:
-    gold_changed: bool
-    hyp_changed: bool
-    exact_correct: bool
+        """The fields, with counts spread out into tp, fp and fn."""
+        payload = self._asdict()
+        payload.update(payload.pop("counts")._asdict())
+        return payload
 
 
 def _check_beta(beta: float) -> None:
@@ -97,14 +80,6 @@ def macro_average(scores: Sequence[float]) -> float:
     return sum(scores) / len(scores)
 
 
-def csc_outcome(source: str, reference: str, hypothesis: str) -> CscSentenceOutcome:
-    return CscSentenceOutcome(
-        gold_changed=reference != source,
-        hyp_changed=hypothesis != source,
-        exact_correct=hypothesis == reference,
-    )
-
-
 def score_csc(
     items: Sequence[tuple[str, str, str]],
     dataset: str = "",
@@ -119,7 +94,6 @@ def score_csc(
     if not items:
         raise UsageError("score_csc needs at least one sentence")
     tp = fp = fn = 0
-    # The three comparisons of csc_outcome, made inline.
     for source, reference, hypothesis in items:
         if reference != source:
             if hypothesis == reference:

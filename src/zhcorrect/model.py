@@ -19,8 +19,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from collections import Counter, namedtuple
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
@@ -28,6 +27,7 @@ from .corpus import Corpus, CorpusTag, ParallelPair, split
 from .alignment import align
 from .artifacts import write_artifact
 from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
+from .records import Checked, Record
 
 BOUNDARY = ""
 UNK = ""
@@ -51,23 +51,22 @@ class Stage(str, Enum):
     STAGE2 = "stage2"
 
 
-@dataclass(frozen=True)
-class StageConfig:
-    stage: Stage
-    order: int = DEFAULT_ORDER
-    smoothing_k: float = DEFAULT_SMOOTHING_K
-    heldout_fraction: float = 0.1
-    seed: int = 0
+class StageConfig(
+    Checked, namedtuple("StageConfig", "stage order smoothing_k heldout_fraction seed")
+):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.order <= MAX_ORDER:
-            raise ConfigError(f"lm order must be in [1, {MAX_ORDER}], got {self.order}")
-        if not 0.0 < self.smoothing_k < math.inf:
-            raise ConfigError(f"smoothing_k must be finite and > 0, got {self.smoothing_k}")
-        if not 0.0 < self.heldout_fraction < 1.0:
-            raise ConfigError(
-                f"heldout_fraction must be in (0, 1), got {self.heldout_fraction}"
-            )
+    def __new__(
+        cls, stage: Stage, order: int = DEFAULT_ORDER, smoothing_k: float = DEFAULT_SMOOTHING_K,
+        heldout_fraction: float = 0.1, seed: int = 0,
+    ) -> StageConfig:
+        if not 1 <= order <= MAX_ORDER:
+            raise ConfigError(f"lm order must be in [1, {MAX_ORDER}], got {order}")
+        if not 0.0 < smoothing_k < math.inf:
+            raise ConfigError(f"smoothing_k must be finite and > 0, got {smoothing_k}")
+        if not 0.0 < heldout_fraction < 1.0:
+            raise ConfigError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
+        return tuple.__new__(cls, (stage, order, smoothing_k, heldout_fraction, seed))
 
     @property
     def expected_tag(self) -> CorpusTag:
@@ -114,25 +113,22 @@ def _context_key(vocab: AbstractSet[str], order: int, prefix: str) -> str:
     return BOUNDARY * (width - len(key)) + key
 
 
-@dataclass(frozen=True)
-class NgramLM:
+class NgramLM(Checked, namedtuple("NgramLM", "order smoothing_k counts context_totals vocab")):
     """Add-k n-gram model over units; contexts are the last order-1 units of
     the BOUNDARY-padded prefix, OOV units replaced by UNK."""
 
-    order: int
-    smoothing_k: float
-    counts: dict[str, Counter]
-    context_totals: dict[str, int]
-    vocab: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.order, int) or not 1 <= self.order <= MAX_ORDER:
-            raise StructuralError(
-                f"lm order must be an integer in [1, {MAX_ORDER}], got {self.order!r}"
-            )
-        _check_smoothing("lm", self.smoothing_k, self.context_totals, len(self.vocab))
-        if UNK not in self.vocab:
+    def __new__(
+        cls, order: int, smoothing_k: float, counts: dict[str, Counter],
+        context_totals: dict[str, int], vocab: frozenset[str],
+    ) -> NgramLM:
+        if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+            raise StructuralError(f"lm order must be an integer in [1, {MAX_ORDER}], got {order!r}")
+        _check_smoothing("lm", smoothing_k, context_totals, len(vocab))
+        if UNK not in vocab:
             raise StructuralError("lm vocab must contain the UNK unit")
+        return tuple.__new__(cls, (order, smoothing_k, counts, context_totals, vocab))
 
     def prob(self, token: str, prefix: str) -> float:
         tok = token if token in self.vocab else UNK
@@ -142,21 +138,21 @@ class NgramLM:
         return (count + self.smoothing_k) / (total + self.smoothing_k * len(self.vocab))
 
 
-@dataclass(frozen=True)
-class ConfusionChannel:
+class ConfusionChannel(Checked, namedtuple("ConfusionChannel", "smoothing_k counts totals vocab")):
     """Add-k emission model keyed by the aligned source unit. A source of
     None (no aligned unit) falls back to the zero-count case, i.e. uniform
     over the vocabulary."""
 
-    smoothing_k: float
-    counts: dict[str, Counter]
-    totals: dict[str, int]
-    vocab: frozenset[str]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_smoothing("channel", self.smoothing_k, self.totals, len(self.vocab))
-        if UNK not in self.vocab:
+    def __new__(
+        cls, smoothing_k: float, counts: dict[str, Counter], totals: dict[str, int],
+        vocab: frozenset[str],
+    ) -> ConfusionChannel:
+        _check_smoothing("channel", smoothing_k, totals, len(vocab))
+        if UNK not in vocab:
             raise StructuralError("channel vocab must contain the UNK unit")
+        return tuple.__new__(cls, (smoothing_k, counts, totals, vocab))
 
     def prob(self, emitted: str, source: str | None) -> float:
         em = emitted if emitted in self.vocab else UNK
@@ -175,29 +171,28 @@ class ConfusionChannel:
         return tuple(sorted(u for u, c in emitted.items() if c > 0))
 
 
-@dataclass(frozen=True)
-class MixtureCorrectorModel:
+class MixtureCorrectorModel(Record):
     """The LM and channel mixed with weight mixing_weight on the LM.
 
     decode caches its scores in _columns, which is no parameter: it is left
-    out of ==, repr and save_model, and every new model (replace, fit_stage,
-    load_model) starts with it empty. So a model must not be mutated once it
-    has decoded, or decode would go on reading scores of the old counts.
+    out of ==, repr, pickling and save_model, and every new model (_replace,
+    fit_stage, load_model) starts with it empty. So a model must not be
+    mutated once it has decoded, or decode would go on reading scores of the
+    old counts.
     """
 
-    lm: NgramLM
-    channel: ConfusionChannel
-    mixing_weight: float
-    stage: Stage
-    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("lm", "channel", "mixing_weight", "stage")
+    __slots__ = (*_fields, "_columns")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.mixing_weight <= 1.0:
-            raise UsageError(
-                f"mixing_weight must be in [0, 1], got {self.mixing_weight}"
-            )
-        if self.lm.vocab != self.channel.vocab:
+    def __init__(
+        self, lm: NgramLM, channel: ConfusionChannel, mixing_weight: float, stage: Stage
+    ) -> None:
+        if not 0.0 <= mixing_weight <= 1.0:
+            raise UsageError(f"mixing_weight must be in [0, 1], got {mixing_weight}")
+        if lm.vocab != channel.vocab:
             raise ConfigError("lm and channel must share one vocabulary")
+        self._set(lm, channel, mixing_weight, stage)
+        object.__setattr__(self, "_columns", {})
 
 
 def initial_model(
@@ -224,14 +219,8 @@ def conditional(
 ) -> float:
     """Mixture probability of emitting y_t after prev_context given the
     aligned source unit; always in (0, 1]."""
-    return _mix(
-        model.mixing_weight,
-        model.lm.prob(y_t, prev_context),
-        model.channel.prob(y_t, aligned_src_unit),
-    )
-
-
-def _mix(lam: float, lm_p: float, ch_p: float) -> float:
+    lam = model.mixing_weight
+    lm_p, ch_p = model.lm.prob(y_t, prev_context), model.channel.prob(y_t, aligned_src_unit)
     return lam * lm_p + (1.0 - lam) * ch_p
 
 
@@ -296,7 +285,7 @@ def _token_probs(
 def _mean_nll(table: Iterable[list[tuple[float, float]]], lam: float) -> float:
     """Mean over the table's pairs of their nll under mixing weight lam.
 
-    The mixture is _mix written out. The sum over a pair's units is a
+    The mixture is conditional's written out. The sum over a pair's units is a
     left-to-right loop on purpose: sum() of floats is compensated from
     Python 3.12 on, so it would give the objective other bits.
     """
@@ -398,7 +387,7 @@ def fit_stage(
     if init.lm.order != config.order or init.lm.smoothing_k != config.smoothing_k:
         raise ConfigError("config order/smoothing_k must match the init model")
     if not corpus.pairs:
-        return replace(init, stage=config.stage)
+        return init._replace(stage=config.stage)
 
     train_part, heldout_part = split(corpus, config.heldout_fraction, config.seed)
     lm_counts = {key: Counter(c) for key, c in init.lm.counts.items()}
@@ -421,7 +410,7 @@ def fit_stage(
         if objective < best_objective:
             best_weight, best_objective = weight, objective
     assert best_weight is not None
-    return replace(fitted, mixing_weight=best_weight)
+    return fitted._replace(mixing_weight=best_weight)
 
 
 def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:

@@ -19,7 +19,7 @@ so the do-nothing baseline is exactly zero.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus, CorpusTag, ParallelPair, unify
 
@@ -49,8 +49,7 @@ _ELIGIBLE_WORDS = tuple(w for w in WORD_INVENTORY if any(c in CONFUSION for c in
 SUBSTITUTION_RATE = 0.25
 
 
-@dataclass(frozen=True)
-class SyntheticSuite:
+class SyntheticSuite(NamedTuple):
     stage1: Corpus
     csc: Corpus
     cgc: Corpus

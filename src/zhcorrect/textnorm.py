@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import NormalizationError
 
@@ -24,8 +24,7 @@ class UnicodeForm(Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class NormalizePolicy:
+class NormalizePolicy(NamedTuple):
     """How raw text is canonicalized before any position arithmetic.
 
     width_fold maps half-width ASCII punctuation to its full-width form;

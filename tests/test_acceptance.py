@@ -26,7 +26,6 @@ from zhcorrect import (
     f_beta,
     format_edit_records,
     macro_average,
-    oracle_min_cost,
     parse_edit_file,
     precision_recall,
     score_cgc,
@@ -42,6 +41,8 @@ from zhcorrect.model import (
     stage_heldout,
 )
 from zhcorrect.synthetic import make_suite
+
+from oracles import oracle_min_cost
 
 _CJK = [chr(c) for c in range(0x4E00, 0x4E00 + 120)]
 

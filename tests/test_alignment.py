@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhcorrect import (
-    ORACLE_MAX_TOTAL_UNITS,
     AlignOp,
     AlignmentPath,
     MergePolicy,
@@ -17,8 +16,9 @@ from zhcorrect import (
     align,
     apply_edits,
     extract_edits,
-    oracle_min_cost,
 )
+
+from oracles import ORACLE_MAX_TOTAL_UNITS, oracle_min_cost
 
 _CJK = [chr(c) for c in range(0x4E00, 0x4E00 + 120)]
 

@@ -589,3 +589,101 @@ def test_internal_error_returns_one(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_module, "load_model", boom)
     assert main(["correct", str(model), str(inp)]) == 1
     assert "RuntimeError" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_dataclasses_traceback_and_synthetic_unimported():
+    # None of them is needed by a command that succeeds: the records are
+    # namedtuples and slot classes, traceback is imported on exit 1 only, and
+    # the package resolves the synthetic names on first use.
+    done = _python(
+        "-S",
+        "-c",
+        "import sys, zhcorrect.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'traceback', 'zhcorrect.synthetic'} "
+        "& set(sys.modules)))",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_every_exported_name_resolves_in_a_fresh_interpreter():
+    done = _python(
+        "-c",
+        "import zhcorrect; "
+        "[getattr(zhcorrect, name) for name in zhcorrect.__all__]; "
+        "from zhcorrect import make_suite, SyntheticSuite; "
+        "print(isinstance(make_suite(0, 4, 4, 4, 4), SyntheticSuite))",
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        zhcorrect.no_such_name
+
+
+def test_internal_error_prints_a_traceback_in_a_fresh_interpreter():
+    # A bug is no ZhcorrectError: exit 1 with a traceback, which main imports
+    # only then.
+    done = _python(
+        "-c",
+        "import sys, zhcorrect.cli as cli\n"
+        "def bug(src, tgt):\n"
+        "    raise RuntimeError('bug')\n"
+        "cli.align = bug\n"
+        "sys.exit(cli.main(['align', 'a', 'b']))\n",
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("Traceback (most recent call last):")
+    assert done.stderr.endswith("RuntimeError: bug\n")
+
+
+@pytest.mark.parametrize(
+    ("jobs", "n_items", "cpus", "workers"),
+    [(100_000, 10, 4, 4), (100_000, 3, None, None), (3, 10, 8, 3), (8, 5, 16, 5), (2, 10, 1, None)],
+)
+def test_pmap_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, jobs, n_items, cpus, workers):
+    # A recorder stands in for the pool, so no process is ever started. A
+    # cpu_count() of None counts as one CPU, and one worker runs in process.
+    import concurrent.futures
+
+    from zhcorrect.cli import _pmap
+
+    seen = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    items = list(range(n_items))
+    assert _pmap(str, items, jobs) == [str(i) for i in items]
+    assert seen == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    ("reference", "shown"),
+    [("a|||b", "'|||b'"), ("a-NONE-c", "'-NONE-'"), ("ab|", "'|'")],
+)
+@pytest.mark.parametrize("out", [False, True])
+def test_extract_edits_refuses_a_replacement_m2_cannot_hold(tmp_path, capsys, reference, shown, out):
+    # A file it wrote would not read back: a replacement holding "|||" or
+    # ending in "|" splits into other fields, and a literal "-NONE-" reads
+    # back as a deletion. Exit 2 names the pair, and nothing is written.
+    parallel = _tsv(tmp_path / "par.tsv", [("甲乙", "甲乙"), ("abc", reference)])
+    gold = tmp_path / "gold.m2"
+    argv = ["extract-edits", parallel] + (["--out", str(gold)] if out else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: pair '1', reference 0: replacement {shown} cannot be written to an M2 file\n"
+    )
+    assert not gold.exists() and sorted(os.listdir(tmp_path)) == ["par.tsv"]

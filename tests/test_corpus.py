@@ -2,6 +2,8 @@ import io
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zhcorrect import (
     DEFAULT_POLICY,
@@ -357,3 +359,39 @@ def test_tsv_errors_equal_the_per_field_oracle(line):
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("line 3: ")
+
+
+# Pieces that normalization, the TSV split or the JSONL line split could act
+# on: padding, NFD pinyin, a lone combining mark, half-width punctuation,
+# separators of other kinds, and the comment mark.
+_ROUND_TRIP_PIECES = ["天", "气", "学生", "a", " ", "\u3000", "a\u0301", "\u0301", ",", "#", "\r", "\u2028", "\x1c"]
+
+
+def _round_trip_corpus(data, pieces, policy):
+    text = st.lists(st.sampled_from(pieces), max_size=5).map(lambda p: normalize("".join(p), policy))
+    pairs = []
+    for i in range(data.draw(st.integers(0, 5))):
+        source, *refs = data.draw(st.lists(text, min_size=2, max_size=4))
+        pairs.append(ParallelPair(str(i), source, tuple(refs)))
+    return Corpus("corpus", CorpusTag.OTHER, tuple(pairs), policy)
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=["default", "none", "widthfold"])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_tsv_serialization_reads_back_as_written(policy, data):
+    corpus = _round_trip_corpus(data, _ROUND_TRIP_PIECES, policy)
+    # TSV cannot hold a source that starts with the comment mark, or a line
+    # whose last field ends in a carriage return (iter_lines strips it).
+    assume(not any(p.source.startswith("#") or p.references[-1].endswith("\r") for p in corpus))
+    text = serialize_parallel(corpus, "tsv")
+    assert parse_parallel(io.StringIO(text), "tsv", policy) == corpus
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=["default", "none", "widthfold"])
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_jsonl_serialization_reads_back_as_written(policy, data):
+    corpus = _round_trip_corpus(data, [*_ROUND_TRIP_PIECES, "\t", "\n", '"', "\\"], policy)
+    text = serialize_parallel(corpus, "jsonl")
+    assert parse_parallel(io.StringIO(text), "jsonl", policy) == corpus

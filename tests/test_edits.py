@@ -2,12 +2,15 @@ import io
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zhcorrect import (
     Edit,
     EditKind,
     EditSet,
     FormatError,
+    GoldRecord,
     MatchCounts,
     MergePolicy,
     StructuralError,
@@ -252,10 +255,64 @@ def test_merge_policies_apply_identically():
 
 
 def test_empty_replacement_mark_never_collides():
-    # A literal replacement spelled "-NONE-" cannot round-trip; the mark is
-    # reserved. Unit-level Chinese text never produces it.
+    # A literal replacement spelled "-NONE-" cannot round-trip, as the mark is
+    # reserved: the writer refuses it rather than write a deletion.
     edit = Edit(0, 1, "-NONE-")
-    text = format_edit_records([("甲", [EditSet("0", 0, (edit,))])])
-    parsed = parse_edit_file(io.StringIO(text))
+    with pytest.raises(FormatError, match="pair '0', reference 0: replacement '-NONE-'"):
+        format_edit_records([("甲", [EditSet("0", 0, (edit,))])])
     # the reserved mark parses back as an empty replacement, not the literal
+    parsed = parse_edit_file(io.StringIO("S 甲\nA 0 1|||complex|||-NONE-|||0\n\n"))
     assert parsed.records[0].refs[0].edits[0].replacement == ""
+
+
+# Units and pieces M2 lines are split and stripped at, beside plain text.
+_M2_SAFE = st.text(st.sampled_from(["甲", "乙", "丙", "a", " ", "-", "\t", "\u3000"]), max_size=8)
+_M2_ANY = st.lists(
+    st.sampled_from(["甲", "乙", "a", " ", "|", "||", "|||", "-NONE-", "-", "\n", "\r", "S ", "A "]),
+    max_size=6,
+).map("".join)
+
+
+def _m2_records(data, text, merge):
+    records = []
+    for i in range(data.draw(st.integers(0, 4))):
+        source = data.draw(text)
+        refs = data.draw(st.lists(text, min_size=1, max_size=3))
+        # The grammar writes a reference without edits as no "A" lines, so
+        # only a lone reference may leave the source as it is.
+        assume(len(refs) == 1 or source not in refs)
+        sets = tuple(
+            extract_edits(align(source, ref), merge, source_id=str(i), ref_id=j)
+            for j, ref in enumerate(refs)
+        )
+        records.append(GoldRecord(str(i), source, sets))
+    return records
+
+
+def _m2_round_trip(records):
+    text = format_edit_records((r.source, r.refs) for r in records)
+    return list(parse_edit_file(io.StringIO(text)).records)
+
+
+@pytest.mark.parametrize("merge", list(MergePolicy))
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_m2_records_read_back_as_written(merge, data):
+    records = _m2_records(data, _M2_SAFE, merge)
+    assert _m2_round_trip(records) == records
+
+
+@pytest.mark.parametrize("merge", list(MergePolicy))
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(data=st.data())
+def test_m2_writer_refuses_what_would_not_read_back(merge, data):
+    # Separators, line breaks and the empty mark inside the text: the file
+    # is either refused or read back as written, never read back as other
+    # records.
+    records = _m2_records(data, _M2_ANY, merge)
+    try:
+        parsed = _m2_round_trip(records)
+    except FormatError as exc:
+        assert "cannot be written" in str(exc)
+    else:
+        assert parsed == records

@@ -1,13 +1,13 @@
 import io
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
 from zhcorrect import (
     MatchCounts,
     UsageError,
-    csc_outcome,
     f_beta,
     macro_average,
     parse_edit_file,
@@ -108,6 +108,21 @@ def test_macro_average_basics():
         macro_average([0.5, 1.5])
     with pytest.raises(UsageError):
         macro_average([-0.1])
+
+
+class CscSentenceOutcome(NamedTuple):
+    gold_changed: bool
+    hyp_changed: bool
+    exact_correct: bool
+
+
+def csc_outcome(source, reference, hypothesis):
+    """Test oracle: the three comparisons score_csc counts a sentence by."""
+    return CscSentenceOutcome(
+        gold_changed=reference != source,
+        hyp_changed=hypothesis != source,
+        exact_correct=hypothesis == reference,
+    )
 
 
 def test_csc_outcome_flags():

@@ -4,9 +4,10 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zhcorrect import ConfigError, FormatError, UsageError
 from zhcorrect.alignment import align
@@ -113,8 +114,8 @@ def test_context_key_matches_full_prefix_mapping():
 
 def test_mixture_endpoints():
     model = _hand_model()
-    pure_lm = replace(model, mixing_weight=1.0)
-    pure_ch = replace(model, mixing_weight=0.0)
+    pure_lm = model._replace(mixing_weight=1.0)
+    pure_ch = model._replace(mixing_weight=0.0)
     for ctx, src, y in [("", "甲", "乙"), ("甲", "乙", "乙"), ("乙", None, "甲")]:
         assert conditional(pure_lm, ctx, src, y) == pytest.approx(
             model.lm.prob(y, ctx), abs=1e-12
@@ -135,9 +136,9 @@ def test_channel_single_pair_tiny_smoothing():
 def test_mixing_weight_range_checked():
     model = _hand_model()
     with pytest.raises(UsageError):
-        replace(model, mixing_weight=1.5)
+        model._replace(mixing_weight=1.5)
     with pytest.raises(UsageError):
-        replace(model, mixing_weight=-0.1)
+        model._replace(mixing_weight=-0.1)
 
 
 def test_conditional_distributions_sum_to_one(trained):
@@ -264,7 +265,7 @@ def test_fit_stage_empty_corpus_only_advances_stage():
     init = initial_model(vocab="甲乙")
     fitted = fit_stage(init, _corpus("e", CorpusTag.ALIGN, []), stage1_config())
     assert fitted.stage is Stage.STAGE1
-    assert fitted == replace(init, stage=Stage.STAGE1)
+    assert fitted == init._replace(stage=Stage.STAGE1)
 
 
 def test_fit_repeated_pair_reaches_smoothing_floor():
@@ -327,7 +328,7 @@ def test_grid_search_matches_per_weight_objective_loop():
         grid = sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight})
         best_weight, best_objective, objectives = None, math.inf, []
         for weight in grid:
-            candidate = replace(fitted, mixing_weight=weight)
+            candidate = fitted._replace(mixing_weight=weight)
             expected = sum(_per_weight_nll(candidate, p) for p in heldout.pairs) / len(heldout)
             assert dataset_objective(candidate, heldout) == expected, weight
             objectives.append(expected)
@@ -619,25 +620,25 @@ def test_decode_matches_reference_on_suite_eval(suite0_model):
 def test_decode_cache_ignores_line_order(suite0_model):
     suite, trained_model = suite0_model
     sources = [pair.source for pair in suite.eval_csc.pairs[:80]]
-    model = replace(trained_model)
+    model = trained_model._replace()
     assert not model._columns
     in_order = [decode(model, src) for src in sources]
     shuffled = list(range(len(sources)))
     random.Random(3).shuffle(shuffled)
     for i in shuffled:
         assert decode(model, sources[i]) == in_order[i]
-    cold = [decode(replace(trained_model), src) for src in sources]
+    cold = [decode(trained_model._replace(), src) for src in sources]
     assert cold == in_order
 
 
 def test_decode_after_replace_scores_the_new_weight(suite0_model):
     suite, trained_model = suite0_model
-    model = replace(trained_model)
+    model = trained_model._replace()
     sources = [pair.source for pair in suite.eval_csc.pairs[:60]]
     for src in sources:
         decode(model, src)
     assert model._columns
-    heavier = replace(model, mixing_weight=0.9)
+    heavier = model._replace(mixing_weight=0.9)
     assert not heavier._columns
     outputs = [decode(heavier, src) for src in sources]
     assert outputs == [_reference_decode(heavier, src) for src in sources]
@@ -735,3 +736,42 @@ def test_load_rejects_out_of_range_parameters(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="order|smoothing_k|non-negative integers"):
         load_model(str(path))
+
+
+_UNITS = st.sampled_from(["甲", "乙", "丙", "a", "\\", '"', "\u2028", "\U0001F600", UNK])
+
+
+def _count_tables(keys):
+    return st.dictionaries(keys, st.dictionaries(_UNITS, st.integers(0, 10**6), max_size=4), max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    order=st.integers(1, 4),
+    lm_k=st.floats(1e-6, 10.0),
+    channel_k=st.floats(1e-6, 10.0),
+    mixing_weight=st.floats(0.0, 1.0),
+    stage=st.sampled_from(list(Stage)),
+    extra_vocab=st.frozensets(_UNITS, max_size=4),
+    data=st.data(),
+)
+def test_model_container_round_trips_to_identical_bytes(
+    tmp_path_factory, order, lm_k, channel_k, mixing_weight, stage, extra_vocab, data
+):
+    contexts = st.lists(st.sampled_from(["甲", "乙", BOUNDARY, UNK]), min_size=order - 1, max_size=order - 1)
+    lm_counts = {k: Counter(c) for k, c in data.draw(_count_tables(contexts.map("".join))).items()}
+    ch_counts = {k: Counter(c) for k, c in data.draw(_count_tables(_UNITS)).items()}
+    vocab = extra_vocab | {UNK} | {u for c in (*lm_counts.values(), *ch_counts.values()) for u in c}
+    model = MixtureCorrectorModel(
+        NgramLM(order, lm_k, lm_counts, {k: sum(c.values()) for k, c in lm_counts.items()}, vocab),
+        ConfusionChannel(channel_k, ch_counts, {k: sum(c.values()) for k, c in ch_counts.items()}, vocab),
+        mixing_weight,
+        stage,
+    )
+    folder = tmp_path_factory.mktemp("model")
+    first, second = folder / "first.json", folder / "second.json"
+    save_model(model, str(first))
+    loaded = load_model(str(first))
+    assert loaded == model
+    save_model(loaded, str(second))
+    assert second.read_bytes() == first.read_bytes()

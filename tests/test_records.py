@@ -1,0 +1,134 @@
+"""The records keep what frozen dataclasses gave them: immutable fields,
+equality, hashing and repr by value, and checks on every construction,
+copies made with _replace and by pickling included."""
+
+import copy
+import pickle
+from collections import Counter
+
+import pytest
+
+from zhcorrect import (
+    DEFAULT_POLICY,
+    UNK,
+    AlignmentPath,
+    ConfigError,
+    ConfusionChannel,
+    Corpus,
+    CorpusTag,
+    Edit,
+    EditSet,
+    GoldEditCorpus,
+    GoldRecord,
+    MixtureCorrectorModel,
+    ParallelPair,
+    Stage,
+    StageConfig,
+    StructuralError,
+    UsageError,
+    decode,
+    initial_model,
+    parse_parallel,
+)
+
+
+def _model():
+    vocab = frozenset("甲乙") | {UNK}
+    channel = ConfusionChannel(0.5, {"甲": Counter({"乙": 2})}, {"甲": 2}, vocab)
+    return MixtureCorrectorModel(initial_model(vocab="甲乙").lm, channel, 0.4, Stage.STAGE1)
+
+
+def _records():
+    pair = ParallelPair("0", "甲乙", ("甲丙",))
+    edits = EditSet("0", 0, (Edit(1, 2, "丙"),))
+    return [
+        pair,
+        Corpus("c", CorpusTag.CSC, (pair,)),
+        AlignmentPath("甲乙", "甲丙", "MS", 1.0),
+        Edit(1, 2, "丙"),
+        edits,
+        GoldEditCorpus((GoldRecord("0", "甲乙", (edits,)),)),
+        StageConfig(Stage.STAGE1),
+        _model(),
+    ]
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_fields_cannot_be_assigned_or_deleted(record):
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.extra = None
+
+
+@pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
+def test_copies_are_equal_and_pickle_back(record):
+    for clone in (record._replace(), copy.copy(record), pickle.loads(pickle.dumps(record))):
+        assert clone == record and type(clone) is type(record)
+
+
+def test_repr_names_every_field_as_a_dataclass_did():
+    assert repr(Edit(1, 2, "丙")) == "Edit(start=1, end=2, replacement='丙')"
+    assert repr(EditSet("0", 1, ())) == "EditSet(source_id='0', ref_id=1, edits=())"
+    assert repr(Corpus("c", CorpusTag.CSC, ())) == (
+        "Corpus(name='c', tag=<CorpusTag.CSC: 'csc'>, pairs=(), policy="
+        "NormalizePolicy(unicode_form=<UnicodeForm.NFC: 'nfc'>, width_fold=False, "
+        "strip_outer_whitespace=True))"
+    )
+
+
+@pytest.mark.parametrize(
+    ("record", "changes", "error"),
+    [
+        (ParallelPair("0", "甲", ("乙",)), {"references": ()}, UsageError),
+        (Corpus("c", CorpusTag.CSC, ()), {"pairs": (ParallelPair("0", "甲", ("乙",)),) * 2}, UsageError),
+        (AlignmentPath("甲", "乙", "S", 1.0), {"ops": "M"}, UsageError),
+        (AlignmentPath("甲", "乙", "S", 1.0), {"ops": "SS"}, UsageError),
+        (Edit(1, 2, "丙"), {"end": 0}, StructuralError),
+        (Edit(1, 2, ""), {"end": 1}, StructuralError),
+        (EditSet("0", 0, ()), {"edits": (Edit(0, 2, "x"), Edit(1, 2, "y"))}, StructuralError),
+        (StageConfig(Stage.STAGE1), {"order": 0}, ConfigError),
+        (StageConfig(Stage.STAGE1), {"heldout_fraction": 1.0}, ConfigError),
+        (initial_model().lm, {"vocab": frozenset("甲")}, StructuralError),
+        (initial_model().channel, {"smoothing_k": 0.0}, StructuralError),
+        (_model(), {"mixing_weight": 1.5}, UsageError),
+        (_model(), {"channel": initial_model().channel}, ConfigError),
+    ],
+)
+def test_replace_runs_the_checks(record, changes, error):
+    with pytest.raises(error):
+        record._replace(**changes)
+    if isinstance(record, tuple):  # a namedtuple's other copy path
+        with pytest.raises(error):
+            type(record)._make({**record._asdict(), **changes}.values())
+
+
+def test_replace_refuses_unknown_fields():
+    for record in _records():
+        with pytest.raises((TypeError, ValueError)):
+            record._replace(no_such_field=1)
+
+
+def test_equal_records_hash_equal():
+    a = parse_parallel(["甲\t乙\n"], name="c", tag=CorpusTag.CSC)
+    b = Corpus("c", CorpusTag.CSC, (ParallelPair("0", "甲", ("乙",)),), DEFAULT_POLICY)
+    assert a == b and hash(a) == hash(b)
+    assert {EditSet("0", 0, (Edit(0, 1, "x"),)), EditSet("0", 0, (Edit(0, 1, "x"),))} == {
+        EditSet("0", 0, (Edit(0, 1, "x"),))
+    }
+    assert Corpus("c", CorpusTag.CSC, ()) != Corpus("c", CorpusTag.CGC, ())
+
+
+def test_decode_cache_stays_out_of_equality_repr_and_pickles():
+    model = _model()
+    assert decode(model, "甲甲") and model._columns
+    with pytest.raises(AttributeError):
+        model._columns = {}
+    for clone in (model._replace(), pickle.loads(pickle.dumps(model))):
+        assert clone == model and not clone._columns
+    assert "_columns" not in repr(model)
+    with pytest.raises(TypeError):
+        hash(model)  # its counts are dicts, as with the frozen dataclass
