@@ -15,8 +15,13 @@ tgt = "他是学生"
 path = align(src, tgt)
 print(f"{src} -> {tgt}  (cost {path.total_cost:g})")
 print(f"  ops {path.ops}")
-for op in path.steps():
-    print(f"  {op.kind.value:5s} src[{op.src_index}] tgt[{op.tgt_index}]")
+# Walk the codes with both cursors: every code but I consumes a source unit,
+# every code but D a target unit.
+i = j = 0
+for code in path.ops:
+    print(f"  {code} src[{i}] tgt[{j}]")
+    i += code != "I"
+    j += code != "D"
 
 edits = extract_edits(path)
 for e in edits.edits:

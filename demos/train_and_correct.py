@@ -1,15 +1,7 @@
 """Train the two-stage mixture corrector on the bundled synthetic suite and
 decode its evaluation split. Takes a few seconds on one core."""
 
-from zhcorrect.model import (
-    dataset_objective,
-    decode,
-    fit_stage,
-    initial_model,
-    stage1_config,
-    stage2_config,
-    stage_heldout,
-)
+from zhcorrect.model import dataset_objective, decode, fit_stage, initial_model, stage_heldout
 from zhcorrect.metrics import score_csc
 from zhcorrect.synthetic import make_suite
 
@@ -17,11 +9,12 @@ suite = make_suite(seed=0)
 print(f"stage-1 corpus {len(suite.stage1)} pairs, joint {len(suite.joint)}, "
       f"eval {len(suite.eval_csc)}")
 
-config1, config2 = stage1_config(), stage2_config()
-theta1 = fit_stage(initial_model(), suite.stage1, config1)
-theta2 = fit_stage(theta1, suite.joint, config2)
+# Each fit_stage call fits the stage after its starting model's, with that
+# model's LM order and smoothing, tuning the mixing weight on a 10 % slice.
+theta1 = fit_stage(initial_model(), suite.stage1)
+theta2 = fit_stage(theta1, suite.joint)
 
-heldout = stage_heldout(suite.joint, config2)
+heldout = stage_heldout(suite.joint, 0.1, 0)
 print(f"joint heldout objective: stage1={dataset_objective(theta1, heldout):.4f} "
       f"stage2={dataset_objective(theta2, heldout):.4f}")
 print(f"mixing weight after stage 2: {theta2.mixing_weight:g}")

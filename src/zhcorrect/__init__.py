@@ -24,7 +24,6 @@ from .textnorm import (
 )
 from .corpus import (
     Corpus,
-    CorpusTag,
     ParallelPair,
     exact_duplicate_count,
     parse_parallel,
@@ -33,9 +32,7 @@ from .corpus import (
     unify,
 )
 from .alignment import (
-    AlignOp,
     AlignmentPath,
-    OpKind,
     align,
 )
 from .edits import (
@@ -71,7 +68,6 @@ from .model import (
     MixtureCorrectorModel,
     NgramLM,
     Stage,
-    StageConfig,
     conditional,
     dataset_objective,
     decode,
@@ -80,8 +76,6 @@ from .model import (
     load_model,
     nll,
     save_model,
-    stage1_config,
-    stage2_config,
     stage_heldout,
 )
 
@@ -92,10 +86,9 @@ __all__ = [
     "NormalizePolicy", "UnicodeForm",
     "DEFAULT_POLICY", "RAW_POLICY", "WIDTHFOLD_POLICY",
     "normalize", "units_of",
-    "Corpus", "CorpusTag", "ParallelPair",
+    "Corpus", "ParallelPair",
     "parse_parallel", "serialize_parallel", "exact_duplicate_count", "unify", "split",
-    "AlignOp", "AlignmentPath", "OpKind",
-    "align",
+    "AlignmentPath", "align",
     "Edit", "EditKind", "EditSet", "MergePolicy", "MatchCounts",
     "GoldRecord", "GoldEditCorpus", "EMPTY_REPLACEMENT_MARK",
     "classify_kind", "extract_edits", "apply_edits", "match_edits",
@@ -105,10 +98,9 @@ __all__ = [
     "score_csc", "score_cgc", "sentence_edit_counts",
     "BOUNDARY", "UNK", "DEFAULT_MIX_GRID",
     "NgramLM", "ConfusionChannel", "MixtureCorrectorModel",
-    "Stage", "StageConfig",
+    "Stage",
     "initial_model", "conditional", "nll", "dataset_objective",
     "fit_stage", "stage_heldout", "decode", "save_model", "load_model",
-    "stage1_config", "stage2_config",
     "SyntheticSuite", "WORD_INVENTORY", "CONFUSION", "make_suite",
 ]
 

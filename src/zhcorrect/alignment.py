@@ -7,44 +7,20 @@ are written against this scheme.
 
 A path is a str of one-letter op codes: M (match), S (substitution), D
 (deletion: consumes a source unit only) and I (insertion: consumes a target
-unit only). Consumers read the codes directly; `AlignmentPath.steps()`
-spells them out as `AlignOp`s with their cursor positions.
+unit only).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from enum import Enum
 from itertools import compress
-from typing import Iterator, NamedTuple
 
 from .errors import UsageError
 from .records import Checked
 
-class OpKind(Enum):
-    MATCH = "match"
-    SUB = "sub"
-    INS = "ins"
-    DEL = "del"
-
-
-_KIND_OF_CODE = {"M": OpKind.MATCH, "S": OpKind.SUB, "I": OpKind.INS, "D": OpKind.DEL}
 _NON_CODES = str.maketrans("", "", "MSDI")
 _DROP_INS = str.maketrans("", "", "I")
 _DROP_DEL = str.maketrans("", "", "D")
-
-
-class AlignOp(NamedTuple):
-    """One step of an alignment path.
-
-    src_index/tgt_index are the cursor positions *before* the op: match and
-    sub consume src[src_index] and tgt[tgt_index]; del consumes only the
-    source unit; ins consumes only the target unit.
-    """
-
-    kind: OpKind
-    src_index: int
-    tgt_index: int
 
 
 class AlignmentPath(Checked, namedtuple("AlignmentPath", "src tgt ops total_cost")):
@@ -69,16 +45,6 @@ class AlignmentPath(Checked, namedtuple("AlignmentPath", "src tgt ops total_cost
         ):
             raise UsageError("a match op joins unequal units")
         return tuple.__new__(cls, (src, tgt, ops, total_cost))
-
-    def steps(self) -> Iterator[AlignOp]:
-        """The path's ops with the cursor positions before each."""
-        i = j = 0
-        for code in self.ops:
-            yield AlignOp(_KIND_OF_CODE[code], i, j)
-            if code != "I":
-                i += 1
-            if code != "D":
-                j += 1
 
 
 def _run_length(a: str, b: str) -> int:

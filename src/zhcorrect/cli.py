@@ -23,20 +23,12 @@ from typing import Callable, Sequence, TextIO, TypeVar
 from . import __version__
 from .alignment import align
 from .artifacts import write_artifact
-from .corpus import Corpus, CorpusTag, iter_lines, parse_parallel, unify
+from .corpus import Corpus, iter_lines, parse_parallel, unify
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
 from .errors import FormatError, NormalizationError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
 from .model import (
-    decode,
-    dataset_objective,
-    fit_stage,
-    initial_model,
-    load_model,
-    save_model,
-    stage1_config,
-    stage2_config,
-    stage_heldout,
+    decode, dataset_objective, fit_stage, initial_model, load_model, save_model, stage_heldout,
 )
 from .textnorm import DEFAULT_POLICY, NormalizePolicy, RAW_POLICY, WIDTHFOLD_POLICY, units_of
 
@@ -45,6 +37,9 @@ _POLICIES: dict[str, NormalizePolicy] = {
     "none": RAW_POLICY,
     "widthfold": WIDTHFOLD_POLICY,
 }
+
+# The align JSON's name for each op code of an AlignmentPath.
+_OP_KINDS = {"M": "match", "S": "sub", "I": "ins", "D": "del"}
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -101,16 +96,6 @@ def _pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
         return list(pool.map(func, items, chunksize=chunk))
 
 
-def _default_jobs() -> int:
-    raw = os.environ.get("ZHCORRECT_JOBS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return int(raw)
-    except ValueError:
-        raise UsageError(f"ZHCORRECT_JOBS must be an integer, got {raw!r}") from None
-
-
 def _read(path: str, parse: Callable[[TextIO], T]) -> T:
     """parse(handle) over the UTF-8 text file at path. A file that cannot be
     read is a usage error and one that is not UTF-8 a format error. Lines
@@ -138,10 +123,9 @@ def _read_units(path: str, policy: NormalizePolicy) -> list[str]:
     return units
 
 
-def _open_corpus(path: str, fmt: str, policy: NormalizePolicy, tag: CorpusTag, name: str) -> Corpus:
-    return _read(
-        path, partial(parse_parallel, format=fmt, policy=policy, name=name, tag=tag)
-    )
+def _open_corpus(path: str, fmt: str, policy: NormalizePolicy) -> Corpus:
+    """The parallel file at path, named after its stem."""
+    return _read(path, partial(parse_parallel, format=fmt, policy=policy, name=Path(path).stem))
 
 
 def _emit(args: argparse.Namespace, text: str, inputs: Sequence[str], started: float) -> None:
@@ -199,7 +183,7 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
         raise UsageError("score-csc takes HYP_FILE GOLD_FILE (or --macro REPORT...)")
     hyp_path, gold_path = args.files
     policy = _POLICIES[args.normalize]
-    gold = _open_corpus(gold_path, args.format, policy, CorpusTag.CSC, Path(gold_path).stem)
+    gold = _open_corpus(gold_path, args.format, policy)
     hyps = _read_units(hyp_path, policy)
     if len(hyps) != len(gold.pairs):
         raise UsageError(
@@ -214,7 +198,7 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
 def cmd_score_cgc(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = _POLICIES[args.normalize]
-    hyp = _open_corpus(args.hyp_file, args.format, policy, CorpusTag.CGC, Path(args.hyp_file).stem)
+    hyp = _open_corpus(args.hyp_file, args.format, policy)
     gold = _read(args.gold_edits, parse_edit_file)
     report = score_cgc(
         [(pair.source, pair.references[0]) for pair in hyp.pairs],
@@ -230,30 +214,13 @@ def cmd_score_cgc(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = _POLICIES[args.normalize]
-    stage1_corpus = _open_corpus(
-        args.stage1, args.format, policy, CorpusTag.ALIGN, Path(args.stage1).stem
-    )
-    parts = [
-        _open_corpus(path, args.format, policy, CorpusTag.OTHER, Path(path).stem)
-        for path in args.stage2
-    ]
-    joint = unify(parts, name="joint")
-    common = dict(
-        order=args.order,
-        smoothing_k=args.smoothing_k,
-        heldout_fraction=args.heldout_fraction,
-        seed=args.seed,
-    )
-    config1 = stage1_config(**common)
-    config2 = stage2_config(**common)
+    stage1_corpus = _open_corpus(args.stage1, args.format, policy)
+    joint = unify([_open_corpus(path, args.format, policy) for path in args.stage2], name="joint")
     model0 = initial_model(order=args.order, smoothing_k=args.smoothing_k)
-    model1 = fit_stage(model0, stage1_corpus, config1)
-    model2 = fit_stage(model1, joint, config2)
-    for number, model, corpus, config in (
-        (1, model1, stage1_corpus, config1),
-        (2, model2, joint, config2),
-    ):
-        heldout = stage_heldout(corpus, config)
+    model1 = fit_stage(model0, stage1_corpus, args.heldout_fraction, args.seed)
+    model2 = fit_stage(model1, joint, args.heldout_fraction, args.seed)
+    for number, model, corpus in ((1, model1, stage1_corpus), (2, model2, joint)):
+        heldout = stage_heldout(corpus, args.heldout_fraction, args.seed)
         if heldout.pairs:
             objective = f"{dataset_objective(model, heldout):.6f}"
         else:
@@ -278,15 +245,14 @@ def cmd_align(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = _POLICIES[args.normalize]
     path = align(units_of(args.source, policy), units_of(args.target, policy))
-    payload = {
-        "source": path.src,
-        "target": path.tgt,
-        "total_cost": path.total_cost,
-        "ops": [
-            {"kind": op.kind.value, "src_index": op.src_index, "tgt_index": op.tgt_index}
-            for op in path.steps()
-        ],
-    }
+    # Each op with the cursor positions before it: every code but I consumes
+    # a source unit, every code but D a target unit.
+    ops, i, j = [], 0, 0
+    for code in path.ops:
+        ops.append({"kind": _OP_KINDS[code], "src_index": i, "tgt_index": j})
+        i += code != "I"
+        j += code != "D"
+    payload = {"source": path.src, "target": path.tgt, "total_cost": path.total_cost, "ops": ops}
     _emit(args, json.dumps(payload, ensure_ascii=False, indent=2) + "\n", [], started)
     return 0
 
@@ -295,9 +261,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = _POLICIES[args.normalize]
     merge = MergePolicy(args.merge_policy)
-    corpus = _open_corpus(
-        args.parallel, args.format, policy, CorpusTag.OTHER, Path(args.parallel).stem
-    )
+    corpus = _open_corpus(args.parallel, args.format, policy)
     records = []
     for pair in corpus.pairs:
         refs = tuple(
@@ -344,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold_edits")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--merge-policy", choices=("maximal-runs", "none"), default="maximal-runs")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--dataset", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_score_cgc)
@@ -364,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("input")
     p.add_argument("--beam", type=int, default=8)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", type=int, default=1)
     _add_common(p, fmt=False)
     p.set_defaults(func=cmd_correct)
 

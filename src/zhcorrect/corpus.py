@@ -13,20 +13,11 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, namedtuple
-from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, FormatError, NormalizationError, UsageError
 from .records import Checked, Record
 from .textnorm import DEFAULT_POLICY, NormalizePolicy, normalize_fields, units_of
-
-
-class CorpusTag(Enum):
-    CSC = "csc"
-    CGC = "cgc"
-    ALIGN = "align"
-    JOINT = "joint"
-    OTHER = "other"
 
 
 class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
@@ -43,17 +34,16 @@ class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
 class Corpus(Record):
     """An immutable list of pairs sharing one normalization policy."""
 
-    __slots__ = _fields = ("name", "tag", "pairs", "policy")
+    __slots__ = _fields = ("name", "pairs", "policy")
 
     def __init__(
-        self, name: str, tag: CorpusTag, pairs: tuple[ParallelPair, ...],
-        policy: NormalizePolicy = DEFAULT_POLICY,
+        self, name: str, pairs: tuple[ParallelPair, ...], policy: NormalizePolicy = DEFAULT_POLICY
     ) -> None:
         ids = [p.id for p in pairs]
         if len(set(ids)) != len(ids):
             dupe = next(i for i, c in Counter(ids).items() if c > 1)
             raise UsageError(f"corpus {name!r} has duplicate pair id {dupe!r}")
-        self._set(name, tag, pairs, policy)
+        self._set(name, pairs, policy)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -99,7 +89,6 @@ def parse_parallel(
     format: str = "tsv",
     policy: NormalizePolicy = DEFAULT_POLICY,
     name: str = "corpus",
-    tag: CorpusTag = CorpusTag.OTHER,
 ) -> Corpus:
     """Parse a parallel corpus from an iterable of lines.
 
@@ -125,7 +114,7 @@ def parse_parallel(
             except NormalizationError as exc:
                 raise NormalizationError(f"line {lineno}: {exc}") from exc
             pairs.append(ParallelPair(str(len(pairs)), source, tuple(references)))
-        return Corpus(name=name, tag=tag, pairs=tuple(pairs), policy=policy)
+        return Corpus(name=name, pairs=tuple(pairs), policy=policy)
     if format != "jsonl":
         raise UsageError(f"unknown corpus format {format!r}")
     # A decoded JSON value may hold a real tab, so each value is normalized
@@ -140,14 +129,28 @@ def parse_parallel(
             raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
         seen_ids.add(pair.id)
         pairs.append(pair)
-    return Corpus(name=name, tag=tag, pairs=tuple(pairs), policy=policy)
+    return Corpus(name=name, pairs=tuple(pairs), policy=policy)
 
 
 def serialize_parallel(corpus: Corpus, format: str = "tsv") -> str:
-    """Inverse of parse_parallel. TSV drops ids (they are regenerated on parse);
-    JSONL round-trips losslessly."""
+    """Inverse of parse_parallel. TSV drops ids (they are regenerated on parse)
+    and refuses with FormatError a pair it cannot hold: a source starting with
+    the comment mark, a tab or line feed inside a field, or a last field
+    ending in a carriage return, which the parser strips. JSONL round-trips
+    losslessly."""
     if format == "tsv":
-        lines = ["\t".join([p.source, *p.references]) for p in corpus]
+        lines = []
+        for p in corpus:
+            line = "\t".join([p.source, *p.references])
+            if (
+                p.source.startswith("#") or line.endswith("\r") or "\n" in line
+                or line.count("\t") != len(p.references)
+            ):
+                raise FormatError(
+                    f"pair {p.id!r}: TSV cannot hold a source starting with '#', a tab or "
+                    "line feed in a field, or a carriage return ending the line"
+                )
+            lines.append(line)
     elif format == "jsonl":
         lines = [
             json.dumps(
@@ -197,7 +200,7 @@ def unify(parts: Sequence[Corpus], name: str = "joint") -> Corpus:
         seen_names[part.name] += 1
         for p in part:
             pairs.append(ParallelPair(id=f"{ns}:{p.id}", source=p.source, references=p.references))
-    joint = Corpus(name=name, tag=CorpusTag.JOINT, pairs=tuple(pairs), policy=policy)
+    joint = Corpus(name=name, pairs=tuple(pairs), policy=policy)
     dupes = exact_duplicate_count(joint)
     if dupes:
         import logging  # imported only here: the CLI's start-up would pay for it
@@ -224,13 +227,11 @@ def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, C
     train_idx = sorted(indices[n_heldout:])
     train = Corpus(
         name=f"{corpus.name}-train",
-        tag=corpus.tag,
         pairs=tuple(corpus.pairs[i] for i in train_idx),
         policy=corpus.policy,
     )
     heldout = Corpus(
         name=f"{corpus.name}-heldout",
-        tag=corpus.tag,
         pairs=tuple(corpus.pairs[i] for i in heldout_idx),
         policy=corpus.policy,
     )

@@ -20,7 +20,8 @@ class FormatError(ZhcorrectError):
 
 
 class ConfigError(ZhcorrectError):
-    """Inconsistent configuration (policy mismatch, wrong corpus tag, ...)."""
+    """Inconsistent configuration (policy mismatch, a model with no stage
+    left to fit, ...)."""
 
 
 class UsageError(ZhcorrectError):

@@ -23,7 +23,7 @@ from collections import Counter, namedtuple
 from enum import Enum
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
-from .corpus import Corpus, CorpusTag, ParallelPair, split
+from .corpus import Corpus, ParallelPair, split
 from .alignment import align
 from .artifacts import write_artifact
 from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
@@ -49,38 +49,6 @@ class Stage(str, Enum):
     INITIAL = "initial"
     STAGE1 = "stage1"
     STAGE2 = "stage2"
-
-
-class StageConfig(
-    Checked, namedtuple("StageConfig", "stage order smoothing_k heldout_fraction seed")
-):
-    __slots__ = ()
-
-    def __new__(
-        cls, stage: Stage, order: int = DEFAULT_ORDER, smoothing_k: float = DEFAULT_SMOOTHING_K,
-        heldout_fraction: float = 0.1, seed: int = 0,
-    ) -> StageConfig:
-        if not 1 <= order <= MAX_ORDER:
-            raise ConfigError(f"lm order must be in [1, {MAX_ORDER}], got {order}")
-        if not 0.0 < smoothing_k < math.inf:
-            raise ConfigError(f"smoothing_k must be finite and > 0, got {smoothing_k}")
-        if not 0.0 < heldout_fraction < 1.0:
-            raise ConfigError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
-        return tuple.__new__(cls, (stage, order, smoothing_k, heldout_fraction, seed))
-
-    @property
-    def expected_tag(self) -> CorpusTag:
-        """Stage 2 trains on the joint corpus, every other stage on
-        alignment-tagged data."""
-        return CorpusTag.JOINT if self.stage is Stage.STAGE2 else CorpusTag.ALIGN
-
-
-def stage1_config(**overrides) -> StageConfig:
-    return StageConfig(stage=Stage.STAGE1, **overrides)
-
-
-def stage2_config(**overrides) -> StageConfig:
-    return StageConfig(stage=Stage.STAGE2, **overrides)
 
 
 def _check_smoothing(owner: str, k: float, totals: dict[str, int], vocab_size: int) -> None:
@@ -353,54 +321,47 @@ def _accumulate(
             ch_totals[src] = ch_totals.get(src, 0) + 1
 
 
-def stage_heldout(corpus: Corpus, config: StageConfig) -> Corpus:
-    """The held-out slice fit_stage tunes on, reproducible from the config.
+def stage_heldout(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
+    """The held-out slice fit_stage tunes on, reproducible from its arguments.
     fit_stage tunes nothing on an empty corpus, so its slice is empty."""
     if not corpus.pairs:
         return corpus
-    return split(corpus, config.heldout_fraction, config.seed)[1]
+    return split(corpus, heldout_fraction, seed)[1]
 
 
 def fit_stage(
-    init: MixtureCorrectorModel, corpus: Corpus, config: StageConfig
+    init: MixtureCorrectorModel, corpus: Corpus, heldout_fraction: float = 0.1, seed: int = 0
 ) -> MixtureCorrectorModel:
-    """One curriculum stage: accumulate corpus counts onto init's, then pick
-    the mixing weight minimizing the held-out objective.
+    """The curriculum stage after init's: accumulate corpus counts onto
+    init's, then pick the mixing weight minimizing the held-out objective.
+    The LM order and each table's smoothing_k are init's.
 
     The candidates are DEFAULT_MIX_GRID plus init's weight, so on the slice
     the search runs over the tuned objective cannot exceed init's under the
-    same counts. Deterministic for a fixed config seed.
+    same counts. Deterministic for a fixed seed.
     """
-    if config.stage is Stage.INITIAL:
-        raise ConfigError("cannot fit toward the initial stage")
-    if corpus.tag is not config.expected_tag:
-        raise ConfigError(
-            f"corpus tagged {corpus.tag.value!r} but stage expects "
-            f"{config.expected_tag.value!r}"
-        )
-    wanted = Stage.INITIAL if config.stage is Stage.STAGE1 else Stage.STAGE1
-    if init.stage is not wanted:
-        raise ConfigError(
-            f"stage {config.stage.value} must start from a {wanted.value} model, "
-            f"got {init.stage.value}"
-        )
-    if init.lm.order != config.order or init.lm.smoothing_k != config.smoothing_k:
-        raise ConfigError("config order/smoothing_k must match the init model")
+    if init.stage is Stage.STAGE2:
+        raise ConfigError("a stage2 model is fully trained: no stage follows it")
+    stage = Stage.STAGE2 if init.stage is Stage.STAGE1 else Stage.STAGE1
+    # split's check, made before an empty corpus returns early.
+    if not 0.0 < heldout_fraction < 1.0:
+        raise UsageError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
     if not corpus.pairs:
-        return init._replace(stage=config.stage)
+        return init._replace(stage=stage)
 
-    train_part, heldout_part = split(corpus, config.heldout_fraction, config.seed)
+    train_part, heldout_part = split(corpus, heldout_fraction, seed)
     lm_counts = {key: Counter(c) for key, c in init.lm.counts.items()}
     lm_totals = dict(init.lm.context_totals)
     ch_counts = {key: Counter(c) for key, c in init.channel.counts.items()}
     ch_totals = dict(init.channel.totals)
     vocab = set(init.lm.vocab)
+    order = init.lm.order
     for pair in train_part.pairs:
-        _accumulate(lm_counts, lm_totals, ch_counts, ch_totals, vocab, config.order, pair)
+        _accumulate(lm_counts, lm_totals, ch_counts, ch_totals, vocab, order, pair)
 
-    lm = NgramLM(config.order, config.smoothing_k, lm_counts, lm_totals, frozenset(vocab))
-    channel = ConfusionChannel(config.smoothing_k, ch_counts, ch_totals, frozenset(vocab))
-    fitted = MixtureCorrectorModel(lm, channel, init.mixing_weight, config.stage)
+    lm = NgramLM(order, init.lm.smoothing_k, lm_counts, lm_totals, frozenset(vocab))
+    channel = ConfusionChannel(init.channel.smoothing_k, ch_counts, ch_totals, frozenset(vocab))
+    fitted = MixtureCorrectorModel(lm, channel, init.mixing_weight, stage)
     if not heldout_part.pairs:
         return fitted
 

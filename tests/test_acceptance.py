@@ -31,15 +31,7 @@ from zhcorrect import (
     score_cgc,
     score_csc,
 )
-from zhcorrect.model import (
-    dataset_objective,
-    decode,
-    fit_stage,
-    initial_model,
-    stage1_config,
-    stage2_config,
-    stage_heldout,
-)
+from zhcorrect.model import dataset_objective, decode, fit_stage, initial_model, stage_heldout
 from zhcorrect.synthetic import make_suite
 
 from oracles import oracle_min_cost
@@ -167,10 +159,9 @@ def test_criterion_5_scorer_fixed_points():
 def test_criterion_6_staged_training_non_regression():
     started = time.perf_counter()
     suite = make_suite(seed=0, stage1_size=2000, csc_size=1000, cgc_size=1000)
-    config2 = stage2_config()
-    theta1 = fit_stage(initial_model(), suite.stage1, stage1_config())
-    theta2 = fit_stage(theta1, suite.joint, config2)
-    heldout = stage_heldout(suite.joint, config2)
+    theta1 = fit_stage(initial_model(), suite.stage1)
+    theta2 = fit_stage(theta1, suite.joint)
+    heldout = stage_heldout(suite.joint, 0.1, 0)
     before = dataset_objective(theta1, heldout)
     after = dataset_objective(theta2, heldout)
     assert math.isfinite(before) and math.isfinite(after)
@@ -182,8 +173,8 @@ def test_criterion_6_staged_training_non_regression():
 def test_criterion_7_end_to_end_lift_over_do_nothing():
     started = time.perf_counter()
     suite = make_suite(seed=0, stage1_size=2000, csc_size=1000, cgc_size=1000, eval_size=200)
-    theta1 = fit_stage(initial_model(), suite.stage1, stage1_config())
-    theta2 = fit_stage(theta1, suite.joint, stage2_config())
+    theta1 = fit_stage(initial_model(), suite.stage1)
+    theta2 = fit_stage(theta1, suite.joint)
 
     items = []
     baseline = []

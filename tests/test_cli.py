@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import zhcorrect
-from zhcorrect.cli import build_parser, main
+from zhcorrect.cli import main
 from zhcorrect.model import initial_model, load_model, save_model
 from zhcorrect.synthetic import make_suite
 
@@ -410,8 +410,8 @@ def test_correct_rejects_zero_model_parameters(tmp_path, capsys, field):
         ("--smoothing-k", "1e308", "error: lm smoothing_k 1e+308 makes a probability 0.0"),
         # k / (total + k·|V|) underflows to 0.
         ("--smoothing-k", "5e-324", "error: lm smoothing_k 5e-324 makes a probability 0.0"),
-        ("--smoothing-k", "nan", "error: smoothing_k must be finite and > 0, got nan"),
-        ("--order", "1" + "0" * 30, "error: lm order must be in [1, 64], got 1" + "0" * 30),
+        ("--smoothing-k", "nan", "error: lm smoothing_k must be finite and > 0, got nan"),
+        ("--order", "1" + "0" * 30, "error: lm order must be an integer in [1, 64], got 1" + "0" * 30),
     ],
 )
 def test_train_rejects_settings_that_zero_a_probability_or_overflow_the_order(
@@ -423,6 +423,15 @@ def test_train_rejects_settings_that_zero_a_probability_or_overflow_the_order(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(message), err
+    assert not model.exists()
+
+
+def test_train_rejects_a_bad_heldout_fraction_on_empty_corpora(tmp_path, capsys):
+    empty = _write(tmp_path / "empty.tsv", "")
+    model = tmp_path / "m.json"
+    argv = ["train", "--stage1", empty, "--stage2", empty, "--heldout-fraction", "1.5"]
+    assert main([*argv, "--out", str(model)]) == 2
+    assert capsys.readouterr().err == "error: heldout_fraction must be in (0, 1), got 1.5\n"
     assert not model.exists()
 
 
@@ -518,8 +527,22 @@ def test_align_json_payload(capsys):
     assert payload["total_cost"] == 1.0
     kinds = [op["kind"] for op in payload["ops"]]
     assert kinds.count("match") == 4 and kinds.count("del") == 1
-    deletion = next(op for op in payload["ops"] if op["kind"] == "del")
-    assert deletion["src_index"] == 4
+    assert payload["ops"][-1] == {"kind": "del", "src_index": 4, "tgt_index": 4}
+
+
+def test_align_json_spells_out_the_codes(capsys):
+    # Each op of the path SIMMMD with the cursor positions before it.
+    assert main(["align", "他是学生生", "她们是学生"]) == 0
+    steps = [
+        ("sub", 0, 0), ("ins", 1, 1), ("match", 1, 2), ("match", 2, 3), ("match", 3, 4), ("del", 4, 5)
+    ]
+    payload = {
+        "source": "他是学生生",
+        "target": "她们是学生",
+        "total_cost": 3.0,
+        "ops": [{"kind": k, "src_index": i, "tgt_index": j} for k, i, j in steps],
+    }
+    assert capsys.readouterr().out == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
 def test_align_out_and_manifest(tmp_path, capsys):
@@ -563,18 +586,6 @@ def test_python_dash_m_runs_the_cli(module):
     done = _python("-m", module, "--version")
     version = f"zhcorrect {zhcorrect.__version__}\n"
     assert (done.returncode, done.stdout, done.stderr) == (0, version, "")
-
-
-def test_env_var_sets_jobs_default(monkeypatch):
-    monkeypatch.setenv("ZHCORRECT_JOBS", "3")
-    args = build_parser().parse_args(["correct", "m.json", "in.txt"])
-    assert args.jobs == 3
-
-
-def test_env_var_rejected_when_not_integer(monkeypatch, capsys):
-    monkeypatch.setenv("ZHCORRECT_JOBS", "many")
-    assert main(["align", "甲", "乙"]) == 2
-    assert "ZHCORRECT_JOBS" in capsys.readouterr().err
 
 
 def test_internal_error_returns_one(tmp_path, monkeypatch, capsys):

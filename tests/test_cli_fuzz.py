@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zhcorrect.cli import main
-from zhcorrect.model import fit_stage, initial_model, save_model, stage1_config
+from zhcorrect.model import fit_stage, initial_model, save_model
 from zhcorrect.synthetic import make_suite
 
 _GOOD_TSV = "天汽很好\t天气很好\n他是学圣\t他是学生\n我们学习\t我们学习\n"
@@ -59,7 +59,7 @@ def _assert_clean_exit(argv):
 def container():
     """The JSON payload of a trained model."""
     suite = make_suite(seed=0, stage1_size=40, csc_size=10, cgc_size=10, eval_size=2)
-    model = fit_stage(initial_model(), suite.stage1, stage1_config())
+    model = fit_stage(initial_model(), suite.stage1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.json"
         save_model(model, str(path))

@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhcorrect import (
@@ -11,7 +11,6 @@ from zhcorrect import (
     WIDTHFOLD_POLICY,
     ConfigError,
     Corpus,
-    CorpusTag,
     FormatError,
     NormalizationError,
     ParallelPair,
@@ -31,12 +30,12 @@ from zhcorrect.synthetic import make_suite
 _POLICIES = [DEFAULT_POLICY, RAW_POLICY, WIDTHFOLD_POLICY]
 
 
-def _corpus_of(texts, name="c", tag=CorpusTag.OTHER):
+def _corpus_of(texts, name="c"):
     pairs = tuple(
         ParallelPair(str(i), src, tuple(refs))
         for i, (src, *refs) in enumerate(texts)
     )
-    return Corpus(name, tag, pairs)
+    return Corpus(name, pairs)
 
 
 def test_tsv_single_record():
@@ -146,7 +145,7 @@ def test_unify_sizes_and_tag():
     b = _corpus_of([("四", "肆"), ("五", "伍")], name="b")
     joint = unify([a, b])
     assert len(joint) == 5
-    assert joint.tag is CorpusTag.JOINT
+    assert joint.name == "joint"
     assert [p.id for p in joint][:3] == ["a:0", "a:1", "a:2"]
 
 
@@ -169,7 +168,7 @@ def test_unify_policy_mismatch_is_config_error():
     from zhcorrect import RAW_POLICY
 
     a = _corpus_of([("一", "二")], name="a")
-    b = Corpus("b", CorpusTag.OTHER, a.pairs, policy=RAW_POLICY)
+    b = Corpus("b", a.pairs, policy=RAW_POLICY)
     with pytest.raises(ConfigError):
         unify([a, b])
 
@@ -231,7 +230,7 @@ def test_split_argument_errors():
         with pytest.raises(UsageError):
             split(corpus, bad, seed=0)
     with pytest.raises(UsageError):
-        split(Corpus("e", CorpusTag.OTHER, ()), 0.5, seed=0)
+        split(Corpus("e", ()), 0.5, seed=0)
 
 
 def test_pair_requires_reference_and_unique_ids():
@@ -239,7 +238,7 @@ def test_pair_requires_reference_and_unique_ids():
         ParallelPair("p", "源", ())
     pair = ParallelPair("p", "源", ("参",))
     with pytest.raises(UsageError):
-        Corpus("c", CorpusTag.OTHER, (pair, pair))
+        Corpus("c", (pair, pair))
 
 
 def test_split_property_random():
@@ -278,7 +277,7 @@ def _located(line: str, lineno: int, exc: NormalizationError) -> NormalizationEr
     return NormalizationError(f"line {lineno}: {exc}")
 
 
-def _oracle_parse_tsv(stream, policy=DEFAULT_POLICY, name="corpus", tag=CorpusTag.OTHER):
+def _oracle_parse_tsv(stream, policy=DEFAULT_POLICY, name="corpus"):
     pairs: list[ParallelPair] = []
     seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
@@ -292,12 +291,12 @@ def _oracle_parse_tsv(stream, policy=DEFAULT_POLICY, name="corpus", tag=CorpusTa
             raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
         seen_ids.add(pair.id)
         pairs.append(pair)
-    return Corpus(name=name, tag=tag, pairs=tuple(pairs), policy=policy)
+    return Corpus(name=name, pairs=tuple(pairs), policy=policy)
 
 
 def _both_parses(text, policy):
-    got = parse_parallel(io.StringIO(text), "tsv", policy, name="n", tag=CorpusTag.CSC)
-    want = _oracle_parse_tsv(io.StringIO(text), policy, name="n", tag=CorpusTag.CSC)
+    got = parse_parallel(io.StringIO(text), "tsv", policy, name="n")
+    want = _oracle_parse_tsv(io.StringIO(text), policy, name="n")
     return got, want
 
 
@@ -373,19 +372,38 @@ def _round_trip_corpus(data, pieces, policy):
     for i in range(data.draw(st.integers(0, 5))):
         source, *refs = data.draw(st.lists(text, min_size=2, max_size=4))
         pairs.append(ParallelPair(str(i), source, tuple(refs)))
-    return Corpus("corpus", CorpusTag.OTHER, tuple(pairs), policy)
+    return Corpus("corpus", tuple(pairs), policy)
 
 
 @pytest.mark.parametrize("policy", _POLICIES, ids=["default", "none", "widthfold"])
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_tsv_serialization_reads_back_as_written(policy, data):
-    corpus = _round_trip_corpus(data, _ROUND_TRIP_PIECES, policy)
-    # TSV cannot hold a source that starts with the comment mark, or a line
-    # whose last field ends in a carriage return (iter_lines strips it).
-    assume(not any(p.source.startswith("#") or p.references[-1].endswith("\r") for p in corpus))
-    text = serialize_parallel(corpus, "tsv")
+    corpus = _round_trip_corpus(data, [*_ROUND_TRIP_PIECES, "\t", "\n"], policy)
+    # The writer refuses what TSV cannot hold; all it writes reads back.
+    try:
+        text = serialize_parallel(corpus, "tsv")
+    except FormatError:
+        return
     assert parse_parallel(io.StringIO(text), "tsv", policy) == corpus
+
+
+def test_tsv_serialization_refuses_text_tsv_cannot_hold():
+    # Written as TSV, this JSONL corpus would read back as the one pair
+    # ('丙', ('丁', '戊')): the first line as a comment, the tab as a column.
+    jsonl = (
+        '{"id": "a", "source": "#1 甲", "references": ["乙"]}\n'
+        '{"id": "b", "source": "丙\\t丁", "references": ["戊"]}\n'
+    )
+    with pytest.raises(FormatError, match="^pair 'a': TSV cannot hold"):
+        serialize_parallel(parse_parallel(io.StringIO(jsonl), "jsonl"), "tsv")
+    for row in [("丙\t丁", "戊"), ("丙", "丁", "戊\n"), ("丙", "丁\r"), ("丙", "丁", "戊\r")]:
+        with pytest.raises(FormatError):
+            serialize_parallel(_corpus_of([row]), "tsv")
+    # A carriage return or '#' elsewhere reads back as written.
+    corpus = _corpus_of([("丙#", "丁\r", "戊")])
+    text = serialize_parallel(corpus, "tsv")
+    assert parse_parallel(io.StringIO(text), "tsv", RAW_POLICY).pairs == corpus.pairs
 
 
 @pytest.mark.parametrize("policy", _POLICIES, ids=["default", "none", "widthfold"])

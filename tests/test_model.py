@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhcorrect import ConfigError, FormatError, UsageError
+from zhcorrect import ConfigError, FormatError, StructuralError, UsageError
 from zhcorrect.alignment import align
-from zhcorrect.corpus import Corpus, CorpusTag, ParallelPair, split
+from zhcorrect.corpus import Corpus, ParallelPair, split
 from zhcorrect.model import (
     BOUNDARY,
     DEFAULT_MIX_GRID,
@@ -20,7 +20,6 @@ from zhcorrect.model import (
     MixtureCorrectorModel,
     NgramLM,
     Stage,
-    StageConfig,
     conditional,
     dataset_objective,
     decode,
@@ -29,8 +28,6 @@ from zhcorrect.model import (
     load_model,
     nll,
     save_model,
-    stage1_config,
-    stage2_config,
     stage_heldout,
     _accumulate,
     _aligned_source_units,
@@ -46,8 +43,8 @@ def _pair(pid, src, ref):
     return ParallelPair(pid, src, (ref,))
 
 
-def _corpus(name, tag, pairs):
-    return Corpus(name, tag, tuple(pairs))
+def _corpus(name, pairs):
+    return Corpus(name, tuple(pairs))
 
 
 def _hand_model():
@@ -77,8 +74,8 @@ def small_suite():
 
 @pytest.fixture(scope="module")
 def trained(small_suite):
-    m1 = fit_stage(initial_model(), small_suite.stage1, stage1_config())
-    m2 = fit_stage(m1, small_suite.joint, stage2_config())
+    m1 = fit_stage(initial_model(), small_suite.stage1)
+    m2 = fit_stage(m1, small_suite.joint)
     return m1, m2
 
 
@@ -192,7 +189,6 @@ def test_nll_additive_over_independent_pairs_order_one():
     # alignment is the two diagonals laid end to end, so nll decomposes
     train = _corpus(
         "t",
-        CorpusTag.ALIGN,
         [
             _pair("a", "甲乙丙", "甲丁丙"),
             _pair("b", "戊己", "庚己"),
@@ -200,9 +196,7 @@ def test_nll_additive_over_independent_pairs_order_one():
             _pair("d", "子丑", "子丑"),
         ],
     )
-    model = fit_stage(
-        initial_model(order=1), train, stage1_config(order=1, heldout_fraction=0.25)
-    )
+    model = fit_stage(initial_model(order=1), train, heldout_fraction=0.25)
     left = _pair("l", "甲乙", "甲丁")
     right = _pair("r", "戊己", "庚己")
     joined = _pair("j", "甲乙戊己", "甲丁庚己")
@@ -216,83 +210,83 @@ def test_dataset_objective_mean_semantics():
     a = _pair("a", "甲乙", "甲乙")
     a2 = _pair("a2", "甲乙", "甲乙")
     b = _pair("b", "乙", "甲")
-    single = _corpus("s", CorpusTag.ALIGN, [a])
+    single = _corpus("s", [a])
     assert dataset_objective(model, single) == pytest.approx(nll(model, a), abs=1e-12)
-    doubled = _corpus("d", CorpusTag.ALIGN, [a, a2])
+    doubled = _corpus("d", [a, a2])
     assert dataset_objective(model, doubled) == pytest.approx(nll(model, a), abs=1e-12)
-    mixed = _corpus("m", CorpusTag.ALIGN, [a, a2, b])
+    mixed = _corpus("m", [a, a2, b])
     expected = (2 * nll(model, a) + nll(model, b)) / 3
     assert dataset_objective(model, mixed) == pytest.approx(expected, abs=1e-12)
 
 
 def test_dataset_objective_rejects_empty():
     with pytest.raises(UsageError):
-        dataset_objective(_hand_model(), _corpus("e", CorpusTag.ALIGN, []))
+        dataset_objective(_hand_model(), _corpus("e", []))
 
 
 def test_stage_config_validation():
-    with pytest.raises(ConfigError):
-        stage1_config(order=0)
-    with pytest.raises(ConfigError):
-        stage1_config(smoothing_k=0.0)
-    with pytest.raises(ConfigError):
-        stage1_config(heldout_fraction=1.0)
+    # A stage's settings are checked where they are used: the order and the
+    # smoothing constant by the model's tables, the heldout fraction by
+    # fit_stage before it looks at the corpus, so an empty one too.
+    with pytest.raises(StructuralError):
+        initial_model(order=0)
+    with pytest.raises(StructuralError):
+        initial_model(smoothing_k=0.0)
+    for pairs in ([_pair("a", "甲", "甲")], []):
+        with pytest.raises(UsageError, match=r"^heldout_fraction must be in \(0, 1\), got 1.0$"):
+            fit_stage(initial_model(), _corpus("c", pairs), heldout_fraction=1.0)
 
 
-def test_stage_presets_and_provenance():
-    c1, c2 = stage1_config(), stage2_config()
-    assert c1.stage is Stage.STAGE1 and c1.expected_tag is CorpusTag.ALIGN
-    assert c2.stage is Stage.STAGE2 and c2.expected_tag is CorpusTag.JOINT
+def test_fit_stage_takes_its_stage_order_and_smoothing_from_init():
+    init = initial_model(order=2, smoothing_k=0.5)
+    init = init._replace(channel=init.channel._replace(smoothing_k=0.25))
+    corpus = _corpus("c", [_pair("a", "甲乙", "甲丙"), _pair("b", "乙", "乙")])
+    m1 = fit_stage(init, corpus)
+    m2 = fit_stage(m1, corpus)
+    assert (m1.stage, m2.stage) == (Stage.STAGE1, Stage.STAGE2)
+    for model in (m1, m2):
+        assert (model.lm.order, model.lm.smoothing_k, model.channel.smoothing_k) == (2, 0.5, 0.25)
 
 
 def test_fit_stage_rejects_mismatches():
-    corpus_csc = _corpus("c", CorpusTag.CSC, [_pair("a", "甲", "甲")])
-    with pytest.raises(ConfigError):
-        fit_stage(initial_model(), corpus_csc, stage1_config())
-    corpus_align = _corpus("a", CorpusTag.ALIGN, [_pair("a", "甲", "甲")])
-    with pytest.raises(ConfigError):
-        fit_stage(initial_model(), corpus_align, StageConfig(Stage.INITIAL))
-    joint = _corpus("j", CorpusTag.JOINT, [_pair("a", "甲", "甲")])
-    with pytest.raises(ConfigError):
-        fit_stage(initial_model(), joint, stage2_config())  # skips stage 1
-    with pytest.raises(ConfigError):
-        fit_stage(initial_model(order=2), corpus_align, stage1_config(order=3))
-    with pytest.raises(ConfigError):
-        fit_stage(initial_model(smoothing_k=0.5), corpus_align, stage1_config())
+    # No stage follows stage 2, whatever the corpus.
+    stage2 = initial_model()._replace(stage=Stage.STAGE2)
+    for pairs in ([_pair("a", "甲", "甲")], []):
+        with pytest.raises(ConfigError, match="no stage follows"):
+            fit_stage(stage2, _corpus("c", pairs))
 
 
 def test_fit_stage_empty_corpus_only_advances_stage():
     init = initial_model(vocab="甲乙")
-    fitted = fit_stage(init, _corpus("e", CorpusTag.ALIGN, []), stage1_config())
+    fitted = fit_stage(init, _corpus("e", []))
     assert fitted.stage is Stage.STAGE1
     assert fitted == init._replace(stage=Stage.STAGE1)
+    assert fit_stage(fitted, _corpus("e", [])) == init._replace(stage=Stage.STAGE2)
 
 
 def test_fit_repeated_pair_reaches_smoothing_floor():
     pairs = [_pair(f"p{i}", "天汽很好", "天气很好") for i in range(100)]
-    corpus = _corpus("rep", CorpusTag.ALIGN, pairs)
-    config = stage1_config(smoothing_k=1e-6)
-    model = fit_stage(initial_model(smoothing_k=1e-6), corpus, config)
-    heldout = stage_heldout(corpus, config)
+    corpus = _corpus("rep", pairs)
+    model = fit_stage(initial_model(smoothing_k=1e-6), corpus)
+    heldout = stage_heldout(corpus, 0.1, 0)
     assert dataset_objective(model, heldout) < 1e-3
 
 
 def test_fit_lambda_comes_from_grid(small_suite):
     init = initial_model(mixing_weight=0.37)
-    config = stage1_config()
-    model = fit_stage(init, small_suite.stage1, config)
+    model = fit_stage(init, small_suite.stage1)
     assert model.mixing_weight in set(DEFAULT_MIX_GRID) | {0.37}
 
 
 def test_fit_is_deterministic(small_suite):
-    a = fit_stage(initial_model(), small_suite.stage1, stage1_config())
-    b = fit_stage(initial_model(), small_suite.stage1, stage1_config())
+    a = fit_stage(initial_model(), small_suite.stage1)
+    b = fit_stage(initial_model(), small_suite.stage1)
     assert a == b
 
 
 def test_stage_two_never_regresses_on_joint_heldout(small_suite, trained):
     m1, m2 = trained
-    heldout = stage_heldout(small_suite.joint, stage2_config())
+    heldout = stage_heldout(small_suite.joint, 0.1, 0)
     before = dataset_objective(m1, heldout)
     after = dataset_objective(m2, heldout)
     assert math.isfinite(before) and math.isfinite(after)
@@ -322,9 +316,9 @@ def test_grid_search_matches_per_weight_objective_loop():
     # same objective, bit for bit, at every weight.
     suite = make_suite(0)
     init = initial_model()
-    for corpus, config in ((suite.stage1, stage1_config()), (suite.joint, stage2_config())):
-        fitted = fit_stage(init, corpus, config)
-        heldout = stage_heldout(corpus, config)
+    for corpus in (suite.stage1, suite.joint):
+        fitted = fit_stage(init, corpus)
+        heldout = stage_heldout(corpus, 0.1, 0)
         grid = sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight})
         best_weight, best_objective, objectives = None, math.inf, []
         for weight in grid:
@@ -443,11 +437,10 @@ def test_accumulate_and_token_probs_match_their_references(order):
 
 
 def test_stage_heldout_matches_split(small_suite):
-    config = stage2_config()
-    heldout = stage_heldout(small_suite.joint, config)
-    _, expected = split(small_suite.joint, config.heldout_fraction, config.seed)
+    heldout = stage_heldout(small_suite.joint, 0.25, 3)
+    _, expected = split(small_suite.joint, 0.25, 3)
     assert heldout == expected
-    assert len(heldout) == int(len(small_suite.joint) * config.heldout_fraction + 0.5)
+    assert len(heldout) == int(len(small_suite.joint) * 0.25 + 0.5)
 
 
 def test_decode_rejects_bad_beam():
@@ -470,10 +463,8 @@ def test_decode_fixes_planted_substitution():
         ("做饭好吃", "做饭好吃"),
         ("他在工做", "他在工作"),
     ]
-    corpus = _corpus(
-        "tiny", CorpusTag.ALIGN, [_pair(f"w{i}", s, t) for i, (s, t) in enumerate(texts)]
-    )
-    model = fit_stage(initial_model(), corpus, stage1_config(heldout_fraction=0.25))
+    corpus = _corpus("tiny", [_pair(f"w{i}", s, t) for i, (s, t) in enumerate(texts)])
+    model = fit_stage(initial_model(), corpus, heldout_fraction=0.25)
     assert model.channel.partners("做") == ("作",)
     assert decode(model, "他的工做") == "他的工作"
     assert _lattice_oracle(model, "他的工做") == "他的工作"
@@ -603,8 +594,8 @@ def test_decode_breaks_exact_ties_across_beams_by_code_point():
 @pytest.fixture(scope="module")
 def suite0_model():
     suite = make_suite(0)
-    m1 = fit_stage(initial_model(), suite.stage1, stage1_config())
-    return suite, fit_stage(m1, suite.joint, stage2_config())
+    m1 = fit_stage(initial_model(), suite.stage1)
+    return suite, fit_stage(m1, suite.joint)
 
 
 def test_decode_matches_reference_on_suite_eval(suite0_model):

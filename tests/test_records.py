@@ -15,7 +15,6 @@ from zhcorrect import (
     ConfigError,
     ConfusionChannel,
     Corpus,
-    CorpusTag,
     Edit,
     EditSet,
     GoldEditCorpus,
@@ -23,7 +22,6 @@ from zhcorrect import (
     MixtureCorrectorModel,
     ParallelPair,
     Stage,
-    StageConfig,
     StructuralError,
     UsageError,
     decode,
@@ -43,12 +41,11 @@ def _records():
     edits = EditSet("0", 0, (Edit(1, 2, "丙"),))
     return [
         pair,
-        Corpus("c", CorpusTag.CSC, (pair,)),
+        Corpus("c", (pair,)),
         AlignmentPath("甲乙", "甲丙", "MS", 1.0),
         Edit(1, 2, "丙"),
         edits,
         GoldEditCorpus((GoldRecord("0", "甲乙", (edits,)),)),
-        StageConfig(Stage.STAGE1),
         _model(),
     ]
 
@@ -73,8 +70,8 @@ def test_copies_are_equal_and_pickle_back(record):
 def test_repr_names_every_field_as_a_dataclass_did():
     assert repr(Edit(1, 2, "丙")) == "Edit(start=1, end=2, replacement='丙')"
     assert repr(EditSet("0", 1, ())) == "EditSet(source_id='0', ref_id=1, edits=())"
-    assert repr(Corpus("c", CorpusTag.CSC, ())) == (
-        "Corpus(name='c', tag=<CorpusTag.CSC: 'csc'>, pairs=(), policy="
+    assert repr(Corpus("c", ())) == (
+        "Corpus(name='c', pairs=(), policy="
         "NormalizePolicy(unicode_form=<UnicodeForm.NFC: 'nfc'>, width_fold=False, "
         "strip_outer_whitespace=True))"
     )
@@ -84,18 +81,19 @@ def test_repr_names_every_field_as_a_dataclass_did():
     ("record", "changes", "error"),
     [
         (ParallelPair("0", "甲", ("乙",)), {"references": ()}, UsageError),
-        (Corpus("c", CorpusTag.CSC, ()), {"pairs": (ParallelPair("0", "甲", ("乙",)),) * 2}, UsageError),
+        (Corpus("c", ()), {"pairs": (ParallelPair("0", "甲", ("乙",)),) * 2}, UsageError),
         (AlignmentPath("甲", "乙", "S", 1.0), {"ops": "M"}, UsageError),
         (AlignmentPath("甲", "乙", "S", 1.0), {"ops": "SS"}, UsageError),
         (Edit(1, 2, "丙"), {"end": 0}, StructuralError),
         (Edit(1, 2, ""), {"end": 1}, StructuralError),
         (EditSet("0", 0, ()), {"edits": (Edit(0, 2, "x"), Edit(1, 2, "y"))}, StructuralError),
-        (StageConfig(Stage.STAGE1), {"order": 0}, ConfigError),
-        (StageConfig(Stage.STAGE1), {"heldout_fraction": 1.0}, ConfigError),
+        (_model().lm, {"smoothing_k": 1e308}, ConfigError),
+        (_model().channel, {"smoothing_k": 5e-324}, ConfigError),
         (initial_model().lm, {"vocab": frozenset("甲")}, StructuralError),
         (initial_model().channel, {"smoothing_k": 0.0}, StructuralError),
         (_model(), {"mixing_weight": 1.5}, UsageError),
         (_model(), {"channel": initial_model().channel}, ConfigError),
+        (initial_model().lm, {"order": 0}, StructuralError),
     ],
 )
 def test_replace_runs_the_checks(record, changes, error):
@@ -113,13 +111,13 @@ def test_replace_refuses_unknown_fields():
 
 
 def test_equal_records_hash_equal():
-    a = parse_parallel(["甲\t乙\n"], name="c", tag=CorpusTag.CSC)
-    b = Corpus("c", CorpusTag.CSC, (ParallelPair("0", "甲", ("乙",)),), DEFAULT_POLICY)
+    a = parse_parallel(["甲\t乙\n"], name="c")
+    b = Corpus("c", (ParallelPair("0", "甲", ("乙",)),), DEFAULT_POLICY)
     assert a == b and hash(a) == hash(b)
     assert {EditSet("0", 0, (Edit(0, 1, "x"),)), EditSet("0", 0, (Edit(0, 1, "x"),))} == {
         EditSet("0", 0, (Edit(0, 1, "x"),))
     }
-    assert Corpus("c", CorpusTag.CSC, ()) != Corpus("c", CorpusTag.CGC, ())
+    assert Corpus("c", ()) != Corpus("d", ())
 
 
 def test_decode_cache_stays_out_of_equality_repr_and_pickles():

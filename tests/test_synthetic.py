@@ -1,6 +1,5 @@
 import re
 
-from zhcorrect.corpus import CorpusTag
 from zhcorrect.synthetic import CONFUSION, WORD_INVENTORY, make_suite
 
 
@@ -25,11 +24,8 @@ def test_default_sizes():
 
 def test_tags_and_names():
     suite = _small()
-    assert suite.stage1.tag is CorpusTag.ALIGN and suite.stage1.name == "syn-align"
-    assert suite.csc.tag is CorpusTag.CSC
-    assert suite.cgc.tag is CorpusTag.CGC
-    assert suite.joint.tag is CorpusTag.JOINT
-    assert suite.eval_csc.tag is CorpusTag.CSC
+    names = [corpus.name for corpus in suite]
+    assert names == ["syn-align", "syn-csc", "syn-cgc", "syn-joint", "syn-eval"]
 
 
 def test_ids_are_stable_and_patterned():
