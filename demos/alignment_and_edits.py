@@ -12,18 +12,20 @@ from zhcorrect import (
 src = "他是学生生"
 tgt = "他是学生"
 
-path = align(src, tgt)
-print(f"{src} -> {tgt}  (cost {path.total_cost:g})")
-print(f"  ops {path.ops}")
+ops = align(src, tgt)
+# At unit costs every code but M costs 1.
+print(f"{src} -> {tgt}  (cost {len(ops) - ops.count('M')})")
+print(f"  ops {ops}")
 # Walk the codes with both cursors: every code but I consumes a source unit,
 # every code but D a target unit.
 i = j = 0
-for code in path.ops:
+for code in ops:
     print(f"  {code} src[{i}] tgt[{j}]")
     i += code != "I"
     j += code != "D"
 
-edits = extract_edits(path)
+# extract_edits aligns the pair itself and reads the edits off those codes.
+edits = extract_edits(src, tgt)
 for e in edits.edits:
     repl = e.replacement or "(delete)"
     print(f"edit [{e.start},{e.end}) -> {repl}  kind={e.kind.value}")
@@ -33,12 +35,11 @@ print("applied:", apply_edits(src, edits))
 # a messier pair: substitution next to an insertion merges into one edit
 # under maximal-runs, stays two edits under none
 src2, tgt2 = "他好", "你们好"
-path2 = align(src2, tgt2)
 for policy in (MergePolicy.MAXIMAL_RUNS, MergePolicy.NONE):
-    sets = extract_edits(path2, policy)
+    sets = extract_edits(src2, tgt2, policy)
     spans = [(e.start, e.end, e.replacement) for e in sets.edits]
     print(f"{policy.value}: {spans}")
 
 # the same content as a gold edit file record
 print()
-print(format_edit_records([(src, [extract_edits(path, source_id="0")])]), end="")
+print(format_edit_records([(src, [extract_edits(src, tgt, source_id="0")])]), end="")

@@ -4,7 +4,6 @@ edit-level F0.5 (grammar-style), then macro-average across datasets."""
 import io
 
 from zhcorrect import (
-    align,
     extract_edits,
     format_edit_records,
     macro_average,
@@ -29,7 +28,7 @@ print(f"sentence level: P={report.precision:.4f} R={report.recall:.4f} "
 # the same outputs against them
 gold_text = format_edit_records(
     [
-        (s, [extract_edits(align(s, r), source_id=str(i))])
+        (s, [extract_edits(s, r, source_id=str(i))])
         for i, (s, r, _) in enumerate(rows)
     ]
 )

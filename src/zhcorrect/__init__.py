@@ -19,7 +19,6 @@ from .textnorm import (
     WIDTHFOLD_POLICY,
     NormalizePolicy,
     UnicodeForm,
-    normalize,
     units_of,
 )
 from .corpus import (
@@ -31,16 +30,12 @@ from .corpus import (
     split,
     unify,
 )
-from .alignment import (
-    AlignmentPath,
-    align,
-)
+from .alignment import align
 from .edits import (
     EMPTY_REPLACEMENT_MARK,
     Edit,
     EditKind,
     EditSet,
-    GoldEditCorpus,
     GoldRecord,
     MatchCounts,
     MergePolicy,
@@ -85,12 +80,12 @@ __all__ = [
     "UsageError", "StructuralError",
     "NormalizePolicy", "UnicodeForm",
     "DEFAULT_POLICY", "RAW_POLICY", "WIDTHFOLD_POLICY",
-    "normalize", "units_of",
+    "units_of",
     "Corpus", "ParallelPair",
     "parse_parallel", "serialize_parallel", "exact_duplicate_count", "unify", "split",
-    "AlignmentPath", "align",
+    "align",
     "Edit", "EditKind", "EditSet", "MergePolicy", "MatchCounts",
-    "GoldRecord", "GoldEditCorpus", "EMPTY_REPLACEMENT_MARK",
+    "GoldRecord", "EMPTY_REPLACEMENT_MARK",
     "classify_kind", "extract_edits", "apply_edits", "match_edits",
     "format_edit_records", "parse_edit_file",
     "ScoreReport",

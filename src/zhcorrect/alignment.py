@@ -7,44 +7,10 @@ are written against this scheme.
 
 A path is a str of one-letter op codes: M (match), S (substitution), D
 (deletion: consumes a source unit only) and I (insertion: consumes a target
-unit only).
+unit only). At unit costs a path's cost is its number of non-M codes.
 """
 
 from __future__ import annotations
-
-from collections import namedtuple
-from itertools import compress
-
-from .errors import UsageError
-from .records import Checked
-
-_NON_CODES = str.maketrans("", "", "MSDI")
-_DROP_INS = str.maketrans("", "", "I")
-_DROP_DEL = str.maketrans("", "", "D")
-
-
-class AlignmentPath(Checked, namedtuple("AlignmentPath", "src tgt ops total_cost")):
-    """A monotone op path from (0,0) to (n,m) over src and tgt, as a str of
-    M/S/D/I codes."""
-
-    __slots__ = ()
-
-    def __new__(cls, src: str, tgt: str, ops: str, total_cost: float) -> AlignmentPath:
-        if not isinstance(ops, str) or ops.translate(_NON_CODES):
-            raise UsageError(f"ops must be a str of M/S/D/I codes, got {ops!r}")
-        # Each code but I consumes a source unit, each but D a target unit.
-        on_src, on_tgt = ops.translate(_DROP_INS), ops.translate(_DROP_DEL)
-        if (len(on_src), len(on_tgt)) != (len(src), len(tgt)):
-            raise UsageError(
-                f"path ends at ({len(on_src)},{len(on_tgt)}), "
-                f"expected ({len(src)},{len(tgt)})"
-            )
-        # The k-th M joins the k-th matched unit of each side.
-        if "".join(compress(src, map("M".__eq__, on_src))) != "".join(
-            compress(tgt, map("M".__eq__, on_tgt))
-        ):
-            raise UsageError("a match op joins unequal units")
-        return tuple.__new__(cls, (src, tgt, ops, total_cost))
 
 
 def _run_length(a: str, b: str) -> int:
@@ -63,8 +29,9 @@ def _run_length(a: str, b: str) -> int:
     return lo
 
 
-def align(src: str, tgt: str) -> AlignmentPath:
-    """Globally minimum-cost alignment with a deterministic tie-break.
+def align(src: str, tgt: str) -> str:
+    """Globally minimum-cost alignment with a deterministic tie-break, as its
+    path of op codes.
 
     Ties are resolved by walking forward from (0,0) along optimal
     continuations, preferring match > substitution > deletion > insertion at
@@ -115,7 +82,7 @@ def align(src: str, tgt: str) -> AlignmentPath:
     if src == tgt:
         # All matches: with unit costs a match is always an optimal
         # continuation, the walk's own first choice.
-        return AlignmentPath(src=src, tgt=tgt, ops="M" * n, total_cost=0.0)
+        return "M" * n
     p = _run_length(src, tgt)
     s = _run_length(src[p:][::-1], tgt[p:][::-1])
     x, y = src[p : n - s], tgt[p : m - s]
@@ -145,10 +112,9 @@ def align(src: str, tgt: str) -> AlignmentPath:
         pvs.append(pv)
         mvs.append(mv)
 
-    total = nx + pv.bit_count() - mv.bit_count()
     ops = ["M" * p]
     i = j = 0
-    here = total
+    here = nx + pv.bit_count() - mv.bit_count()
     while i < nx and j < my:
         if x[i] == y[j]:
             # With unit costs a match is always an optimal continuation.
@@ -194,5 +160,5 @@ def align(src: str, tgt: str) -> AlignmentPath:
         else:
             i += 1
     ops.append("D" * (n - i) + "I" * (m - j))
-    return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=float(total))
+    return "".join(ops)
 

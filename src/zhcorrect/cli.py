@@ -38,7 +38,9 @@ _POLICIES: dict[str, NormalizePolicy] = {
     "widthfold": WIDTHFOLD_POLICY,
 }
 
-# The align JSON's name for each op code of an AlignmentPath.
+_MERGE_POLICIES = tuple(policy.value for policy in MergePolicy)
+
+# The align JSON's name for each op code of an alignment path.
 _OP_KINDS = {"M": "match", "S": "sub", "I": "ins", "D": "del"}
 
 T = TypeVar("T")
@@ -244,15 +246,18 @@ def cmd_correct(args: argparse.Namespace) -> int:
 def cmd_align(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = _POLICIES[args.normalize]
-    path = align(units_of(args.source, policy), units_of(args.target, policy))
+    src, tgt = units_of(args.source, policy), units_of(args.target, policy)
+    path = align(src, tgt)
     # Each op with the cursor positions before it: every code but I consumes
     # a source unit, every code but D a target unit.
     ops, i, j = [], 0, 0
-    for code in path.ops:
+    for code in path:
         ops.append({"kind": _OP_KINDS[code], "src_index": i, "tgt_index": j})
         i += code != "I"
         j += code != "D"
-    payload = {"source": path.src, "target": path.tgt, "total_cost": path.total_cost, "ops": ops}
+    # At unit costs the cost is the number of codes other than M.
+    cost = float(len(path) - path.count("M"))
+    payload = {"source": src, "target": tgt, "total_cost": cost, "ops": ops}
     _emit(args, json.dumps(payload, ensure_ascii=False, indent=2) + "\n", [], started)
     return 0
 
@@ -265,7 +270,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
     records = []
     for pair in corpus.pairs:
         refs = tuple(
-            extract_edits(align(pair.source, ref), merge, source_id=pair.id, ref_id=j)
+            extract_edits(pair.source, ref, merge, source_id=pair.id, ref_id=j)
             for j, ref in enumerate(pair.references)
         )
         records.append((pair.source, refs))
@@ -279,7 +284,7 @@ def _add_common(
     if fmt:
         sub.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     if normalize:
-        sub.add_argument("--normalize", choices=("default", "none", "widthfold"), default="default")
+        sub.add_argument("--normalize", choices=tuple(_POLICIES), default="default")
     if out:
         sub.add_argument("--out", default=None, help="artifact path; adds a .manifest.json sidecar")
 
@@ -307,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("hyp_file")
     p.add_argument("gold_edits")
     p.add_argument("--beta", type=float, default=0.5)
-    p.add_argument("--merge-policy", choices=("maximal-runs", "none"), default="maximal-runs")
+    p.add_argument("--merge-policy", choices=_MERGE_POLICIES, default="maximal-runs")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--dataset", default=None)
     _add_common(p)
@@ -334,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("extract-edits", help="turn a parallel file into a gold edit file")
     p.add_argument("parallel")
-    p.add_argument("--merge-policy", choices=("maximal-runs", "none"), default="maximal-runs")
+    p.add_argument("--merge-policy", choices=_MERGE_POLICIES, default="maximal-runs")
     _add_common(p)
     p.set_defaults(func=cmd_extract_edits)
 

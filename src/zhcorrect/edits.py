@@ -1,4 +1,4 @@
-"""Discrete edits: extraction from alignments, application, matching.
+"""Discrete edits: extraction from aligned pairs, application, matching.
 
 Edits are the objects precision/recall/F are counted over. Edit identity is
 exact span AND replacement equality — the strictest defensible reading of
@@ -9,7 +9,9 @@ External interface — M2-like gold edit file, bit-exact grammar:
     A <start> <end>|||<type>|||<replacement>|||<ref_id>     (zero or more)
     <blank line>                                            (ends the record)
 A replacement of "-NONE-" denotes empty. Indices are unit indices. A record
-with zero "A" lines denotes a single no-edit reference (ref 0).
+with zero "A" lines denotes a single no-edit reference (ref 0). In a record
+with more than one reference, a reference without edits is the CoNLL noop
+line "A -1 -1|||noop|||-NONE-|||<ref_id>".
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from collections import namedtuple
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .alignment import AlignmentPath
+from .alignment import align
 from .corpus import iter_lines
 from .errors import FormatError, StructuralError, UsageError
 from .records import Checked, Record
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
+_NOOP_FIELDS = ("-1 -1", "noop", EMPTY_REPLACEMENT_MARK)
 
 
 class MergePolicy(Enum):
@@ -114,17 +117,18 @@ class MatchCounts(NamedTuple):
 
 
 def extract_edits(
-    path: AlignmentPath,
+    src: str,
+    tgt: str,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
     source_id: str = "",
     ref_id: int = 0,
 ) -> EditSet:
-    """Turn an alignment path into an edit set.
+    """The edits that turn src into tgt, read off align(src, tgt).
 
-    Applying the result to the path's source reproduces its target exactly,
-    under either merge policy.
+    Applying the result to src reproduces tgt exactly, under either merge
+    policy.
     """
-    ops, tgt = path.ops, path.tgt
+    ops = align(src, tgt)
     # A code's source index is its position less the I codes before it, and
     # its target index its position less the D codes before it.
     ins = dels = at = 0
@@ -175,29 +179,21 @@ class GoldRecord(NamedTuple):
     refs: tuple[EditSet, ...]
 
 
-class GoldEditCorpus(Record):
-    __slots__ = _fields = ("records",)
-
-    def __init__(self, records: tuple[GoldRecord, ...]) -> None:
-        self._set(records)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-
 def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str:
-    """Write records in the M2-like grammar. References with zero edits emit
-    no "A" lines (representable only implicitly — see parse_edit_file).
-    Text parse_edit_file would not read back as written is a FormatError: a
-    source with a line feed or a final carriage return, or a replacement with
-    a line feed, equal to EMPTY_REPLACEMENT_MARK, or not split back out of
-    its "A" line (it holds "|||" or ends in "|")."""
+    """Write records in the M2-like grammar. A reference with zero edits
+    emits no "A" line when it is its record's only one, and a noop line
+    otherwise. Text parse_edit_file would not read back as written is a
+    FormatError: a source with a line feed or a final carriage return, or a
+    replacement with a line feed, equal to EMPTY_REPLACEMENT_MARK, or not
+    split back out of its "A" line (it holds "|||" or ends in "|")."""
     out: list[str] = []
     for source, refs in records:
         if "\n" in source or source.endswith("\r"):
             raise FormatError(f"source {source!r} cannot be written as an M2 'S' line")
         out.append(f"S {source}")
         for ref in sorted(refs, key=lambda r: r.ref_id):
+            if not ref.edits and len(refs) > 1:
+                out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref.ref_id))))
             for e in ref.edits:
                 repl = e.replacement or EMPTY_REPLACEMENT_MARK
                 fields = [f"{e.start} {e.end}", e.kind.value, repl, str(ref.ref_id)]
@@ -213,11 +209,12 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
     return "".join(line + "\n" for line in out)
 
 
-def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
+def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
     """Parse the M2-like grammar back into gold records.
 
     A record with no "A" lines yields a single empty reference (ref 0), which
-    is how a clean single-reference pair round-trips.
+    is how a clean single-reference pair round-trips. A noop line names its
+    reference but adds no edit, so a reference with nothing else is empty.
     """
     records: list[GoldRecord] = []
     source: str | None = None
@@ -271,6 +268,9 @@ def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
                 rid = int(rid_text)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad span or ref id") from exc
+            if tuple(fields[:3]) == _NOOP_FIELDS:
+                by_ref.setdefault(rid, [])
+                continue
             replacement = "" if repl == EMPTY_REPLACEMENT_MARK else repl
             try:
                 edit = Edit(start, end, replacement)
@@ -280,4 +280,4 @@ def parse_edit_file(stream: Iterable[str]) -> GoldEditCorpus:
         else:
             raise FormatError(f"line {lineno}: expected 'S ', 'A ', or a blank line")
     close(lineno + 1)
-    return GoldEditCorpus(records=tuple(records))
+    return tuple(records)

@@ -17,8 +17,7 @@ import math
 from functools import partial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .alignment import align
-from .edits import EditSet, GoldEditCorpus, MatchCounts, MergePolicy, extract_edits, match_edits
+from .edits import EditSet, GoldRecord, MatchCounts, MergePolicy, extract_edits, match_edits
 from .errors import UsageError
 
 
@@ -134,7 +133,7 @@ def sentence_edit_counts(
     if not gold_refs:
         raise UsageError("sentence has no gold references")
     sid = gold_refs[0].source_id
-    hyp_set = extract_edits(align(source, hypothesis), merge, source_id=sid)
+    hyp_set = extract_edits(source, hypothesis, merge, source_id=sid)
     best: MatchCounts | None = None
     best_f = -1.0
     for ref in sorted(gold_refs, key=lambda r: r.ref_id):
@@ -156,7 +155,7 @@ def _sentence_counts(
 
 def score_cgc(
     hyp_corpus: Sequence[tuple[str, str]],
-    gold: GoldEditCorpus,
+    gold: Sequence[GoldRecord],
     beta: float = 0.5,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
     dataset: str = "",
@@ -175,13 +174,12 @@ def score_cgc(
     _check_beta(beta)
     if not hyp_corpus:
         raise UsageError("score_cgc needs at least one sentence")
-    if len(hyp_corpus) != len(gold.records):
+    if len(hyp_corpus) != len(gold):
         raise UsageError(
-            f"hypothesis count {len(hyp_corpus)} differs from gold record count "
-            f"{len(gold.records)}"
+            f"hypothesis count {len(hyp_corpus)} differs from gold record count {len(gold)}"
         )
     tasks = []
-    for i, ((source, hypothesis), record) in enumerate(zip(hyp_corpus, gold.records)):
+    for i, ((source, hypothesis), record) in enumerate(zip(hyp_corpus, gold)):
         if source != record.source:
             raise UsageError(
                 f"hypothesis {i}: source {source!r} differs from gold record source "

@@ -197,7 +197,7 @@ def _aligned_source_units(source: str, target: str) -> list[str | None]:
     insertions), under the deterministic alignment."""
     aligned: list[str | None] = [None] * len(target)
     i = j = 0
-    for code in align(source, target).ops:
+    for code in align(source, target):
         if code == "I":
             j += 1
         elif code == "D":

@@ -71,8 +71,9 @@ def _canonical(text: str, policy: NormalizePolicy) -> str:
     return text
 
 
-def normalize(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
-    """Apply the policy to raw text. Idempotent and deterministic.
+def units_of(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
+    """Apply the policy to raw text, giving its unit sequence: a str, which
+    indexes by scalar. Idempotent and deterministic.
 
     With ``RAW_POLICY`` the output equals the input (identity).
     Raises NormalizationError if the text contains surrogate code points or
@@ -85,7 +86,7 @@ def normalize(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
 
 def normalize_fields(line: str, policy: NormalizePolicy = DEFAULT_POLICY) -> list[str]:
     """The TAB-separated fields of line, each normalized under policy:
-    equal to ``[normalize(f, policy) for f in line.split("\\t")]``, from one
+    equal to ``[units_of(f, policy) for f in line.split("\\t")]``, from one
     pass over the line.
 
     This is exact because TAB is a starter (canonical combining class 0)
@@ -96,8 +97,3 @@ def normalize_fields(line: str, policy: NormalizePolicy = DEFAULT_POLICY) -> lis
     """
     fields = _canonical(line, policy).split("\t")
     return [f.strip() for f in fields] if policy.strip_outer_whitespace else fields
-
-
-def units_of(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
-    """Raw text as a unit sequence: the normalized str, which indexes by scalar."""
-    return normalize(text, policy)

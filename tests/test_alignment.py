@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 import random
 import tracemalloc
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhcorrect import (
-    AlignmentPath,
     MergePolicy,
     UsageError,
     align,
     apply_edits,
     extract_edits,
 )
+from zhcorrect.cli import main
 
 from oracles import ORACLE_MAX_TOTAL_UNITS, oracle_min_cost
 
@@ -28,6 +29,25 @@ _BAND_SEEDS = [(1, 1, 1), (1.5, 1, 1), (1, 0.7, 1.3), (2.5, 1, 1), (0.3, 1, 1)]
 
 def _rand_units(rng, max_len):
     return "".join(rng.choice(_CJK) for _ in range(rng.randint(0, max_len)))
+
+
+def _cost(ops):
+    """A path's cost at unit costs: one per code other than M."""
+    return sum(code != "M" for code in ops)
+
+
+def _assert_valid_path(src, tgt, ops):
+    """ops is a str of M/S/D/I codes that walks from (0,0) to (n,m), and
+    each M joins equal units and each S unequal ones."""
+    assert isinstance(ops, str) and set(ops) <= set("MSDI"), ops
+    # Each code but I consumes a source unit, each but D a target unit.
+    on_src, on_tgt = ops.replace("I", ""), ops.replace("D", "")
+    assert (len(on_src), len(on_tgt)) == (len(src), len(tgt)), (src, tgt, ops)
+    # The k-th M or S code joins the k-th such unit of each side.
+    src_joined = [(u, code) for u, code in zip(src, on_src) if code in "MS"]
+    tgt_joined = [u for u, code in zip(tgt, on_tgt) if code in "MS"]
+    for (s, code), t in zip(src_joined, tgt_joined):
+        assert (s == t) == (code == "M"), (src, tgt, ops)
 
 
 def _corrupt(rng, seq):
@@ -47,21 +67,15 @@ def _corrupt(rng, seq):
 
 
 def test_identity_alignment():
-    path = align("我爱北京", "我爱北京")
-    assert path.ops == "MMMM"
-    assert path.total_cost == 0.0
+    assert align("我爱北京", "我爱北京") == "MMMM"
 
 
 def test_trailing_repeat_deletes_last_unit():
-    path = align("他是学生生", "他是学生")
-    assert path.ops == "MMMMD"
-    assert path.total_cost == 1.0
+    assert align("他是学生生", "他是学生") == "MMMMD"
 
 
 def test_empty_source_all_insertions():
-    path = align("", "北京")
-    assert path.ops == "II"
-    assert path.total_cost == 2.0
+    assert align("", "北京") == "II"
 
 
 def test_cost_zero_iff_equal():
@@ -69,8 +83,7 @@ def test_cost_zero_iff_equal():
     for _ in range(100):
         s = _rand_units(rng, 8)
         t = _corrupt(rng, s)
-        cost = align(s, t).total_cost
-        assert (cost == 0.0) == (s == t)
+        assert (_cost(align(s, t)) == 0) == (s == t)
 
 
 def test_oracle_examples():
@@ -98,43 +111,47 @@ def test_dp_matches_oracle_on_random_pairs():
             t = _corrupt(rng, s)
             if len(s) + len(t) > ORACLE_MAX_TOTAL_UNITS:
                 continue
-        assert align(s, t).total_cost == oracle_min_cost(s, t)
+        assert _cost(align(s, t)) == oracle_min_cost(s, t)
 
 
 def test_symmetry_with_symmetric_costs():
     rng = random.Random(17)
     for _ in range(100):
         s, t = _rand_units(rng, 10), _rand_units(rng, 10)
-        assert align(s, t).total_cost == align(t, s).total_cost
+        assert _cost(align(s, t)) == _cost(align(t, s))
 
 
 def test_triangle_inequality():
     rng = random.Random(23)
     for _ in range(100):
         a, b, c = (_rand_units(rng, 8) for _ in range(3))
-        ab = align(a, b).total_cost
-        bc = align(b, c).total_cost
-        ac = align(a, c).total_cost
-        assert ac <= ab + bc + 1e-9
+        ab, bc, ac = _cost(align(a, b)), _cost(align(b, c)), _cost(align(a, c))
+        assert ac <= ab + bc
 
 
-def test_total_cost_equals_sum_of_op_costs():
+def test_total_cost_equals_sum_of_op_costs(capsys):
+    # The align JSON reports the total cost beside the ops; it must be their
+    # sum, and the minimum.
     rng = random.Random(41)
-    per_op = {"M": 0.0, "S": 1.0, "I": 1.0, "D": 1.0}
+    per_op = {"match": 0.0, "sub": 1.0, "ins": 1.0, "del": 1.0}
     for _ in range(100):
-        s = _rand_units(rng, 8)
+        s = _rand_units(rng, 6)
         t = _corrupt(rng, s)
-        path = align(s, t)
-        assert path.total_cost == sum(per_op[code] for code in path.ops)
+        if len(s) + len(t) > ORACLE_MAX_TOTAL_UNITS:
+            continue
+        assert main(["align", s, t, "--normalize", "none"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["total_cost"] == sum(per_op[op["kind"]] for op in payload["ops"])
+        assert payload["total_cost"] == oracle_min_cost(s, t)
 
 
 def test_path_consumes_both_sequences():
     rng = random.Random(43)
     for _ in range(100):
         s, t = _rand_units(rng, 8), _rand_units(rng, 8)
-        path = align(s, t)
-        n_src = sum(code in "MSD" for code in path.ops)
-        n_tgt = sum(code in "MSI" for code in path.ops)
+        ops = align(s, t)
+        n_src = sum(code in "MSD" for code in ops)
+        n_tgt = sum(code in "MSI" for code in ops)
         assert (n_src, n_tgt) == (len(s), len(t))
 
 
@@ -143,47 +160,25 @@ def test_alignment_is_deterministic():
     assert align(s, t) == align(s, t)
 
 
-def test_invalid_paths_rejected():
-    s, t = "ab", "ab"
-    with pytest.raises(UsageError, match="joins unequal units"):
-        AlignmentPath("ab", "cd", "MM", 0.0)
-    with pytest.raises(UsageError, match="joins unequal units"):
-        # the second match pairs b with c once the deletion shifts the source
-        AlignmentPath("abc", "ac", "MMD", 1.0)
-    with pytest.raises(UsageError, match="path ends at"):
-        # path stops short of (n, m)
-        AlignmentPath(s, t, "M", 0.0)
-    with pytest.raises(UsageError, match="path ends at"):
-        # path runs past (n, m)
-        AlignmentPath(s, t, "MMI", 1.0)
-    with pytest.raises(UsageError, match="M/S/D/I"):
-        # a code outside MSDI
-        AlignmentPath(s, t, "MX", 0.0)
-    with pytest.raises(UsageError, match="M/S/D/I"):
-        # ops as a tuple rather than a str of codes
-        AlignmentPath(s, t, ("M", "M"), 0.0)
-    assert AlignmentPath("abc", "ac", "MDM", 1.0).ops == "MDM"
-
-
 def test_align_signature_is_stable():
     # perfbench/tracing.py binds align's arguments by these names to count
-    # alignment.align.cells, and it wraps the align name that cli, metrics
-    # and model import from the alignment module.
-    from zhcorrect import cli, metrics, model
+    # alignment.align.cells, and it wraps the align name that cli, edits and
+    # model import from the alignment module.
+    from zhcorrect import cli, edits, model
 
     assert list(inspect.signature(align).parameters) == ["src", "tgt"]
-    assert cli.align is metrics.align is model.align is align
+    assert cli.align is edits.align is model.align is align
 
 
-def _untrimmed_align(src: str, tgt: str) -> AlignmentPath:
+def _untrimmed_align(src: str, tgt: str) -> str:
     """Reference: align as it was before the common prefix and suffix were
     trimmed, running the bit-parallel recurrence over the whole pair. Kept
-    verbatim as an oracle."""
+    verbatim as an oracle, apart from returning only the op codes."""
     n, m = len(src), len(tgt)
     if src == tgt:
         # All matches: with unit costs a match is always an optimal
         # continuation, the walk's own first choice.
-        return AlignmentPath(src=src, tgt=tgt, ops="M" * n, total_cost=0.0)
+        return "M" * n
     full = (1 << m) - 1
     # peq[u] has bit c-1 set where tgt[m-c] == u: the target, reversed.
     peq: dict[str, int] = {}
@@ -208,10 +203,9 @@ def _untrimmed_align(src: str, tgt: str) -> AlignmentPath:
         pvs.append(pv)
         mvs.append(mv)
 
-    total = n + pv.bit_count() - mv.bit_count()
     ops: list[str] = []
     i = j = 0
-    here = total
+    here = n + pv.bit_count() - mv.bit_count()
     while i < n and j < m:
         if src[i] == tgt[j]:
             # With unit costs a match is always an optimal continuation.
@@ -240,13 +234,13 @@ def _untrimmed_align(src: str, tgt: str) -> AlignmentPath:
             here -= 1
     # One side is used up: the rest of the other is deleted or inserted.
     ops.append("D" * (n - i) + "I" * (m - j))
-    return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=float(total))
+    return "".join(ops)
 
 
-def _full_table_align(src: str, tgt: str) -> AlignmentPath:
+def _full_table_align(src: str, tgt: str) -> str:
     """Reference: align as it was before the band, filling the whole
     (n+1)x(m+1) suffix table. Kept verbatim as an oracle, at the unit costs
-    align uses, apart from spelling the ops as codes."""
+    align uses, apart from returning only the ops, spelled as codes."""
     s, t = tuple(src), tuple(tgt)
     n, m = len(s), len(t)
     c_sub = c_ins = c_del = 1.0
@@ -287,13 +281,14 @@ def _full_table_align(src: str, tgt: str) -> AlignmentPath:
             ops.append("I")
             j += 1
 
-    return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=suffix[0][0])
+    return "".join(ops)
 
 
-def _banded_align(src: str, tgt: str) -> AlignmentPath:
+def _banded_align(src: str, tgt: str) -> str:
     """Reference: align as it was before the bit-parallel DP, filling a
     diagonal band (Ukkonen 1985) that doubles until it holds every optimal
-    path. Kept verbatim as an oracle, apart from spelling the ops as codes."""
+    path. Kept verbatim as an oracle, apart from returning only the ops,
+    spelled as codes."""
     s, t = tuple(src), tuple(tgt)
     n, m = len(s), len(t)
 
@@ -323,7 +318,7 @@ def _banded_align(src: str, tgt: str) -> AlignmentPath:
             ops.append("I")
             j += 1
 
-    return AlignmentPath(src=src, tgt=tgt, ops="".join(ops), total_cost=suffix[0][0])
+    return "".join(ops)
 
 
 def _band_suffix(s: tuple[str, ...], t: tuple[str, ...], lo: int, hi: int) -> list[list[float]]:
@@ -355,11 +350,12 @@ def _band_suffix(s: tuple[str, ...], t: tuple[str, ...], lo: int, hi: int) -> li
     return suffix
 
 
-def _assert_matches_oracles(src: str, tgt: str, path: AlignmentPath | None = None) -> None:
-    path = align(src, tgt) if path is None else path
-    assert path == _untrimmed_align(src, tgt), (src, tgt)
-    assert path == _full_table_align(src, tgt), (src, tgt)
-    assert path == _banded_align(src, tgt), (src, tgt)
+def _assert_matches_oracles(src: str, tgt: str, ops: str | None = None) -> None:
+    ops = align(src, tgt) if ops is None else ops
+    _assert_valid_path(src, tgt, ops)
+    assert ops == _untrimmed_align(src, tgt), (src, tgt)
+    assert ops == _full_table_align(src, tgt), (src, tgt)
+    assert ops == _banded_align(src, tgt), (src, tgt)
 
 
 def _band_pair(rng):
@@ -427,9 +423,9 @@ def test_equal_pair_is_all_matches():
     rng = random.Random(5)
     texts = ["", "学", "x" * 300, "学生" * 150, "".join(rng.choice(_CJK) for _ in range(300))]
     for text in texts:
-        path = align(text, text)
-        assert (path.ops, path.total_cost) == ("M" * len(text), 0.0)
-        _assert_matches_oracles(text, text, path)
+        ops = align(text, text)
+        assert ops == "M" * len(text)
+        _assert_matches_oracles(text, text, ops)
 
 
 def _trim_pair(rng):
@@ -455,9 +451,7 @@ def test_trimmed_align_matches_untrimmed_on_shared_prefix_and_suffix():
     rng = random.Random(10)
     for _ in range(3000):
         src, tgt = _trim_pair(rng)
-        path = align(src, tgt)
-        expected = _untrimmed_align(src, tgt)
-        assert (path.ops, path.total_cost) == (expected.ops, expected.total_cost), (src, tgt)
+        assert align(src, tgt) == _untrimmed_align(src, tgt), (src, tgt)
 
 
 @pytest.mark.parametrize(
@@ -478,10 +472,9 @@ def test_trimmed_align_matches_untrimmed_on_shared_prefix_and_suffix():
     ],
 )
 def test_trimmed_align_edge_cases(src, tgt, ops):
-    path = align(src, tgt)
-    assert path.ops == ops
-    assert path == _untrimmed_align(src, tgt)
-    assert path.total_cost == oracle_min_cost(src, tgt)
+    assert align(src, tgt) == ops
+    assert _untrimmed_align(src, tgt) == ops
+    assert _cost(ops) == oracle_min_cost(src, tgt)
 
 
 def test_band_memory_stays_within_the_full_table():
@@ -493,12 +486,12 @@ def test_band_memory_stays_within_the_full_table():
     for tgt in ("", long[:2], long[2500:2502]):
         tracemalloc.start()
         try:
-            path = align(long, tgt)
+            ops = align(long, tgt)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 20_000_000, (len(tgt), peak)
-        _assert_matches_oracles(long, tgt, path)
+        _assert_matches_oracles(long, tgt, ops)
 
 
 @st.composite
@@ -521,8 +514,9 @@ def _small_alphabet_pairs(draw):
 @given(_small_alphabet_pairs())
 def test_align_matches_oracle_and_its_edits_rebuild_the_target(pair):
     src, tgt = pair
-    path = align(src, tgt)
-    assert path == _banded_align(src, tgt)
-    assert path == _untrimmed_align(src, tgt)
+    ops = align(src, tgt)
+    _assert_valid_path(src, tgt, ops)
+    assert ops == _banded_align(src, tgt)
+    assert ops == _untrimmed_align(src, tgt)
     for policy in MergePolicy:
-        assert apply_edits(src, extract_edits(path, policy)) == tgt
+        assert apply_edits(src, extract_edits(src, tgt, policy)) == tgt

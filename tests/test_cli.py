@@ -132,7 +132,7 @@ def test_score_cgc_rejects_a_beta_that_is_not_finite_and_positive(tmp_path, caps
     def no_align(src, tgt):
         raise AssertionError("a sentence was aligned before beta was checked")
 
-    monkeypatch.setattr("zhcorrect.metrics.align", no_align)
+    monkeypatch.setattr("zhcorrect.edits.align", no_align)
     assert main(["score-cgc", hyp, gold, "--beta", beta]) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: beta must be finite and > 0, got {float(beta)}"]

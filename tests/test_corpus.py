@@ -17,7 +17,6 @@ from zhcorrect import (
     UsageError,
     NormalizePolicy,
     exact_duplicate_count,
-    normalize,
     parse_parallel,
     serialize_parallel,
     split,
@@ -271,7 +270,7 @@ def _parse_tsv_line(line: str, lineno: int, policy: NormalizePolicy, pair_id: st
 
 def _located(line: str, lineno: int, exc: NormalizationError) -> NormalizationError:
     try:
-        normalize(line, RAW_POLICY)
+        units_of(line, RAW_POLICY)
     except NormalizationError as whole:
         exc = whole
     return NormalizationError(f"line {lineno}: {exc}")
@@ -367,7 +366,7 @@ _ROUND_TRIP_PIECES = ["天", "气", "学生", "a", " ", "\u3000", "a\u0301", "\u
 
 
 def _round_trip_corpus(data, pieces, policy):
-    text = st.lists(st.sampled_from(pieces), max_size=5).map(lambda p: normalize("".join(p), policy))
+    text = st.lists(st.sampled_from(pieces), max_size=5).map(lambda p: units_of("".join(p), policy))
     pairs = []
     for i in range(data.draw(st.integers(0, 5))):
         source, *refs = data.draw(st.lists(text, min_size=2, max_size=4))

@@ -2,7 +2,7 @@ import io
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhcorrect import (
@@ -15,7 +15,6 @@ from zhcorrect import (
     MergePolicy,
     StructuralError,
     UsageError,
-    align,
     apply_edits,
     classify_kind,
     extract_edits,
@@ -68,13 +67,11 @@ def test_editset_invariants():
 
 
 def test_extract_identity_is_empty():
-    path = align("我爱北京", "我爱北京")
-    assert len(extract_edits(path)) == 0
+    assert len(extract_edits("我爱北京", "我爱北京")) == 0
 
 
 def test_extract_single_deletion():
-    path = align("他是学生生", "他是学生")
-    edit_set = extract_edits(path)
+    edit_set = extract_edits("他是学生生", "他是学生")
     assert len(edit_set) == 1
     edit = edit_set.edits[0]
     assert (edit.start, edit.end) == (4, 5)
@@ -83,15 +80,14 @@ def test_extract_single_deletion():
 
 
 def test_adjacent_sub_ins_merges_to_complex():
-    path = align("他好", "你们好")
-    merged = extract_edits(path, MergePolicy.MAXIMAL_RUNS)
+    merged = extract_edits("他好", "你们好", MergePolicy.MAXIMAL_RUNS)
     assert len(merged) == 1
     edit = merged.edits[0]
     assert (edit.start, edit.end) == (0, 1)
     assert edit.replacement == "你们"
     assert edit.kind is EditKind.COMPLEX
 
-    separate = extract_edits(path, MergePolicy.NONE)
+    separate = extract_edits("他好", "你们好", MergePolicy.NONE)
     assert [(e.start, e.end, e.replacement) for e in separate.edits] == [
         (0, 1, "你"),
         (1, 1, "们"),
@@ -99,8 +95,7 @@ def test_adjacent_sub_ins_merges_to_complex():
 
 
 def test_none_policy_coalesces_same_point_insertions():
-    path = align("a", "xya")
-    separate = extract_edits(path, MergePolicy.NONE)
+    separate = extract_edits("a", "xya", MergePolicy.NONE)
     assert [(e.start, e.end, e.replacement) for e in separate.edits] == [(0, 0, "xy")]
 
 
@@ -123,9 +118,8 @@ def test_roundtrip_random_pairs_both_policies():
     for _ in range(300):
         clean = "".join(rng.choice(_CJK) for _ in range(rng.randint(0, 10)))
         src = _corrupt(rng, clean)
-        path = align(src, clean)
         for policy in MergePolicy:
-            assert apply_edits(src, extract_edits(path, policy)) == clean
+            assert apply_edits(src, extract_edits(src, clean, policy)) == clean
 
 
 def test_match_edits_counts():
@@ -157,7 +151,7 @@ def test_match_self_never_has_errors():
     for _ in range(50):
         clean = "".join(rng.choice(_CJK) for _ in range(rng.randint(1, 8)))
         src = _corrupt(rng, clean)
-        edit_set = extract_edits(align(src, clean))
+        edit_set = extract_edits(src, clean)
         counts = match_edits(edit_set, edit_set)
         assert (counts.fp, counts.fn) == (0, 0)
 
@@ -197,16 +191,42 @@ def test_parse_edit_file_roundtrip():
     text = format_edit_records([(source, refs)])
     parsed = parse_edit_file(io.StringIO(text))
     assert len(parsed) == 1
-    record = parsed.records[0]
+    record = parsed[0]
     assert record.source == source
     assert record.refs == refs
     # file-level fixed point
     assert format_edit_records([(record.source, record.refs)]) == text
 
 
+def test_format_writes_a_noop_line_for_a_reference_without_edits_beside_others():
+    refs = [EditSet("0", 0, ()), EditSet("0", 1, (Edit(1, 2, "丁"),)), EditSet("0", 2, ())]
+    text = format_edit_records([("甲乙丙", refs)])
+    assert text == (
+        "S 甲乙丙\n"
+        "A -1 -1|||noop|||-NONE-|||0\n"
+        "A 1 2|||sub|||丁|||1\n"
+        "A -1 -1|||noop|||-NONE-|||2\n"
+        "\n"
+    )
+    assert parse_edit_file(io.StringIO(text))[0].refs == tuple(refs)
+
+
+def test_parse_reads_a_noop_line_and_refuses_other_negative_spans():
+    text = "S 甲\nA -1 -1|||noop|||-NONE-|||3\n\n"
+    assert parse_edit_file(io.StringIO(text))[0].refs == (EditSet("0", 3, ()),)
+    for line in (
+        "A -1 -1|||del|||-NONE-|||0",
+        "A -1 -1|||noop|||甲|||0",
+        "A -1 0|||noop|||-NONE-|||0",
+        "A -2 -2|||noop|||-NONE-|||0",
+    ):
+        with pytest.raises(FormatError, match="line 2: bad edit span"):
+            parse_edit_file(io.StringIO(f"S 甲\n{line}\n\n"))
+
+
 def test_parse_clean_record_yields_implicit_empty_reference():
     parsed = parse_edit_file(io.StringIO("S 他是学生\n\n"))
-    record = parsed.records[0]
+    record = parsed[0]
     assert len(record.refs) == 1
     assert record.refs[0].edits == ()
 
@@ -218,7 +238,7 @@ def test_parse_handles_missing_final_blank_line():
 
 def test_parse_sorts_out_of_order_a_lines():
     text = "S 天汽很号\nA 3 4|||sub|||好|||0\nA 1 2|||sub|||气|||0\n\n"
-    record = parse_edit_file(io.StringIO(text)).records[0]
+    record = parse_edit_file(io.StringIO(text))[0]
     assert [(e.start, e.end) for e in record.refs[0].edits] == [(1, 2), (3, 4)]
 
 
@@ -248,9 +268,8 @@ def test_merge_policies_apply_identically():
     for _ in range(100):
         clean = "".join(rng.choice(_CJK) for _ in range(rng.randint(1, 8)))
         src = _corrupt(rng, clean)
-        path = align(src, clean)
-        a = apply_edits(src, extract_edits(path, MergePolicy.NONE))
-        b = apply_edits(src, extract_edits(path, MergePolicy.MAXIMAL_RUNS))
+        a = apply_edits(src, extract_edits(src, clean, MergePolicy.NONE))
+        b = apply_edits(src, extract_edits(src, clean, MergePolicy.MAXIMAL_RUNS))
         assert a == b
 
 
@@ -262,7 +281,7 @@ def test_empty_replacement_mark_never_collides():
         format_edit_records([("甲", [EditSet("0", 0, (edit,))])])
     # the reserved mark parses back as an empty replacement, not the literal
     parsed = parse_edit_file(io.StringIO("S 甲\nA 0 1|||complex|||-NONE-|||0\n\n"))
-    assert parsed.records[0].refs[0].edits[0].replacement == ""
+    assert parsed[0].refs[0].edits[0].replacement == ""
 
 
 # Units and pieces M2 lines are split and stripped at, beside plain text.
@@ -278,11 +297,8 @@ def _m2_records(data, text, merge):
     for i in range(data.draw(st.integers(0, 4))):
         source = data.draw(text)
         refs = data.draw(st.lists(text, min_size=1, max_size=3))
-        # The grammar writes a reference without edits as no "A" lines, so
-        # only a lone reference may leave the source as it is.
-        assume(len(refs) == 1 or source not in refs)
         sets = tuple(
-            extract_edits(align(source, ref), merge, source_id=str(i), ref_id=j)
+            extract_edits(source, ref, merge, source_id=str(i), ref_id=j)
             for j, ref in enumerate(refs)
         )
         records.append(GoldRecord(str(i), source, sets))
@@ -291,7 +307,7 @@ def _m2_records(data, text, merge):
 
 def _m2_round_trip(records):
     text = format_edit_records((r.source, r.refs) for r in records)
-    return list(parse_edit_file(io.StringIO(text)).records)
+    return list(parse_edit_file(io.StringIO(text)))
 
 
 @pytest.mark.parametrize("merge", list(MergePolicy))

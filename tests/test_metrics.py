@@ -6,9 +6,12 @@ from typing import NamedTuple
 import pytest
 
 from zhcorrect import (
+    GoldRecord,
     MatchCounts,
     UsageError,
+    extract_edits,
     f_beta,
+    format_edit_records,
     macro_average,
     parse_edit_file,
     precision_recall,
@@ -277,6 +280,20 @@ def test_score_cgc_f_tie_keeps_lowest_ref_id():
     hyp = [("天汽很号", "天汽很号")]
     report = score_cgc(hyp, gold)
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (0, 0, 2)
+
+
+def test_score_cgc_counts_a_reference_without_edits_from_the_file_as_in_memory():
+    # The unchanged reference is written as a noop line, so it survives the
+    # file and the do-nothing hypothesis matches it, not the edited one.
+    source = "甲乙丙"
+    refs = tuple(
+        extract_edits(source, ref, source_id="0", ref_id=j)
+        for j, ref in enumerate(("甲乙丙", "甲丁丙"))
+    )
+    gold_text = format_edit_records([(source, refs)])
+    assert "A -1 -1|||noop|||-NONE-|||0\n" in gold_text
+    for gold in ([GoldRecord("0", source, refs)], parse_edit_file(io.StringIO(gold_text))):
+        assert score_cgc([(source, source)], gold).counts == MatchCounts(0, 0, 0)
 
 
 def test_score_cgc_missing_gold_entry():

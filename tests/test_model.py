@@ -297,7 +297,7 @@ def _per_weight_nll(model, pair):
     """nll as it was computed before the per-token table: one alignment and
     one conditional per unit, for the model's own weight."""
     target = pair.references[0]
-    ops = align(pair.source, target).ops
+    ops = align(pair.source, target)
     # The source units that M and S codes consume, in order, against one
     # code per target unit.
     consumed = iter(

@@ -3,6 +3,7 @@ equality, hashing and repr by value, and checks on every construction,
 copies made with _replace and by pickling included."""
 
 import copy
+import math
 import pickle
 from collections import Counter
 
@@ -11,14 +12,11 @@ import pytest
 from zhcorrect import (
     DEFAULT_POLICY,
     UNK,
-    AlignmentPath,
     ConfigError,
     ConfusionChannel,
     Corpus,
     Edit,
     EditSet,
-    GoldEditCorpus,
-    GoldRecord,
     MixtureCorrectorModel,
     ParallelPair,
     Stage,
@@ -38,14 +36,11 @@ def _model():
 
 def _records():
     pair = ParallelPair("0", "甲乙", ("甲丙",))
-    edits = EditSet("0", 0, (Edit(1, 2, "丙"),))
     return [
         pair,
         Corpus("c", (pair,)),
-        AlignmentPath("甲乙", "甲丙", "MS", 1.0),
         Edit(1, 2, "丙"),
-        edits,
-        GoldEditCorpus((GoldRecord("0", "甲乙", (edits,)),)),
+        EditSet("0", 0, (Edit(1, 2, "丙"),)),
         _model(),
     ]
 
@@ -82,8 +77,8 @@ def test_repr_names_every_field_as_a_dataclass_did():
     [
         (ParallelPair("0", "甲", ("乙",)), {"references": ()}, UsageError),
         (Corpus("c", ()), {"pairs": (ParallelPair("0", "甲", ("乙",)),) * 2}, UsageError),
-        (AlignmentPath("甲", "乙", "S", 1.0), {"ops": "M"}, UsageError),
-        (AlignmentPath("甲", "乙", "S", 1.0), {"ops": "SS"}, UsageError),
+        (_model(), {"mixing_weight": -0.1}, UsageError),
+        (_model(), {"mixing_weight": math.nan}, UsageError),
         (Edit(1, 2, "丙"), {"end": 0}, StructuralError),
         (Edit(1, 2, ""), {"end": 1}, StructuralError),
         (EditSet("0", 0, ()), {"edits": (Edit(0, 2, "x"), Edit(1, 2, "y"))}, StructuralError),

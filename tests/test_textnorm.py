@@ -11,7 +11,6 @@ from zhcorrect import (
     NormalizationError,
     NormalizePolicy,
     UnicodeForm,
-    normalize,
     units_of,
 )
 from zhcorrect.model import BOUNDARY, UNK
@@ -33,16 +32,16 @@ def _random_text(rng, max_len=20):
 
 
 def test_already_normalized_passthrough():
-    assert normalize("我爱北京", DEFAULT_POLICY) == "我爱北京"
+    assert units_of("我爱北京", DEFAULT_POLICY) == "我爱北京"
 
 
 def test_strip_outer_whitespace():
-    assert normalize("  abc ", NormalizePolicy(width_fold=False)) == "abc"
+    assert units_of("  abc ", NormalizePolicy(width_fold=False)) == "abc"
 
 
 def test_raw_policy_is_identity():
     for text in ["", "  a b ", "ｈｅｌｌｏ", "。，", "é", " \t x \n"]:
-        assert normalize(text, RAW_POLICY) == text
+        assert units_of(text, RAW_POLICY) == text
 
 
 def test_idempotent_under_every_policy():
@@ -51,27 +50,27 @@ def test_idempotent_under_every_policy():
     for _ in range(300):
         text = _random_text(rng)
         for policy in policies:
-            once = normalize(text, policy)
-            assert normalize(once, policy) == once
+            once = units_of(text, policy)
+            assert units_of(once, policy) == once
 
 
 def test_width_fold_touches_punctuation_only():
-    assert normalize(",", WIDTHFOLD_POLICY) == "，"
-    assert normalize("a1!", WIDTHFOLD_POLICY) == "a1！"
-    assert normalize("abc,def?", WIDTHFOLD_POLICY) == "abc，def？"
+    assert units_of(",", WIDTHFOLD_POLICY) == "，"
+    assert units_of("a1!", WIDTHFOLD_POLICY) == "a1！"
+    assert units_of("abc,def?", WIDTHFOLD_POLICY) == "abc，def？"
     # already full-width stays put
-    assert normalize("，！", WIDTHFOLD_POLICY) == "，！"
+    assert units_of("，！", WIDTHFOLD_POLICY) == "，！"
 
 
 def test_nfc_composes_combining_marks():
     decomposed = "é"
-    assert normalize(decomposed, DEFAULT_POLICY) == "é"
-    assert normalize(decomposed, RAW_POLICY) == decomposed
+    assert units_of(decomposed, DEFAULT_POLICY) == "é"
+    assert units_of(decomposed, RAW_POLICY) == decomposed
 
 
 def test_surrogate_rejected_with_byte_offset():
     with pytest.raises(NormalizationError) as err:
-        normalize("我a\ud800x", DEFAULT_POLICY)
+        units_of("我a\ud800x", DEFAULT_POLICY)
     # "我" is 3 UTF-8 bytes, "a" is 1
     assert "byte offset 4" in str(err.value)
     assert "D800" in str(err.value)
@@ -97,10 +96,10 @@ def test_surrogate_scan_matches_per_character_loop():
         text = "".join(units)
         expected = _loop_check_scalars(text)
         if expected is None:
-            assert normalize(text, RAW_POLICY) == text
+            assert units_of(text, RAW_POLICY) == text
             continue
         with pytest.raises(NormalizationError) as err:
-            normalize(text, RAW_POLICY)
+            units_of(text, RAW_POLICY)
         ch, offset = expected
         assert str(err.value) == (
             f"invalid Unicode scalar U+{ord(ch):04X} at byte offset {offset}"
@@ -136,10 +135,10 @@ def test_reserved_scan_matches_per_character_loop():
         text = "".join(units)
         first = next((i for i, ch in enumerate(text) if ch in rejected), None)
         if first is None:
-            assert normalize(text, RAW_POLICY) == text
+            assert units_of(text, RAW_POLICY) == text
             continue
         with pytest.raises(NormalizationError) as err:
-            normalize(text, RAW_POLICY)
+            units_of(text, RAW_POLICY)
         offset = len(text[:first].encode("utf-8", "surrogatepass"))
         assert f"U+{ord(text[first]):04X} at byte offset {offset}" in str(err.value)
 
@@ -158,7 +157,7 @@ def test_unitseq_roundtrip_and_slicing():
     rng = random.Random(11)
     for _ in range(200):
         raw = _random_text(rng)
-        norm = normalize(raw, DEFAULT_POLICY)
+        norm = units_of(raw, DEFAULT_POLICY)
         seq = units_of(raw, DEFAULT_POLICY)
         assert isinstance(seq, str)
         assert seq == norm
@@ -200,11 +199,11 @@ _FIELD_UNITS = (
 )
 def test_normalize_fields_equals_normalize_per_field(line, policy):
     try:
-        normalize(line, RAW_POLICY)
+        units_of(line, RAW_POLICY)
     except NormalizationError as whole:
         # the line's first offender, its offset counted from the line's start
         with pytest.raises(NormalizationError) as err:
             normalize_fields(line, policy)
         assert str(err.value) == str(whole)
         return
-    assert normalize_fields(line, policy) == [normalize(f, policy) for f in line.split("\t")]
+    assert normalize_fields(line, policy) == [units_of(f, policy) for f in line.split("\t")]
