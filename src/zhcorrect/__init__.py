@@ -13,18 +13,10 @@ from .errors import (
     UsageError,
     ZhcorrectError,
 )
-from .textnorm import (
-    DEFAULT_POLICY,
-    RAW_POLICY,
-    WIDTHFOLD_POLICY,
-    NormalizePolicy,
-    UnicodeForm,
-    units_of,
-)
+from .textnorm import NormalizePolicy, units_of
 from .corpus import (
     Corpus,
     ParallelPair,
-    exact_duplicate_count,
     parse_parallel,
     serialize_parallel,
     split,
@@ -78,11 +70,9 @@ __all__ = [
     "__version__",
     "ZhcorrectError", "NormalizationError", "FormatError", "ConfigError",
     "UsageError", "StructuralError",
-    "NormalizePolicy", "UnicodeForm",
-    "DEFAULT_POLICY", "RAW_POLICY", "WIDTHFOLD_POLICY",
-    "units_of",
+    "NormalizePolicy", "units_of",
     "Corpus", "ParallelPair",
-    "parse_parallel", "serialize_parallel", "exact_duplicate_count", "unify", "split",
+    "parse_parallel", "serialize_parallel", "unify", "split",
     "align",
     "Edit", "EditKind", "EditSet", "MergePolicy", "MatchCounts",
     "GoldRecord", "EMPTY_REPLACEMENT_MARK",

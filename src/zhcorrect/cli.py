@@ -30,14 +30,9 @@ from .metrics import ScoreReport, macro_average, score_cgc, score_csc
 from .model import (
     decode, dataset_objective, fit_stage, initial_model, load_model, save_model, stage_heldout,
 )
-from .textnorm import DEFAULT_POLICY, NormalizePolicy, RAW_POLICY, WIDTHFOLD_POLICY, units_of
+from .textnorm import NormalizePolicy, units_of
 
-_POLICIES: dict[str, NormalizePolicy] = {
-    "default": DEFAULT_POLICY,
-    "none": RAW_POLICY,
-    "widthfold": WIDTHFOLD_POLICY,
-}
-
+_NORMALIZE_POLICIES = tuple(policy.value for policy in NormalizePolicy)
 _MERGE_POLICIES = tuple(policy.value for policy in MergePolicy)
 
 # The align JSON's name for each op code of an alignment path.
@@ -184,7 +179,7 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
     if len(args.files) != 2:
         raise UsageError("score-csc takes HYP_FILE GOLD_FILE (or --macro REPORT...)")
     hyp_path, gold_path = args.files
-    policy = _POLICIES[args.normalize]
+    policy = NormalizePolicy(args.normalize)
     gold = _open_corpus(gold_path, args.format, policy)
     hyps = _read_units(hyp_path, policy)
     if len(hyps) != len(gold.pairs):
@@ -199,7 +194,7 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
 
 def cmd_score_cgc(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    policy = _POLICIES[args.normalize]
+    policy = NormalizePolicy(args.normalize)
     hyp = _open_corpus(args.hyp_file, args.format, policy)
     gold = _read(args.gold_edits, parse_edit_file)
     report = score_cgc(
@@ -215,7 +210,7 @@ def cmd_score_cgc(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    policy = _POLICIES[args.normalize]
+    policy = NormalizePolicy(args.normalize)
     stage1_corpus = _open_corpus(args.stage1, args.format, policy)
     joint = unify([_open_corpus(path, args.format, policy) for path in args.stage2], name="joint")
     model0 = initial_model(order=args.order, smoothing_k=args.smoothing_k)
@@ -237,7 +232,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_correct(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
-    lines = _read_units(args.input, _POLICIES[args.normalize])
+    lines = _read_units(args.input, NormalizePolicy(args.normalize))
     corrected = _pmap(partial(decode, model, beam_width=args.beam), lines, args.jobs)
     _emit(args, "".join(line + "\n" for line in corrected), [args.model, args.input], started)
     return 0
@@ -245,7 +240,7 @@ def cmd_correct(args: argparse.Namespace) -> int:
 
 def cmd_align(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    policy = _POLICIES[args.normalize]
+    policy = NormalizePolicy(args.normalize)
     src, tgt = units_of(args.source, policy), units_of(args.target, policy)
     path = align(src, tgt)
     # Each op with the cursor positions before it: every code but I consumes
@@ -264,7 +259,7 @@ def cmd_align(args: argparse.Namespace) -> int:
 
 def cmd_extract_edits(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    policy = _POLICIES[args.normalize]
+    policy = NormalizePolicy(args.normalize)
     merge = MergePolicy(args.merge_policy)
     corpus = _open_corpus(args.parallel, args.format, policy)
     records = []
@@ -284,7 +279,7 @@ def _add_common(
     if fmt:
         sub.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     if normalize:
-        sub.add_argument("--normalize", choices=tuple(_POLICIES), default="default")
+        sub.add_argument("--normalize", choices=_NORMALIZE_POLICIES, default="default")
     if out:
         sub.add_argument("--out", default=None, help="artifact path; adds a .manifest.json sidecar")
 

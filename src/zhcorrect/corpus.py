@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, FormatError, NormalizationError, UsageError
 from .records import Checked, Record
-from .textnorm import DEFAULT_POLICY, NormalizePolicy, normalize_fields, units_of
+from .textnorm import NormalizePolicy, normalize_fields, units_of
 
 
 class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
@@ -37,7 +37,10 @@ class Corpus(Record):
     __slots__ = _fields = ("name", "pairs", "policy")
 
     def __init__(
-        self, name: str, pairs: tuple[ParallelPair, ...], policy: NormalizePolicy = DEFAULT_POLICY
+        self,
+        name: str,
+        pairs: tuple[ParallelPair, ...],
+        policy: NormalizePolicy = NormalizePolicy.DEFAULT,
     ) -> None:
         ids = [p.id for p in pairs]
         if len(set(ids)) != len(ids):
@@ -87,7 +90,7 @@ def iter_lines(stream: Iterable[str]) -> Iterator[str]:
 def parse_parallel(
     stream: Iterable[str],
     format: str = "tsv",
-    policy: NormalizePolicy = DEFAULT_POLICY,
+    policy: NormalizePolicy = NormalizePolicy.DEFAULT,
     name: str = "corpus",
 ) -> Corpus:
     """Parse a parallel corpus from an iterable of lines.
@@ -164,21 +167,12 @@ def serialize_parallel(corpus: Corpus, format: str = "tsv") -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def exact_duplicate_count(corpus: Corpus) -> int:
-    """Number of pairs that are exact (source, references) repeats of an earlier pair."""
-    seen: Counter = Counter()
-    for p in corpus:
-        seen[(p.source, p.references)] += 1
-    return sum(c - 1 for c in seen.values())
-
-
 def unify(parts: Sequence[Corpus], name: str = "joint") -> Corpus:
     """Concatenate corpora into one joint corpus.
 
     Duplicates across parts are kept: training objectives weight pairs by
     empirical frequency, so deduplication would silently reweight the
-    mixture. Exact-duplicate counts are logged, not removed. Pair ids are
-    re-namespaced by source corpus name.
+    mixture. Pair ids are re-namespaced by source corpus name.
     """
     if not parts:
         raise UsageError("unify needs at least one corpus")
@@ -200,13 +194,7 @@ def unify(parts: Sequence[Corpus], name: str = "joint") -> Corpus:
         seen_names[part.name] += 1
         for p in part:
             pairs.append(ParallelPair(id=f"{ns}:{p.id}", source=p.source, references=p.references))
-    joint = Corpus(name=name, pairs=tuple(pairs), policy=policy)
-    dupes = exact_duplicate_count(joint)
-    if dupes:
-        import logging  # imported only here: the CLI's start-up would pay for it
-
-        logging.getLogger(__name__).info("unify(%s): %d exact duplicate pair(s) kept", name, dupes)
-    return joint
+    return Corpus(name=name, pairs=tuple(pairs), policy=policy)
 
 
 def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, Corpus]:

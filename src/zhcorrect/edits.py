@@ -80,10 +80,6 @@ class Edit(Checked, namedtuple("Edit", "start end replacement")):
     def kind(self) -> EditKind:
         return classify_kind(self.start, self.end, len(self.replacement))
 
-    def key(self) -> tuple[int, int, str]:
-        """Identity used for matching: exact span and replacement."""
-        return (self.start, self.end, self.replacement)
-
 
 class EditSet(Record):
     """Sorted, non-overlapping edits against one source sentence."""
@@ -102,9 +98,6 @@ class EditSet(Record):
 
     def __len__(self) -> int:
         return len(self.edits)
-
-    def keys(self) -> set[tuple[int, int, str]]:
-        return {e.key() for e in self.edits}
 
 
 class MatchCounts(NamedTuple):
@@ -163,7 +156,7 @@ def match_edits(hyp: EditSet, gold: EditSet) -> MatchCounts:
         raise UsageError(
             f"edit sets refer to different sources: {hyp.source_id!r} vs {gold.source_id!r}"
         )
-    h, g = hyp.keys(), gold.keys()
+    h, g = set(hyp.edits), set(gold.edits)
     return MatchCounts(tp=len(h & g), fp=len(h - g), fn=len(g - h))
 
 

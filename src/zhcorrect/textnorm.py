@@ -4,7 +4,8 @@ All position arithmetic in the toolkit is done in "units" = Unicode scalar
 values, never encoding bytes and never grapheme clusters: Chinese correction
 corpora are overwhelmingly single-scalar characters, so scalar indexing keeps
 span math simple while staying exact. A Python str indexes by scalar, so a
-unit sequence is simply the normalized str.
+unit sequence is simply the normalized str. Raw text becomes units under
+one of three policies, the members of NormalizePolicy.
 """
 
 from __future__ import annotations
@@ -12,34 +13,25 @@ from __future__ import annotations
 import re
 import unicodedata
 from enum import Enum
-from typing import NamedTuple
 
 from .errors import NormalizationError
 
 
-class UnicodeForm(Enum):
-    """Canonical composition applied before any other step."""
+class NormalizePolicy(Enum):
+    """How raw text is canonicalized before any position arithmetic; the
+    values are the CLI's --normalize names.
 
-    NFC = "nfc"
-    NONE = "none"
-
-
-class NormalizePolicy(NamedTuple):
-    """How raw text is canonicalized before any position arithmetic.
-
-    width_fold maps half-width ASCII punctuation to its full-width form;
-    it is off by default because several benchmarks treat full/half-width
-    punctuation as a correctable error.
+    NONE only checks the scalars and leaves the text as it is. DEFAULT
+    applies NFC and then strips outer whitespace. WIDTHFOLD applies NFC,
+    maps half-width ASCII punctuation to its full-width form and strips;
+    width folding is not the default because several benchmarks treat
+    full/half-width punctuation as a correctable error.
     """
 
-    unicode_form: UnicodeForm = UnicodeForm.NFC
-    width_fold: bool = False
-    strip_outer_whitespace: bool = True
+    DEFAULT = "default"
+    NONE = "none"
+    WIDTHFOLD = "widthfold"
 
-
-DEFAULT_POLICY = NormalizePolicy()
-RAW_POLICY = NormalizePolicy(UnicodeForm.NONE, False, False)
-WIDTHFOLD_POLICY = NormalizePolicy(UnicodeForm.NFC, True, True)
 
 # Half-width ASCII punctuation -> full-width forms (U+FF01..). Letters and
 # digits are left alone.
@@ -64,27 +56,28 @@ def _check_scalars(text: str) -> None:
 
 def _canonical(text: str, policy: NormalizePolicy) -> str:
     _check_scalars(text)
-    if policy.unicode_form is UnicodeForm.NFC:
-        text = unicodedata.normalize("NFC", text)
-    if policy.width_fold:
+    if policy is NormalizePolicy.NONE:
+        return text
+    text = unicodedata.normalize("NFC", text)
+    if policy is NormalizePolicy.WIDTHFOLD:
         text = text.translate(_WIDTH_FOLD_TABLE)
     return text
 
 
-def units_of(text: str, policy: NormalizePolicy = DEFAULT_POLICY) -> str:
+def units_of(text: str, policy: NormalizePolicy = NormalizePolicy.DEFAULT) -> str:
     """Apply the policy to raw text, giving its unit sequence: a str, which
     indexes by scalar. Idempotent and deterministic.
 
-    With ``RAW_POLICY`` the output equals the input (identity).
+    Under ``NormalizePolicy.NONE`` the output equals the input (identity).
     Raises NormalizationError if the text contains surrogate code points or
     the reserved units U+0002 and U+001A, naming the first offender and its
     UTF-8 byte offset.
     """
     out = _canonical(text, policy)
-    return out.strip() if policy.strip_outer_whitespace else out
+    return out if policy is NormalizePolicy.NONE else out.strip()
 
 
-def normalize_fields(line: str, policy: NormalizePolicy = DEFAULT_POLICY) -> list[str]:
+def normalize_fields(line: str, policy: NormalizePolicy = NormalizePolicy.DEFAULT) -> list[str]:
     """The TAB-separated fields of line, each normalized under policy:
     equal to ``[units_of(f, policy) for f in line.split("\\t")]``, from one
     pass over the line.
@@ -96,4 +89,4 @@ def normalize_fields(line: str, policy: NormalizePolicy = DEFAULT_POLICY) -> lis
     offset counted from the start of the line.
     """
     fields = _canonical(line, policy).split("\t")
-    return [f.strip() for f in fields] if policy.strip_outer_whitespace else fields
+    return fields if policy is NormalizePolicy.NONE else [f.strip() for f in fields]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -8,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import zhcorrect
-from zhcorrect.cli import main
+from zhcorrect.cli import build_parser, main
 from zhcorrect.model import initial_model, load_model, save_model
 from zhcorrect.synthetic import make_suite
+from zhcorrect.textnorm import NormalizePolicy
 
 _GOLD_EDITS = (
     "S 他是学生生\n"
@@ -545,6 +547,35 @@ def test_align_json_spells_out_the_codes(capsys):
     assert capsys.readouterr().out == json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
 
+# A padded NFD source with half-width punctuation: "a" and U+0301 compose
+# to "á" under NFC.
+_PADDED_NFD = " 他说:a\u0301! "
+
+
+@pytest.mark.parametrize(
+    ("normalize", "source"),
+    [
+        ("default", "他说:\u00e1!"),
+        ("none", _PADDED_NFD),
+        ("widthfold", "他说：\u00e1！"),
+    ],
+)
+def test_align_normalizes_under_each_policy(capsys, normalize, source):
+    assert main(["align", _PADDED_NFD, "他说", "--normalize", normalize]) == 0
+    assert json.loads(capsys.readouterr().out)["source"] == source
+
+
+def test_normalize_choices_are_the_policy_values():
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = [
+        list(action.choices)
+        for sub in commands.choices.values()
+        for action in sub._actions
+        if "--normalize" in action.option_strings
+    ]
+    assert choices == [[p.value for p in NormalizePolicy]] * len(commands.choices)
+
+
 def test_align_out_and_manifest(tmp_path, capsys):
     out = tmp_path / "align.json"
     assert main(["align", "甲", "乙", "--out", str(out)]) == 0
@@ -579,6 +610,25 @@ def test_cli_import_leaves_the_process_pool_unimported():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_train_on_repeated_pairs_leaves_logging_unimported(tmp_path):
+    # unify keeps exact duplicates and reports nothing about them.
+    stage1 = _tsv(tmp_path / "stage1.tsv", [("天汽", "天气"), ("学生", "学生")])
+    csc = _tsv(tmp_path / "csc.tsv", [("天汽", "天气"), ("天汽", "天气")])
+    cgc = _tsv(tmp_path / "cgc.tsv", [("天汽", "天气")])
+    model = tmp_path / "model.json"
+    argv = ["train", "--stage1", stage1, "--stage2", csc, cgc, "--out", str(model)]
+    done = _python(
+        "-S",
+        "-c",
+        "import sys, zhcorrect.cli; "
+        f"assert zhcorrect.cli.main({argv!r}) == 0; "
+        "print('logging' in sys.modules)",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("False\n")
+    assert model.exists()
 
 
 @pytest.mark.parametrize("module", ["zhcorrect", "zhcorrect.cli"])

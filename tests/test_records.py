@@ -10,7 +10,6 @@ from collections import Counter
 import pytest
 
 from zhcorrect import (
-    DEFAULT_POLICY,
     UNK,
     ConfigError,
     ConfusionChannel,
@@ -18,6 +17,7 @@ from zhcorrect import (
     Edit,
     EditSet,
     MixtureCorrectorModel,
+    NormalizePolicy,
     ParallelPair,
     Stage,
     StructuralError,
@@ -66,9 +66,7 @@ def test_repr_names_every_field_as_a_dataclass_did():
     assert repr(Edit(1, 2, "丙")) == "Edit(start=1, end=2, replacement='丙')"
     assert repr(EditSet("0", 1, ())) == "EditSet(source_id='0', ref_id=1, edits=())"
     assert repr(Corpus("c", ())) == (
-        "Corpus(name='c', pairs=(), policy="
-        "NormalizePolicy(unicode_form=<UnicodeForm.NFC: 'nfc'>, width_fold=False, "
-        "strip_outer_whitespace=True))"
+        "Corpus(name='c', pairs=(), policy=<NormalizePolicy.DEFAULT: 'default'>)"
     )
 
 
@@ -107,7 +105,7 @@ def test_replace_refuses_unknown_fields():
 
 def test_equal_records_hash_equal():
     a = parse_parallel(["甲\t乙\n"], name="c")
-    b = Corpus("c", (ParallelPair("0", "甲", ("乙",)),), DEFAULT_POLICY)
+    b = Corpus("c", (ParallelPair("0", "甲", ("乙",)),), NormalizePolicy.DEFAULT)
     assert a == b and hash(a) == hash(b)
     assert {EditSet("0", 0, (Edit(0, 1, "x"),)), EditSet("0", 0, (Edit(0, 1, "x"),))} == {
         EditSet("0", 0, (Edit(0, 1, "x"),))

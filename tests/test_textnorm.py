@@ -1,18 +1,11 @@
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zhcorrect import (
-    DEFAULT_POLICY,
-    RAW_POLICY,
-    WIDTHFOLD_POLICY,
-    NormalizationError,
-    NormalizePolicy,
-    UnicodeForm,
-    units_of,
-)
+from zhcorrect import NormalizationError, NormalizePolicy, units_of
 from zhcorrect.model import BOUNDARY, UNK
 from zhcorrect.textnorm import normalize_fields
 
@@ -32,45 +25,46 @@ def _random_text(rng, max_len=20):
 
 
 def test_already_normalized_passthrough():
-    assert units_of("我爱北京", DEFAULT_POLICY) == "我爱北京"
+    assert units_of("我爱北京", NormalizePolicy.DEFAULT) == "我爱北京"
 
 
 def test_strip_outer_whitespace():
-    assert units_of("  abc ", NormalizePolicy(width_fold=False)) == "abc"
+    assert units_of("  abc ", NormalizePolicy.DEFAULT) == "abc"
+    assert units_of("  abc ", NormalizePolicy.WIDTHFOLD) == "abc"
+    assert units_of("  abc ", NormalizePolicy.NONE) == "  abc "
 
 
 def test_raw_policy_is_identity():
     for text in ["", "  a b ", "ｈｅｌｌｏ", "。，", "é", " \t x \n"]:
-        assert units_of(text, RAW_POLICY) == text
+        assert units_of(text, NormalizePolicy.NONE) == text
 
 
 def test_idempotent_under_every_policy():
     rng = random.Random(7)
-    policies = [DEFAULT_POLICY, RAW_POLICY, WIDTHFOLD_POLICY]
     for _ in range(300):
         text = _random_text(rng)
-        for policy in policies:
+        for policy in NormalizePolicy:
             once = units_of(text, policy)
             assert units_of(once, policy) == once
 
 
 def test_width_fold_touches_punctuation_only():
-    assert units_of(",", WIDTHFOLD_POLICY) == "，"
-    assert units_of("a1!", WIDTHFOLD_POLICY) == "a1！"
-    assert units_of("abc,def?", WIDTHFOLD_POLICY) == "abc，def？"
+    assert units_of(",", NormalizePolicy.WIDTHFOLD) == "，"
+    assert units_of("a1!", NormalizePolicy.WIDTHFOLD) == "a1！"
+    assert units_of("abc,def?", NormalizePolicy.WIDTHFOLD) == "abc，def？"
     # already full-width stays put
-    assert units_of("，！", WIDTHFOLD_POLICY) == "，！"
+    assert units_of("，！", NormalizePolicy.WIDTHFOLD) == "，！"
 
 
 def test_nfc_composes_combining_marks():
     decomposed = "é"
-    assert units_of(decomposed, DEFAULT_POLICY) == "é"
-    assert units_of(decomposed, RAW_POLICY) == decomposed
+    assert units_of(decomposed, NormalizePolicy.DEFAULT) == "é"
+    assert units_of(decomposed, NormalizePolicy.NONE) == decomposed
 
 
 def test_surrogate_rejected_with_byte_offset():
     with pytest.raises(NormalizationError) as err:
-        units_of("我a\ud800x", DEFAULT_POLICY)
+        units_of("我a\ud800x", NormalizePolicy.DEFAULT)
     # "我" is 3 UTF-8 bytes, "a" is 1
     assert "byte offset 4" in str(err.value)
     assert "D800" in str(err.value)
@@ -96,17 +90,17 @@ def test_surrogate_scan_matches_per_character_loop():
         text = "".join(units)
         expected = _loop_check_scalars(text)
         if expected is None:
-            assert units_of(text, RAW_POLICY) == text
+            assert units_of(text, NormalizePolicy.NONE) == text
             continue
         with pytest.raises(NormalizationError) as err:
-            units_of(text, RAW_POLICY)
+            units_of(text, NormalizePolicy.NONE)
         ch, offset = expected
         assert str(err.value) == (
             f"invalid Unicode scalar U+{ord(ch):04X} at byte offset {offset}"
         )
 
 
-@pytest.mark.parametrize("policy", [DEFAULT_POLICY, RAW_POLICY, WIDTHFOLD_POLICY])
+@pytest.mark.parametrize("policy", list(NormalizePolicy), ids=lambda policy: policy.value)
 def test_reserved_units_rejected_with_byte_offset(policy):
     # U+0002 and U+001A are the model's BOUNDARY and UNK: text carrying them
     # would forge a sentence-start context or an out-of-vocabulary unit.
@@ -135,10 +129,10 @@ def test_reserved_scan_matches_per_character_loop():
         text = "".join(units)
         first = next((i for i, ch in enumerate(text) if ch in rejected), None)
         if first is None:
-            assert units_of(text, RAW_POLICY) == text
+            assert units_of(text, NormalizePolicy.NONE) == text
             continue
         with pytest.raises(NormalizationError) as err:
-            units_of(text, RAW_POLICY)
+            units_of(text, NormalizePolicy.NONE)
         offset = len(text[:first].encode("utf-8", "surrogatepass"))
         assert f"U+{ord(text[first]):04X} at byte offset {offset}" in str(err.value)
 
@@ -157,8 +151,8 @@ def test_unitseq_roundtrip_and_slicing():
     rng = random.Random(11)
     for _ in range(200):
         raw = _random_text(rng)
-        norm = units_of(raw, DEFAULT_POLICY)
-        seq = units_of(raw, DEFAULT_POLICY)
+        norm = unicodedata.normalize("NFC", raw).strip()
+        seq = units_of(raw, NormalizePolicy.DEFAULT)
         assert isinstance(seq, str)
         assert seq == norm
         assert "".join(list(seq)) == norm
@@ -176,9 +170,9 @@ def test_units_join_back_to_text():
 
 
 def test_policy_enum_values():
-    assert UnicodeForm.NFC.value == "nfc"
-    assert DEFAULT_POLICY.strip_outer_whitespace
-    assert not DEFAULT_POLICY.width_fold
+    assert [p.value for p in NormalizePolicy] == ["default", "none", "widthfold"]
+    assert units_of(" a,\u0301 ") == units_of(" a,\u0301 ", NormalizePolicy.DEFAULT) == "a,\u0301"
+    assert units_of(" a,\u0301 ", NormalizePolicy.WIDTHFOLD) == "a，\u0301"
 
 
 # Units that a whole-line pass could get wrong at a tab: combining marks, NFD
@@ -195,11 +189,11 @@ _FIELD_UNITS = (
 @settings(derandomize=True, deadline=None, max_examples=600)
 @given(
     st.lists(st.sampled_from(_FIELD_UNITS), max_size=24).map("".join),
-    st.sampled_from([DEFAULT_POLICY, RAW_POLICY, WIDTHFOLD_POLICY]),
+    st.sampled_from(list(NormalizePolicy)),
 )
 def test_normalize_fields_equals_normalize_per_field(line, policy):
     try:
-        units_of(line, RAW_POLICY)
+        units_of(line, NormalizePolicy.NONE)
     except NormalizationError as whole:
         # the line's first offender, its offset counted from the line's start
         with pytest.raises(NormalizationError) as err:
