@@ -173,7 +173,7 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
             if type(value) not in (int, float):
                 raise FormatError(f"{path}: report JSON lacks a numeric f_beta field")
             values.append(value)
-        print(f"Avg. F1 {macro_average(values):.4f}")
+        _emit(args, f"Avg. F1 {macro_average(values):.4f}\n", args.files, started)
         return 0
 
     if len(args.files) != 2:
@@ -232,6 +232,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_correct(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     model = load_model(args.model)
+    if args.beam < 1:  # decode's check, made before an empty input skips decode
+        raise UsageError(f"beam_width must be >= 1, got {args.beam}")
     lines = _read_units(args.input, NormalizePolicy(args.normalize))
     corrected = _pmap(partial(decode, model, beam_width=args.beam), lines, args.jobs)
     _emit(args, "".join(line + "\n" for line in corrected), [args.model, args.input], started)
@@ -273,13 +275,10 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(
-    sub: argparse.ArgumentParser, *, fmt: bool = True, normalize: bool = True, out: bool = True
-) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = True, out: bool = True) -> None:
     if fmt:
         sub.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
-    if normalize:
-        sub.add_argument("--normalize", choices=_NORMALIZE_POLICIES, default="default")
+    sub.add_argument("--normalize", choices=_NORMALIZE_POLICIES, default="default")
     if out:
         sub.add_argument("--out", default=None, help="artifact path; adds a .manifest.json sidecar")
 

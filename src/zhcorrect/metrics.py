@@ -79,6 +79,13 @@ def macro_average(scores: Sequence[float]) -> float:
     return sum(scores) / len(scores)
 
 
+def _report(
+    task: str, dataset: str, beta: float, counts: MatchCounts, n_sentences: int
+) -> ScoreReport:
+    p, r = precision_recall(counts)
+    return ScoreReport(task, dataset, beta, p, r, f_beta(p, r, beta), counts, n_sentences)
+
+
 def score_csc(
     items: Sequence[tuple[str, str, str]],
     dataset: str = "",
@@ -103,18 +110,7 @@ def score_csc(
                     fp += 1
         elif hypothesis != source:
             fp += 1
-    counts = MatchCounts(tp=tp, fp=fp, fn=fn)
-    p, r = precision_recall(counts)
-    return ScoreReport(
-        task="csc",
-        dataset=dataset,
-        beta=1.0,
-        precision=p,
-        recall=r,
-        f_beta=f_beta(p, r, 1.0),
-        counts=counts,
-        n_sentences=len(items),
-    )
+    return _report("csc", dataset, 1.0, MatchCounts(tp=tp, fp=fp, fn=fn), len(items))
 
 
 def sentence_edit_counts(
@@ -190,14 +186,4 @@ def score_cgc(
     total = MatchCounts()
     for counts in map_fn(partial(_sentence_counts, beta=beta, merge=merge), tasks):
         total = total + counts
-    p, r = precision_recall(total)
-    return ScoreReport(
-        task="cgc",
-        dataset=dataset,
-        beta=beta,
-        precision=p,
-        recall=r,
-        f_beta=f_beta(p, r, beta),
-        counts=total,
-        n_sentences=len(hyp_corpus),
-    )
+    return _report("cgc", dataset, beta, total, len(hyp_corpus))

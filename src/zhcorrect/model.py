@@ -19,15 +19,15 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter, namedtuple
+from collections import Counter
 from enum import Enum
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, ParallelPair, split
 from .alignment import align
 from .artifacts import write_artifact
 from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
-from .records import Checked, Record
+from .records import Record
 
 BOUNDARY = ""
 UNK = ""
@@ -81,56 +81,22 @@ def _context_key(vocab: AbstractSet[str], order: int, prefix: str) -> str:
     return BOUNDARY * (width - len(key)) + key
 
 
-class NgramLM(Checked, namedtuple("NgramLM", "order smoothing_k counts context_totals vocab")):
-    """Add-k n-gram model over units; contexts are the last order-1 units of
-    the BOUNDARY-padded prefix, OOV units replaced by UNK."""
+class NgramLM(NamedTuple):
+    """Add-k n-gram table: counts maps an LM context (see _context_key) to
+    the counts of the units that followed it. MixtureCorrectorModel checks
+    it and conditional scores it."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls, order: int, smoothing_k: float, counts: dict[str, Counter],
-        context_totals: dict[str, int], vocab: frozenset[str],
-    ) -> NgramLM:
-        if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
-            raise StructuralError(f"lm order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-        _check_smoothing("lm", smoothing_k, context_totals, len(vocab))
-        if UNK not in vocab:
-            raise StructuralError("lm vocab must contain the UNK unit")
-        return tuple.__new__(cls, (order, smoothing_k, counts, context_totals, vocab))
-
-    def prob(self, token: str, prefix: str) -> float:
-        tok = token if token in self.vocab else UNK
-        key = _context_key(self.vocab, self.order, prefix)
-        count = self.counts.get(key, {}).get(tok, 0)
-        total = self.context_totals.get(key, 0)
-        return (count + self.smoothing_k) / (total + self.smoothing_k * len(self.vocab))
+    order: int
+    smoothing_k: float
+    counts: dict[str, Counter]
 
 
-class ConfusionChannel(Checked, namedtuple("ConfusionChannel", "smoothing_k counts totals vocab")):
-    """Add-k emission model keyed by the aligned source unit. A source of
-    None (no aligned unit) falls back to the zero-count case, i.e. uniform
-    over the vocabulary."""
+class ConfusionChannel(NamedTuple):
+    """Add-k emission table: counts maps an aligned source unit to the
+    counts of the units emitted for it."""
 
-    __slots__ = ()
-
-    def __new__(
-        cls, smoothing_k: float, counts: dict[str, Counter], totals: dict[str, int],
-        vocab: frozenset[str],
-    ) -> ConfusionChannel:
-        _check_smoothing("channel", smoothing_k, totals, len(vocab))
-        if UNK not in vocab:
-            raise StructuralError("channel vocab must contain the UNK unit")
-        return tuple.__new__(cls, (smoothing_k, counts, totals, vocab))
-
-    def prob(self, emitted: str, source: str | None) -> float:
-        em = emitted if emitted in self.vocab else UNK
-        if source is None:
-            count, total = 0, 0
-        else:
-            src = source if source in self.vocab else UNK
-            count = self.counts.get(src, {}).get(em, 0)
-            total = self.totals.get(src, 0)
-        return (count + self.smoothing_k) / (total + self.smoothing_k * len(self.vocab))
+    smoothing_k: float
+    counts: dict[str, Counter]
 
     def partners(self, source: str) -> tuple[str, ...]:
         emitted = self.counts.get(source)
@@ -139,27 +105,45 @@ class ConfusionChannel(Checked, namedtuple("ConfusionChannel", "smoothing_k coun
         return tuple(sorted(u for u, c in emitted.items() if c > 0))
 
 
-class MixtureCorrectorModel(Record):
-    """The LM and channel mixed with weight mixing_weight on the LM.
+def _totals(counts: dict[str, Counter]) -> dict[str, int]:
+    """Each row's count total, the count part of its add-k denominator."""
+    return {key: sum(row.values()) for key, row in counts.items()}
 
-    decode caches its scores in _columns, which is no parameter: it is left
-    out of ==, repr, pickling and save_model, and every new model (_replace,
-    fit_stage, load_model) starts with it empty. So a model must not be
-    mutated once it has decoded, or decode would go on reading scores of the
-    old counts.
+
+class MixtureCorrectorModel(Record):
+    """The LM and channel over one vocabulary, mixed with weight
+    mixing_weight on the LM. __init__ is where the fields are checked.
+
+    It also derives each table's count totals into _lm_totals and
+    _channel_totals, read by conditional and _token_probs, while decode
+    caches its scores in _columns. None of the three is a parameter: they
+    are left out of ==, repr, pickling and save_model, and every new model
+    (_replace, unpickling, fit_stage, load_model) derives the totals anew
+    and starts with an empty cache. So a model's tables must not be mutated
+    once it is built, or it would go on reading totals and scores of the old
+    counts.
     """
 
-    _fields = ("lm", "channel", "mixing_weight", "stage")
-    __slots__ = (*_fields, "_columns")
+    _fields = ("lm", "channel", "vocab", "mixing_weight", "stage")
+    __slots__ = (*_fields, "_lm_totals", "_channel_totals", "_columns")
 
     def __init__(
-        self, lm: NgramLM, channel: ConfusionChannel, mixing_weight: float, stage: Stage
+        self, lm: NgramLM, channel: ConfusionChannel, vocab: frozenset[str],
+        mixing_weight: float, stage: Stage,
     ) -> None:
+        order = lm.order
+        if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+            raise StructuralError(f"lm order must be an integer in [1, {MAX_ORDER}], got {order!r}")
+        lm_totals, channel_totals = _totals(lm.counts), _totals(channel.counts)
+        _check_smoothing("lm", lm.smoothing_k, lm_totals, len(vocab))
+        if UNK not in vocab:
+            raise StructuralError("vocab must contain the UNK unit")
+        _check_smoothing("channel", channel.smoothing_k, channel_totals, len(vocab))
         if not 0.0 <= mixing_weight <= 1.0:
             raise UsageError(f"mixing_weight must be in [0, 1], got {mixing_weight}")
-        if lm.vocab != channel.vocab:
-            raise ConfigError("lm and channel must share one vocabulary")
-        self._set(lm, channel, mixing_weight, stage)
+        self._set(lm, channel, vocab, mixing_weight, stage)
+        object.__setattr__(self, "_lm_totals", lm_totals)
+        object.__setattr__(self, "_channel_totals", channel_totals)
         object.__setattr__(self, "_columns", {})
 
 
@@ -170,10 +154,10 @@ def initial_model(
     mixing_weight: float = 0.5,
 ) -> MixtureCorrectorModel:
     """Untrained model: empty counts, so every conditional is uniform."""
-    units = frozenset(vocab) | {UNK}
     return MixtureCorrectorModel(
-        lm=NgramLM(order, smoothing_k, {}, {}, units),
-        channel=ConfusionChannel(smoothing_k, {}, {}, units),
+        lm=NgramLM(order, smoothing_k, {}),
+        channel=ConfusionChannel(smoothing_k, {}),
+        vocab=frozenset(vocab) | {UNK},
         mixing_weight=mixing_weight,
         stage=Stage.INITIAL,
     )
@@ -186,9 +170,26 @@ def conditional(
     y_t: str,
 ) -> float:
     """Mixture probability of emitting y_t after prev_context given the
-    aligned source unit; always in (0, 1]."""
+    aligned source unit; always in (0, 1].
+
+    Each table gives the add-k probability (count + k) / (total + k·|V|),
+    units outside the vocabulary mapped to UNK. A source of None (no aligned
+    unit) takes the channel's zero-count case, i.e. uniform over the
+    vocabulary.
+    """
+    vocab, lm, channel = model.vocab, model.lm, model.channel
+    unit = y_t if y_t in vocab else UNK
+    key = _context_key(vocab, lm.order, prev_context)
+    lm_p = (lm.counts.get(key, {}).get(unit, 0) + lm.smoothing_k) / (
+        model._lm_totals.get(key, 0) + lm.smoothing_k * len(vocab)
+    )
+    count = total = 0
+    if aligned_src_unit is not None:
+        src = aligned_src_unit if aligned_src_unit in vocab else UNK
+        count = channel.counts.get(src, {}).get(unit, 0)
+        total = model._channel_totals.get(src, 0)
+    ch_p = (count + channel.smoothing_k) / (total + channel.smoothing_k * len(vocab))
     lam = model.mixing_weight
-    lm_p, ch_p = model.lm.prob(y_t, prev_context), model.channel.prob(y_t, aligned_src_unit)
     return lam * lm_p + (1.0 - lam) * ch_p
 
 
@@ -210,21 +211,20 @@ def _aligned_source_units(source: str, target: str) -> list[str | None]:
 
 
 def _token_probs(
-    lm: NgramLM, channel: ConfusionChannel, pairs: Iterable[ParallelPair]
+    model: MixtureCorrectorModel, pairs: Iterable[ParallelPair]
 ) -> Iterator[list[tuple[float, float]]]:
     """For each pair, the (lm_p, ch_p) of each unit of its first reference.
     None of it depends on the mixing weight, so one table of them serves
     every weight.
 
-    The values are NgramLM.prob and ConfusionChannel.prob, read straight
-    from the count tables by the same float expression. The target is mapped
-    to UNK once, so each LM context is a slice of the padded, mapped target.
-    A model's LM and channel share one vocabulary.
+    The values are conditional's two terms, read from the same tables and
+    totals by the same float expressions. The target is mapped to UNK once,
+    so each LM context is a slice of the padded, mapped target.
     """
-    vocab = lm.vocab
+    lm, channel, vocab = model.lm, model.channel, model.vocab
     width = lm.order - 1
-    lm_counts, lm_totals = lm.counts, lm.context_totals
-    ch_counts, ch_totals = channel.counts, channel.totals
+    lm_counts, lm_totals = lm.counts, model._lm_totals
+    ch_counts, ch_totals = channel.counts, model._channel_totals
     lm_k, ch_k = lm.smoothing_k, channel.smoothing_k
     lm_kv, ch_kv = lm_k * len(vocab), ch_k * len(vocab)
     no_counts: dict[str, int] = {}
@@ -270,7 +270,7 @@ def _mean_nll(table: Iterable[list[tuple[float, float]]], lam: float) -> float:
 
 def nll(model: MixtureCorrectorModel, pair: ParallelPair) -> float:
     """Negative log-likelihood of the pair's first reference, natural log."""
-    return _mean_nll(_token_probs(model.lm, model.channel, [pair]), model.mixing_weight)
+    return _mean_nll(_token_probs(model, [pair]), model.mixing_weight)
 
 
 def dataset_objective(
@@ -281,7 +281,7 @@ def dataset_objective(
     from one table, so each pair is aligned once however many there are."""
     if not corpus.pairs:
         raise UsageError("dataset_objective needs a non-empty corpus")
-    table = list(_token_probs(model.lm, model.channel, corpus.pairs))
+    table = list(_token_probs(model, corpus.pairs))
     if weights is None:
         return _mean_nll(table, model.mixing_weight)
     return [_mean_nll(table, weight) for weight in weights]
@@ -289,9 +289,7 @@ def dataset_objective(
 
 def _accumulate(
     lm_counts: dict[str, Counter],
-    lm_totals: dict[str, int],
     ch_counts: dict[str, Counter],
-    ch_totals: dict[str, int],
     vocab: set[str],
     order: int,
     pair: ParallelPair,
@@ -309,7 +307,6 @@ def _accumulate(
         if counts is None:
             counts = lm_counts[key] = Counter()
         counts[unit] += 1
-        lm_totals[key] = lm_totals.get(key, 0) + 1
     # Insertions have no source unit and deletions no emission; the
     # substitution-only channel records neither.
     for src, unit in zip(_aligned_source_units(pair.source, target), target):
@@ -318,7 +315,6 @@ def _accumulate(
             if counts is None:
                 counts = ch_counts[src] = Counter()
             counts[unit] += 1
-            ch_totals[src] = ch_totals.get(src, 0) + 1
 
 
 def stage_heldout(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
@@ -351,17 +347,15 @@ def fit_stage(
 
     train_part, heldout_part = split(corpus, heldout_fraction, seed)
     lm_counts = {key: Counter(c) for key, c in init.lm.counts.items()}
-    lm_totals = dict(init.lm.context_totals)
     ch_counts = {key: Counter(c) for key, c in init.channel.counts.items()}
-    ch_totals = dict(init.channel.totals)
-    vocab = set(init.lm.vocab)
-    order = init.lm.order
+    vocab = set(init.vocab)
     for pair in train_part.pairs:
-        _accumulate(lm_counts, lm_totals, ch_counts, ch_totals, vocab, order, pair)
+        _accumulate(lm_counts, ch_counts, vocab, init.lm.order, pair)
 
-    lm = NgramLM(order, init.lm.smoothing_k, lm_counts, lm_totals, frozenset(vocab))
-    channel = ConfusionChannel(init.channel.smoothing_k, ch_counts, ch_totals, frozenset(vocab))
-    fitted = MixtureCorrectorModel(lm, channel, init.mixing_weight, stage)
+    fitted = MixtureCorrectorModel(
+        init.lm._replace(counts=lm_counts), init.channel._replace(counts=ch_counts),
+        frozenset(vocab), init.mixing_weight, stage,
+    )
     if not heldout_part.pairs:
         return fitted
 
@@ -424,7 +418,7 @@ def save_model(model: MixtureCorrectorModel, path: str) -> None:
         "channel_smoothing_k": model.channel.smoothing_k,
         "mixing_weight": model.mixing_weight,
         "stage": model.stage.value,
-        "vocab": sorted(model.lm.vocab),
+        "vocab": sorted(model.vocab),
         "lm_counts": {key: dict(c) for key, c in model.lm.counts.items()},
         "channel_counts": {key: dict(c) for key, c in model.channel.counts.items()},
     }
@@ -466,27 +460,15 @@ def load_model(path: str) -> MixtureCorrectorModel:
             f"expected {MODEL_VERSION}"
         )
     try:
-        vocab = frozenset(payload["vocab"])
-        if not all(type(u) is str and len(u) == 1 for u in vocab):
+        vocab = payload["vocab"]
+        if type(vocab) is not list or not all(type(u) is str and len(u) == 1 for u in vocab):
             raise StructuralError("vocab must be a list of single units")
         lm_counts = _count_table(payload["lm_counts"])
         ch_counts = _count_table(payload["channel_counts"])
-        lm = NgramLM(
-            order=payload["order"],
-            smoothing_k=payload["lm_smoothing_k"],
-            counts=lm_counts,
-            context_totals={key: sum(c.values()) for key, c in lm_counts.items()},
-            vocab=vocab,
-        )
-        channel = ConfusionChannel(
-            smoothing_k=payload["channel_smoothing_k"],
-            counts=ch_counts,
-            totals={key: sum(c.values()) for key, c in ch_counts.items()},
-            vocab=vocab,
-        )
         return MixtureCorrectorModel(
-            lm=lm,
-            channel=channel,
+            lm=NgramLM(payload["order"], payload["lm_smoothing_k"], lm_counts),
+            channel=ConfusionChannel(payload["channel_smoothing_k"], ch_counts),
+            vocab=frozenset(vocab),
             mixing_weight=payload["mixing_weight"],
             stage=Stage(payload["stage"]),
         )

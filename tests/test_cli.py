@@ -82,6 +82,18 @@ def test_score_csc_macro(tmp_path, capsys):
     assert "Avg. F1 0.8521" in capsys.readouterr().out
 
 
+def test_score_csc_macro_out_writes_the_average_and_manifest(tmp_path, capsys):
+    paths = [_write(tmp_path / f"r{i}.json", json.dumps({"f_beta": f})) for i, f in enumerate((0.5, 1.0))]
+    assert main(["score-csc", "--macro", *paths]) == 0
+    assert capsys.readouterr().out == "Avg. F1 0.7500\n"
+    out = tmp_path / "avg.txt"
+    assert main(["score-csc", "--macro", *paths, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text(encoding="utf-8") == "Avg. F1 0.7500\n"
+    manifest = json.loads((tmp_path / "avg.txt.manifest.json").read_text())
+    assert manifest["command"] == "score-csc" and set(manifest["inputs"]) == set(paths)
+
+
 def test_score_csc_macro_rejects_non_reports(tmp_path, capsys):
     bad = _write(tmp_path / "r.json", json.dumps({"precision": 1.0}))
     assert main(["score-csc", "--macro", bad]) == 2
@@ -317,6 +329,17 @@ def test_correct_empty_input(tmp_path, capsys):
     out = tmp_path / "out.txt"
     assert main(["correct", str(model), inp, "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == ""
+
+
+@pytest.mark.parametrize("text", ["", "天气\n"])
+def test_correct_checks_the_beam_before_reading_lines(tmp_path, capsys, text):
+    model = tmp_path / "id.json"
+    save_model(initial_model(), str(model))
+    inp = _write(tmp_path / "in.txt", text)
+    out = tmp_path / "out.txt"
+    assert main(["correct", str(model), inp, "--beam", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: beam_width must be >= 1, got 0\n"
+    assert not out.exists()
 
 
 def test_correct_rejects_bad_container(tmp_path, capsys):

@@ -2,6 +2,7 @@ import inspect
 import itertools
 import json
 import math
+import pickle
 import random
 from collections import Counter
 
@@ -51,20 +52,9 @@ def _hand_model():
     # order-2 LM and channel with small integer counts; every expected value
     # in the tests that use this model is written out as explicit arithmetic
     vocab = frozenset({"甲", "乙", UNK})
-    lm = NgramLM(
-        2,
-        0.5,
-        {BOUNDARY: Counter({"甲": 3, "乙": 1}), "甲": Counter({"乙": 2})},
-        {BOUNDARY: 4, "甲": 2},
-        vocab,
-    )
-    channel = ConfusionChannel(
-        0.5,
-        {"甲": Counter({"甲": 4, "乙": 1}), "乙": Counter({"乙": 3})},
-        {"甲": 5, "乙": 3},
-        vocab,
-    )
-    return MixtureCorrectorModel(lm, channel, 0.6, Stage.STAGE1)
+    lm = NgramLM(2, 0.5, {BOUNDARY: Counter({"甲": 3, "乙": 1}), "甲": Counter({"乙": 2})})
+    channel = ConfusionChannel(0.5, {"甲": Counter({"甲": 4, "乙": 1}), "乙": Counter({"乙": 3})})
+    return MixtureCorrectorModel(lm, channel, vocab, 0.6, Stage.STAGE1)
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +71,8 @@ def trained(small_suite):
 
 def test_untrained_model_is_uniform():
     model = initial_model(vocab=_NINE_CHARS)
-    assert len(model.lm.vocab) == 10  # nine units plus UNK
-    for y in sorted(model.lm.vocab):
+    assert len(model.vocab) == 10  # nine units plus UNK
+    for y in sorted(model.vocab):
         assert conditional(model, "", "天", y) == pytest.approx(0.1, abs=1e-12)
         assert conditional(model, "我们", None, y) == pytest.approx(0.1, abs=1e-12)
 
@@ -110,23 +100,31 @@ def test_context_key_matches_full_prefix_mapping():
 
 
 def test_mixture_endpoints():
+    # At weight 1.0 the mixture is the LM term alone and at 0.0 the channel
+    # term alone, bit for bit; every term is exact arithmetic over the hand
+    # model's counts, so == holds. |V| = 3 and k = 0.5, so k·|V| = 1.5.
     model = _hand_model()
     pure_lm = model._replace(mixing_weight=1.0)
     pure_ch = model._replace(mixing_weight=0.0)
-    for ctx, src, y in [("", "甲", "乙"), ("甲", "乙", "乙"), ("乙", None, "甲")]:
-        assert conditional(pure_lm, ctx, src, y) == pytest.approx(
-            model.lm.prob(y, ctx), abs=1e-12
-        )
-        assert conditional(pure_ch, ctx, src, y) == pytest.approx(
-            model.channel.prob(y, src), abs=1e-12
-        )
+    cases = [
+        # ctx boundary: lm (1+.5)/(4+1.5); channel src 甲 emits 乙 (1+.5)/(5+1.5)
+        (("", "甲", "乙"), 1.5 / 5.5, 1.5 / 6.5),
+        # ctx 甲: lm (2+.5)/(2+1.5); channel src 乙 emits 乙 (3+.5)/(3+1.5)
+        (("甲", "乙", "乙"), 2.5 / 3.5, 3.5 / 4.5),
+        # unseen ctx 乙 and no source: both uniform, .5/1.5
+        (("乙", None, "甲"), 0.5 / 1.5, 0.5 / 1.5),
+    ]
+    for (ctx, src, y), lm_p, ch_p in cases:
+        assert conditional(pure_lm, ctx, src, y) == lm_p
+        assert conditional(pure_ch, ctx, src, y) == ch_p
+        assert conditional(model, ctx, src, y) == 0.6 * lm_p + (1.0 - 0.6) * ch_p
 
 
 def test_channel_single_pair_tiny_smoothing():
     vocab = frozenset({"甲", "乙", UNK})
-    channel = ConfusionChannel(1e-9, {"甲": Counter({"乙": 1})}, {"甲": 1}, vocab)
+    channel = ConfusionChannel(1e-9, {"甲": Counter({"乙": 1})})
     lm = initial_model(vocab=vocab).lm
-    model = MixtureCorrectorModel(lm, channel, 0.0, Stage.STAGE1)
+    model = MixtureCorrectorModel(lm, channel, vocab, 0.0, Stage.STAGE1)
     assert conditional(model, "", "甲", "乙") == pytest.approx(1.0, abs=1e-6)
 
 
@@ -139,19 +137,17 @@ def test_mixing_weight_range_checked():
 
 
 def test_conditional_distributions_sum_to_one(trained):
+    # The model's own mixture, and each table alone at the weights 1.0 and 0.0.
     _, model = trained
     rng = random.Random(7)
-    units = sorted(model.lm.vocab)
+    units = sorted(model.vocab)
     contexts = ["", "哈", "".join(rng.choices(units, k=2)), "".join(rng.choices(units, k=5))]
     sources = [None, "哈", rng.choice(units), rng.choice(units)]
-    for ctx in contexts:
-        for src in sources:
-            total = sum(conditional(model, ctx, src, y) for y in units)
-            assert total == pytest.approx(1.0, abs=1e-9)
-            assert sum(model.lm.prob(y, ctx) for y in units) == pytest.approx(1.0, abs=1e-9)
-            assert sum(model.channel.prob(y, src) for y in units) == pytest.approx(
-                1.0, abs=1e-9
-            )
+    for weighted in (model, model._replace(mixing_weight=1.0), model._replace(mixing_weight=0.0)):
+        for ctx in contexts:
+            for src in sources:
+                total = sum(conditional(weighted, ctx, src, y) for y in units)
+                assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_nll_uniform_is_length_times_log_v():
@@ -162,7 +158,7 @@ def test_nll_uniform_is_length_times_log_v():
 
 def test_nll_trivial_vocab_is_exactly_zero():
     model = initial_model(vocab=())
-    assert len(model.lm.vocab) == 1
+    assert len(model.vocab) == 1
     assert nll(model, _pair("z", "甲乙丙", "甲乙丙")) == 0.0
 
 
@@ -333,32 +329,35 @@ def test_grid_search_matches_per_weight_objective_loop():
         init = fitted
 
 
-def _reference_accumulate(lm_counts, lm_totals, ch_counts, ch_totals, vocab, order, pair):
-    """_accumulate as it was before it sliced its context keys, kept
-    verbatim as its oracle."""
+def _reference_accumulate(lm_counts, ch_counts, vocab, order, pair):
+    """_accumulate as it was before it sliced its context keys, kept as its
+    oracle (less the count totals, which the model now derives)."""
     target = pair.references[0]
     vocab.update(pair.source)
     vocab.update(target)
     for t, unit in enumerate(target):
         key = _context_key(vocab, order, target[:t])
         lm_counts.setdefault(key, Counter())[unit] += 1
-        lm_totals[key] = lm_totals.get(key, 0) + 1
     # Insertions have no source unit and deletions no emission; the
     # substitution-only channel records neither.
     for src, unit in zip(_aligned_source_units(pair.source, target), target):
         if src is not None:
             ch_counts.setdefault(src, Counter())[unit] += 1
-            ch_totals[src] = ch_totals.get(src, 0) + 1
 
 
-def _reference_token_probs(lm, channel, pairs):
-    """_token_probs as it was before it read the count tables directly,
-    kept verbatim as its oracle."""
+def _reference_token_probs(model, pairs):
+    """_token_probs one conditional per term: the LM term is conditional at
+    weight 1.0 and the channel term at 0.0, since for positive finite x and
+    y, 1.0*x + 0.0*y is x bit for bit."""
+    pure_lm, pure_ch = model._replace(mixing_weight=1.0), model._replace(mixing_weight=0.0)
     for pair in pairs:
         target = pair.references[0]
         aligned = _aligned_source_units(pair.source, target)
         yield [
-            (lm.prob(unit, target[:t]), channel.prob(unit, aligned[t]))
+            (
+                conditional(pure_lm, target[:t], aligned[t], unit),
+                conditional(pure_ch, target[:t], aligned[t], unit),
+            )
             for t, unit in enumerate(target)
         ]
 
@@ -390,7 +389,7 @@ def _random_training_pairs(rng, pool, count):
     return pairs
 
 
-def _with_unk_counts(rng, lm_counts, lm_totals, ch_counts, ch_totals, vocab):
+def _with_unk_counts(rng, lm_counts, ch_counts, vocab):
     """Copies of the count tables with UNK counted as a unit, in contexts
     and as a channel source, the way a hand-written container may count it."""
     lm_counts = {key: Counter(c) for key, c in lm_counts.items()}
@@ -402,9 +401,7 @@ def _with_unk_counts(rng, lm_counts, lm_totals, ch_counts, ch_totals, vocab):
     for src in list(ch_counts):
         ch_counts[src][UNK] += rng.randint(1, 5)
     ch_counts[UNK] = Counter({UNK: rng.randint(1, 5), rng.choice(sorted(vocab)): 2})
-    lm_totals = {key: sum(c.values()) for key, c in lm_counts.items()}
-    ch_totals = {key: sum(c.values()) for key, c in ch_counts.items()}
-    return lm_counts, lm_totals, ch_counts, ch_totals
+    return lm_counts, ch_counts
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4])
@@ -413,7 +410,7 @@ def test_accumulate_and_token_probs_match_their_references(order):
     rng = random.Random(order)
     seen, unseen = "甲乙丙丁戊", "己庚辛"
     for k in (0.01, 0.37, 1.0):
-        tables = [({}, {}, {}, {}, {UNK}) for _ in range(2)]
+        tables = [({}, {}, {UNK}) for _ in range(2)]
         # Two batches: the second accumulates onto counts it did not start,
         # as stage 2 does onto stage 1's.
         for batch in range(2):
@@ -425,15 +422,16 @@ def test_accumulate_and_token_probs_match_their_references(order):
         # sides, which map to UNK, and contexts training never saw.
         heldout = _random_training_pairs(rng, seen + unseen, 200)
         assert any(set(p.source + p.references[0]) & set(unseen) for p in heldout)
-        vocab = tables[0][4]
+        vocab = frozenset(tables[0][2])
         # Training never counts UNK, but a model container may; only then
         # does mapping a unit to UNK change its probability.
         with_unk = _with_unk_counts(rng, *tables[0])
-        for lm_counts, lm_totals, ch_counts, ch_totals in (tables[0][:4], with_unk):
-            lm = NgramLM(order, k, lm_counts, lm_totals, frozenset(vocab))
-            channel = ConfusionChannel(k, ch_counts, ch_totals, frozenset(vocab))
-            expected = list(_reference_token_probs(lm, channel, heldout))
-            assert list(_token_probs(lm, channel, heldout)) == expected
+        for lm_counts, ch_counts in (tables[0][:2], with_unk):
+            model = MixtureCorrectorModel(
+                NgramLM(order, k, lm_counts), ConfusionChannel(k, ch_counts), vocab, 0.5, Stage.STAGE1
+            )
+            expected = list(_reference_token_probs(model, heldout))
+            assert list(_token_probs(model, heldout)) == expected
 
 
 def test_stage_heldout_matches_split(small_suite):
@@ -537,13 +535,8 @@ def _random_model(rng, order, weight):
         "丙": Counter({"丙": rng.randint(1, 9), "丁": rng.randint(1, 9), "戊": 0}),
         "丁": Counter({"丁": 5, "丙": rng.randint(1, 9), "己": rng.randint(1, 9), "庚": 1}),
     }
-    lm = NgramLM(
-        order, 0.1, lm_counts, {k: sum(c.values()) for k, c in lm_counts.items()}, vocab
-    )
-    channel = ConfusionChannel(
-        0.2, channel_counts, {k: sum(c.values()) for k, c in channel_counts.items()}, vocab
-    )
-    return MixtureCorrectorModel(lm, channel, weight, Stage.STAGE1)
+    lm, channel = NgramLM(order, 0.1, lm_counts), ConfusionChannel(0.2, channel_counts)
+    return MixtureCorrectorModel(lm, channel, vocab, weight, Stage.STAGE1)
 
 
 def test_decode_matches_reference_on_random_models():
@@ -577,10 +570,7 @@ def test_decode_breaks_exact_ties_across_beams_by_code_point():
     }
     channel_counts = {"a": Counter({"b": 1}), "b": Counter({"a": 1})}
     model = MixtureCorrectorModel(
-        NgramLM(2, 0.01, lm_counts, {k: 4 for k in lm_counts}, vocab),
-        ConfusionChannel(0.01, channel_counts, {"a": 1, "b": 1}, vocab),
-        1.0,
-        Stage.STAGE1,
+        NgramLM(2, 0.01, lm_counts), ConfusionChannel(0.01, channel_counts), vocab, 1.0, Stage.STAGE1
     )
     score_ab = math.log(conditional(model, "", "a", "a")) + math.log(conditional(model, "a", "b", "b"))
     score_ba = math.log(conditional(model, "", "a", "b")) + math.log(conditional(model, "b", "b", "a"))
@@ -650,6 +640,29 @@ def test_warm_model_equals_cold_reload_and_saves_same_bytes(tmp_path, suite0_mod
     assert warm_path.read_bytes() == cold_path.read_bytes()
 
 
+def test_every_copy_derives_the_count_totals_again(tmp_path, suite0_model):
+    # The totals are no field, so each construction path must derive them
+    # anew: a copy that kept none would score seen contexts and sources as
+    # unseen ones.
+    suite, model = suite0_model
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    copies = {
+        "_replace": model._replace(),
+        "pickle": pickle.loads(pickle.dumps(model)),
+        "load_model": load_model(str(path)),
+    }
+    references = [pair.references[0] for pair in suite.joint.pairs[:12]]
+    contexts = ["", "哈", *(ref[:t] for ref in references for t in (1, 3, len(ref)))]
+    sources = [None, "哈", *sorted(model.channel.counts)[:20]]
+    units = ["哈", *sorted({unit for ref in references for unit in ref})]
+    expected = [decode(model, pair.source) for pair in suite.eval_csc.pairs]
+    for how, copy in copies.items():
+        for ctx, src, y in itertools.product(contexts, sources, units):
+            assert conditional(copy, ctx, src, y) == conditional(model, ctx, src, y), how
+        assert [decode(copy, pair.source) for pair in suite.eval_csc.pairs] == expected, how
+
+
 def test_decode_signature_is_stable():
     # perfbench/tracing.py binds decode's arguments by these names to count
     # model.decode.expansions, so they are part of decode's contract.
@@ -704,6 +717,13 @@ def test_load_rejects_bad_containers(tmp_path):
     with pytest.raises(FormatError):
         load_model(str(p))
 
+    # A str or an object would read as the set of its characters or keys.
+    for vocab in ("a" + UNK, {"a": 1, UNK: 1}):
+        p = tmp_path / "vocab.json"
+        p.write_text(json.dumps(dict(payload, vocab=vocab)))
+        with pytest.raises(FormatError, match="vocab must be a list of single units$"):
+            load_model(str(p))
+
 
 @pytest.mark.parametrize(
     "field, value",
@@ -754,10 +774,7 @@ def test_model_container_round_trips_to_identical_bytes(
     ch_counts = {k: Counter(c) for k, c in data.draw(_count_tables(_UNITS)).items()}
     vocab = extra_vocab | {UNK} | {u for c in (*lm_counts.values(), *ch_counts.values()) for u in c}
     model = MixtureCorrectorModel(
-        NgramLM(order, lm_k, lm_counts, {k: sum(c.values()) for k, c in lm_counts.items()}, vocab),
-        ConfusionChannel(channel_k, ch_counts, {k: sum(c.values()) for k, c in ch_counts.items()}, vocab),
-        mixing_weight,
-        stage,
+        NgramLM(order, lm_k, lm_counts), ConfusionChannel(channel_k, ch_counts), vocab, mixing_weight, stage
     )
     folder = tmp_path_factory.mktemp("model")
     first, second = folder / "first.json", folder / "second.json"

@@ -30,8 +30,8 @@ from zhcorrect import (
 
 def _model():
     vocab = frozenset("甲乙") | {UNK}
-    channel = ConfusionChannel(0.5, {"甲": Counter({"乙": 2})}, {"甲": 2}, vocab)
-    return MixtureCorrectorModel(initial_model(vocab="甲乙").lm, channel, 0.4, Stage.STAGE1)
+    channel = ConfusionChannel(0.5, {"甲": Counter({"乙": 2})})
+    return MixtureCorrectorModel(initial_model(vocab="甲乙").lm, channel, vocab, 0.4, Stage.STAGE1)
 
 
 def _records():
@@ -80,13 +80,13 @@ def test_repr_names_every_field_as_a_dataclass_did():
         (Edit(1, 2, "丙"), {"end": 0}, StructuralError),
         (Edit(1, 2, ""), {"end": 1}, StructuralError),
         (EditSet("0", 0, ()), {"edits": (Edit(0, 2, "x"), Edit(1, 2, "y"))}, StructuralError),
-        (_model().lm, {"smoothing_k": 1e308}, ConfigError),
-        (_model().channel, {"smoothing_k": 5e-324}, ConfigError),
-        (initial_model().lm, {"vocab": frozenset("甲")}, StructuralError),
-        (initial_model().channel, {"smoothing_k": 0.0}, StructuralError),
+        (_model(), {"lm": _model().lm._replace(smoothing_k=1e308)}, ConfigError),
+        (_model(), {"channel": _model().channel._replace(smoothing_k=5e-324)}, ConfigError),
+        (initial_model(), {"vocab": frozenset("甲")}, StructuralError),
+        (initial_model(), {"channel": initial_model().channel._replace(smoothing_k=0.0)}, StructuralError),
         (_model(), {"mixing_weight": 1.5}, UsageError),
-        (_model(), {"channel": initial_model().channel}, ConfigError),
-        (initial_model().lm, {"order": 0}, StructuralError),
+        (_model(), {"vocab": frozenset("甲乙")}, StructuralError),
+        (initial_model(), {"lm": initial_model().lm._replace(order=0)}, StructuralError),
     ],
 )
 def test_replace_runs_the_checks(record, changes, error):
@@ -120,6 +120,7 @@ def test_decode_cache_stays_out_of_equality_repr_and_pickles():
         model._columns = {}
     for clone in (model._replace(), pickle.loads(pickle.dumps(model))):
         assert clone == model and not clone._columns
-    assert "_columns" not in repr(model)
+        assert clone._channel_totals == model._channel_totals == {"甲": 2}
+    assert "_columns" not in repr(model) and "_totals" not in repr(model)
     with pytest.raises(TypeError):
         hash(model)  # its counts are dicts, as with the frozen dataclass
