@@ -277,9 +277,10 @@ def test_train_correct_score_pipeline(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_train_writes_the_pinned_model_bytes(tmp_path, capsys):
-    # Training's promise is byte-identical output: the model file and the
-    # report lines of make_suite(0) are pinned here.
+_PINNED_MODEL_SHA256 = "039dd0c055eefd03d1766e7027d629d6f414d218c27a2d556d017d18acab1a86"
+
+
+def _train_pinned(tmp_path):
     suite = make_suite(0)
     stage1 = _suite_tsv(tmp_path, suite.stage1, "stage1.tsv")
     csc = _suite_tsv(tmp_path, suite.csc, "csc.tsv")
@@ -287,13 +288,31 @@ def test_train_writes_the_pinned_model_bytes(tmp_path, capsys):
     model = tmp_path / "model.json"
     argv = ["train", "--stage1", stage1, "--stage2", csc, cgc, "--seed", "0", "--out", str(model)]
     assert main(argv) == 0
+    return suite, model
+
+
+def test_train_writes_the_pinned_model_bytes(tmp_path, capsys):
+    # Training's promise is byte-identical output: the model file and the
+    # report lines of make_suite(0) are pinned here.
+    _, model = _train_pinned(tmp_path)
     assert capsys.readouterr().out == (
         "stage-1 heldout objective: 1.269563\n"
         "stage-2 heldout objective: 0.855721\n"
         "mixing weight: 0\n"
     )
-    digest = hashlib.sha256(model.read_bytes()).hexdigest()
-    assert digest == "039dd0c055eefd03d1766e7027d629d6f414d218c27a2d556d017d18acab1a86"
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == _PINNED_MODEL_SHA256
+
+
+def test_correct_writes_the_pinned_output(tmp_path, capsys):
+    # Decoding's promise is byte-identical output too: the corrected lines of
+    # make_suite(0).eval_csc under the pinned model.
+    suite, model = _train_pinned(tmp_path)
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == _PINNED_MODEL_SHA256
+    src = _write(tmp_path / "eval.txt", "".join(p.source + "\n" for p in suite.eval_csc.pairs))
+    fixed = tmp_path / "fixed.txt"
+    assert main(["correct", str(model), src, "--out", str(fixed)]) == 0
+    digest = hashlib.sha256(fixed.read_bytes()).hexdigest()
+    assert digest == "8127ce8d1547f172608fbe39ba7aa453c67a4cd8a86b1a4d09869931c439b934"
 
 
 def test_train_requires_stage2_values(tmp_path, capsys):

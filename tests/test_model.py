@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import json
@@ -596,6 +597,26 @@ def test_decode_matches_reference_on_suite_eval(suite0_model):
         assert fixed == _reference_decode(model, pair.source)
         changed += fixed != pair.source
     assert changed  # the comparison covers lines the decoder rewrites
+
+
+def test_decode_output_is_pinned_with_the_lm_in_play(tmp_path, suite0_model):
+    # The trained model's weight is 0, which leaves the LM tail unread, so the
+    # pinned lines are also decoded with the LM mixed in at 0.35.
+    suite, model = suite0_model
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "039dd0c055eefd03d1766e7027d629d6f414d218c27a2d556d017d18acab1a86"
+    )
+    mixed = model._replace(mixing_weight=0.35)
+    pinned = {
+        1: "8127ce8d1547f172608fbe39ba7aa453c67a4cd8a86b1a4d09869931c439b934",
+        2: "c82b7ebccfed7e0d9f5be4a3a8e30dd749eae3741c62c76a86b3cde01c03cd59",
+        8: "c82b7ebccfed7e0d9f5be4a3a8e30dd749eae3741c62c76a86b3cde01c03cd59",
+    }
+    for beam_width, expected in pinned.items():
+        lines = "".join(decode(mixed, p.source, beam_width) + "\n" for p in suite.eval_csc.pairs)
+        assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == expected, beam_width
 
 
 def test_decode_cache_ignores_line_order(suite0_model):
