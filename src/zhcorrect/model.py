@@ -6,8 +6,8 @@ channel conditioned on the aligned source unit. Training is count
 accumulation: stage 1 fits on alignment-tagged data, stage 2 keeps those
 counts and accumulates the joint corpus on top, re-tuning the mixing weight
 on a held-out slice by grid search. Decoding is substitution-only beam
-search over a per-position candidate lattice, scored from a cache that
-lives on the model.
+search over a per-position candidate lattice that keeps one hypothesis per
+LM state, scored from a cache that lives on the model.
 
 Reserved units: BOUNDARY pads LM contexts at the sentence start and UNK
 absorbs units outside the vocabulary, so every probability stays positive
@@ -21,6 +21,7 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, ParallelPair, split
@@ -49,6 +50,18 @@ class Stage(str, Enum):
     INITIAL = "initial"
     STAGE1 = "stage1"
     STAGE2 = "stage2"
+
+
+def _real(name: str, value: object) -> float:
+    """value, a number but no bool, as a float with -0.0 as 0.0: equal
+    parameters then save to one spelling. An int beyond any float becomes an
+    infinity, which every range check refuses."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructuralError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value) + 0.0
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _check_smoothing(owner: str, k: float, totals: dict[str, int], vocab_size: int) -> None:
@@ -112,7 +125,10 @@ def _totals(counts: dict[str, Counter]) -> dict[str, int]:
 
 class MixtureCorrectorModel(Record):
     """The LM and channel over one vocabulary, mixed with weight
-    mixing_weight on the LM. __init__ is where the fields are checked.
+    mixing_weight on the LM. __init__ is where the fields are checked: the
+    order is an int and the weight and smoothing constants are numbers,
+    none of them a bool, and the latter three are stored as floats, so equal
+    models save to identical bytes.
 
     It also derives each table's count totals into _lm_totals and
     _channel_totals, read by conditional and _token_probs, while decode
@@ -132,13 +148,16 @@ class MixtureCorrectorModel(Record):
         mixing_weight: float, stage: Stage,
     ) -> None:
         order = lm.order
-        if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
+        if type(order) is not int or not 1 <= order <= MAX_ORDER:
             raise StructuralError(f"lm order must be an integer in [1, {MAX_ORDER}], got {order!r}")
         lm_totals, channel_totals = _totals(lm.counts), _totals(channel.counts)
+        lm = lm._replace(smoothing_k=_real("lm smoothing_k", lm.smoothing_k))
         _check_smoothing("lm", lm.smoothing_k, lm_totals, len(vocab))
         if UNK not in vocab:
             raise StructuralError("vocab must contain the UNK unit")
+        channel = channel._replace(smoothing_k=_real("channel smoothing_k", channel.smoothing_k))
         _check_smoothing("channel", channel.smoothing_k, channel_totals, len(vocab))
+        mixing_weight = _real("mixing_weight", mixing_weight)
         if not 0.0 <= mixing_weight <= 1.0:
             raise UsageError(f"mixing_weight must be in [0, 1], got {mixing_weight}")
         self._set(lm, channel, vocab, mixing_weight, stage)
@@ -369,42 +388,58 @@ def fit_stage(
 
 
 def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
-    """Substitution-only beam search.
+    """Substitution-only beam search with hypothesis recombination.
 
     At source position i the lattice offers the source unit itself plus
-    every unit the channel has seen emitted for it. Beams are ranked by
-    summed log conditional; ties break toward the sequence that is smallest
-    in unit code-point order (beams are equal-length str, so plain str
+    every unit the channel has seen emitted for it. A hypothesis's cost is
+    its summed -log conditional, added left to right; hypotheses are ranked
+    by (cost, prefix), so cost ties break toward the prefix that is smallest
+    in unit code-point order (prefixes are equal-length str, so plain str
     order). Output length always equals input length.
 
-    A beam's cost is its negated score, so sorting (cost, prefix) tuples
-    ranks them as above; negation is exact, so the sums are the same floats.
     A conditional reads only the last order-1 units of the prefix (its
-    tail), so model._columns maps each source unit to a dict from tail to
-    its column: the (-log conditional, option) pairs of its options.
+    tail), so two hypotheses with one tail get the same future increments
+    and the costlier can never overtake the other. The beam therefore keeps
+    one hypothesis per tail, the least (cost, prefix), and beam_width counts
+    tails: after each position only the beam_width best survive. When the
+    beam holds every tail the search is exact (Viterbi), and at any width it
+    expands no more hypotheses than a plain beam of the same width. One
+    corner is left to rounding: two costs a < b of one tail can round to the
+    same sum after equal increments, and the prefix tie-break may then
+    prefer the hypothesis that was dropped.
+
+    model._columns maps each source unit to a dict from tail to its column:
+    the (-log conditional, option) pairs of its options.
     """
     if beam_width < 1:
         raise UsageError(f"beam_width must be >= 1, got {beam_width}")
     columns = model._columns
     width = model.lm.order - 1
-    beams: list[tuple[float, str]] = [(0.0, "")]
-    for i, unit in enumerate(src):
+    beams: dict[str, tuple[float, str]] = {"": (0.0, "")}
+    for unit in src:
         by_tail = columns.setdefault(unit, {})
-        start = max(0, i - width)
-        expanded = []
-        for cost, prefix in beams:
-            tail = prefix[start:]
+        expanded: dict[str, tuple[float, str]] = {}
+        for tail, (cost, prefix) in beams.items():
             column = by_tail.get(tail)
             if column is None:
                 column = by_tail[tail] = tuple(
                     (-math.log(conditional(model, tail, unit, option)), option)
                     for option in sorted({unit, *model.channel.partners(unit)})
                 )
+            full = len(tail) == width
             for step, option in column:
-                expanded.append((cost + step, prefix + option))
-        expanded.sort()
-        beams = expanded[:beam_width]
-    return beams[0][1]
+                key = (tail + option)[1:] if full else tail + option
+                total = cost + step
+                held = expanded.get(key)
+                # The prefix is built only for a hypothesis that wins its tail.
+                if held is None or total < held[0] or (
+                    total == held[0] and prefix + option < held[1]
+                ):
+                    expanded[key] = (total, prefix + option)
+        if len(expanded) > beam_width:
+            expanded = dict(sorted(expanded.items(), key=itemgetter(1))[:beam_width])
+        beams = expanded
+    return min(beams.values())[1]
 
 
 def save_model(model: MixtureCorrectorModel, path: str) -> None:

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zhcorrect.cli import main
-from zhcorrect.model import fit_stage, initial_model, save_model
+from zhcorrect.model import fit_stage, initial_model, load_model, save_model
 from zhcorrect.synthetic import make_suite
 
 _GOOD_TSV = "天汽很好\t天气很好\n他是学圣\t他是学生\n我们学习\t我们学习\n"
@@ -193,12 +193,43 @@ def _correct_with(payload):
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(data=st.data())
 def test_mutated_model_container_loads_and_decodes_or_exits_two(container, data):
-    code, out, err = _correct_with(data.draw(_mutations(container)))
+    payload = data.draw(_mutations(container))
+    code, out, err = _correct_with(payload)
     assert code in (0, 2), err
     if code == 0:
         assert [len(line) for line in out.splitlines()] == [len(line) for line in _GOOD_LINES.splitlines()]
+        _assert_saves_canonically(payload)
     else:
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
+def _assert_saves_canonically(payload):
+    """The model of an accepted container saves, loads back equal and saves
+    again to the same bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        given, first, second = (Path(tmp) / name for name in ("given.json", "first.json", "second.json"))
+        given.write_text(json.dumps(payload), encoding="utf-8")
+        model = load_model(str(given))
+        save_model(model, str(first))
+        assert load_model(str(first)) == model
+        save_model(load_model(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"order": True, "mixing_weight": True},
+        {"lm_smoothing_k": True},
+        {"channel_smoothing_k": True},
+        {"mixing_weight": False},
+    ],
+    ids=str,
+)
+def test_correct_refuses_a_bool_parameter(container, fields):
+    code, out, err = _correct_with({**container, **fields})
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "malformed model container" in err
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zhcorrect import ConfigError, FormatError, StructuralError, UsageError
@@ -500,7 +500,8 @@ def test_decode_preserves_length(small_suite, trained):
 
 
 def _reference_decode(model, src, beam_width=8):
-    """decode as it was before the column cache, kept verbatim as its oracle."""
+    """decode as a plain beam, before its column cache and recombination:
+    every expansion takes a slot. Kept verbatim as its oracle."""
     if beam_width < 1:
         raise UsageError(f"beam_width must be >= 1, got {beam_width}")
     beams: list[tuple[float, str]] = [(0.0, "")]
@@ -514,6 +515,15 @@ def _reference_decode(model, src, beam_width=8):
         expanded.sort(key=lambda beam: (-beam[0], beam[1]))
         beams = expanded[:beam_width]
     return beams[0][1]
+
+
+def _cost(model, src, out):
+    """Summed -log conditional of out as a correction of src, added left to
+    right as decode adds it."""
+    cost = 0.0
+    for t, (y, su) in enumerate(zip(out, src)):
+        cost += -math.log(conditional(model, out[:t], su, y))
+    return cost
 
 
 _ORACLE_VOCAB = "甲乙丙丁戊己"
@@ -540,22 +550,63 @@ def _random_model(rng, order, weight):
     return MixtureCorrectorModel(lm, channel, vocab, weight, Stage.STAGE1)
 
 
-def test_decode_matches_reference_on_random_models():
+def test_decode_matches_or_beats_the_plain_beam_on_random_models():
+    # Recombination keeps one hypothesis per LM tail where the plain beam
+    # let hypotheses of one tail crowd out the rest, so decode may leave the
+    # plain beam's output only for a strictly cheaper one.
     rng = random.Random(61)
     units = _ORACLE_VOCAB + _ORACLE_OOV
     checked = 0
+    cheaper = Counter()
     for order in (1, 2, 3, 4):
         for weight in (0.0, 0.35, 1.0):
             model = _random_model(rng, order, weight)
             for n in range(171):
                 src = "".join(rng.choice(units) for _ in range(rng.randint(0, 40)))
                 beam_width = (1, 2, 8)[n % 3]
-                assert decode(model, src, beam_width) == _reference_decode(
-                    model, src, beam_width
-                ), (order, weight, src, beam_width)
+                fixed, plain = decode(model, src, beam_width), _reference_decode(model, src, beam_width)
+                if fixed != plain:
+                    assert _cost(model, src, fixed) < _cost(model, src, plain), (order, weight, src)
+                    cheaper[order, beam_width] += 1
                 checked += 1
             assert model._columns  # one warm model served every source
-    assert checked >= 2000
+    assert checked == 2052
+    assert cheaper == {(2, 2): 14, (2, 8): 5, (3, 2): 2}
+
+
+def test_decode_is_exact_when_the_beam_holds_every_tail():
+    rng = random.Random(67)
+    units = _ORACLE_VOCAB + _ORACLE_OOV
+    for order in (1, 2, 3):
+        for weight in (0.0, 0.35, 1.0):
+            model = _random_model(rng, order, weight)
+            max_options = max(len({u, *model.channel.partners(u)}) for u in units)
+            beam_width = max_options ** (order - 1)
+            for _ in range(40):
+                src = "".join(rng.choice(units) for _ in range(rng.randint(1, 6)))
+                assert decode(model, src, beam_width) == _lattice_oracle(model, src), (order, weight, src)
+
+
+def test_decode_finds_the_optimum_the_plain_beam_misses():
+    # Pure LM of order 2 over the options {a,b} {c,d} {e,f}. After two units
+    # "ad" and "bd" tie as the two best prefixes, both with tail "d", so a
+    # plain beam of width 2 drops every prefix ending in "c". But only "c"
+    # makes "e" near certain, and "ace" is the cheapest output.
+    vocab = frozenset("abcdef") | {UNK}
+    lm_counts = {
+        BOUNDARY: Counter({"a": 1, "b": 1}),
+        "a": Counter({"c": 4, "d": 5}),
+        "b": Counter({"c": 4, "d": 5}),
+        "c": Counter({"e": 100}),
+        "d": Counter({"e": 1, "f": 1}),
+    }
+    channel_counts = {"a": Counter({"b": 1}), "c": Counter({"d": 1}), "e": Counter({"f": 1})}
+    model = MixtureCorrectorModel(
+        NgramLM(2, 0.01, lm_counts), ConfusionChannel(0.01, channel_counts), vocab, 1.0, Stage.STAGE1
+    )
+    assert _reference_decode(model, "ace", 2) == "ade"
+    assert _cost(model, "ace", "ace") < _cost(model, "ace", "ade")
+    assert decode(model, "ace", 2) == "ace" == _lattice_oracle(model, "ace")
 
 
 def test_decode_breaks_exact_ties_across_beams_by_code_point():
@@ -768,6 +819,84 @@ def test_load_rejects_out_of_range_parameters(tmp_path, field, value):
     path.write_text(json.dumps(payload))
     with pytest.raises(FormatError, match="order|smoothing_k|non-negative integers"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("order", True), ("lm_smoothing_k", True), ("channel_smoothing_k", True),
+     ("mixing_weight", True), ("mixing_weight", False), ("mixing_weight", "0.5")],
+)
+def test_load_refuses_a_parameter_that_is_no_number(tmp_path, field, value):
+    # JSON true is a Python int equal to 1; loaded, it would save back as true.
+    path = tmp_path / "model.json"
+    save_model(initial_model(vocab="甲乙"), str(path))
+    payload = json.loads(path.read_text())
+    payload[field] = value
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match=field.replace("_smoothing_k", " smoothing_k")):
+        load_model(str(path))
+
+
+def _respell(value):
+    """The same number in another JSON spelling: an int as a float, an
+    integral float as an int, a zero with the other sign."""
+    if isinstance(value, int):
+        return float(value)
+    if value == 0:
+        return -value
+    if math.isfinite(value) and value.is_integer():
+        return int(value)
+    return value
+
+
+# Values in and around each field's range, in every JSON spelling: bools,
+# ints, integral floats, signed zeros, subnormals and ints beyond any float.
+_EDGE_NUMBERS = [True, False, -1, 65, 10**400, -0.0, 1.0, 2.0, 3.0, 5e-324, 1e308, math.nan, math.inf]
+_ORDER_SPELLINGS = st.integers(1, 4) | st.sampled_from(_EDGE_NUMBERS)
+_REAL_SPELLINGS = st.integers(0, 3) | st.floats(0.0, 1.0) | st.sampled_from(_EDGE_NUMBERS)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@example(fields={"order": True, "lm_smoothing_k": 1, "channel_smoothing_k": 1, "mixing_weight": True})
+@example(fields={"order": 2, "lm_smoothing_k": 1, "channel_smoothing_k": 0.5, "mixing_weight": 1})
+@example(fields={"order": 3, "lm_smoothing_k": 2.0, "channel_smoothing_k": 0.5, "mixing_weight": -0.0})
+@given(
+    fields=st.fixed_dictionaries(
+        {
+            "order": _ORDER_SPELLINGS,
+            "lm_smoothing_k": _REAL_SPELLINGS,
+            "channel_smoothing_k": _REAL_SPELLINGS,
+            "mixing_weight": _REAL_SPELLINGS,
+        }
+    )
+)
+def test_every_container_load_model_accepts_is_canonical(tmp_path_factory, fields):
+    # A loaded model saves, loads and saves again to identical bytes, and the
+    # same numbers spelled another way give an equal model with those bytes.
+    folder = tmp_path_factory.mktemp("canonical")
+    first, second, spelled = folder / "first.json", folder / "second.json", folder / "spelled.json"
+    save_model(_hand_model(), str(first))
+    payload = json.loads(first.read_text())
+    spelled.write_text(json.dumps({**payload, **fields}))
+    try:
+        model = load_model(str(spelled))
+    except FormatError:
+        return
+    assert type(fields["order"]) is int
+    assert not any(isinstance(value, bool) for value in fields.values())
+    save_model(model, str(first))
+    assert load_model(str(first)) == model
+    save_model(load_model(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+    reals = ("lm_smoothing_k", "channel_smoothing_k", "mixing_weight")
+    spelled.write_text(json.dumps({**payload, **fields, **{k: _respell(fields[k]) for k in reals}}))
+    twin = load_model(str(spelled))
+    assert twin == model
+    save_model(twin, str(second))
+    assert second.read_bytes() == first.read_bytes()
+    spelled.write_text(json.dumps({**payload, **fields, "order": float(fields["order"])}))
+    with pytest.raises(FormatError, match="lm order must be an integer"):
+        load_model(str(spelled))
 
 
 _UNITS = st.sampled_from(["甲", "乙", "丙", "a", "\\", '"', "\u2028", "\U0001F600", UNK])
