@@ -402,11 +402,10 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     and the costlier can never overtake the other. The beam therefore keeps
     one hypothesis per tail, the least (cost, prefix), and beam_width counts
     tails: after each position only the beam_width best survive. When the
-    beam holds every tail the search is exact (Viterbi), and at any width it
-    expands no more hypotheses than a plain beam of the same width. One
-    corner is left to rounding: two costs a < b of one tail can round to the
-    same sum after equal increments, and the prefix tie-break may then
-    prefer the hypothesis that was dropped.
+    beam holds every tail the search is exact (Viterbi). One corner is left
+    to rounding: two costs a < b of one tail can round to the same sum after
+    equal increments, and the prefix tie-break may then prefer the
+    hypothesis that was dropped.
 
     model._columns maps each source unit to a dict from tail to its column:
     the (-log conditional, option) pairs of its options.
