@@ -18,13 +18,11 @@ from .corpus import (
     Corpus,
     ParallelPair,
     parse_parallel,
-    serialize_parallel,
     split,
     unify,
 )
 from .alignment import align
 from .edits import (
-    EMPTY_REPLACEMENT_MARK,
     Edit,
     EditKind,
     EditSet,
@@ -32,7 +30,6 @@ from .edits import (
     MatchCounts,
     MergePolicy,
     apply_edits,
-    classify_kind,
     extract_edits,
     format_edit_records,
     match_edits,
@@ -61,7 +58,6 @@ from .model import (
     fit_stage,
     initial_model,
     load_model,
-    nll,
     save_model,
     stage_heldout,
 )
@@ -72,11 +68,10 @@ __all__ = [
     "UsageError", "StructuralError",
     "NormalizePolicy", "units_of",
     "Corpus", "ParallelPair",
-    "parse_parallel", "serialize_parallel", "unify", "split",
+    "parse_parallel", "unify", "split",
     "align",
     "Edit", "EditKind", "EditSet", "MergePolicy", "MatchCounts",
-    "GoldRecord", "EMPTY_REPLACEMENT_MARK",
-    "classify_kind", "extract_edits", "apply_edits", "match_edits",
+    "GoldRecord", "extract_edits", "apply_edits", "match_edits",
     "format_edit_records", "parse_edit_file",
     "ScoreReport",
     "f_beta", "precision_recall", "macro_average",
@@ -84,17 +79,6 @@ __all__ = [
     "BOUNDARY", "UNK", "DEFAULT_MIX_GRID",
     "NgramLM", "ConfusionChannel", "MixtureCorrectorModel",
     "Stage",
-    "initial_model", "conditional", "nll", "dataset_objective",
+    "initial_model", "conditional", "dataset_objective",
     "fit_stage", "stage_heldout", "decode", "save_model", "load_model",
-    "SyntheticSuite", "WORD_INVENTORY", "CONFUSION", "make_suite",
 ]
-
-
-def __getattr__(name: str):
-    """The synthetic module's names, imported on first use (PEP 562): no
-    command needs them, so none pays for that import."""
-    if name not in ("SyntheticSuite", "WORD_INVENTORY", "CONFUSION", "make_suite"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import synthetic
-
-    return getattr(synthetic, name)

@@ -28,6 +28,7 @@ from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_f
 from .errors import FormatError, NormalizationError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
 from .model import (
+    DEFAULT_ORDER, DEFAULT_SMOOTHING_K,
     decode, dataset_objective, fit_stage, initial_model, load_model, save_model, stage_heldout,
 )
 from .textnorm import NormalizePolicy, units_of
@@ -315,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("train", help="fit the two curriculum stages and save the model")
     p.add_argument("--stage1", required=True, metavar="FILE")
     p.add_argument("--stage2", required=True, nargs="+", metavar="FILE")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--smoothing-k", type=float, default=0.01)
+    p.add_argument("--order", type=int, default=DEFAULT_ORDER)
+    p.add_argument("--smoothing-k", type=float, default=DEFAULT_SMOOTHING_K)
     p.add_argument("--heldout-fraction", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model path; adds a .manifest.json sidecar")

@@ -1,4 +1,4 @@
-"""Parallel correction corpora: parsing, serialization, unification, splits.
+"""Parallel correction corpora: parsing, unification, splits.
 
 File formats (external interfaces):
   * Parallel TSV — UTF-8, LF line endings, TAB-separated, no header, no
@@ -133,38 +133,6 @@ def parse_parallel(
         seen_ids.add(pair.id)
         pairs.append(pair)
     return Corpus(name=name, pairs=tuple(pairs), policy=policy)
-
-
-def serialize_parallel(corpus: Corpus, format: str = "tsv") -> str:
-    """Inverse of parse_parallel. TSV drops ids (they are regenerated on parse)
-    and refuses with FormatError a pair it cannot hold: a source starting with
-    the comment mark, a tab or line feed inside a field, or a last field
-    ending in a carriage return, which the parser strips. JSONL round-trips
-    losslessly."""
-    if format == "tsv":
-        lines = []
-        for p in corpus:
-            line = "\t".join([p.source, *p.references])
-            if (
-                p.source.startswith("#") or line.endswith("\r") or "\n" in line
-                or line.count("\t") != len(p.references)
-            ):
-                raise FormatError(
-                    f"pair {p.id!r}: TSV cannot hold a source starting with '#', a tab or "
-                    "line feed in a field, or a carriage return ending the line"
-                )
-            lines.append(line)
-    elif format == "jsonl":
-        lines = [
-            json.dumps(
-                {"id": p.id, "source": p.source, "references": list(p.references)},
-                ensure_ascii=False,
-            )
-            for p in corpus
-        ]
-    else:
-        raise UsageError(f"unknown corpus format {format!r}")
-    return "".join(line + "\n" for line in lines)
 
 
 def unify(parts: Sequence[Corpus], name: str = "joint") -> Corpus:

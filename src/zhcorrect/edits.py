@@ -49,16 +49,6 @@ class EditKind(Enum):
     COMPLEX = "complex"
 
 
-def classify_kind(start: int, end: int, replacement_len: int) -> EditKind:
-    if start == end:
-        return EditKind.INSERT
-    if replacement_len == 0:
-        return EditKind.DELETE
-    if end - start == replacement_len:
-        return EditKind.SUBSTITUTE
-    return EditKind.COMPLEX
-
-
 class Edit(Checked, namedtuple("Edit", "start end replacement")):
     """Replace source units [start, end) with `replacement`.
 
@@ -78,7 +68,13 @@ class Edit(Checked, namedtuple("Edit", "start end replacement")):
 
     @property
     def kind(self) -> EditKind:
-        return classify_kind(self.start, self.end, len(self.replacement))
+        if self.start == self.end:
+            return EditKind.INSERT
+        if not self.replacement:
+            return EditKind.DELETE
+        if self.end - self.start == len(self.replacement):
+            return EditKind.SUBSTITUTE
+        return EditKind.COMPLEX
 
 
 class EditSet(Record):
@@ -240,14 +236,10 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
         if not line:
             close(lineno)
             continue
-        if line.startswith("S "):
+        if line == "S" or line.startswith("S "):
             if source is not None:
                 raise FormatError(f"line {lineno}: record is missing its terminating blank line")
             source = line[2:]
-        elif line == "S":
-            if source is not None:
-                raise FormatError(f"line {lineno}: record is missing its terminating blank line")
-            source = ""
         elif line.startswith("A "):
             if source is None:
                 raise FormatError(f"line {lineno}: 'A' line before any 'S' line")

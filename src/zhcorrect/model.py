@@ -287,11 +287,6 @@ def _mean_nll(table: Iterable[list[tuple[float, float]]], lam: float) -> float:
     return sum(per_pair) / len(per_pair)
 
 
-def nll(model: MixtureCorrectorModel, pair: ParallelPair) -> float:
-    """Negative log-likelihood of the pair's first reference, natural log."""
-    return _mean_nll(_token_probs(model, [pair]), model.mixing_weight)
-
-
 def dataset_objective(
     model: MixtureCorrectorModel, corpus: Corpus, weights: Sequence[float] | None = None
 ) -> float | list[float]:
@@ -442,8 +437,12 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
 
 
 def save_model(model: MixtureCorrectorModel, path: str) -> None:
-    """Versioned JSON container; identical models produce identical bytes.
+    """Versioned JSON container; == models produce identical bytes, as only
+    positive counts are written (Counter == ignores the rest too).
     The file is replaced whole (see write_artifact)."""
+    def positive(table: dict[str, Counter]) -> dict[str, dict[str, int]]:
+        return {key: {u: n for u, n in row.items() if n > 0} for key, row in table.items()}
+
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -453,8 +452,8 @@ def save_model(model: MixtureCorrectorModel, path: str) -> None:
         "mixing_weight": model.mixing_weight,
         "stage": model.stage.value,
         "vocab": sorted(model.vocab),
-        "lm_counts": {key: dict(c) for key, c in model.lm.counts.items()},
-        "channel_counts": {key: dict(c) for key, c in model.channel.counts.items()},
+        "lm_counts": positive(model.lm.counts),
+        "channel_counts": positive(model.channel.counts),
     }
     write_artifact(
         path, json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":")) + "\n"
@@ -469,9 +468,9 @@ def _count_table(raw: object) -> dict[str, Counter]:
     table = {}
     for key, counts in raw.items():
         if not isinstance(counts, dict) or not all(
-            len(u) == 1 and type(n) is int and n >= 0 for u, n in counts.items()
+            len(u) == 1 and type(n) is int and n > 0 for u, n in counts.items()
         ):
-            raise StructuralError("counts must map single units to non-negative integers")
+            raise StructuralError("counts must map single units to positive integers")
         table[key] = Counter(counts)
     return table
 

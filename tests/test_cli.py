@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -697,7 +698,7 @@ def test_internal_error_returns_one(tmp_path, monkeypatch, capsys):
 def test_cli_import_leaves_dataclasses_traceback_and_synthetic_unimported():
     # None of them is needed by a command that succeeds: the records are
     # namedtuples and slot classes, traceback is imported on exit 1 only, and
-    # the package resolves the synthetic names on first use.
+    # no command imports the synthetic suite.
     done = _python(
         "-S",
         "-c",
@@ -714,12 +715,21 @@ def test_every_exported_name_resolves_in_a_fresh_interpreter():
         "-c",
         "import zhcorrect; "
         "[getattr(zhcorrect, name) for name in zhcorrect.__all__]; "
-        "from zhcorrect import make_suite, SyntheticSuite; "
+        "from zhcorrect.synthetic import make_suite, SyntheticSuite; "
         "print(isinstance(make_suite(0, 4, 4, 4, 4), SyntheticSuite))",
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         zhcorrect.no_such_name
+
+
+def test_all_lists_exactly_the_public_names_the_package_binds():
+    bound = {
+        name for name, value in vars(zhcorrect).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(zhcorrect.__all__) - {"__version__"} == bound
+    assert len(zhcorrect.__all__) == len(set(zhcorrect.__all__))
 
 
 def test_internal_error_prints_a_traceback_in_a_fresh_interpreter():

@@ -16,7 +16,6 @@ from zhcorrect import (
     StructuralError,
     UsageError,
     apply_edits,
-    classify_kind,
     extract_edits,
     format_edit_records,
     match_edits,
@@ -42,10 +41,10 @@ def _corrupt(rng, text):
 
 
 def test_classify_kind():
-    assert classify_kind(2, 2, 1) is EditKind.INSERT
-    assert classify_kind(2, 3, 0) is EditKind.DELETE
-    assert classify_kind(2, 3, 1) is EditKind.SUBSTITUTE
-    assert classify_kind(2, 3, 2) is EditKind.COMPLEX
+    assert Edit(2, 2, "甲").kind is EditKind.INSERT
+    assert Edit(2, 3, "").kind is EditKind.DELETE
+    assert Edit(2, 3, "甲").kind is EditKind.SUBSTITUTE
+    assert Edit(2, 3, "甲乙").kind is EditKind.COMPLEX
 
 
 def test_edit_validation():
@@ -249,11 +248,18 @@ def test_parse_errors_carry_line_numbers():
         ("S 好\nA z 1|||sub|||x|||0\n", "line 2"),
         ("S 好\nX nonsense\n", "line 2"),
         ("S 好\nS 再\n", "line 2"),
+        ("S 好\nS\n", "line 2: record is missing its terminating blank line"),
     ]
     for text, needle in cases:
         with pytest.raises(FormatError) as err:
             parse_edit_file(io.StringIO(text))
         assert needle in str(err.value)
+
+
+def test_parse_reads_a_bare_s_line_as_an_empty_source():
+    records = parse_edit_file(io.StringIO("S\nA 0 0|||ins|||甲|||0\n\nS \n\n"))
+    assert [r.source for r in records] == ["", ""]
+    assert records[0].refs == (EditSet("0", 0, (Edit(0, 0, "甲"),)),)
 
 
 def test_parse_rejects_overlapping_edits_as_format_error():

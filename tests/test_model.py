@@ -28,7 +28,6 @@ from zhcorrect.model import (
     fit_stage,
     initial_model,
     load_model,
-    nll,
     save_model,
     stage_heldout,
     _accumulate,
@@ -47,6 +46,12 @@ def _pair(pid, src, ref):
 
 def _corpus(name, pairs):
     return Corpus(name, tuple(pairs))
+
+
+def _nll(model, pair):
+    """The negative log-likelihood of the pair's first reference, natural
+    log: the objective of a one-pair corpus."""
+    return dataset_objective(model, _corpus("one", [pair]))
 
 
 def _hand_model():
@@ -154,13 +159,13 @@ def test_conditional_distributions_sum_to_one(trained):
 def test_nll_uniform_is_length_times_log_v():
     model = initial_model(vocab=_NINE_CHARS)
     pair = _pair("u", "天气好", "天气好")
-    assert nll(model, pair) == pytest.approx(3 * math.log(10), abs=1e-9)
+    assert _nll(model, pair) == pytest.approx(3 * math.log(10), abs=1e-9)
 
 
 def test_nll_trivial_vocab_is_exactly_zero():
     model = initial_model(vocab=())
     assert len(model.vocab) == 1
-    assert nll(model, _pair("z", "甲乙丙", "甲乙丙")) == 0.0
+    assert _nll(model, _pair("z", "甲乙丙", "甲乙丙")) == 0.0
 
 
 def test_nll_hand_computed_two_units():
@@ -171,14 +176,14 @@ def test_nll_hand_computed_two_units():
     p1 = 0.6 * (3.5 / 5.5) + 0.4 * (4.5 / 6.5)
     p2 = 0.6 * (2.5 / 3.5) + 0.4 * (3.5 / 4.5)
     expected = -(math.log(p1) + math.log(p2))
-    assert nll(model, _pair("h", "甲乙", "甲乙")) == pytest.approx(expected, abs=1e-12)
+    assert _nll(model, _pair("h", "甲乙", "甲乙")) == pytest.approx(expected, abs=1e-12)
 
 
 def test_nll_uses_first_reference_only():
     model = _hand_model()
     one = _pair("a", "甲乙", "甲乙")
     two = ParallelPair("b", "甲乙", ("甲乙", "乙乙"))
-    assert nll(model, one) == nll(model, two)
+    assert _nll(model, one) == _nll(model, two)
 
 
 def test_nll_additive_over_independent_pairs_order_one():
@@ -197,8 +202,8 @@ def test_nll_additive_over_independent_pairs_order_one():
     left = _pair("l", "甲乙", "甲丁")
     right = _pair("r", "戊己", "庚己")
     joined = _pair("j", "甲乙戊己", "甲丁庚己")
-    assert nll(model, left) + nll(model, right) == pytest.approx(
-        nll(model, joined), abs=1e-9
+    assert _nll(model, left) + _nll(model, right) == pytest.approx(
+        _nll(model, joined), abs=1e-9
     )
 
 
@@ -207,12 +212,10 @@ def test_dataset_objective_mean_semantics():
     a = _pair("a", "甲乙", "甲乙")
     a2 = _pair("a2", "甲乙", "甲乙")
     b = _pair("b", "乙", "甲")
-    single = _corpus("s", [a])
-    assert dataset_objective(model, single) == pytest.approx(nll(model, a), abs=1e-12)
     doubled = _corpus("d", [a, a2])
-    assert dataset_objective(model, doubled) == pytest.approx(nll(model, a), abs=1e-12)
+    assert dataset_objective(model, doubled) == pytest.approx(_nll(model, a), abs=1e-12)
     mixed = _corpus("m", [a, a2, b])
-    expected = (2 * nll(model, a) + nll(model, b)) / 3
+    expected = (2 * _nll(model, a) + _nll(model, b)) / 3
     assert dataset_objective(model, mixed) == pytest.approx(expected, abs=1e-12)
 
 
@@ -761,6 +764,21 @@ def test_save_load_untrained(tmp_path):
     assert load_model(str(path)) == model
 
 
+def test_zero_counts_save_as_absent(tmp_path):
+    # Counter == ignores a zero count, so the saved bytes must too.
+    def with_row(row):
+        model = _hand_model()
+        return model._replace(channel=model.channel._replace(counts={"甲": row}))
+
+    zero, plain = with_row(Counter({"乙": 1, "甲": 0})), with_row(Counter({"乙": 1}))
+    assert zero == plain
+    save_model(zero, str(tmp_path / "zero.json"))
+    save_model(plain, str(tmp_path / "plain.json"))
+    assert (tmp_path / "zero.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+    loaded = load_model(str(tmp_path / "zero.json"))
+    assert loaded == zero and loaded == plain
+
+
 def test_load_rejects_bad_containers(tmp_path):
     good = tmp_path / "good.json"
     save_model(initial_model(), str(good))
@@ -809,6 +827,7 @@ def test_load_rejects_bad_containers(tmp_path):
         ("channel_smoothing_k", math.nan),
         ("channel_counts", {"甲": {"乙": -1}}),
         ("lm_counts", {"甲": {"乙": 0.5}}),
+        ("channel_counts", {"甲": {"乙": 0}}),
     ],
 )
 def test_load_rejects_out_of_range_parameters(tmp_path, field, value):
@@ -817,7 +836,7 @@ def test_load_rejects_out_of_range_parameters(tmp_path, field, value):
     payload = json.loads(path.read_text())
     payload[field] = value
     path.write_text(json.dumps(payload))
-    with pytest.raises(FormatError, match="order|smoothing_k|non-negative integers"):
+    with pytest.raises(FormatError, match="order|smoothing_k|positive integers"):
         load_model(str(path))
 
 
