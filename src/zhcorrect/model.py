@@ -7,7 +7,8 @@ accumulation: stage 1 fits on alignment-tagged data, stage 2 keeps those
 counts and accumulates the joint corpus on top, re-tuning the mixing weight
 on a held-out slice by grid search. Decoding is substitution-only beam
 search over a per-position candidate lattice that keeps one hypothesis per
-LM state, scored from a cache that lives on the model.
+LM state. Its columns are cached on the model: each holds an option's cost
+and the LM state it leads to, so an expansion only adds and compares.
 
 Reserved units: BOUNDARY pads LM contexts at the sentence start and UNK
 absorbs units outside the vocabulary, so every probability stays positive
@@ -112,15 +113,37 @@ class ConfusionChannel(NamedTuple):
     counts: dict[str, Counter]
 
     def partners(self, source: str) -> tuple[str, ...]:
-        emitted = self.counts.get(source)
-        if not emitted:
-            return ()
-        return tuple(sorted(u for u, c in emitted.items() if c > 0))
+        return tuple(sorted(self.counts.get(source, ())))
 
 
 def _totals(counts: dict[str, Counter]) -> dict[str, int]:
-    """Each row's count total, the count part of its add-k denominator."""
-    return {key: sum(row.values()) for key, row in counts.items()}
+    """Each row's count total, the count part of its add-k denominator.
+    Every count must be a positive int of a single unit: decode emits the
+    counted units, and a zero, which Counter == ignores, would make equal
+    models differ in their tables."""
+    totals = {}
+    for key, row in counts.items():
+        if not all(
+            type(u) is str and len(u) == 1 and type(n) is int and n > 0 for u, n in row.items()
+        ):
+            raise StructuralError("counts must map single units to positive integers")
+        totals[key] = sum(row.values())
+    return totals
+
+
+_NO_COUNTS: dict[str, int] = {}
+
+
+def _add_k(
+    table: NgramLM | ConfusionChannel, totals: dict[str, int], vocab_size: int,
+    key: str | None, units: Iterable[str],
+) -> list[float]:
+    """The table's add-k probabilities (count + k) / (total + k·|V|) of
+    units, each in the vocab or UNK, in the row of key (an LM context or a
+    channel source). A key without a row, None included, has no counts."""
+    row, k = table.counts.get(key, _NO_COUNTS), table.smoothing_k
+    denominator = totals.get(key, 0) + k * vocab_size
+    return [(row.get(unit, 0) + k) / denominator for unit in units]
 
 
 class MixtureCorrectorModel(Record):
@@ -128,11 +151,15 @@ class MixtureCorrectorModel(Record):
     mixing_weight on the LM. __init__ is where the fields are checked: the
     order is an int and the weight and smoothing constants are numbers,
     none of them a bool, and the latter three are stored as floats, so equal
-    models save to identical bytes.
+    models save to identical bytes. Every count is a positive int of a
+    single unit.
 
     It also derives each table's count totals into _lm_totals and
     _channel_totals, read by conditional and _token_probs, while decode
-    caches its scores in _columns. None of the three is a parameter: they
+    caches its lattice in _columns: each source unit maps to its options,
+    as (option, vocab-mapped option, channel probability), and to a dict
+    from LM tail to its column of (step, option, next tail) triples (see
+    decode). None of the three is a parameter: they
     are left out of ==, repr, pickling and save_model, and every new model
     (_replace, unpickling, fit_stage, load_model) derives the totals anew
     and starts with an empty cache. So a model's tables must not be mutated
@@ -147,10 +174,10 @@ class MixtureCorrectorModel(Record):
         self, lm: NgramLM, channel: ConfusionChannel, vocab: frozenset[str],
         mixing_weight: float, stage: Stage,
     ) -> None:
+        lm_totals, channel_totals = _totals(lm.counts), _totals(channel.counts)
         order = lm.order
         if type(order) is not int or not 1 <= order <= MAX_ORDER:
             raise StructuralError(f"lm order must be an integer in [1, {MAX_ORDER}], got {order!r}")
-        lm_totals, channel_totals = _totals(lm.counts), _totals(channel.counts)
         lm = lm._replace(smoothing_k=_real("lm smoothing_k", lm.smoothing_k))
         _check_smoothing("lm", lm.smoothing_k, lm_totals, len(vocab))
         if UNK not in vocab:
@@ -196,18 +223,14 @@ def conditional(
     unit) takes the channel's zero-count case, i.e. uniform over the
     vocabulary.
     """
-    vocab, lm, channel = model.vocab, model.lm, model.channel
-    unit = y_t if y_t in vocab else UNK
-    key = _context_key(vocab, lm.order, prev_context)
-    lm_p = (lm.counts.get(key, {}).get(unit, 0) + lm.smoothing_k) / (
-        model._lm_totals.get(key, 0) + lm.smoothing_k * len(vocab)
-    )
-    count = total = 0
-    if aligned_src_unit is not None:
-        src = aligned_src_unit if aligned_src_unit in vocab else UNK
-        count = channel.counts.get(src, {}).get(unit, 0)
-        total = model._channel_totals.get(src, 0)
-    ch_p = (count + channel.smoothing_k) / (total + channel.smoothing_k * len(vocab))
+    vocab = model.vocab
+    units = (y_t if y_t in vocab else UNK,)
+    src = aligned_src_unit
+    if src is not None and src not in vocab:
+        src = UNK
+    key = _context_key(vocab, model.lm.order, prev_context)
+    (lm_p,) = _add_k(model.lm, model._lm_totals, len(vocab), key, units)
+    (ch_p,) = _add_k(model.channel, model._channel_totals, len(vocab), src, units)
     lam = model.mixing_weight
     return lam * lm_p + (1.0 - lam) * ch_p
 
@@ -237,8 +260,9 @@ def _token_probs(
     every weight.
 
     The values are conditional's two terms, read from the same tables and
-    totals by the same float expressions. The target is mapped to UNK once,
-    so each LM context is a slice of the padded, mapped target.
+    totals by _add_k's float expressions, written out here. The target is
+    mapped to UNK once, so each LM context is a slice of the padded, mapped
+    target.
     """
     lm, channel, vocab = model.lm, model.channel, model.vocab
     width = lm.order - 1
@@ -382,6 +406,39 @@ def fit_stage(
     return fitted._replace(mixing_weight=best_weight)
 
 
+def _options(model: MixtureCorrectorModel, unit: str) -> tuple[tuple[str, str, float], ...]:
+    """decode's options at source unit: the unit and its channel partners,
+    in code-point order, each as (option, vocab-mapped option, channel
+    probability given unit)."""
+    vocab = model.vocab
+    options = sorted({unit, *model.channel.partners(unit)})
+    mapped = [option if option in vocab else UNK for option in options]
+    src = unit if unit in vocab else UNK
+    ch_ps = _add_k(model.channel, model._channel_totals, len(vocab), src, mapped)
+    return tuple(zip(options, mapped, ch_ps))
+
+
+def _column(
+    model: MixtureCorrectorModel, options: tuple[tuple[str, str, float], ...], tail: str
+) -> tuple[tuple[float, str, str], ...]:
+    """The (step, option, next tail) of each of a source unit's _options
+    after tail: step is -log conditional(model, tail, unit, option), by
+    conditional's float expressions, and next tail the last order-1 units
+    of tail + option."""
+    vocab, lm, lam = model.vocab, model.lm, model.mixing_weight
+    key = _context_key(vocab, lm.order, tail)
+    lm_ps = _add_k(lm, model._lm_totals, len(vocab), key, [mapped for _, mapped, _ in options])
+    full = len(tail) == lm.order - 1
+    return tuple(
+        (
+            -math.log(lam * lm_p + (1.0 - lam) * ch_p),
+            option,
+            (tail + option)[1:] if full else tail + option,
+        )
+        for (option, _, ch_p), lm_p in zip(options, lm_ps)
+    )
+
+
 def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     """Substitution-only beam search with hypothesis recombination.
 
@@ -402,30 +459,28 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     equal increments, and the prefix tie-break may then prefer the
     hypothesis that was dropped.
 
-    model._columns maps each source unit to a dict from tail to its column:
-    the (-log conditional, option) pairs of its options.
+    model._columns maps each source unit to (its _options, a dict from tail
+    to its _column). Each is built once per model, so an expansion only adds
+    its step, probes the tail it leads to and compares; it builds a string
+    only for the prefix of a hypothesis that wins its tail.
     """
     if beam_width < 1:
         raise UsageError(f"beam_width must be >= 1, got {beam_width}")
     columns = model._columns
-    width = model.lm.order - 1
     beams: dict[str, tuple[float, str]] = {"": (0.0, "")}
     for unit in src:
-        by_tail = columns.setdefault(unit, {})
+        cached = columns.get(unit)
+        if cached is None:
+            cached = columns[unit] = (_options(model, unit), {})
+        options, by_tail = cached
         expanded: dict[str, tuple[float, str]] = {}
         for tail, (cost, prefix) in beams.items():
             column = by_tail.get(tail)
             if column is None:
-                column = by_tail[tail] = tuple(
-                    (-math.log(conditional(model, tail, unit, option)), option)
-                    for option in sorted({unit, *model.channel.partners(unit)})
-                )
-            full = len(tail) == width
-            for step, option in column:
-                key = (tail + option)[1:] if full else tail + option
+                column = by_tail[tail] = _column(model, options, tail)
+            for step, option, key in column:
                 total = cost + step
                 held = expanded.get(key)
-                # The prefix is built only for a hypothesis that wins its tail.
                 if held is None or total < held[0] or (
                     total == held[0] and prefix + option < held[1]
                 ):
@@ -437,12 +492,9 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
 
 
 def save_model(model: MixtureCorrectorModel, path: str) -> None:
-    """Versioned JSON container; == models produce identical bytes, as only
-    positive counts are written (Counter == ignores the rest too).
+    """Versioned JSON container; == models produce identical bytes, as a
+    model holds only positive counts (Counter == ignores no other).
     The file is replaced whole (see write_artifact)."""
-    def positive(table: dict[str, Counter]) -> dict[str, dict[str, int]]:
-        return {key: {u: n for u, n in row.items() if n > 0} for key, row in table.items()}
-
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
@@ -452,8 +504,8 @@ def save_model(model: MixtureCorrectorModel, path: str) -> None:
         "mixing_weight": model.mixing_weight,
         "stage": model.stage.value,
         "vocab": sorted(model.vocab),
-        "lm_counts": positive(model.lm.counts),
-        "channel_counts": positive(model.channel.counts),
+        "lm_counts": model.lm.counts,
+        "channel_counts": model.channel.counts,
     }
     write_artifact(
         path, json.dumps(payload, sort_keys=True, ensure_ascii=True, separators=(",", ":")) + "\n"
@@ -461,18 +513,13 @@ def save_model(model: MixtureCorrectorModel, path: str) -> None:
 
 
 def _count_table(raw: object) -> dict[str, Counter]:
-    """A container's count table, key -> unit -> count. decode emits the
-    counted units, so each must be a single unit."""
+    """A container's count table, key -> unit -> count, as JSON objects; the
+    model checks the counts."""
     if not isinstance(raw, dict):
         raise StructuralError("a count table must be a JSON object")
-    table = {}
-    for key, counts in raw.items():
-        if not isinstance(counts, dict) or not all(
-            len(u) == 1 and type(n) is int and n > 0 for u, n in counts.items()
-        ):
-            raise StructuralError("counts must map single units to positive integers")
-        table[key] = Counter(counts)
-    return table
+    if not all(isinstance(counts, dict) for counts in raw.values()):
+        raise StructuralError("counts must map single units to positive integers")
+    return {key: Counter(counts) for key, counts in raw.items()}
 
 
 def load_model(path: str) -> MixtureCorrectorModel:

@@ -536,8 +536,7 @@ _ORACLE_OOV = "庚辛x"
 def _random_model(rng, order, weight):
     """A hand-built model with random counts: LM contexts over vocab,
     BOUNDARY and UNK; 甲 without channel entry, 乙 emitting only itself,
-    丙 and 丁 with several partners (one of them outside the vocab, and a
-    zero count that partners must skip)."""
+    丙 and 丁 with several partners (one of them outside the vocab)."""
     vocab = frozenset(_ORACLE_VOCAB) | {UNK}
     context_units = sorted(vocab | {BOUNDARY})
     lm_counts = {}
@@ -546,7 +545,7 @@ def _random_model(rng, order, weight):
         lm_counts.setdefault(key, Counter())[rng.choice(sorted(vocab))] += rng.randint(1, 9)
     channel_counts = {
         "乙": Counter({"乙": rng.randint(1, 9)}),
-        "丙": Counter({"丙": rng.randint(1, 9), "丁": rng.randint(1, 9), "戊": 0}),
+        "丙": Counter({"丙": rng.randint(1, 9), "丁": rng.randint(1, 9)}),
         "丁": Counter({"丁": 5, "丙": rng.randint(1, 9), "己": rng.randint(1, 9), "庚": 1}),
     }
     lm, channel = NgramLM(order, 0.1, lm_counts), ConfusionChannel(0.2, channel_counts)
@@ -575,6 +574,61 @@ def test_decode_matches_or_beats_the_plain_beam_on_random_models():
             assert model._columns  # one warm model served every source
     assert checked == 2052
     assert cheaper == {(2, 2): 14, (2, 8): 5, (3, 2): 2}
+
+
+def _column_model(rng, order, weight):
+    """_random_model plus a channel row for UNK and one for x, a source
+    outside the vocab: x's options are its own partners, but it reads the
+    UNK row, as conditional does."""
+    model = _random_model(rng, order, weight)
+    counts = {**model.channel.counts, "x": Counter({"甲": 2, "辛": 1}), UNK: Counter({"乙": 3})}
+    return model._replace(channel=model.channel._replace(counts=counts))
+
+
+def test_every_cached_column_holds_conditional_and_the_next_tail():
+    rng = random.Random(71)
+    units = _ORACLE_VOCAB + _ORACLE_OOV
+    for order in (1, 2, 3, 4):
+        for weight in (0.0, 0.35, 1.0):
+            model = _column_model(rng, order, weight)
+            channel_only = model._replace(mixing_weight=0.0)
+            for _ in range(30):
+                src = "".join(rng.choice(units) for _ in range(rng.randint(1, 12)))
+                decode(model, src, rng.choice((1, 2, 8)))
+            assert set(model._columns) == set(units)
+            tails = set()
+            for unit, (options, by_tail) in model._columns.items():
+                expected = sorted({unit, *model.channel.partners(unit)})
+                assert [option for option, _, _ in options] == expected
+                for option, mapped, ch_p in options:
+                    assert mapped == (option if option in model.vocab else UNK)
+                    assert ch_p.hex() == conditional(channel_only, "", unit, option).hex()
+                for tail, column in by_tail.items():
+                    assert [option for _, option, _ in column] == expected
+                    full = len(tail) == order - 1
+                    for step, option, next_tail in column:
+                        exact = -math.log(conditional(model, tail, unit, option))
+                        assert step.hex() == exact.hex(), (order, weight, unit, tail, option)
+                        assert next_tail == ((tail + option)[1:] if full else tail + option)
+                tails.update(by_tail)
+            # The columns cover tails of every length, OOV units among them.
+            assert {len(tail) for tail in tails} == set(range(order))
+            assert order == 1 or any(u not in model.vocab for tail in tails for u in tail)
+
+
+def test_decoding_a_line_again_adds_no_column(suite0_model):
+    suite, trained_model = suite0_model
+    model = trained_model._replace(mixing_weight=0.35)
+
+    def cached():
+        return len(model._columns), sum(len(by_tail) for _, by_tail in model._columns.values())
+
+    for pair in suite.eval_csc.pairs[:40]:
+        first = decode(model, pair.source)
+        filled = cached()
+        assert decode(model, pair.source) == first
+        assert cached() == filled
+    assert cached()[1] > cached()[0]  # the LM tail keys the columns
 
 
 def test_decode_is_exact_when_the_beam_holds_every_tail():
@@ -764,19 +818,16 @@ def test_save_load_untrained(tmp_path):
     assert load_model(str(path)) == model
 
 
-def test_zero_counts_save_as_absent(tmp_path):
-    # Counter == ignores a zero count, so the saved bytes must too.
-    def with_row(row):
-        model = _hand_model()
-        return model._replace(channel=model.channel._replace(counts={"甲": row}))
-
-    zero, plain = with_row(Counter({"乙": 1, "甲": 0})), with_row(Counter({"乙": 1}))
-    assert zero == plain
-    save_model(zero, str(tmp_path / "zero.json"))
-    save_model(plain, str(tmp_path / "plain.json"))
-    assert (tmp_path / "zero.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
-    loaded = load_model(str(tmp_path / "zero.json"))
-    assert loaded == zero and loaded == plain
+def test_constructor_refuses_a_zero_count():
+    # Counter == ignores a zero count, so a model that held one would equal a
+    # model without it yet differ in its tables; the constructor refuses it,
+    # and every count that is no positive int of a single unit.
+    model = _hand_model()
+    for row in ({"乙": 1, "甲": 0}, {"乙": -1}, {"乙": 1.0}, {"乙": True}, {"乙乙": 1}, {"": 1}):
+        for field in ("lm", "channel"):
+            table = getattr(model, field)._replace(counts={"甲": Counter(row)})
+            with pytest.raises(StructuralError, match="^counts must map single units to positive"):
+                model._replace(**{field: table})
 
 
 def test_load_rejects_bad_containers(tmp_path):
@@ -922,7 +973,7 @@ _UNITS = st.sampled_from(["甲", "乙", "丙", "a", "\\", '"', "\u2028", "\U0001
 
 
 def _count_tables(keys):
-    return st.dictionaries(keys, st.dictionaries(_UNITS, st.integers(0, 10**6), max_size=4), max_size=5)
+    return st.dictionaries(keys, st.dictionaries(_UNITS, st.integers(1, 10**6), max_size=4), max_size=5)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
