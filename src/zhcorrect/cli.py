@@ -23,9 +23,9 @@ from typing import Callable, Sequence, TextIO, TypeVar
 from . import __version__
 from .alignment import align
 from .artifacts import write_artifact
-from .corpus import Corpus, iter_lines, parse_parallel, unify
+from .corpus import Corpus, parse_lines, parse_parallel, unify
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
-from .errors import FormatError, NormalizationError, UsageError, ZhcorrectError
+from .errors import FormatError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
 from .model import (
     DEFAULT_ORDER, DEFAULT_SMOOTHING_K,
@@ -108,17 +108,10 @@ def _read(path: str, parse: Callable[[TextIO], T]) -> T:
 
 
 def _read_units(path: str, policy: NormalizePolicy) -> list[str]:
-    """The file's lines, split the way parse_parallel splits them and each
-    normalized under policy. A NormalizationError names its line, as
+    """The plain lines of the file at path, each normalized under policy by
+    corpus.parse_lines. A NormalizationError names its line, as
     parse_parallel's do."""
-    lines = _read(path, lambda handle: list(iter_lines(handle)))
-    units = []
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            units.append(units_of(line, policy))
-        except NormalizationError as exc:
-            raise NormalizationError(f"line {lineno}: {exc}") from exc
-    return units
+    return _read(path, partial(parse_lines, policy=policy))
 
 
 def _open_corpus(path: str, fmt: str, policy: NormalizePolicy) -> Corpus:

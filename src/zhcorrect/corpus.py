@@ -1,4 +1,4 @@
-"""Parallel correction corpora: parsing, unification, splits.
+"""Parallel correction corpora and plain lines: parsing, unification, splits.
 
 File formats (external interfaces):
   * Parallel TSV — UTF-8, LF line endings, TAB-separated, no header, no
@@ -6,6 +6,8 @@ File formats (external interfaces):
     byte 0 marks a comment line.
   * JSONL — one object per line: {"id": str, "source": str,
     "references": [str, ...]}.
+  * Plain lines — one text per line, no comments (hypotheses, lines to
+    correct).
 """
 
 from __future__ import annotations
@@ -13,11 +15,21 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, namedtuple
+from itertools import chain, filterfalse, islice, repeat
+from operator import contains, itemgetter, methodcaller
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConfigError, FormatError, NormalizationError, UsageError
 from .records import Checked, Record
-from .textnorm import NormalizePolicy, normalize_fields, units_of
+from .textnorm import (
+    NormalizePolicy, any_rejected, canonical_fields, canonical_texts, check_scalars, units_of,
+)
+
+# Lines a reader takes at a time: enough that the calls made once per block
+# cost little per line, few enough that a block of long lines stays small.
+_BLOCK_LINES = 512
+
+_is_comment = methodcaller("startswith", "#")
 
 
 class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
@@ -79,12 +91,59 @@ def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> Parall
     )
 
 
+def iter_blocks(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """The stream's lines in lists of up to _BLOCK_LINES, each list with the
+    1-based number of its first line. Each line loses one trailing "\\n" and
+    then at most one trailing "\\r": the CR of a CRLF ending goes, and any
+    other CR stays in its line. Iterating a text handle splits only at line
+    feeds, so U+0085, U+2028 and the like stay inside a line, where
+    str.splitlines would split."""
+    stream, lineno = iter(stream), 1
+    while block := list(islice(stream, _BLOCK_LINES)):
+        lines = map(str.removesuffix, block, repeat("\n"))
+        yield lineno, list(map(str.removesuffix, lines, repeat("\r")))
+        lineno += len(block)
+
+
 def iter_lines(stream: Iterable[str]) -> Iterator[str]:
-    """The stream's lines with the trailing "\\n" and then "\\r" removed.
-    Iterating a text handle splits only at line feeds, so U+0085, U+2028
-    and the like stay inside a line, where str.splitlines would split."""
-    for raw in stream:
-        yield raw.rstrip("\n").rstrip("\r")
+    """The lines of iter_blocks(stream), one at a time. Every reader (TSV,
+    JSONL, plain lines, M2) splits its lines through iter_blocks."""
+    return chain.from_iterable(map(itemgetter(1), iter_blocks(stream)))
+
+
+def _check_line(line: str, lineno: int) -> None:
+    """check_scalars(line), its message prefixed with the line number."""
+    try:
+        check_scalars(line)
+    except NormalizationError as exc:
+        raise NormalizationError(f"line {lineno}: {exc}") from exc
+
+
+def parse_lines(
+    stream: Iterable[str], policy: NormalizePolicy = NormalizePolicy.DEFAULT
+) -> list[str]:
+    """``[units_of(line, policy) for line in iter_lines(stream)]``, a block
+    at a time: only a block that any_rejected flags is checked line by line,
+    for the NormalizationError of its first bad line, prefixed "line N: "."""
+    units: list[str] = []
+    for lineno, block in iter_blocks(stream):
+        if any_rejected(block):
+            for n, line in enumerate(block, lineno):
+                _check_line(line, n)
+        units += canonical_texts(block, policy)
+    return units
+
+
+def _raise_tsv_error(block: list[str], lineno: int) -> None:
+    """Raise the error of the block's first bad line, numbering its lines
+    from lineno: a FormatError for a line without a tab, or a
+    NormalizationError for a rejected unit. Comment lines are exempt."""
+    for n, line in enumerate(block, lineno):
+        if _is_comment(line):
+            continue
+        if "\t" not in line:
+            raise FormatError(f"line {n}: expected a source and at least one reference (got 1 column)")
+        _check_line(line, n)
 
 
 def parse_parallel(
@@ -93,30 +152,25 @@ def parse_parallel(
     policy: NormalizePolicy = NormalizePolicy.DEFAULT,
     name: str = "corpus",
 ) -> Corpus:
-    """Parse a parallel corpus from an iterable of lines.
+    """Parse a parallel corpus from an iterable of lines, split by iter_blocks.
 
     Malformed lines raise FormatError with the 1-based line number, and text
     that fails normalization raises NormalizationError prefixed the same
     way. An empty stream yields an empty corpus (not an error).
+
+    TSV is read a block at a time, and only a block whose data lines lack a
+    tab or hold a rejected unit is checked line by line. A byte offset counts
+    from the start of the line (see textnorm.canonical_fields).
     """
     pairs: list[ParallelPair] = []
     if format == "tsv":
-        # The line is stripped as iter_lines does, then normalized whole and
-        # split after (normalize_fields), so a NormalizationError's byte offset
-        # counts from the start of the line. Ids are positions: none repeats.
-        for lineno, line in enumerate(stream, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise FormatError(
-                    f"line {lineno}: expected a source and at least one reference (got 1 column)"
-                )
-            try:
-                source, *references = normalize_fields(line, policy)
-            except NormalizationError as exc:
-                raise NormalizationError(f"line {lineno}: {exc}") from exc
-            pairs.append(ParallelPair(str(len(pairs)), source, tuple(references)))
+        # Ids are positions: none repeats.
+        for lineno, block in iter_blocks(stream):
+            rows = list(filterfalse(_is_comment, block))
+            if not all(map(contains, rows, repeat("\t"))) or any_rejected(rows):
+                _raise_tsv_error(block, lineno)
+            for source, *references in canonical_fields(rows, policy):
+                pairs.append(ParallelPair(str(len(pairs)), source, tuple(references)))
         return Corpus(name=name, pairs=tuple(pairs), policy=policy)
     if format != "jsonl":
         raise UsageError(f"unknown corpus format {format!r}")

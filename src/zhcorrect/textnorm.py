@@ -13,6 +13,10 @@ from __future__ import annotations
 import re
 import unicodedata
 from enum import Enum
+from functools import partial
+from itertools import repeat
+from operator import methodcaller
+from typing import Iterable
 
 from .errors import NormalizationError
 
@@ -45,7 +49,10 @@ _WIDTH_FOLD_TABLE = str.maketrans(
 _REJECTED = re.compile("[\x02\x1a\ud800-\udfff]")
 
 
-def _check_scalars(text: str) -> None:
+def check_scalars(text: str) -> None:
+    """Raise NormalizationError if text holds a surrogate code point or one
+    of the reserved units U+0002 and U+001A, naming the first of them and
+    its UTF-8 byte offset."""
     found = _REJECTED.search(text)
     if found is not None:
         offset = len(text[: found.start()].encode("utf-8", "surrogatepass"))
@@ -54,14 +61,44 @@ def _check_scalars(text: str) -> None:
         raise NormalizationError(f"{kind} U+{code:04X} at byte offset {offset}")
 
 
-def _canonical(text: str, policy: NormalizePolicy) -> str:
-    _check_scalars(text)
-    if policy is NormalizePolicy.NONE:
-        return text
-    text = unicodedata.normalize("NFC", text)
-    if policy is NormalizePolicy.WIDTHFOLD:
-        text = text.translate(_WIDTH_FOLD_TABLE)
-    return text
+def any_rejected(lines: Iterable[str]) -> bool:
+    """Whether check_scalars would raise on some line: one C call per line."""
+    return any(map(_REJECTED.search, lines))
+
+
+# The steps of each policy short of the strip, C callables applied in order
+# to a whole line. Neither acts across a tab or a line feed: both are
+# starters (canonical combining class 0) that no canonical composition or
+# decomposition involves, and the width-fold table maps neither.
+_NFC = partial(unicodedata.normalize, "NFC")
+_LINE_STEPS = {
+    NormalizePolicy.NONE: (),
+    NormalizePolicy.DEFAULT: (_NFC,),
+    NormalizePolicy.WIDTHFOLD: (_NFC, methodcaller("translate", _WIDTH_FOLD_TABLE)),
+}
+
+
+def _unstripped(lines: Iterable[str], policy: NormalizePolicy) -> Iterable[str]:
+    # Each line on its own: NFC over a joined block would run its full pass
+    # over the whole block whenever one line fails the quick check.
+    for step in _LINE_STEPS[policy]:
+        lines = map(step, lines)
+    return lines
+
+
+def canonical_texts(texts: Iterable[str], policy: NormalizePolicy) -> Iterable[str]:
+    """units_of of each text, lazily and with no check of the scalars (see
+    any_rejected): every step is a C call mapped over the texts."""
+    texts = _unstripped(texts, policy)
+    return texts if policy is NormalizePolicy.NONE else map(str.strip, texts)
+
+
+def canonical_fields(lines: Iterable[str], policy: NormalizePolicy) -> Iterable[Iterable[str]]:
+    """The TAB-separated fields of each line, each as canonical_texts gives
+    it. A line is normalized whole and split after, which is exact because
+    no step but the strip acts across a tab."""
+    fields = map(str.split, _unstripped(lines, policy), repeat("\t"))
+    return fields if policy is NormalizePolicy.NONE else map(map, repeat(str.strip), fields)
 
 
 def units_of(text: str, policy: NormalizePolicy = NormalizePolicy.DEFAULT) -> str:
@@ -73,20 +110,6 @@ def units_of(text: str, policy: NormalizePolicy = NormalizePolicy.DEFAULT) -> st
     the reserved units U+0002 and U+001A, naming the first offender and its
     UTF-8 byte offset.
     """
-    out = _canonical(text, policy)
-    return out if policy is NormalizePolicy.NONE else out.strip()
-
-
-def normalize_fields(line: str, policy: NormalizePolicy = NormalizePolicy.DEFAULT) -> list[str]:
-    """The TAB-separated fields of line, each normalized under policy:
-    equal to ``[units_of(f, policy) for f in line.split("\\t")]``, from one
-    pass over the line.
-
-    This is exact because TAB is a starter (canonical combining class 0)
-    that no canonical composition or decomposition involves, so NFC never
-    acts across it, and the width-fold table does not map it. A
-    NormalizationError names the line's first offender, with its byte
-    offset counted from the start of the line.
-    """
-    fields = _canonical(line, policy).split("\t")
-    return fields if policy is NormalizePolicy.NONE else [f.strip() for f in fields]
+    check_scalars(text)
+    [units] = canonical_texts((text,), policy)
+    return units

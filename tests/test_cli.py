@@ -549,6 +549,17 @@ def test_crlf_files_give_the_bytes_of_lf_files(tmp_path, capsys):
     assert "\r" not in "".join(outputs["\n"])
 
 
+@pytest.mark.parametrize(("normalize", "counts"), [("none", (1, 1, 1)), ("default", (2, 0, 0))])
+def test_score_csc_drops_only_the_cr_of_a_crlf_ending(tmp_path, capsys, normalize, counts):
+    # Line 1's hypothesis keeps one CR that its reference lacks; line 2's
+    # reference keeps one too. Only the default policy strips them.
+    gold = _write(tmp_path / "gold.tsv", "天汽\t天气\r\n天汽\t天气\r\r\n")
+    hyp = _write(tmp_path / "hyp.txt", "天气\r\r\n天气\r\r\n")
+    assert main(["score-csc", hyp, gold, "--normalize", normalize]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (report["tp"], report["fp"], report["fn"]) == counts
+
+
 @pytest.mark.parametrize("stage1_rows", [[("天汽很好", "天气很好")], []], ids=["one-pair", "empty"])
 def test_train_on_tiny_corpus_reports_empty_heldout(tmp_path, capsys, stage1_rows):
     # One pair rounds to an empty heldout slice; an empty corpus has one too.

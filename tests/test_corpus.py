@@ -19,7 +19,7 @@ from zhcorrect import (
     unify,
     units_of,
 )
-from zhcorrect.corpus import iter_lines
+from zhcorrect.corpus import _BLOCK_LINES, iter_lines, parse_lines
 from zhcorrect.synthetic import make_suite
 
 _POLICIES = list(NormalizePolicy)
@@ -296,9 +296,9 @@ def test_tsv_parse_equals_per_field_oracle_on_the_suite(policy):
 _TSV_PIECES = ["天", "气", "学生", " ", "\u3000", "\x1c", "a\u0301", "\u0301", "ǎ", ",", "!", "#", "\r"]
 
 
-def _random_tsv(rng):
+def _random_tsv(rng, n_lines):
     lines = []
-    for _ in range(rng.randint(0, 40)):
+    for _ in range(n_lines):
         roll = rng.random()
         if roll < 0.1:
             lines.append("#" + "".join(rng.choices(_TSV_PIECES, k=rng.randint(0, 5))))
@@ -313,13 +313,127 @@ def _random_tsv(rng):
     return text if rng.random() < 0.8 else text.rstrip("\n")
 
 
+def _stream_length(rng, i):
+    # Every twentieth stream spans more than two blocks of the reader.
+    return 2 * _BLOCK_LINES + rng.randint(1, 64) if i % 20 == 0 else rng.randint(0, 40)
+
+
 def test_tsv_parse_equals_per_field_oracle_on_random_lines():
     rng = random.Random(13)
-    for _ in range(400):
-        text = _random_tsv(rng)
+    for i in range(400):
+        text = _random_tsv(rng, _stream_length(rng, i))
         for policy in _POLICIES:
             got, want = _both_parses(text, policy)
             assert got == want
+
+
+# The plain-line reader as it was when each line was normalized on its own,
+# the oracle of the block reader.
+def _oracle_parse_lines(stream, policy):
+    units = []
+    for lineno, line in enumerate(iter_lines(stream), start=1):
+        try:
+            units.append(units_of(line, policy))
+        except NormalizationError as exc:
+            raise NormalizationError(f"line {lineno}: {exc}") from exc
+    return units
+
+
+def _outcome(parse, text, policy):
+    try:
+        return parse(io.StringIO(text), policy)
+    except NormalizationError as exc:
+        return str(exc)
+
+
+def test_plain_lines_equal_the_per_line_oracle_on_random_lines():
+    rng = random.Random(17)
+    pieces = [*_TSV_PIECES, "\t", "\u2028"]
+    for i in range(200):
+        n_lines = _stream_length(rng, i)
+        lines = ["".join(rng.choices(pieces, k=rng.randint(0, 6))) for _ in range(n_lines)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            if lines:
+                at = rng.randrange(len(lines))
+                lines[at] += rng.choice(["\x02", "\x1a", "\ud800", "\udfff"])
+        text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
+        for policy in _POLICIES:
+            want = _outcome(_oracle_parse_lines, text, policy)
+            assert _outcome(parse_lines, text, policy) == want
+
+
+def _three_blocks(make):
+    return [make(i) for i in range(3 * _BLOCK_LINES)]
+
+
+def _text(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def test_a_comment_holding_a_reserved_unit_is_exempt_in_every_block():
+    lines = _three_blocks(lambda i: f"源{i}\t参{i}")
+    for at in (3, _BLOCK_LINES + 1, 2 * _BLOCK_LINES + 4):
+        lines[at] = "# \x02 note\x1a"
+    for policy in _POLICIES:
+        corpus = parse_parallel(io.StringIO(_text(lines)), "tsv", policy)
+        last = len(lines) - 1
+        assert len(corpus) == len(lines) - 3
+        assert corpus.pairs[-1] == ParallelPair(str(last - 3), f"源{last}", (f"参{last}",))
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        # a reserved unit in the third block, its line counted over all blocks
+        ({6: "源\t参\x1a"}, "line {}: reserved unit U+001A at byte offset 7"),
+        ({6: "源\t\ud800参"}, "line {}: invalid Unicode scalar U+D800 at byte offset 4"),
+        # a line without a tab before a reserved unit of its block wins, and
+        # one after it loses
+        (
+            {2: "只有源", 6: "源\t\x02"},
+            "line {}: expected a source and at least one reference (got 1 column)",
+        ),
+        ({2: "源\x02\t参", 6: "只有源"}, "line {}: reserved unit U+0002 at byte offset 3"),
+    ],
+    ids=["reserved", "surrogate", "no-tab-first", "reserved-first"],
+)
+def test_tsv_names_the_first_bad_line_of_the_third_block(bad, message):
+    lines = _three_blocks(lambda i: f"源{i}\t参{i}")
+    for offset, line in bad.items():
+        lines[2 * _BLOCK_LINES + offset] = line
+    first = 2 * _BLOCK_LINES + min(bad) + 1
+    for policy in _POLICIES:
+        with pytest.raises((FormatError, NormalizationError)) as err:
+            parse_parallel(io.StringIO(_text(lines)), "tsv", policy)
+        assert str(err.value) == message.format(first)
+
+
+@pytest.mark.parametrize(
+    ("bad", "message"),
+    [
+        ("天气\x1a", "reserved unit U+001A at byte offset 6"),
+        ("\t天\udfff", "invalid Unicode scalar U+DFFF at byte offset 4"),
+        ("# \x02", "reserved unit U+0002 at byte offset 2"),
+    ],
+)
+def test_plain_lines_name_a_bad_line_of_the_third_block(bad, message):
+    # Plain lines have no comments: a line that opens with '#' is checked.
+    lines = _three_blocks(lambda i: f"天气{i}")
+    lines[2 * _BLOCK_LINES + 6] = bad
+    for policy in _POLICIES:
+        with pytest.raises(NormalizationError) as err:
+            parse_lines(io.StringIO(_text(lines)), policy)
+        assert str(err.value) == f"line {2 * _BLOCK_LINES + 7}: {message}"
+
+
+def test_only_the_cr_of_a_crlf_ending_is_dropped():
+    text = "甲\r\r\n乙\r\n丙\r\r\r\n\r\n丁\r"
+    assert list(iter_lines(io.StringIO(text))) == ["甲\r", "乙", "丙\r\r", "", "丁"]
+    assert parse_lines(io.StringIO(text), NormalizePolicy.NONE) == ["甲\r", "乙", "丙\r\r", "", "丁"]
+    assert parse_lines(io.StringIO(text), NormalizePolicy.DEFAULT) == ["甲", "乙", "丙", "", "丁"]
+    tsv = "甲\t乙\r\r\n丙\t丁\r\n"
+    corpus = parse_parallel(io.StringIO(tsv), "tsv", NormalizePolicy.NONE)
+    assert [p.references for p in corpus] == [("乙\r",), ("丁",)]
 
 
 _BAD_LINES = ["只有源", "", "\r", " 天\u0301\t\x1a", "天气\t天\udfff\t天\x02"] + [

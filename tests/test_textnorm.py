@@ -1,3 +1,4 @@
+import io
 import random
 import unicodedata
 
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 
 from zhcorrect import NormalizationError, NormalizePolicy, units_of
 from zhcorrect.model import BOUNDARY, UNK
-from zhcorrect.textnorm import normalize_fields
+from zhcorrect.corpus import parse_parallel
+from zhcorrect.textnorm import any_rejected, canonical_fields
 
 _POOL = (
     "我爱北京他是学生天气很好"
@@ -191,13 +193,23 @@ _FIELD_UNITS = (
     st.lists(st.sampled_from(_FIELD_UNITS), max_size=24).map("".join),
     st.sampled_from(list(NormalizePolicy)),
 )
-def test_normalize_fields_equals_normalize_per_field(line, policy):
+def test_canonical_fields_equal_units_of_per_field(line, policy):
+    # The line also goes through the TSV reader, after a clean line, so the
+    # block check and the error of the line check are both compared.
+    stream = ["天\t气\n", line]
     try:
         units_of(line, NormalizePolicy.NONE)
     except NormalizationError as whole:
-        # the line's first offender, its offset counted from the line's start
-        with pytest.raises(NormalizationError) as err:
-            normalize_fields(line, policy)
-        assert str(err.value) == str(whole)
+        assert any_rejected(["天气", line])
+        if "\t" in line and not line.startswith("#"):
+            # the line's first offender, its offset counted from the line's start
+            with pytest.raises(NormalizationError) as err:
+                parse_parallel(stream, "tsv", policy)
+            assert str(err.value) == f"line 2: {whole}"
         return
-    assert normalize_fields(line, policy) == [units_of(f, policy) for f in line.split("\t")]
+    assert not any_rejected(["天气", line])
+    [fields] = canonical_fields([line], policy)
+    assert list(fields) == [units_of(f, policy) for f in line.split("\t")]
+    if "\t" in line and not line.startswith("#") and not line.endswith("\r"):
+        pair = parse_parallel(stream, "tsv", policy).pairs[1]
+        assert [pair.source, *pair.references] == [units_of(f, policy) for f in line.split("\t")]
