@@ -16,14 +16,15 @@ import json
 import os
 import sys
 import time
+from contextlib import closing, contextmanager
 from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence, TextIO, TypeVar
+from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from . import __version__
 from .alignment import align
 from .artifacts import write_artifact
-from .corpus import Corpus, parse_lines, parse_parallel, unify
+from .corpus import Corpus, iter_parallel, iter_plain_lines, parse_lines, parse_parallel, unify
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
 from .errors import FormatError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
@@ -94,17 +95,32 @@ def _pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
         return list(pool.map(func, items, chunksize=chunk))
 
 
-def _read(path: str, parse: Callable[[TextIO], T]) -> T:
-    """parse(handle) over the UTF-8 text file at path. A file that cannot be
-    read is a usage error and one that is not UTF-8 a format error. Lines
-    end only at line feeds: a lone carriage return stays inside its line."""
+@contextmanager
+def _opened(path: str) -> Iterator[TextIO]:
+    """The UTF-8 text file at path, open for reading. A file that cannot be
+    read is a usage error and one that is not UTF-8 a format error, wherever
+    in the with block a read fails. Lines end only at line feeds: a lone
+    carriage return stays inside its line."""
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as handle:
-            return parse(handle)
+            yield handle
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8: {exc}") from None
+
+
+def _read(path: str, parse: Callable[[TextIO], T]) -> T:
+    """parse(handle) over the file at path, with _opened's errors."""
+    with _opened(path) as handle:
+        return parse(handle)
+
+
+def _iter_read(path: str, parse: Callable[[TextIO], Iterator[T]]) -> Iterator[T]:
+    """What parse(handle) yields over the file at path, with _opened's
+    errors: the file is opened at the first item and closed after the last."""
+    with _opened(path) as handle:
+        yield from parse(handle)
 
 
 def _read_units(path: str, policy: NormalizePolicy) -> list[str]:
@@ -173,17 +189,49 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
     if len(args.files) != 2:
         raise UsageError("score-csc takes HYP_FILE GOLD_FILE (or --macro REPORT...)")
     hyp_path, gold_path = args.files
-    policy = NormalizePolicy(args.normalize)
-    gold = _open_corpus(gold_path, args.format, policy)
-    hyps = _read_units(hyp_path, policy)
-    if len(hyps) != len(gold.pairs):
-        raise UsageError(
-            f"line count mismatch: {hyp_path} has {len(hyps)} hypotheses, "
-            f"{gold_path} has {len(gold.pairs)} pairs"
-        )
-    items = [(pair.source, pair.references[0], hyp) for pair, hyp in zip(gold.pairs, hyps)]
-    report = score_csc(items, dataset=args.dataset or gold.name)
+    items = _csc_items(hyp_path, gold_path, args.format, NormalizePolicy(args.normalize))
+    report = score_csc(items, dataset=args.dataset or Path(gold_path).stem)
     return _finish_report(args, report, [hyp_path, gold_path], started)
+
+
+def _csc_items(
+    hyp_path: str, gold_path: str, fmt: str, policy: NormalizePolicy
+) -> Iterator[tuple[str, str, str]]:
+    """(source, first reference, hypothesis) of each gold pair and its
+    hypothesis line, read from both files in one pass, a block of each at a
+    time.
+
+    The errors are those of reading the whole gold file first and then the
+    hypotheses: a hypothesis error (the file cannot be read, is not UTF-8 or
+    holds a rejected unit) is kept until the gold file has been read to its
+    end, so that a gold error wins. Hypotheses past the last pair are read
+    to count them, so a count mismatch gives both full counts.
+    """
+    gold = _iter_read(gold_path, partial(iter_parallel, format=fmt, policy=policy))
+    hyps = _iter_read(hyp_path, partial(iter_plain_lines, policy=policy))
+    with closing(gold), closing(hyps):
+        n_pairs = n_hyps = 0
+        hyp_error = None
+        for _, source, references in gold:
+            n_pairs += 1
+            try:
+                # StopIteration too once the hypotheses have ended or failed.
+                hypothesis = next(hyps)
+            except StopIteration:
+                continue
+            except ZhcorrectError as exc:
+                hyp_error = exc
+                continue
+            n_hyps += 1
+            yield source, references[0], hypothesis
+        if hyp_error is not None:
+            raise hyp_error
+        n_hyps += sum(1 for _ in hyps)
+    if n_hyps != n_pairs:
+        raise UsageError(
+            f"line count mismatch: {hyp_path} has {n_hyps} hypotheses, "
+            f"{gold_path} has {n_pairs} pairs"
+        )
 
 
 def cmd_score_cgc(args: argparse.Namespace) -> int:

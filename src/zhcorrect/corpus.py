@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter, namedtuple
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, filterfalse, islice, repeat, starmap
 from operator import contains, itemgetter, methodcaller
 from typing import Iterable, Iterator, Sequence
 
@@ -30,6 +30,9 @@ from .textnorm import (
 _BLOCK_LINES = 512
 
 _is_comment = methodcaller("startswith", "#")
+
+# What a parallel reader yields for each pair: (id, source, references).
+PairTuple = tuple[str, str, tuple[str, ...]]
 
 
 class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
@@ -67,7 +70,7 @@ class Corpus(Record):
         return iter(self.pairs)
 
 
-def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> ParallelPair:
+def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> PairTuple:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -84,11 +87,7 @@ def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> Parall
         raise FormatError(f"line {lineno}: 'id' and 'source' must be strings")
     if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
         raise FormatError(f"line {lineno}: 'references' must be a non-empty list of strings")
-    return ParallelPair(
-        id=pair_id,
-        source=units_of(source, policy),
-        references=tuple(units_of(r, policy) for r in refs),
-    )
+    return pair_id, units_of(source, policy), tuple(units_of(r, policy) for r in refs)
 
 
 def iter_blocks(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -119,19 +118,26 @@ def _check_line(line: str, lineno: int) -> None:
         raise NormalizationError(f"line {lineno}: {exc}") from exc
 
 
-def parse_lines(
+def iter_plain_lines(
     stream: Iterable[str], policy: NormalizePolicy = NormalizePolicy.DEFAULT
-) -> list[str]:
-    """``[units_of(line, policy) for line in iter_lines(stream)]``, a block
-    at a time: only a block that any_rejected flags is checked line by line,
-    for the NormalizationError of its first bad line, prefixed "line N: "."""
-    units: list[str] = []
+) -> Iterator[str]:
+    """``units_of(line, policy)`` of each line of iter_lines(stream), read
+    lazily a block at a time: only a block that any_rejected flags is checked
+    line by line, for the NormalizationError of its first bad line, prefixed
+    "line N: ". A block's lines are yielded after the whole block is checked,
+    and before the next block is read."""
     for lineno, block in iter_blocks(stream):
         if any_rejected(block):
             for n, line in enumerate(block, lineno):
                 _check_line(line, n)
-        units += canonical_texts(block, policy)
-    return units
+        yield from canonical_texts(block, policy)
+
+
+def parse_lines(
+    stream: Iterable[str], policy: NormalizePolicy = NormalizePolicy.DEFAULT
+) -> list[str]:
+    """The lines iter_plain_lines(stream, policy) yields, in a list."""
+    return list(iter_plain_lines(stream, policy))
 
 
 def _raise_tsv_error(block: list[str], lineno: int) -> None:
@@ -146,47 +152,71 @@ def _raise_tsv_error(block: list[str], lineno: int) -> None:
         _check_line(line, n)
 
 
-def parse_parallel(
-    stream: Iterable[str],
-    format: str = "tsv",
-    policy: NormalizePolicy = NormalizePolicy.DEFAULT,
-    name: str = "corpus",
-) -> Corpus:
-    """Parse a parallel corpus from an iterable of lines, split by iter_blocks.
+def _iter_tsv(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[PairTuple]:
+    # Ids are positions: none repeats.
+    n = 0
+    for lineno, block in iter_blocks(stream):
+        rows = list(filterfalse(_is_comment, block))
+        if not all(map(contains, rows, repeat("\t"))) or any_rejected(rows):
+            _raise_tsv_error(block, lineno)
+        for source, *references in canonical_fields(rows, policy):
+            yield str(n), source, tuple(references)
+            n += 1
 
-    Malformed lines raise FormatError with the 1-based line number, and text
-    that fails normalization raises NormalizationError prefixed the same
-    way. An empty stream yields an empty corpus (not an error).
 
-    TSV is read a block at a time, and only a block whose data lines lack a
-    tab or hold a rejected unit is checked line by line. A byte offset counts
-    from the start of the line (see textnorm.canonical_fields).
-    """
-    pairs: list[ParallelPair] = []
-    if format == "tsv":
-        # Ids are positions: none repeats.
-        for lineno, block in iter_blocks(stream):
-            rows = list(filterfalse(_is_comment, block))
-            if not all(map(contains, rows, repeat("\t"))) or any_rejected(rows):
-                _raise_tsv_error(block, lineno)
-            for source, *references in canonical_fields(rows, policy):
-                pairs.append(ParallelPair(str(len(pairs)), source, tuple(references)))
-        return Corpus(name=name, pairs=tuple(pairs), policy=policy)
-    if format != "jsonl":
-        raise UsageError(f"unknown corpus format {format!r}")
+def _iter_jsonl(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[PairTuple]:
     # A decoded JSON value may hold a real tab, so each value is normalized
-    # on its own, and a byte offset counts within its JSON string.
+    # on its own, and a byte offset counts within its JSON string. The ids
+    # seen so far are kept, to name the line that repeats one.
     seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
         try:
             pair = _parse_jsonl_line(line, lineno, policy)
         except NormalizationError as exc:
             raise NormalizationError(f"line {lineno}: {exc}") from exc
-        if pair.id in seen_ids:
-            raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
-        seen_ids.add(pair.id)
-        pairs.append(pair)
-    return Corpus(name=name, pairs=tuple(pairs), policy=policy)
+        if pair[0] in seen_ids:
+            raise FormatError(f"line {lineno}: duplicate pair id {pair[0]!r}")
+        seen_ids.add(pair[0])
+        yield pair
+
+
+_READERS = {"tsv": _iter_tsv, "jsonl": _iter_jsonl}
+
+
+def iter_parallel(
+    stream: Iterable[str],
+    format: str = "tsv",
+    policy: NormalizePolicy = NormalizePolicy.DEFAULT,
+) -> Iterator[PairTuple]:
+    """The ``(id, source, references)`` of each pair of a parallel corpus,
+    read lazily from an iterable of lines, split by iter_blocks.
+
+    Malformed lines raise FormatError with the 1-based line number, and text
+    that fails normalization raises NormalizationError prefixed the same
+    way; every pair before the bad line has been yielded by then. An empty
+    stream yields nothing (not an error). An unknown format raises
+    UsageError at once, before the stream is read.
+
+    TSV is read a block at a time, and only a block whose data lines lack a
+    tab or hold a rejected unit is checked line by line; a block's pairs are
+    yielded after the whole block is checked. A TSV pair's id is its
+    position among the pairs, from "0". A byte offset counts from the start
+    of the line (see textnorm.canonical_fields).
+    """
+    if format not in _READERS:
+        raise UsageError(f"unknown corpus format {format!r}")
+    return _READERS[format](stream, policy)
+
+
+def parse_parallel(
+    stream: Iterable[str],
+    format: str = "tsv",
+    policy: NormalizePolicy = NormalizePolicy.DEFAULT,
+    name: str = "corpus",
+) -> Corpus:
+    """The pairs iter_parallel(stream, format, policy) yields, as a Corpus
+    named name."""
+    return Corpus(name, tuple(starmap(ParallelPair, iter_parallel(stream, format, policy))), policy)
 
 
 def unify(parts: Sequence[Corpus], name: str = "joint") -> Corpus:

@@ -87,20 +87,19 @@ def _report(
 
 
 def score_csc(
-    items: Sequence[tuple[str, str, str]],
+    items: Iterable[tuple[str, str, str]],
     dataset: str = "",
 ) -> ScoreReport:
     """Sentence-level CSC scoring (beta = 1).
 
     items are (source, gold reference, hypothesis) triples, one reference per
-    sentence and all normalized under the same policy. A sentence is a true
+    sentence and all normalized under the same policy; any iterable will do,
+    and it is consumed once, a triple at a time. A sentence is a true
     positive only if the gold changed it and the hypothesis equals the
-    reference.
+    reference. Raises UsageError when items yields nothing.
     """
-    if not items:
-        raise UsageError("score_csc needs at least one sentence")
-    tp = fp = fn = 0
-    for source, reference, hypothesis in items:
+    tp = fp = fn = n_sentences = 0
+    for n_sentences, (source, reference, hypothesis) in enumerate(items, 1):
         if reference != source:
             if hypothesis == reference:
                 tp += 1
@@ -110,7 +109,9 @@ def score_csc(
                     fp += 1
         elif hypothesis != source:
             fp += 1
-    return _report("csc", dataset, 1.0, MatchCounts(tp=tp, fp=fp, fn=fn), len(items))
+    if not n_sentences:
+        raise UsageError("score_csc needs at least one sentence")
+    return _report("csc", dataset, 1.0, MatchCounts(tp=tp, fp=fp, fn=fn), n_sentences)
 
 
 def sentence_edit_counts(

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -73,6 +74,172 @@ def test_score_csc_gold_parse_error(tmp_path, capsys):
     hyp = _write(tmp_path / "hyp.txt", "天气很好\n只有一列\n")
     assert main(["score-csc", hyp, gold]) == 2
     assert "line 2" in capsys.readouterr().err
+
+
+# Line 1 of a file lies in its first block of 512 lines, and line 1,100 in
+# its third.
+_LATE = 1100
+_NO_TAB = "expected a source and at least one reference (got 1 column)"
+
+
+def _gold_text(n):
+    return "".join(f"天汽{i}\t天气{i}\n" for i in range(n))
+
+
+def _hyp_text(n):
+    return "".join(f"天气{i}\n" for i in range(n))
+
+
+def _bad_gold(tmp_path, kind):
+    """A gold file of 1,200 pairs, bad in the given way, and its error."""
+    path = tmp_path / "gold.tsv"
+    good = _gold_text(1200).encode("utf-8")
+    if kind == "missing":
+        return str(path), f"error: cannot read {path}: "
+    if kind == "not-utf8":
+        path.write_bytes(good + b"\xff\t\xfe\n")
+        return str(path), f"error: {path} is not UTF-8: "
+    lines = _gold_text(1200).splitlines()
+    lines[_LATE - 1] = {"no-tab": "只有一列", "reserved": "天\x1a\t天气"}[kind]
+    _write(path, "".join(line + "\n" for line in lines))
+    message = {"no-tab": _NO_TAB, "reserved": "reserved unit U+001A at byte offset 3"}[kind]
+    return str(path), f"error: line {_LATE}: {message}\n"
+
+
+def _bad_hyp(tmp_path, kind):
+    """A hypothesis file of 1,200 lines, bad in the given way, and its error."""
+    path = tmp_path / "hyp.txt"
+    if kind == "missing":
+        return str(path), f"error: cannot read {path}: "
+    if kind == "not-utf8":
+        path.write_bytes(b"\xff\n" + _hyp_text(1199).encode("utf-8"))
+        return str(path), f"error: {path} is not UTF-8: "
+    _write(path, "天\x02气\n" + _hyp_text(1199))
+    return str(path), "error: line 1: reserved unit U+0002 at byte offset 3\n"
+
+
+@pytest.mark.parametrize("hyp_kind", ["missing", "not-utf8", "reserved"])
+@pytest.mark.parametrize("gold_kind", ["missing", "not-utf8", "no-tab", "reserved"])
+def test_score_csc_reports_the_gold_error_when_both_files_are_bad(
+    tmp_path, capsys, gold_kind, hyp_kind
+):
+    # The gold file is read to its end before a hypothesis error is raised,
+    # even when the hypotheses fail on their first line.
+    gold, gold_error = _bad_gold(tmp_path, gold_kind)
+    hyp, _ = _bad_hyp(tmp_path, hyp_kind)
+    assert main(["score-csc", hyp, gold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(gold_error)
+
+
+@pytest.mark.parametrize("hyp_kind", ["missing", "not-utf8", "reserved"])
+def test_score_csc_reports_a_hypothesis_error_after_a_good_gold_file(tmp_path, capsys, hyp_kind):
+    gold = _write(tmp_path / "gold.tsv", _gold_text(1200))
+    hyp, hyp_error = _bad_hyp(tmp_path, hyp_kind)
+    assert main(["score-csc", hyp, gold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(hyp_error)
+
+
+def test_score_csc_names_a_hypothesis_file_that_turns_out_not_utf8_late(tmp_path, capsys):
+    gold = _write(tmp_path / "gold.tsv", _gold_text(3000))
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_bytes(_hyp_text(2999).encode("utf-8") + b"\xe5\n")
+    assert main(["score-csc", str(hyp), gold]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {hyp} is not UTF-8: ")
+
+
+@pytest.mark.parametrize("extra", [1, 2 * 512 + 5])
+def test_score_csc_a_bad_hypothesis_beyond_the_gold_beats_the_count_mismatch(
+    tmp_path, capsys, extra
+):
+    gold = _write(tmp_path / "gold.tsv", _gold_text(600))
+    lines = _hyp_text(600 + extra).splitlines()
+    lines[-1] = "天\x1a"
+    hyp = _write(tmp_path / "hyp.txt", "".join(line + "\n" for line in lines))
+    assert main(["score-csc", hyp, gold]) == 2
+    want = f"error: line {600 + extra}: reserved unit U+001A at byte offset 3\n"
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("n_hyps", [1499, 1501, 0])
+def test_score_csc_count_mismatch_gives_both_full_counts(tmp_path, capsys, n_hyps):
+    gold = _write(tmp_path / "gold.tsv", _gold_text(1500))
+    hyp = _write(tmp_path / "hyp.txt", _hyp_text(n_hyps))
+    assert main(["score-csc", hyp, gold]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line count mismatch: {hyp} has {n_hyps} hypotheses, {gold} has 1500 pairs\n"
+    )
+
+
+def test_score_csc_count_mismatch_against_an_empty_gold_file(tmp_path, capsys):
+    gold = _write(tmp_path / "gold.tsv", "# only a comment\n")
+    hyp = _write(tmp_path / "hyp.txt", _hyp_text(3))
+    assert main(["score-csc", hyp, gold]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line count mismatch: {hyp} has 3 hypotheses, {gold} has 0 pairs\n"
+    )
+
+
+def test_score_csc_empty_files_need_a_sentence(tmp_path, capsys):
+    gold = _write(tmp_path / "gold.tsv", "")
+    hyp = _write(tmp_path / "hyp.txt", "")
+    assert main(["score-csc", hyp, gold]) == 2
+    assert capsys.readouterr().err == "error: score_csc needs at least one sentence\n"
+
+
+def test_score_csc_jsonl_duplicate_id_names_its_line(tmp_path, capsys):
+    rows = [{"id": i, "source": "天汽", "references": ["天气"]} for i in ("a", "b", "a")]
+    gold = _write(tmp_path / "gold.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+    hyp = _write(tmp_path / "hyp.txt", "\x02\n天气\n天气\n")
+    assert main(["score-csc", hyp, gold, "--format", "jsonl"]) == 2
+    assert capsys.readouterr().err == "error: line 3: duplicate pair id 'a'\n"
+
+
+def test_score_csc_scores_a_jsonl_gold_file_by_its_first_reference(tmp_path, capsys):
+    rows = [
+        {"id": "x", "source": "天汽", "references": ["天气", "天汽"]},
+        {"id": "y", "source": "学圣", "references": ["学生"]},
+    ]
+    gold = _write(tmp_path / "gold.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
+    hyp = _write(tmp_path / "hyp.txt", "天气\n学圣\n")
+    assert main(["score-csc", hyp, gold, "--format", "jsonl"]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (report["dataset"], report["tp"], report["fp"], report["fn"]) == ("gold", 1, 0, 1)
+
+
+def _score_csc_peak(folder, n):
+    """The peak traced memory of an in-process score-csc run on n lines of
+    20-80 units, every fifth one changed by its reference."""
+    folder.mkdir()
+    text = "天气很好我们学习他是学生今天下雨明天晴朗" * 5
+    gold, hyps = [], []
+    for i in range(n):
+        source = text[i % 20 : i % 20 + 20 + i % 61]
+        reference = source.replace("天", "大") if i % 5 == 0 else source
+        gold.append(f"{source}\t{reference}\n")
+        hyps.append((reference if i % 3 else source) + "\n")
+    gold_path, hyp_path = _write(folder / "gold.tsv", "".join(gold)), _write(folder / "hyp.txt", "".join(hyps))
+    del gold, hyps
+    tracemalloc.start()
+    try:
+        assert main(["score-csc", hyp_path, gold_path]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_score_csc_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
+    # Each file is read a block at a time and each row is counted as it is
+    # read, so eight times the lines must not take much more memory.
+    _score_csc_peak(tmp_path / "warm", 16)
+    small = _score_csc_peak(tmp_path / "small", 4096)
+    large = _score_csc_peak(tmp_path / "large", 32768)
+    assert large < 1.5 * small, (small, large)
+    report = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert report["n_sentences"] == 32768
 
 
 def test_score_csc_macro(tmp_path, capsys):

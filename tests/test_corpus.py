@@ -19,7 +19,7 @@ from zhcorrect import (
     unify,
     units_of,
 )
-from zhcorrect.corpus import _BLOCK_LINES, iter_lines, parse_lines
+from zhcorrect.corpus import _BLOCK_LINES, iter_lines, iter_parallel, iter_plain_lines, parse_lines
 from zhcorrect.synthetic import make_suite
 
 _POLICIES = list(NormalizePolicy)
@@ -424,6 +424,84 @@ def test_plain_lines_name_a_bad_line_of_the_third_block(bad, message):
         with pytest.raises(NormalizationError) as err:
             parse_lines(io.StringIO(_text(lines)), policy)
         assert str(err.value) == f"line {2 * _BLOCK_LINES + 7}: {message}"
+
+
+class _Counted:
+    """An iterable of lines that counts the lines read from it."""
+
+    def __init__(self, lines):
+        self.read = 0
+        self._lines = iter(lines)
+
+    def __iter__(self):
+        for line in self._lines:
+            self.read += 1
+            yield line
+
+
+_LAZY_READERS = {
+    "tsv": (lambda i: f"源{i}\t参{i}", lambda stream: iter_parallel(stream, "tsv")),
+    "jsonl": (
+        lambda i: json.dumps({"id": f"p{i}", "source": f"源{i}", "references": [f"参{i}"]}),
+        lambda stream: iter_parallel(stream, "jsonl"),
+    ),
+    "plain": (lambda i: f"天气{i}", iter_plain_lines),
+}
+
+
+@pytest.mark.parametrize("kind", list(_LAZY_READERS))
+def test_lazy_readers_read_one_block_ahead(kind):
+    make, reader = _LAZY_READERS[kind]
+    stream = _Counted(line + "\n" for line in _three_blocks(make))
+    rows = reader(stream)
+    assert stream.read == 0
+    next(rows)
+    assert stream.read == _BLOCK_LINES
+    for _ in range(_BLOCK_LINES - 1):
+        next(rows)
+    assert stream.read == _BLOCK_LINES
+    next(rows)
+    assert stream.read == 2 * _BLOCK_LINES
+    assert len(list(rows)) == 2 * _BLOCK_LINES - 1
+
+
+@pytest.mark.parametrize(
+    ("kind", "bad", "error"),
+    [
+        ("tsv", "只有源", FormatError),
+        ("tsv", "源\t参\x1a", NormalizationError),
+        ("plain", "天气\x02", NormalizationError),
+    ],
+)
+def test_lazy_readers_yield_two_blocks_before_a_bad_line_of_the_third(kind, bad, error):
+    make, reader = _LAZY_READERS[kind]
+    lines = _three_blocks(make)
+    lines[2 * _BLOCK_LINES + 6] = bad
+    for policy in _POLICIES:
+        rows = []
+        with pytest.raises(error, match=f"^line {2 * _BLOCK_LINES + 7}: "):
+            for row in reader(io.StringIO(_text(lines))):
+                rows.append(row)
+        assert len(rows) == 2 * _BLOCK_LINES
+        if kind == "tsv":
+            assert rows == [(str(i), f"源{i}", (f"参{i}",)) for i in range(2 * _BLOCK_LINES)]
+        else:
+            assert rows == [f"天气{i}" for i in range(2 * _BLOCK_LINES)]
+
+
+def test_parse_parallel_collects_what_iter_parallel_yields():
+    text = '{"id": "b", "source": "天汽", "references": ["天气", "天汽"]}\n'
+    for format, stream in (("tsv", "# c\n天汽\t天气\n学圣\t学生\t学圣\n"), ("jsonl", text)):
+        rows = list(iter_parallel(io.StringIO(stream), format))
+        corpus = parse_parallel(io.StringIO(stream), format, name="n")
+        assert corpus.name == "n" and list(corpus) == [ParallelPair(*row) for row in rows]
+
+
+def test_iter_parallel_rejects_an_unknown_format_before_reading():
+    stream = _Counted(["天汽\t天气\n"])
+    with pytest.raises(UsageError, match="unknown corpus format 'csv'"):
+        iter_parallel(stream, "csv")
+    assert stream.read == 0
 
 
 def test_only_the_cr_of_a_crlf_ending_is_dropped():

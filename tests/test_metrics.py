@@ -194,8 +194,17 @@ def test_score_csc_all_clean_yields_zeros():
 
 
 def test_score_csc_rejects_empty():
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="score_csc needs at least one sentence"):
         score_csc([])
+    with pytest.raises(UsageError, match="score_csc needs at least one sentence"):
+        score_csc(item for item in ())
+
+
+def test_score_csc_takes_a_generator_and_consumes_it_once():
+    items = _csc_fixture()
+    lazy = (item for item in items)
+    assert score_csc(lazy, dataset="fixture") == score_csc(items, dataset="fixture")
+    assert next(lazy, None) is None
 
 
 _CGC_GOLD = (
