@@ -171,13 +171,13 @@ def _iter_jsonl(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[Pair
     seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
         try:
-            pair = _parse_jsonl_line(line, lineno, policy)
+            pair_id, source, references = _parse_jsonl_line(line, lineno, policy)
         except NormalizationError as exc:
             raise NormalizationError(f"line {lineno}: {exc}") from exc
-        if pair[0] in seen_ids:
-            raise FormatError(f"line {lineno}: duplicate pair id {pair[0]!r}")
-        seen_ids.add(pair[0])
-        yield pair
+        if pair_id in seen_ids:
+            raise FormatError(f"line {lineno}: duplicate pair id {pair_id!r}")
+        seen_ids.add(pair_id)
+        yield pair_id, source, references
 
 
 _READERS = {"tsv": _iter_tsv, "jsonl": _iter_jsonl}
