@@ -198,15 +198,10 @@ def _csc_items(
     hyp_path: str, gold_path: str, fmt: str, policy: NormalizePolicy
 ) -> Iterator[tuple[str, str, str]]:
     """(source, first reference, hypothesis) of each gold pair and its
-    hypothesis line, read from both files in one pass, a block of each at a
-    time.
-
-    The errors are those of reading the whole gold file first and then the
-    hypotheses: a hypothesis error (the file cannot be read, is not UTF-8 or
-    holds a rejected unit) is kept until the gold file has been read to its
-    end, so that a gold error wins. Hypotheses past the last pair are read
-    to count them, so a count mismatch gives both full counts.
-    """
+    hypothesis line, read from both files in one pass. The errors are those
+    of reading the whole gold file and then the hypotheses: a hypothesis
+    error waits until the gold file has been read to its end, and the
+    hypotheses past the last pair are counted for the mismatch message."""
     gold = _iter_read(gold_path, partial(iter_parallel, format=fmt, policy=policy))
     hyps = _iter_read(hyp_path, partial(iter_plain_lines, policy=policy))
     with closing(gold), closing(hyps):
