@@ -469,11 +469,20 @@ def test_trimmed_align_matches_untrimmed_on_shared_prefix_and_suffix():
         ("北京X", "北京", "MMD"),
         ("学学学", "学学学学学", "MMMII"),
         ("学学学学学", "学学学", "MMMDD"),
+        # Both cores used up together: the walk ends at the corner and the
+        # rest is the common suffix, after a prefix or without one.
+        ("abXcd", "abYcd", "MMSMM"),
+        ("Xab", "Yab", "SMM"),
+        ("X", "Y", "S"),
+        ("abX", "abY", "MMS"),
+        ("aXYb", "aZb", "MSDM"),
+        ("aZb", "aXYb", "MSIM"),
     ],
 )
 def test_trimmed_align_edge_cases(src, tgt, ops):
     assert align(src, tgt) == ops
     assert _untrimmed_align(src, tgt) == ops
+    assert _full_table_align(src, tgt) == ops
     assert _cost(ops) == oracle_min_cost(src, tgt)
 
 

@@ -448,14 +448,14 @@ def test_train_correct_score_pipeline(tmp_path, capsys):
 _PINNED_MODEL_SHA256 = "039dd0c055eefd03d1766e7027d629d6f414d218c27a2d556d017d18acab1a86"
 
 
-def _train_pinned(tmp_path):
+def _train_pinned(tmp_path, *options):
     suite = make_suite(0)
     stage1 = _suite_tsv(tmp_path, suite.stage1, "stage1.tsv")
     csc = _suite_tsv(tmp_path, suite.csc, "csc.tsv")
     cgc = _suite_tsv(tmp_path, suite.cgc, "cgc.tsv")
     model = tmp_path / "model.json"
     argv = ["train", "--stage1", stage1, "--stage2", csc, cgc, "--seed", "0", "--out", str(model)]
-    assert main(argv) == 0
+    assert main([*argv, *options]) == 0
     return suite, model
 
 
@@ -469,6 +469,26 @@ def test_train_writes_the_pinned_model_bytes(tmp_path, capsys):
         "mixing weight: 0\n"
     )
     assert hashlib.sha256(model.read_bytes()).hexdigest() == _PINNED_MODEL_SHA256
+
+
+@pytest.mark.parametrize(
+    ("order", "sha256"),
+    [
+        # Order 1 counts every unit under the one empty context key.
+        ("1", "545c293016a8f5e8521ff4b2f925675cef5a0867ae2677a324484d0e3fbcf715"),
+        # Order 5 pads each target with four BOUNDARY units.
+        ("5", "7597a5834e8bf38565297684921ed9b41ba874e2c48e24a70a9d3d9f452703c5"),
+    ],
+)
+def test_train_writes_the_pinned_model_bytes_at_other_orders(tmp_path, capsys, order, sha256):
+    # Both orders pick weight 0, so the channel alone gives the objectives.
+    _, model = _train_pinned(tmp_path, "--order", order)
+    assert capsys.readouterr().out == (
+        "stage-1 heldout objective: 1.270924\n"
+        "stage-2 heldout objective: 0.855721\n"
+        "mixing weight: 0\n"
+    )
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
 
 
 def test_correct_writes_the_pinned_output(tmp_path, capsys):

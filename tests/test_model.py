@@ -31,7 +31,6 @@ from zhcorrect.model import (
     save_model,
     stage_heldout,
     _accumulate,
-    _aligned_source_units,
     _context_key,
     _token_probs,
 )
@@ -333,9 +332,27 @@ def test_grid_search_matches_per_weight_objective_loop():
         init = fitted
 
 
+def _reference_aligned(source, target):
+    """For each target position, the source unit aligned to it (None for
+    insertions): a walk over align's codes, one code at a time."""
+    aligned = [None] * len(target)
+    i = j = 0
+    for code in align(source, target):
+        if code == "I":
+            j += 1
+        elif code == "D":
+            i += 1
+        else:
+            aligned[j] = source[i]
+            i += 1
+            j += 1
+    return aligned
+
+
 def _reference_accumulate(lm_counts, ch_counts, vocab, order, pair):
-    """_accumulate as it was before it sliced its context keys, kept as its
-    oracle (less the count totals, which the model now derives)."""
+    """_accumulate of one pair as it was before it sliced its context keys,
+    kept as its oracle (less the count totals, which the model now
+    derives)."""
     target = pair.references[0]
     vocab.update(pair.source)
     vocab.update(target)
@@ -344,7 +361,7 @@ def _reference_accumulate(lm_counts, ch_counts, vocab, order, pair):
         lm_counts.setdefault(key, Counter())[unit] += 1
     # Insertions have no source unit and deletions no emission; the
     # substitution-only channel records neither.
-    for src, unit in zip(_aligned_source_units(pair.source, target), target):
+    for src, unit in zip(_reference_aligned(pair.source, target), target):
         if src is not None:
             ch_counts.setdefault(src, Counter())[unit] += 1
 
@@ -356,7 +373,7 @@ def _reference_token_probs(model, pairs):
     pure_lm, pure_ch = model._replace(mixing_weight=1.0), model._replace(mixing_weight=0.0)
     for pair in pairs:
         target = pair.references[0]
-        aligned = _aligned_source_units(pair.source, target)
+        aligned = _reference_aligned(pair.source, target)
         yield [
             (
                 conditional(pure_lm, target[:t], aligned[t], unit),
