@@ -73,7 +73,7 @@ def align(src: str, tgt: str) -> str:
       is w and the other's is a tail of the core followed by w. The cost
       left is then the length gap, which S can never keep, so each step is
       M on equal units and otherwise I (the source core is used up) or D
-      (the target core is). At the corner this is "M" * s.
+      (the target core is). At the corner this is "M" * s, returned at once.
 
     The greedy tail, not "M" * s appended after the core's D/I rest, keeps
     the tie-break: xbb/yb aligns as SMD, not SDM.
@@ -142,6 +142,8 @@ def align(src: str, tgt: str) -> str:
             j += 1
             here -= 1
 
+    if i == nx and j == my:  # both cores are used up: the rest is the suffix
+        return "".join(ops) + "M" * s
     # The forced tail: runs of M, each ended by the one op that skips a unit
     # of the longer rest, until one side is used up.
     skip = "I" if i == nx else "D"

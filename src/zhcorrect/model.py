@@ -5,7 +5,9 @@ an add-k character n-gram LM over the decoded prefix and an add-k confusion
 channel conditioned on the aligned source unit. Training is count
 accumulation: stage 1 fits on alignment-tagged data, stage 2 keeps those
 counts and accumulates the joint corpus on top, re-tuning the mixing weight
-on a held-out slice by grid search. Decoding is substitution-only beam
+on a held-out slice by grid search. A stage's counts are taken in one
+batched pass (equal pairs are not aligned), and the key order inside the
+count tables is not part of a model. Decoding is substitution-only beam
 search over a per-position candidate lattice that keeps one hypothesis per
 LM state. Its columns are cached on the model: each holds an option's cost
 and the LM state it leads to, so an expansion only adds and compares.
@@ -22,7 +24,8 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
-from operator import itemgetter
+from itertools import chain, compress, count
+from operator import add, itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, ParallelPair, split
@@ -235,25 +238,30 @@ def conditional(
     return lam * lm_p + (1.0 - lam) * ch_p
 
 
-def _aligned_source_units(source: str, target: str) -> list[str | None]:
-    """For each target position, the source unit aligned to it (None for
-    insertions), under the deterministic alignment."""
-    aligned: list[str | None] = [None] * len(target)
-    i = j = 0
-    for code in align(source, target):
-        if code == "I":
-            j += 1
-        elif code == "D":
-            i += 1
-        else:
-            aligned[j] = source[i]
-            i += 1
-            j += 1
-    return aligned
+# M and S pair a source unit with a target unit; D and I pair none.
+_PAIRED = bytes.maketrans(b"MSDI", b"\1\1\0\0")
+
+
+def _masks(sources: Sequence[str], targets: Sequence[str]) -> tuple[bytes, bytes]:
+    """Byte masks over the joined sources and the joined targets, true at
+    each unit that an M or S code of its pair's alignment pairs with a unit
+    of the other side; an equal pair is all M without align. A pair's codes
+    consume its own units, so the joined codes line up with the joined sides."""
+    codes = "".join("M" * len(s) if s == t else align(s, t) for s, t in zip(sources, targets))
+    smask, tmask = codes.replace("I", ""), codes.replace("D", "")
+    return smask.encode().translate(_PAIRED), tmask.encode().translate(_PAIRED)
+
+
+def _aligned_source_units(sources: Sequence[str], targets: Sequence[str]) -> Iterator[str | None]:
+    """For each unit of the joined targets, the source unit aligned to it
+    (None for insertions)."""
+    smask, tmask = _masks(sources, targets)
+    aligned = dict(zip(compress(count(), tmask), compress("".join(sources), smask)))
+    return map(aligned.get, range(len(tmask)))
 
 
 def _token_probs(
-    model: MixtureCorrectorModel, pairs: Iterable[ParallelPair]
+    model: MixtureCorrectorModel, pairs: Sequence[ParallelPair]
 ) -> Iterator[list[tuple[float, float]]]:
     """For each pair, the (lm_p, ch_p) of each unit of its first reference.
     None of it depends on the mixing weight, so one table of them serves
@@ -271,11 +279,12 @@ def _token_probs(
     lm_k, ch_k = lm.smoothing_k, channel.smoothing_k
     lm_kv, ch_kv = lm_k * len(vocab), ch_k * len(vocab)
     no_counts: dict[str, int] = {}
-    for pair in pairs:
-        reference = pair.references[0]
+    references = [pair.references[0] for pair in pairs]
+    # One iterator over all pairs: zip takes from it only while target lasts.
+    aligned = _aligned_source_units([pair.source for pair in pairs], references)
+    for reference in references:
         target = "".join(u if u in vocab else UNK for u in reference)
         padded = BOUNDARY * width + target
-        aligned = _aligned_source_units(pair.source, reference)
         row = []
         for t, (unit, src) in enumerate(zip(target, aligned)):
             key = padded[t : t + width]
@@ -330,29 +339,32 @@ def _accumulate(
     ch_counts: dict[str, Counter],
     vocab: set[str],
     order: int,
-    pair: ParallelPair,
+    pairs: Sequence[ParallelPair],
 ) -> None:
-    target = pair.references[0]
-    vocab.update(pair.source)
-    vocab.update(target)
-    # Every unit of target is in vocab now, so none maps to UNK and each LM
-    # context (see _context_key) is a slice of the BOUNDARY-padded target.
-    width = order - 1
-    padded = BOUNDARY * width + target
-    for t, unit in enumerate(target):
-        key = padded[t : t + width]
-        counts = lm_counts.get(key)
-        if counts is None:
-            counts = lm_counts[key] = Counter()
-        counts[unit] += 1
+    """Add the counts of the pairs' first references to the tables and their
+    units to vocab in one batch. Each LM n-gram and each channel emission is
+    a str, all of a table's are counted by one Counter in C, and each
+    distinct one then adds its count to its last unit in the row of the rest."""
+    sources = [pair.source for pair in pairs]
+    targets = [pair.references[0] for pair in pairs]
+    joined_sources, joined_targets = "".join(sources), "".join(targets)
+    vocab.update(joined_sources)
+    vocab.update(joined_targets)
+    # Every unit of a target is in vocab now, so none maps to UNK and each
+    # LM context (see _context_key) + unit is a slice of the padded target.
+    pad = BOUNDARY * (order - 1)
+    ngrams = chain.from_iterable(
+        map((pad + t).__getitem__, map(slice, range(len(t)), range(order, len(t) + order)))
+        for t in targets
+    )
+    # The channel counts source unit + target unit of each M or S code.
     # Insertions have no source unit and deletions no emission; the
     # substitution-only channel records neither.
-    for src, unit in zip(_aligned_source_units(pair.source, target), target):
-        if src is not None:
-            counts = ch_counts.get(src)
-            if counts is None:
-                counts = ch_counts[src] = Counter()
-            counts[unit] += 1
+    smask, tmask = _masks(sources, targets)
+    emissions = map(add, compress(joined_sources, smask), compress(joined_targets, tmask))
+    for table, grams in ((lm_counts, ngrams), (ch_counts, emissions)):
+        for gram, n in Counter(grams).items():
+            table.setdefault(gram[:-1], Counter())[gram[-1]] += n
 
 
 def stage_heldout(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
@@ -387,8 +399,7 @@ def fit_stage(
     lm_counts = {key: Counter(c) for key, c in init.lm.counts.items()}
     ch_counts = {key: Counter(c) for key, c in init.channel.counts.items()}
     vocab = set(init.vocab)
-    for pair in train_part.pairs:
-        _accumulate(lm_counts, ch_counts, vocab, init.lm.order, pair)
+    _accumulate(lm_counts, ch_counts, vocab, init.lm.order, train_part.pairs)
 
     fitted = MixtureCorrectorModel(
         init.lm._replace(counts=lm_counts), init.channel._replace(counts=ch_counts),

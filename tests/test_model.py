@@ -432,13 +432,16 @@ def test_accumulate_and_token_probs_match_their_references(order):
     seen, unseen = "甲乙丙丁戊", "己庚辛"
     for k in (0.01, 0.37, 1.0):
         tables = [({}, {}, {UNK}) for _ in range(2)]
-        # Two batches: the second accumulates onto counts it did not start,
-        # as stage 2 does onto stage 1's.
-        for batch in range(2):
-            for pair in _random_training_pairs(rng, seen[: 3 + 2 * batch], 150):
-                _accumulate(*tables[0], order, pair)
-                _reference_accumulate(*tables[1], order, pair)
-            assert tables[0] == tables[1]
+        # Two stages: the second accumulates onto counts it did not start,
+        # as stage 2 does onto stage 1's. Each is fed in batches of 0, 1 and
+        # many pairs, and the reference one pair at a time.
+        for stage in range(2):
+            pairs = _random_training_pairs(rng, seen[: 3 + 2 * stage], 150)
+            for batch in ((), pairs[:1], pairs[1:]):
+                _accumulate(*tables[0], order, batch)
+                for pair in batch:
+                    _reference_accumulate(*tables[1], order, pair)
+                assert tables[0] == tables[1]
         # Heldout pairs hold units outside the training vocabulary on both
         # sides, which map to UNK, and contexts training never saw.
         heldout = _random_training_pairs(rng, seen + unseen, 200)
