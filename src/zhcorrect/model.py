@@ -24,7 +24,7 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, compress, count
+from itertools import chain, compress, repeat
 from operator import add, itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
@@ -254,10 +254,11 @@ def _masks(sources: Sequence[str], targets: Sequence[str]) -> tuple[bytes, bytes
 
 def _aligned_source_units(sources: Sequence[str], targets: Sequence[str]) -> Iterator[str | None]:
     """For each unit of the joined targets, the source unit aligned to it
-    (None for insertions)."""
+    (None for insertions): the next aligned source unit where the target
+    mask is true, else the default of next on an empty iterator."""
     smask, tmask = _masks(sources, targets)
-    aligned = dict(zip(compress(count(), tmask), compress("".join(sources), smask)))
-    return map(aligned.get, range(len(tmask)))
+    units = compress("".join(sources), smask)
+    return map(next, map((iter(()), units).__getitem__, tmask), repeat(None))
 
 
 def _token_probs(
