@@ -475,6 +475,7 @@ def test_trimmed_align_matches_untrimmed_on_shared_prefix_and_suffix():
         ("Xab", "Yab", "SMM"),
         ("X", "Y", "S"),
         ("abX", "abY", "MMS"),
+        # The source core outlasts the target core, and the reverse.
         ("aXYb", "aZb", "MSDM"),
         ("aZb", "aXYb", "MSIM"),
     ],
