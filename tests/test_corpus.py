@@ -381,6 +381,32 @@ def test_a_comment_holding_a_reserved_unit_is_exempt_in_every_block():
         assert corpus.pairs[-1] == ParallelPair(str(last - 3), f"源{last}", (f"参{last}",))
 
 
+def test_a_hash_inside_a_data_field_is_data():
+    # The block's only '#' is not at byte 0, so the row is no comment.
+    lines = _three_blocks(lambda i: f"源{i}\t参{i}")
+    lines[_BLOCK_LINES + 5] = "源#\t参#"
+    for policy in _POLICIES:
+        corpus = parse_parallel(io.StringIO(_text(lines)), "tsv", policy)
+        assert len(corpus) == len(lines)
+        assert corpus.pairs[_BLOCK_LINES + 5] == ParallelPair(
+            str(_BLOCK_LINES + 5), units_of("源#", policy), (units_of("参#", policy),)
+        )
+
+
+def test_a_hash_at_byte_zero_of_a_later_block_is_a_comment():
+    # A comment in the second block is dropped and exempt from the check of
+    # the reserved units, in a block whose other '#' sits inside a field.
+    lines = _three_blocks(lambda i: f"源{i}\t参{i}")
+    lines[_BLOCK_LINES] = "源#\t参"
+    lines[_BLOCK_LINES + 7] = "#\x02\ud800 只有源"
+    for policy in _POLICIES:
+        corpus = parse_parallel(io.StringIO(_text(lines)), "tsv", policy)
+        assert len(corpus) == len(lines) - 1
+        assert corpus.pairs[_BLOCK_LINES] == ParallelPair(str(_BLOCK_LINES), units_of("源#", policy), ("参",))
+        at = _BLOCK_LINES + 7
+        assert corpus.pairs[at] == ParallelPair(str(at), f"源{at + 1}", (f"参{at + 1}",))
+
+
 @pytest.mark.parametrize(
     ("bad", "message"),
     [

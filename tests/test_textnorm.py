@@ -3,7 +3,7 @@ import random
 import unicodedata
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zhcorrect import NormalizationError, NormalizePolicy, units_of
@@ -213,3 +213,27 @@ def test_canonical_fields_equal_units_of_per_field(line, policy):
     if "\t" in line and not line.startswith("#") and not line.endswith("\r"):
         pair = parse_parallel(stream, "tsv", policy).pairs[1]
         assert [pair.source, *pair.references] == [units_of(f, policy) for f in line.split("\t")]
+
+
+def _check_raises(line):
+    try:
+        units_of(line, NormalizePolicy.NONE)
+    except NormalizationError:
+        return True
+    return False
+
+
+# CJK units, an Ext-B unit that makes a str UCS-4, the reserved units and
+# both surrogate halves, which may meet at the end and start of two lines.
+_BLOCK_UNITS = ("天", "气", "学", "\U00020000", "\x02", "\x1a", "\ud800", "\udbff", "\udc00", "\udfff")
+
+
+@settings(derandomize=True, deadline=None, max_examples=1500)
+@given(st.lists(st.lists(st.sampled_from(_BLOCK_UNITS), max_size=6).map("".join), max_size=6))
+@example(["天\ud800", "\udc00气"])
+@example(["\U00020000\udbff", "\udfff"])
+@example(["\U00010000\x1a"])
+@example(["天\U00020000", "气"])
+@example([])
+def test_any_rejected_equals_check_scalars_on_some_line(lines):
+    assert any_rejected(lines) == any(map(_check_raises, lines))
