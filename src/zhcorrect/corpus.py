@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ConfigError, FormatError, NormalizationError, UsageError
 from .records import Checked, Record
 from .textnorm import (
-    NormalizePolicy, any_rejected, canonical_fields, canonical_texts, check_scalars, units_of,
+    NormalizePolicy, canonical_fields, canonical_texts, check_scalars, rejected_in, units_of,
 )
 
 # Lines a reader takes at a time: enough that the calls made once per block
@@ -127,7 +127,7 @@ def iter_plain_lines(
     "line N: ". A block's lines are yielded after the whole block is checked,
     and before the next block is read."""
     for lineno, block in iter_blocks(stream):
-        if any_rejected(block):
+        if rejected_in("".join(block)):
             for n, line in enumerate(block, lineno):
                 _check_line(line, n)
         yield from canonical_texts(block, policy)
@@ -156,8 +156,12 @@ def _iter_tsv(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[PairTu
     # Ids are positions: none repeats.
     n = 0
     for lineno, block in iter_blocks(stream):
-        rows = list(filterfalse(_is_comment, block))
-        if not all(map(contains, rows, repeat("\t"))) or any_rejected(rows):
+        # A block without a '#' holds no comment, so its rows are the block.
+        rows, text = block, "".join(block)
+        if "#" in text:
+            rows = list(filterfalse(_is_comment, block))
+            text = "".join(rows)
+        if not all(map(contains, rows, repeat("\t"))) or rejected_in(text):
             _raise_tsv_error(block, lineno)
         for source, *references in canonical_fields(rows, policy):
             yield str(n), source, tuple(references)

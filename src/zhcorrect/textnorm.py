@@ -61,9 +61,24 @@ def check_scalars(text: str) -> None:
         raise NormalizationError(f"{kind} U+{code:04X} at byte offset {offset}")
 
 
+def rejected_in(text: str) -> bool:
+    """Whether check_scalars would raise on text, found by whole-string C
+    scans rather than the regex: a reserved unit is a substring, and the
+    strict UTF-32 encoder refuses every surrogate code point, a high one
+    followed by a low one included."""
+    if "\x02" in text or "\x1a" in text:
+        return True
+    try:
+        text.encode("utf-32-le")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def any_rejected(lines: Iterable[str]) -> bool:
-    """Whether check_scalars would raise on some line: one C call per line."""
-    return any(map(_REJECTED.search, lines))
+    """Whether check_scalars would raise on some line: rejected_in of the
+    lines joined, which is exact because joining adds no unit."""
+    return rejected_in("".join(lines))
 
 
 # The steps of each policy short of the strip, C callables applied in order
