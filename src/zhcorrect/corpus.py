@@ -8,6 +8,8 @@ File formats (external interfaces):
     "references": [str, ...]}.
   * Plain lines — one text per line, no comments (hypotheses, lines to
     correct).
+Every reader drops one byte order mark (U+FEFF) from the start of a
+stream's first line (see iter_blocks).
 """
 
 from __future__ import annotations
@@ -94,13 +96,18 @@ def iter_blocks(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
     """The stream's lines in lists of up to _BLOCK_LINES, each list with the
     1-based number of its first line. Each line loses one trailing "\\n" and
     then at most one trailing "\\r": the CR of a CRLF ending goes, and any
-    other CR stays in its line. Iterating a text handle splits only at line
-    feeds, so U+0085, U+2028 and the like stay inside a line, where
-    str.splitlines would split."""
+    other CR stays in its line. The first line also loses one leading byte
+    order mark (U+FEFF), which a UTF-8 file may start with; a U+FEFF
+    anywhere else stays. Iterating a text handle splits only at line feeds,
+    so U+0085, U+2028 and the like stay inside a line, where str.splitlines
+    would split."""
     stream, lineno = iter(stream), 1
     while block := list(islice(stream, _BLOCK_LINES)):
         lines = map(str.removesuffix, block, repeat("\n"))
-        yield lineno, list(map(str.removesuffix, lines, repeat("\r")))
+        lines = list(map(str.removesuffix, lines, repeat("\r")))
+        if lineno == 1:
+            lines[0] = lines[0].removeprefix("\ufeff")
+        yield lineno, lines
         lineno += len(block)
 
 
@@ -122,10 +129,10 @@ def iter_plain_lines(
     stream: Iterable[str], policy: NormalizePolicy = NormalizePolicy.DEFAULT
 ) -> Iterator[str]:
     """``units_of(line, policy)`` of each line of iter_lines(stream), read
-    lazily a block at a time: only a block that any_rejected flags is checked
-    line by line, for the NormalizationError of its first bad line, prefixed
-    "line N: ". A block's lines are yielded after the whole block is checked,
-    and before the next block is read."""
+    lazily a block at a time: only a block whose joined lines rejected_in
+    flags is checked line by line, for the NormalizationError of its first
+    bad line, prefixed "line N: ". A block's lines are yielded after the
+    whole block is checked, and before the next block is read."""
     for lineno, block in iter_blocks(stream):
         if rejected_in("".join(block)):
             for n, line in enumerate(block, lineno):

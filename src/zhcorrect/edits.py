@@ -204,6 +204,7 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
     A record with no "A" lines yields a single empty reference (ref 0), which
     is how a clean single-reference pair round-trips. A noop line names its
     reference but adds no edit, so a reference with nothing else is empty.
+    Any other edit whose span ends past its "S" line's units is a FormatError.
     """
     records: list[GoldRecord] = []
     source: str | None = None
@@ -261,6 +262,10 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
                 edit = Edit(start, end, replacement)
             except StructuralError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
+            if end > len(source):
+                raise FormatError(
+                    f"line {lineno}: edit span [{start},{end}) exceeds source length {len(source)}"
+                )
             by_ref.setdefault(rid, []).append(edit)
         else:
             raise FormatError(f"line {lineno}: expected 'S ', 'A ', or a blank line")

@@ -103,7 +103,7 @@ def _unstripped(lines: Iterable[str], policy: NormalizePolicy) -> Iterable[str]:
 
 def canonical_texts(texts: Iterable[str], policy: NormalizePolicy) -> Iterable[str]:
     """units_of of each text, lazily and with no check of the scalars (see
-    any_rejected): every step is a C call mapped over the texts."""
+    rejected_in): every step is a C call mapped over the texts."""
     texts = _unstripped(texts, policy)
     return texts if policy is NormalizePolicy.NONE else map(str.strip, texts)
 

@@ -320,6 +320,38 @@ def test_score_cgc_rejects_a_beta_that_is_not_finite_and_positive(tmp_path, caps
     assert err.splitlines() == [f"error: beta must be finite and > 0, got {float(beta)}"]
 
 
+def _bom_file(path, text):
+    path.write_text(text, encoding="utf-8-sig")
+    return str(path)
+
+
+@pytest.mark.parametrize("bom", ["gold", "hyp"])
+def test_score_csc_reads_past_a_byte_order_mark(tmp_path, capsys, bom):
+    # With the mark kept, a gold source "\ufeff好" read as a change the gold
+    # never made (tp 1), and a marked hypothesis as a false positive.
+    gold = (_bom_file if bom == "gold" else _write)(tmp_path / "gold.tsv", "好\t好\n")
+    hyp = (_bom_file if bom == "hyp" else _write)(tmp_path / "hyp.txt", "好\n")
+    report = tmp_path / "r.json"
+    assert main(["score-csc", hyp, gold, "--out", str(report)]) == 0
+    counts = json.loads(report.read_text(encoding="utf-8"))
+    assert (counts["tp"], counts["fp"], counts["fn"]) == (0, 0, 0)
+
+
+def test_score_cgc_reads_past_a_byte_order_mark(tmp_path, capsys):
+    gold = _bom_file(tmp_path / "gold.m2", _GOLD_EDITS)
+    hyp = _bom_file(tmp_path / "hyp.tsv", "他是学生生\t他是学生\n天汽很号\t天汽很呺\n")
+    assert main(["score-cgc", hyp, gold]) == 0
+    assert "0.5000" in capsys.readouterr().out
+
+
+def test_score_cgc_rejects_a_gold_span_past_its_source(tmp_path, capsys):
+    gold = _write(tmp_path / "gold.m2", "S 天气\nA 5 6|||sub|||x|||0\n\n")
+    hyp = _tsv(tmp_path / "hyp.tsv", [("天气", "天气")])
+    assert main(["score-cgc", hyp, gold]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: line 2: edit span [5,6) exceeds source length 2"]
+
+
 def test_score_cgc_missing_gold_record(tmp_path, capsys):
     gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
     hyp = _tsv(tmp_path / "hyp.tsv", [("从未见过", "从未见过")])

@@ -540,6 +540,45 @@ def test_only_the_cr_of_a_crlf_ending_is_dropped():
     assert [p.references for p in corpus] == [("乙\r",), ("丁",)]
 
 
+_BOM = "\ufeff"
+
+
+@pytest.mark.parametrize(
+    ("text", "read", "rows"),
+    [
+        (
+            f"{_BOM}{_BOM}源\t参\n{_BOM}源\t参{_BOM}\n",
+            lambda stream, policy: list(iter_parallel(stream, "tsv", policy)),
+            [("0", f"{_BOM}源", ("参",)), ("1", f"{_BOM}源", (f"参{_BOM}",))],
+        ),
+        (
+            f"{_BOM}# a comment\n源\t参\n",
+            lambda stream, policy: list(iter_parallel(stream, "tsv", policy)),
+            [("0", "源", ("参",))],
+        ),
+        (
+            f'{_BOM}{{"id": "a", "source": "源", "references": ["参"]}}\n'
+            f'{{"id": "b", "source": "{_BOM}源", "references": ["参"]}}\n',
+            lambda stream, policy: list(iter_parallel(stream, "jsonl", policy)),
+            [("a", "源", ("参",)), ("b", f"{_BOM}源", ("参",))],
+        ),
+        (f"{_BOM}{_BOM}好\n{_BOM}好\n", parse_lines, [f"{_BOM}好", f"{_BOM}好"]),
+        (f"{_BOM}\n好\n", parse_lines, ["", "好"]),
+    ],
+    ids=["tsv", "tsv-comment", "jsonl", "plain", "plain-bom-only"],
+)
+def test_readers_drop_one_byte_order_mark_from_the_first_line_only(text, read, rows):
+    for policy in _POLICIES:
+        assert read(io.StringIO(text), policy) == rows
+
+
+def test_a_byte_order_mark_counts_only_at_the_start_of_a_stream():
+    lines = [f"{_BOM}好"] * (_BLOCK_LINES + 2)
+    got = parse_lines(io.StringIO(_text(lines)), NormalizePolicy.NONE)
+    assert got == ["好"] + [f"{_BOM}好"] * (_BLOCK_LINES + 1)
+    assert list(iter_lines(io.StringIO(_text(lines)))) == got
+
+
 _BAD_LINES = ["只有源", "", "\r", " 天\u0301\t\x1a", "天气\t天\udfff\t天\x02"] + [
     "\t".join("天\u0301气" if i != column else f"天{bad}气" for i in range(3))
     for bad in ("\x02", "\x1a", "\ud800")

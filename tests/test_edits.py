@@ -338,3 +338,40 @@ def test_m2_writer_refuses_what_would_not_read_back(merge, data):
         assert "cannot be written" in str(exc)
     else:
         assert parsed == records
+
+
+def test_parse_edit_file_drops_a_byte_order_mark_before_the_first_s_line():
+    [record] = parse_edit_file(io.StringIO("\ufeffS 学生生\nA 2 3|||del|||-NONE-|||0\n\n"))
+    assert record.source == "学生生"
+    assert record.refs == (EditSet("0", 0, (Edit(2, 3, ""),)),)
+    # Anywhere else U+FEFF is text, and a line that opens with it is no 'S' line.
+    [record] = parse_edit_file(io.StringIO("S \ufeff学\nA 0 1|||del|||-NONE-|||0\n\n"))
+    assert record.source == "\ufeff学"
+    with pytest.raises(FormatError, match="^line 3: expected 'S ', 'A ', or a blank line$"):
+        parse_edit_file(io.StringIO("S 学\n\n\ufeffS 学\n\n"))
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("A 5 6|||sub|||x|||0", "line 3: edit span [5,6) exceeds source length 2"),
+        ("A 2 3|||del|||-NONE-|||0", "line 3: edit span [2,3) exceeds source length 2"),
+        ("A 3 3|||ins|||x|||1", "line 3: edit span [3,3) exceeds source length 2"),
+    ],
+)
+def test_parse_edit_file_rejects_a_span_past_its_source(line, message):
+    text = f"S 天气\nA 0 1|||sub|||天|||0\n{line}\n\n"
+    with pytest.raises(FormatError) as err:
+        parse_edit_file(io.StringIO(text))
+    assert str(err.value) == message
+
+
+def test_parse_edit_file_accepts_spans_that_end_at_its_source_end():
+    text = "S 天气\nA 2 2|||ins|||了|||0\nA 1 2|||sub|||汽|||1\nA -1 -1|||noop|||-NONE-|||2\n\nS\nA 0 0|||ins|||x|||0\n\n"
+    first, second = parse_edit_file(io.StringIO(text))
+    assert first.refs == (
+        EditSet("0", 0, (Edit(2, 2, "了"),)),
+        EditSet("0", 1, (Edit(1, 2, "汽"),)),
+        EditSet("0", 2, ()),
+    )
+    assert second.source == "" and second.refs == (EditSet("1", 0, (Edit(0, 0, "x"),)),)
