@@ -24,7 +24,8 @@ from typing import Iterable, Iterator, Sequence
 from .errors import ConfigError, FormatError, NormalizationError, UsageError
 from .records import Checked, Record
 from .textnorm import (
-    NormalizePolicy, canonical_fields, canonical_texts, check_scalars, rejected_in, units_of,
+    NormalizePolicy, any_rejected, canonical_fields, canonical_texts, check_scalars, rejected_in,
+    units_of,
 )
 
 # Lines a reader takes at a time: enough that the calls made once per block
@@ -129,12 +130,12 @@ def iter_plain_lines(
     stream: Iterable[str], policy: NormalizePolicy = NormalizePolicy.DEFAULT
 ) -> Iterator[str]:
     """``units_of(line, policy)`` of each line of iter_lines(stream), read
-    lazily a block at a time: only a block whose joined lines rejected_in
-    flags is checked line by line, for the NormalizationError of its first
-    bad line, prefixed "line N: ". A block's lines are yielded after the
-    whole block is checked, and before the next block is read."""
+    lazily a block at a time: only a block that any_rejected flags is checked
+    line by line, for the NormalizationError of its first bad line, prefixed
+    "line N: ". A block's lines are yielded after the whole block is checked,
+    and before the next block is read."""
     for lineno, block in iter_blocks(stream):
-        if rejected_in("".join(block)):
+        if any_rejected(block):
             for n, line in enumerate(block, lineno):
                 _check_line(line, n)
         yield from canonical_texts(block, policy)
