@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -533,6 +534,71 @@ def test_correct_writes_the_pinned_output(tmp_path, capsys):
     assert main(["correct", str(model), src, "--out", str(fixed)]) == 0
     digest = hashlib.sha256(fixed.read_bytes()).hexdigest()
     assert digest == "8127ce8d1547f172608fbe39ba7aa453c67a4cd8a86b1a4d09869931c439b934"
+
+
+def _cgc_shaped_rows(seed):
+    """Parallel and hypothesis TSV rows shaped like long CGC data: 300 lines
+    of 60-200 units drawn from the synthetic word inventory, 1-4 errors per
+    line (a substitution, a doubled unit or a dropped unit) at least 8 units
+    apart, and a second reference on about 30 % of lines that leaves the
+    last error alone. Each hypothesis fixes, keeps or miscorrects each error."""
+    from zhcorrect.synthetic import WORD_INVENTORY
+
+    rng = random.Random(seed)
+    noise = [chr(c) for c in range(0x4E00, 0x4E00 + 200)]
+    noise = [u for u in noise if u not in "".join(WORD_INVENTORY)]
+    parallel, hyps = [], []
+    for _ in range(300):
+        length = rng.randint(60, 200)
+        clean = ""
+        while len(clean) < length:
+            clean += rng.choice(WORD_INVENTORY)
+        count = rng.randint(1, 4)
+        width = len(clean) // count
+        positions = [k * width + rng.randrange(4, width - 4) for k in range(count)]
+        # Each error: (position, clean unit, source piece, hypothesis piece).
+        errors = []
+        for pos in positions:
+            unit = clean[pos]
+            wrong = rng.choice(noise)
+            source_piece = rng.choice((wrong, unit + unit, ""))
+            hyp_piece = rng.choice((unit, unit, source_piece, rng.choice(noise)))
+            errors.append((pos, unit, source_piece, hyp_piece))
+
+        def render(pick, keep_last=False):
+            pieces, prev = [], 0
+            for index, error in enumerate(errors):
+                last = keep_last and index == len(errors) - 1
+                pieces.append(clean[prev : error[0]] + error[2 if last else pick])
+                prev = error[0] + 1
+            return "".join(pieces) + clean[prev:]
+
+        source = render(2)
+        references = [clean]
+        if count >= 2 and rng.random() < 0.4:
+            references.append(render(1, keep_last=True))
+        parallel.append((source, *references))
+        hyps.append((source, render(3)))
+    return parallel, hyps
+
+
+def test_cgc_pipeline_writes_the_pinned_bytes_on_long_pairs(tmp_path, capsys):
+    # Edit extraction and CGC scoring on long, lightly edited pairs, the
+    # shape align's long-core path serves, are byte-identical: the M2 file
+    # and the score JSON are pinned.
+    parallel, hyps = _cgc_shaped_rows(23)
+    par = _tsv(tmp_path / "parallel.tsv", parallel)
+    hyp = _tsv(tmp_path / "hyp.tsv", hyps)
+    gold, report = tmp_path / "gold.m2", tmp_path / "cgc.json"
+    assert main(["extract-edits", par, "--out", str(gold)]) == 0
+    assert main(["score-cgc", hyp, str(gold), "--out", str(report)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(gold.read_bytes()).hexdigest() == (
+        "f1728bf64ec7aab10ddcb9212772cb712ad3097c948c14028379c6a7859220c5"
+    )
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "acd32133e822a76ddd1a9078b9f9e1607a11ec9e9b34a94000e8d47b618ca112"
+    )
 
 
 def test_train_requires_stage2_values(tmp_path, capsys):
