@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import os
 import random
 import tracemalloc
 
@@ -15,6 +16,7 @@ from zhcorrect import (
     apply_edits,
     extract_edits,
 )
+from zhcorrect.alignment import _furthest_reach
 from zhcorrect.cli import main
 
 from oracles import ORACLE_MAX_TOTAL_UNITS, oracle_min_cost
@@ -487,10 +489,103 @@ def test_trimmed_align_edge_cases(src, tgt, ops):
     assert _cost(ops) == oracle_min_cost(src, tgt)
 
 
+def _core(src, tgt):
+    """What align's walk runs on: src and tgt less their common prefix and
+    then the common suffix of the rests."""
+    p = len(os.path.commonprefix([src, tgt]))
+    s = len(os.path.commonprefix([src[p:][::-1], tgt[p:][::-1]]))
+    return src[p : len(src) - s], tgt[p : len(tgt) - s]
+
+
+def _spaced_edits(rng, text, count, alphabet):
+    """text with count single-unit edits (a substitution, an insertion or a
+    deletion, drawn from alphabet) at least 8 units apart."""
+    units = list(text)
+    width = len(units) // count
+    for k in reversed(range(count)):
+        at = k * width + rng.randrange(4, width - 4)
+        edit = rng.random()
+        if edit < 0.4:
+            units[at] = rng.choice(alphabet)
+        elif edit < 0.7:
+            units.insert(at, rng.choice(alphabet))
+        else:
+            del units[at]
+    return "".join(units)
+
+
+def test_long_lightly_edited_cores_match_the_oracles():
+    # Long sentences with a handful of edits, the shape of CGC data, are
+    # walked on the furthest-reach table; small alphabets make runs of
+    # equal units and so many tied optimal paths.
+    rng = random.Random(2023)
+    walked_on_reach = 0
+    for _ in range(120):
+        alphabet = _CJK[: rng.choice([1, 2, 3, 5, 20, 120])]
+        src = "".join(rng.choice(alphabet) for _ in range(rng.randint(60, 250)))
+        tgt = _spaced_edits(rng, src, rng.randint(1, 8), alphabet)
+        if rng.random() < 0.5:
+            src, tgt = tgt, src
+        _assert_matches_oracles(src, tgt)
+        x, y = _core(src, tgt)
+        walked_on_reach += len(x) >= 10 and _furthest_reach(x, y) is not None
+    assert walked_on_reach >= 60
+
+
+def _unique_edits(rng, length, count, inserts):
+    """A pair whose core is exactly a random text of `length` units and
+    whose distance is exactly count: count edits, each bringing a unit
+    found nowhere else. The first and last come at the ends of the text,
+    so no prefix or suffix is trimmed, and `inserts` of them are
+    insertions, the rest substitutions."""
+    src = [rng.choice(_CJK[:120]) for _ in range(length)]
+    tgt = list(src)
+    fresh = iter(chr(c) for c in range(0x9000, 0x9100))
+    spots = sorted({0, length - 1, *rng.sample(range(1, length - 1), count - 2)})
+    for k, at in enumerate(reversed(spots)):
+        if k < inserts and at == 0:
+            tgt[at] = next(fresh)  # an insertion here would leave a common prefix
+        elif k < inserts:
+            tgt.insert(at + 1, next(fresh))
+        else:
+            tgt[at] = next(fresh)
+    return "".join(src), "".join(tgt)
+
+
+@pytest.mark.parametrize("length", [10, 24, 63, 64, 150, 250])
+def test_distances_around_the_reach_budget_match_the_oracles(length):
+    # The reach search gives up above isqrt of the source core's length and
+    # the walk falls back to the bit-parallel rows; the codes must not tell.
+    rng = random.Random(length)
+    seen = set()
+    for budget_offset in (-1, 0, 1):
+        for inserts in (0, 1, 2):
+            for flip in (False, True):
+                count = math.isqrt(length) + budget_offset
+                src, tgt = _unique_edits(rng, length, count, inserts)
+                if flip:
+                    src, tgt = tgt, src
+                x, y = _core(src, tgt)
+                assert (x, y) == (src, tgt)
+                ops = align(src, tgt)
+                assert _cost(ops) == count
+                budget = math.isqrt(len(x))
+                reach = _furthest_reach(x, y)
+                assert (reach is None) == (count > budget)
+                if reach is not None:
+                    assert len(reach) - 1 == count
+                    assert [len(level) for level in reach] == list(range(1, 2 * count + 2, 2))
+                seen.add(count - budget)
+                _assert_matches_oracles(src, tgt, ops)
+    assert {-1, 0, 1} <= seen
+
+
 def test_band_memory_stays_within_the_full_table():
     # align keeps n+1 pairs of m-bit ints, so a source much longer than the
     # target stays far below the full (n+1)*(m+1) table (here about 15,000
-    # slots); the bound is the one the band was held to.
+    # slots); the bound is the one the band was held to. A reach table
+    # holds (D+1)**2 ints, and the budget caps D at isqrt(n): an unrelated
+    # pair gives up at D = 71 and walks on the rows.
     rng = random.Random(11)
     long = "".join(rng.choice(_CJK) for _ in range(5000))
     for tgt in ("", long[:2], long[2500:2502]):
@@ -502,6 +597,22 @@ def test_band_memory_stays_within_the_full_table():
             tracemalloc.stop()
         assert peak < 20_000_000, (len(tgt), peak)
         _assert_matches_oracles(long, tgt, ops)
+    # The whole table of these pairs would hold 25 million cells, more than
+    # the table-filling oracles can, so the untrimmed rows are their oracle.
+    edited = _spaced_edits(rng, long, 3, _CJK)
+    unrelated = "".join(rng.choice(_CJK) for _ in range(5000))
+    for tgt, cost in ((edited, 3), (unrelated, None)):
+        tracemalloc.start()
+        try:
+            ops = align(long, tgt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000_000, peak
+        _assert_valid_path(long, tgt, ops)
+        assert ops == _untrimmed_align(long, tgt)
+        if cost is not None:
+            assert _cost(ops) == cost
 
 
 @st.composite
