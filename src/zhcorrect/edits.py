@@ -28,6 +28,11 @@ from .records import Checked, Record
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
 _NOOP_FIELDS = ("-1 -1", "noop", EMPTY_REPLACEMENT_MARK)
+# A span bound and a ref id as the grammar writes them; int() alone also
+# takes "_", "+", spaces and other scripts' digits. A negative bound is read
+# so that Edit can name the bad span, which only the noop line may hold.
+_BOUND = re.compile("-?[0-9]+")
+_REF_ID = re.compile("[0-9]+")
 
 
 class MergePolicy(Enum):
@@ -172,15 +177,21 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
     """Write records in the M2-like grammar. A reference with zero edits
     emits no "A" line when it is its record's only one, and a noop line
     otherwise. Text parse_edit_file would not read back as written is a
-    FormatError: a source with a line feed or a final carriage return, or a
-    replacement with a line feed, equal to EMPTY_REPLACEMENT_MARK, or not
-    split back out of its "A" line (it holds "|||" or ends in "|")."""
+    FormatError: a source with a line feed or a final carriage return, a
+    ref id on an "A" line that is not a non-negative int, or a replacement
+    with a line feed, equal to EMPTY_REPLACEMENT_MARK, or not split back out
+    of its "A" line (it holds "|||" or ends in "|")."""
     out: list[str] = []
     for source, refs in records:
         if "\n" in source or source.endswith("\r"):
             raise FormatError(f"source {source!r} cannot be written as an M2 'S' line")
         out.append(f"S {source}")
         for ref in sorted(refs, key=lambda r: r.ref_id):
+            if (ref.edits or len(refs) > 1) and not _REF_ID.fullmatch(str(ref.ref_id)):
+                raise FormatError(
+                    f"pair {ref.source_id!r}: reference id {ref.ref_id!r} cannot be "
+                    "written to an M2 file"
+                )
             if not ref.edits and len(refs) > 1:
                 out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref.ref_id))))
             for e in ref.edits:
@@ -204,7 +215,9 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
     A record with no "A" lines yields a single empty reference (ref 0), which
     is how a clean single-reference pair round-trips. A noop line names its
     reference but adds no edit, so a reference with nothing else is empty.
-    Any other edit whose span ends past its "S" line's units is a FormatError.
+    Span bounds and ref ids are ASCII digits; only the noop line's span is
+    negative. Any other edit whose span ends past its "S" line's units is a
+    FormatError.
     """
     records: list[GoldRecord] = []
     source: str | None = None
@@ -248,10 +261,16 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
             if len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected 4 '|||'-separated fields")
             span, _type_tag, repl, rid_text = fields
+            bounds = span.split()
             try:
-                start_text, end_text = span.split()
-                start, end = int(start_text), int(end_text)
-                rid = int(rid_text)
+                if len(bounds) != 2 or not (
+                    _BOUND.fullmatch(bounds[0])
+                    and _BOUND.fullmatch(bounds[1])
+                    and _REF_ID.fullmatch(rid_text)
+                ):
+                    raise ValueError(line)
+                # int() also refuses more digits than it converts.
+                start, end, rid = int(bounds[0]), int(bounds[1]), int(rid_text)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad span or ref id") from exc
             if tuple(fields[:3]) == _NOOP_FIELDS:

@@ -353,6 +353,21 @@ def test_score_cgc_rejects_a_gold_span_past_its_source(tmp_path, capsys):
     assert err.splitlines() == ["error: line 2: edit span [5,6) exceeds source length 2"]
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["A 1_0 1_1|||sub|||戊|||0", "A \u0661 \u0662|||sub|||戊|||0", "A 1 2|||sub|||戊|||-1"],
+)
+def test_score_cgc_rejects_a_gold_span_or_ref_id_not_in_ascii_digits(tmp_path, capsys, line):
+    # int() reads "1_0" as 10 and Arabic-Indic digits as 1 and 2; the
+    # grammar writes neither, nor a negative ref id.
+    gold = _write(tmp_path / "gold.m2", f"S 甲乙丙丁戊己庚辛壬癸甲乙\n{line}\n\n")
+    hyp = _tsv(tmp_path / "hyp.tsv", [("甲乙丙丁戊己庚辛壬癸甲乙", "甲乙丙丁戊己庚辛壬癸戊乙")])
+    assert main(["score-cgc", hyp, gold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: bad span or ref id\n"
+
+
 def test_score_cgc_missing_gold_record(tmp_path, capsys):
     gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
     hyp = _tsv(tmp_path / "hyp.tsv", [("从未见过", "从未见过")])

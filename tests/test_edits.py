@@ -223,6 +223,45 @@ def test_parse_reads_a_noop_line_and_refuses_other_negative_spans():
             parse_edit_file(io.StringIO(f"S 甲\n{line}\n\n"))
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "A 1_0 1_1|||sub|||戊|||0",
+        "A \u0661 \u0662|||sub|||戊|||0",
+        "A \uff11 \uff12|||sub|||戊|||0",
+        "A +1 2|||sub|||戊|||0",
+        "A 1 2|||sub|||戊|||-1",
+        "A 1 2|||sub|||戊|||+1",
+        "A 1 2|||sub|||戊|||1_0",
+        "A 1 2|||sub|||戊|||\u0661",
+        "A 1 2|||sub|||戊|||0 ",
+        "A 1 2|||sub|||戊|||",
+        "A -1 -1|||noop|||-NONE-|||-1",
+        "A -1 -1|||noop|||-NONE-|||٠",
+        "A 1 2 3|||sub|||戊|||0",
+        "A 1|||sub|||戊|||0",
+        "A 1 " + "9" * 5000 + "|||sub|||戊|||0",
+    ],
+)
+def test_parse_refuses_a_span_or_ref_id_not_in_ascii_digits(line):
+    text = f"S 甲乙丙丁戊己庚辛壬癸甲乙\n{line}\n\n"
+    with pytest.raises(FormatError) as err:
+        parse_edit_file(io.StringIO(text))
+    assert str(err.value) == "line 2: bad span or ref id"
+
+
+def test_format_refuses_a_ref_id_it_could_not_read_back():
+    edits = (Edit(0, 1, "乙"),)
+    for ref_id in (-1, True):
+        with pytest.raises(FormatError, match=f"pair '0': reference id {ref_id!r} cannot be written"):
+            format_edit_records([("甲", [EditSet("0", ref_id, edits)])])
+        # An empty reference beside another is written as a noop line.
+        with pytest.raises(FormatError, match="cannot be written"):
+            format_edit_records([("甲", [EditSet("0", ref_id, ()), EditSet("0", 2, edits)])])
+    # A record's only reference without edits writes no ref id at all.
+    assert format_edit_records([("甲", [EditSet("0", -1, ())])]) == "S 甲\n\n"
+
+
 def test_parse_clean_record_yields_implicit_empty_reference():
     parsed = parse_edit_file(io.StringIO("S 他是学生\n\n"))
     record = parsed[0]
