@@ -28,10 +28,11 @@ from .records import Checked, Record
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
 _NOOP_FIELDS = ("-1 -1", "noop", EMPTY_REPLACEMENT_MARK)
-# A span bound and a ref id as the grammar writes them; int() alone also
-# takes "_", "+", spaces and other scripts' digits. A negative bound is read
-# so that Edit can name the bad span, which only the noop line may hold.
-_BOUND = re.compile("-?[0-9]+")
+# A span and a ref id as the grammar writes them; int() and split() alone
+# also take "_", "+", other scripts' digits and any run of whitespace. A
+# negative bound is read so that Edit can name the bad span, which only the
+# noop line may hold.
+_SPAN = re.compile("(-?[0-9]+) (-?[0-9]+)")
 _REF_ID = re.compile("[0-9]+")
 
 
@@ -215,8 +216,8 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
     A record with no "A" lines yields a single empty reference (ref 0), which
     is how a clean single-reference pair round-trips. A noop line names its
     reference but adds no edit, so a reference with nothing else is empty.
-    Span bounds and ref ids are ASCII digits; only the noop line's span is
-    negative. Any other edit whose span ends past its "S" line's units is a
+    A span is two runs of ASCII digits and one space, and a ref id one run;
+    only the noop line's span is negative. Any other edit whose span ends past its "S" line's units is a
     FormatError.
     """
     records: list[GoldRecord] = []
@@ -261,16 +262,12 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
             if len(fields) != 4:
                 raise FormatError(f"line {lineno}: expected 4 '|||'-separated fields")
             span, _type_tag, repl, rid_text = fields
-            bounds = span.split()
+            bounds = _SPAN.fullmatch(span)
             try:
-                if len(bounds) != 2 or not (
-                    _BOUND.fullmatch(bounds[0])
-                    and _BOUND.fullmatch(bounds[1])
-                    and _REF_ID.fullmatch(rid_text)
-                ):
+                if not (bounds and _REF_ID.fullmatch(rid_text)):
                     raise ValueError(line)
                 # int() also refuses more digits than it converts.
-                start, end, rid = int(bounds[0]), int(bounds[1]), int(rid_text)
+                start, end, rid = int(bounds[1]), int(bounds[2]), int(rid_text)
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad span or ref id") from exc
             if tuple(fields[:3]) == _NOOP_FIELDS:

@@ -240,6 +240,10 @@ def test_parse_reads_a_noop_line_and_refuses_other_negative_spans():
         "A -1 -1|||noop|||-NONE-|||٠",
         "A 1 2 3|||sub|||戊|||0",
         "A 1|||sub|||戊|||0",
+        "A 1\u30002|||sub|||戊|||0",
+        "A 1\t2|||sub|||戊|||0",
+        "A 1  2|||sub|||戊|||0",
+        "A 1 2 |||sub|||戊|||0",
         "A 1 " + "9" * 5000 + "|||sub|||戊|||0",
     ],
 )
