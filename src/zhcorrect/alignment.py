@@ -98,7 +98,12 @@ def _furthest_reach(x: str, y: str) -> list[list[int]] | None:
             a, b = b, ins
             c = r - k
             if r < nx and c < my and xr[r] == yr[c]:
-                r += _run_length(xr[r:], yr[c:])
+                # Off the path most slides stop after one unit, so the
+                # second is tested before the run is searched.
+                if xr[r + 1 : r + 2] == yr[c + 1 : c + 2]:
+                    r += _run_length(xr[r:], yr[c:])
+                else:
+                    r += 1
             level.append(r)
             k += 1
         level += [-2] * (e - hi)

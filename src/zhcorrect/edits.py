@@ -217,8 +217,8 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
     is how a clean single-reference pair round-trips. A noop line names its
     reference but adds no edit, so a reference with nothing else is empty.
     A span is two runs of ASCII digits and one space, and a ref id one run;
-    only the noop line's span is negative. Any other edit whose span ends past its "S" line's units is a
-    FormatError.
+    only the noop line's span is negative. Any other edit whose span ends
+    past its "S" line's units is a FormatError.
     """
     records: list[GoldRecord] = []
     source: str | None = None

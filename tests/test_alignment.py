@@ -536,9 +536,9 @@ def _unique_edits(rng, length, count, inserts):
     """A pair whose core is exactly a random text of `length` units and
     whose distance is exactly count: count edits, each bringing a unit
     found nowhere else. The first and last come at the ends of the text,
-    so no prefix or suffix is trimmed, and `inserts` of them are
-    insertions, the rest substitutions."""
-    src = [rng.choice(_CJK[:120]) for _ in range(length)]
+    so no prefix or suffix is trimmed. The last `inserts` of them, except
+    one at the start, are insertions, and the rest substitutions."""
+    src = [rng.choice(_CJK) for _ in range(length)]
     tgt = list(src)
     fresh = iter(chr(c) for c in range(0x9000, 0x9100))
     spots = sorted({0, length - 1, *rng.sample(range(1, length - 1), count - 2)})
@@ -584,8 +584,9 @@ def test_band_memory_stays_within_the_full_table():
     # align keeps n+1 pairs of m-bit ints, so a source much longer than the
     # target stays far below the full (n+1)*(m+1) table (here about 15,000
     # slots); the bound is the one the band was held to. A reach table
-    # holds (D+1)**2 ints, and the budget caps D at isqrt(n): an unrelated
-    # pair gives up at D = 71 and walks on the rows.
+    # holds (D+1)**2 ints, and the budget caps D at isqrt(n): on an
+    # unrelated pair the search gives up after 70 levels and the walk
+    # takes the rows.
     rng = random.Random(11)
     long = "".join(rng.choice(_CJK) for _ in range(5000))
     for tgt in ("", long[:2], long[2500:2502]):

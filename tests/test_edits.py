@@ -257,7 +257,8 @@ def test_parse_refuses_a_span_or_ref_id_not_in_ascii_digits(line):
 def test_format_refuses_a_ref_id_it_could_not_read_back():
     edits = (Edit(0, 1, "乙"),)
     for ref_id in (-1, True):
-        with pytest.raises(FormatError, match=f"pair '0': reference id {ref_id!r} cannot be written"):
+        message = f"pair '0': reference id {ref_id!r} cannot be written"
+        with pytest.raises(FormatError, match=message):
             format_edit_records([("甲", [EditSet("0", ref_id, edits)])])
         # An empty reference beside another is written as a noop line.
         with pytest.raises(FormatError, match="cannot be written"):
