@@ -212,6 +212,29 @@ def align(src: str, tgt: str) -> str:
 
     The greedy tail, not "M" * s appended after the core's D/I rest, keeps
     the tie-break: xbb/yb aligns as SMD, not SDM.
+
+    Two kinds of core, most of those of short sentences with one or two
+    edits, have a known path, so align returns its codes without a table:
+
+    - One unit against at most one unit. Against none (len(x) + len(y) ==
+      1) the walk starts on the core's last row or column, so the forced
+      tail runs. Since p is maximal its first run of M is empty: it takes
+      its one D or I first and then matches the suffix, "M" * p + "D" +
+      "M" * s (or I for D). Against one unit the path is "M" * p + "S" +
+      "M" * s, the case len(x) == 1 below. Each is decided right after the
+      prefix cut by one slice comparison, before the suffix search:
+      src[p+1:] == tgt[p+1:] at equal lengths (S), src[p+1:] == tgt[p:]
+      (D) or src[p:] == tgt[p+1:] (I). At distance 1 this is the single
+      diagonal jump that Myers (1986) notes.
+    - Equal lengths that differ only at the ends: len(x) == len(y) and
+      x[1:-1] == y[1:-1]. Trimming leaves x[0] != y[0] and x[-1] != y[-1],
+      so the Hamming distance is min(len(x), 2). At equal lengths a distance
+      of 1 is one substitution, so here the edit distance equals the Hamming
+      distance. Every suffix of the diagonal is then optimal, and the walk's
+      M > S > D > I preference stays on it: "M" * p + "S" + "M" * (len(x)
+      - 2) + "S" + "M" * s.
+
+    Every other core takes a table as above.
     """
     n, m = len(src), len(tgt)
     if src == tgt:
@@ -219,9 +242,19 @@ def align(src: str, tgt: str) -> str:
         # continuation, the walk's own first choice.
         return "M" * n
     p = _run_length(src, tgt)
+    # The closed forms; see above. One unit against at most one unit:
+    if n == m and src[p + 1 :] == tgt[p + 1 :]:
+        return "M" * p + "S" + "M" * (n - p - 1)
+    if n == m + 1 and src[p + 1 :] == tgt[p:]:
+        return "M" * p + "D" + "M" * (m - p)
+    if m == n + 1 and src[p:] == tgt[p + 1 :]:
+        return "M" * p + "I" + "M" * (n - p)
     s = _run_length(src[p:][::-1], tgt[p:][::-1])
     x, y = src[p : n - s], tgt[p : m - s]
     nx, my = len(x), len(y)
+    # Equal cores of two or more units that differ only at their two ends:
+    if nx == my and x[1:-1] == y[1:-1]:
+        return "M" * p + "S" + "M" * (nx - 2) + "S" + "M" * s
     ops = ["M" * p]
     reach = _furthest_reach(x, y) if nx >= _LONG_CORE else None
     if reach is not None:

@@ -176,7 +176,8 @@ class GoldRecord(NamedTuple):
 
 def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str:
     """Write records in the M2-like grammar. A reference with zero edits
-    emits no "A" line when it is its record's only one, and a noop line
+    emits no "A" line when it is its record's only one and its ref id is 0,
+    as parse_edit_file reads a record without "A" lines, and a noop line
     otherwise. Text parse_edit_file would not read back as written is a
     FormatError: a source with a line feed or a final carriage return, a
     ref id on an "A" line that is not a non-negative int, or a replacement
@@ -188,12 +189,13 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
             raise FormatError(f"source {source!r} cannot be written as an M2 'S' line")
         out.append(f"S {source}")
         for ref in sorted(refs, key=lambda r: r.ref_id):
-            if (ref.edits or len(refs) > 1) and not _REF_ID.fullmatch(str(ref.ref_id)):
+            noop = not ref.edits and (len(refs) > 1 or ref.ref_id != 0)
+            if (ref.edits or noop) and not _REF_ID.fullmatch(str(ref.ref_id)):
                 raise FormatError(
                     f"pair {ref.source_id!r}: reference id {ref.ref_id!r} cannot be "
                     "written to an M2 file"
                 )
-            if not ref.edits and len(refs) > 1:
+            if noop:
                 out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref.ref_id))))
             for e in ref.edits:
                 repl = e.replacement or EMPTY_REPLACEMENT_MARK

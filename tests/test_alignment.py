@@ -18,6 +18,7 @@ from zhcorrect import (
 )
 from zhcorrect.alignment import _furthest_reach
 from zhcorrect.cli import main
+from zhcorrect.synthetic import make_suite
 
 from oracles import ORACLE_MAX_TOTAL_UNITS, oracle_min_cost
 
@@ -495,6 +496,115 @@ def _core(src, tgt):
     p = len(os.path.commonprefix([src, tgt]))
     s = len(os.path.commonprefix([src[p:][::-1], tgt[p:][::-1]]))
     return src[p : len(src) - s], tgt[p : len(tgt) - s]
+
+
+def _has_closed_form(src, tgt):
+    """Whether align returns the pair's codes without a table: its core is
+    one unit against at most one, or two equal-length runs that differ only
+    at their two end units."""
+    x, y = _core(src, tgt)
+    return len(x) + len(y) == 1 or (len(x) == len(y) and x[1:-1] == y[1:-1])
+
+
+@pytest.mark.parametrize(
+    ("src", "tgt", "ops"),
+    [
+        # No prefix and no suffix.
+        ("X", "Y", "S"),
+        ("X", "", "D"),
+        ("", "Y", "I"),
+        ("XY", "ZW", "SS"),
+        ("X学生Y", "Z学生W", "SMMS"),
+        # No prefix, or no suffix.
+        ("Xab", "ab", "DMM"),
+        ("ab", "abY", "MMI"),
+        ("abXcY", "abZcW", "MMSMS"),
+        # A core next to a run of its own unit.
+        ("aab", "ab", "MDM"),
+        ("ab", "aab", "MIM"),
+        ("abba", "abca", "MMSM"),
+        ("abab", "bbaa", "SMMS"),
+        ("甲乙丙丁戊", "己乙丙丁庚", "SMMMS"),
+    ],
+)
+def test_closed_form_cores(src, tgt, ops):
+    assert _has_closed_form(src, tgt)
+    assert align(src, tgt) == ops
+    assert _untrimmed_align(src, tgt) == ops
+    assert _full_table_align(src, tgt) == ops
+
+
+@pytest.mark.parametrize(
+    ("src", "tgt", "ops"),
+    [
+        # A (0, 2) core: the greedy tail matches inside the insertion run.
+        ("ac", "abcc", "MIMI"),
+        # Equal lengths, but the distance 2 is below the Hamming distance 3.
+        ("abc", "bcd", "DMMI"),
+        ("xbb", "yb", "SMD"),
+    ],
+)
+def test_cores_next_to_the_closed_forms_take_a_table(src, tgt, ops):
+    assert not _has_closed_form(src, tgt)
+    assert align(src, tgt) == ops
+    assert _untrimmed_align(src, tgt) == ops
+    assert _full_table_align(src, tgt) == ops
+
+
+def test_planted_one_unit_and_two_end_changes_match_the_oracles():
+    # One substitution, insertion or deletion, or two substitutions 1-40
+    # units apart, in texts over 1-4 units: runs of equal units around the
+    # change move the trimmed core, often off the closed forms.
+    rng = random.Random(24)
+    closed = 0
+    for _ in range(600):
+        alphabet = _CJK[: rng.randint(1, 4)]
+        units = [rng.choice(alphabet) for _ in range(rng.randint(0, 50))]
+        edited = list(units)
+
+        def other(unit):
+            return rng.choice([u for u in _CJK[: len(alphabet) + 1] if u != unit])
+
+        if rng.random() < 0.5 and len(units) >= 2:
+            gap = rng.randint(1, min(40, len(units) - 1))
+            at = rng.randrange(len(units) - gap)
+            edited[at], edited[at + gap] = other(units[at]), other(units[at + gap])
+        else:
+            at = rng.randint(0, len(units))
+            edit = rng.random()
+            if edit < 0.4 and at < len(units):
+                edited[at] = other(units[at])
+            elif edit < 0.7 or at == len(units):
+                edited.insert(at, rng.choice(alphabet))
+            else:
+                del edited[at]
+        src, tgt = "".join(units), "".join(edited)
+        if rng.random() < 0.5:
+            src, tgt = tgt, src
+        ops = align(src, tgt)
+        _assert_valid_path(src, tgt, ops)
+        assert ops == _untrimmed_align(src, tgt), (src, tgt)
+        assert ops == _full_table_align(src, tgt), (src, tgt)
+        closed += src != tgt and _has_closed_form(src, tgt)
+    assert closed >= 300
+
+
+def test_train_inputs_match_the_oracles():
+    # Every source against its first reference in the three training corpora
+    # of make_suite(0): the short, lightly edited pairs that mostly take a
+    # closed form.
+    suite = make_suite(0)
+    closed = unequal = 0
+    for corpus in (suite.stage1, suite.csc, suite.cgc):
+        for pair in corpus.pairs:
+            src, tgt = pair.source, pair.references[0]
+            ops = align(src, tgt)
+            assert ops == _untrimmed_align(src, tgt), (src, tgt)
+            assert ops == _full_table_align(src, tgt), (src, tgt)
+            if src != tgt:
+                unequal += 1
+                closed += _has_closed_form(src, tgt)
+    assert closed >= 0.8 * unequal
 
 
 def _spaced_edits(rng, text, count, alphabet):

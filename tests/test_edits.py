@@ -210,6 +210,17 @@ def test_format_writes_a_noop_line_for_a_reference_without_edits_beside_others()
     assert parse_edit_file(io.StringIO(text))[0].refs == tuple(refs)
 
 
+def test_format_keeps_the_ref_id_of_a_lone_reference_without_edits():
+    # Only ref 0 goes without an "A" line, as a record without one reads back.
+    assert format_edit_records([("甲", [EditSet("0", 0, ())])]) == "S 甲\n\n"
+    refs = (EditSet("0", 5, ()),)
+    text = format_edit_records([("甲", refs)])
+    assert text == "S 甲\nA -1 -1|||noop|||-NONE-|||5\n\n"
+    [record] = parse_edit_file(io.StringIO(text))
+    assert record.refs == refs
+    assert format_edit_records([(record.source, record.refs)]) == text
+
+
 def test_parse_reads_a_noop_line_and_refuses_other_negative_spans():
     text = "S 甲\nA -1 -1|||noop|||-NONE-|||3\n\n"
     assert parse_edit_file(io.StringIO(text))[0].refs == (EditSet("0", 3, ()),)
@@ -263,8 +274,9 @@ def test_format_refuses_a_ref_id_it_could_not_read_back():
         # An empty reference beside another is written as a noop line.
         with pytest.raises(FormatError, match="cannot be written"):
             format_edit_records([("甲", [EditSet("0", ref_id, ()), EditSet("0", 2, edits)])])
-    # A record's only reference without edits writes no ref id at all.
-    assert format_edit_records([("甲", [EditSet("0", -1, ())])]) == "S 甲\n\n"
+        # So is a record's only reference without edits, unless its id is 0.
+        with pytest.raises(FormatError, match=message):
+            format_edit_records([("甲", [EditSet("0", ref_id, ())])])
 
 
 def test_parse_clean_record_yields_implicit_empty_reference():
