@@ -216,13 +216,13 @@ def align(src: str, tgt: str) -> str:
     Two kinds of core, most of those of short sentences with one or two
     edits, have a known path, so align returns its codes without a table:
 
-    - One unit against at most one unit. Against none (len(x) + len(y) ==
-      1) the walk starts on the core's last row or column, so the forced
-      tail runs. Since p is maximal its first run of M is empty: it takes
-      its one D or I first and then matches the suffix, "M" * p + "D" +
-      "M" * s (or I for D). Against one unit the path is "M" * p + "S" +
-      "M" * s, the case len(x) == 1 below. Each is decided right after the
-      prefix cut by one slice comparison, before the suffix search:
+    - One unit against at most one unit. Against none, the walk starts on
+      the core's last row or column, so the forced tail runs. Since p is
+      maximal its first run of M is empty: it takes its one D or I first
+      and then matches the suffix, "M" * p + "D" + "M" * s (or I for D).
+      Against one unit the path is "M" * p + "S" + "M" * s, by the argument
+      below at len(x) == 1. Each is decided right after the prefix cut by
+      one slice comparison, before the suffix search:
       src[p+1:] == tgt[p+1:] at equal lengths (S), src[p+1:] == tgt[p:]
       (D) or src[p:] == tgt[p+1:] (I). At distance 1 this is the single
       diagonal jump that Myers (1986) notes.
