@@ -42,4 +42,4 @@ for policy in (MergePolicy.MAXIMAL_RUNS, MergePolicy.NONE):
 
 # the same content as a gold edit file record
 print()
-print(format_edit_records([(src, [extract_edits(src, tgt, source_id="0")])]), end="")
+print(format_edit_records([(src, [extract_edits(src, tgt)])]), end="")

@@ -26,12 +26,7 @@ print(f"sentence level: P={report.precision:.4f} R={report.recall:.4f} "
 
 # edit level needs gold edits; derive them from the references, then score
 # the same outputs against them
-gold_text = format_edit_records(
-    [
-        (s, [extract_edits(s, r, source_id=str(i))])
-        for i, (s, r, _) in enumerate(rows)
-    ]
-)
+gold_text = format_edit_records([(s, [extract_edits(s, r)]) for s, r, _ in rows])
 print()
 print(gold_text, end="")
 gold = parse_edit_file(io.StringIO(gold_text))

@@ -19,7 +19,6 @@ from .corpus import (
     ParallelPair,
     parse_parallel,
     split,
-    unify,
 )
 from .alignment import align
 from .edits import (
@@ -68,7 +67,7 @@ __all__ = [
     "UsageError", "StructuralError",
     "NormalizePolicy", "units_of",
     "Corpus", "ParallelPair",
-    "parse_parallel", "unify", "split",
+    "parse_parallel", "split",
     "align",
     "Edit", "EditKind", "EditSet", "MergePolicy", "MatchCounts",
     "GoldRecord", "extract_edits", "apply_edits", "match_edits",

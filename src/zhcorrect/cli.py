@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 from . import __version__
 from .alignment import align
 from .artifacts import write_artifact
-from .corpus import Corpus, iter_parallel, iter_plain_lines, parse_lines, parse_parallel, unify
+from .corpus import Corpus, iter_parallel, iter_plain_lines, parse_lines, parse_parallel
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
 from .errors import FormatError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
@@ -131,8 +131,8 @@ def _read_units(path: str, policy: NormalizePolicy) -> list[str]:
 
 
 def _open_corpus(path: str, fmt: str, policy: NormalizePolicy) -> Corpus:
-    """The parallel file at path, named after its stem."""
-    return _read(path, partial(parse_parallel, format=fmt, policy=policy, name=Path(path).stem))
+    """The pairs of the parallel file at path."""
+    return _read(path, partial(parse_parallel, format=fmt, policy=policy))
 
 
 def _emit(args: argparse.Namespace, text: str, inputs: Sequence[str], started: float) -> None:
@@ -249,7 +249,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = NormalizePolicy(args.normalize)
     stage1_corpus = _open_corpus(args.stage1, args.format, policy)
-    joint = unify([_open_corpus(path, args.format, policy) for path in args.stage2], name="joint")
+    # The stage-2 files' pairs in file order, repeats kept: they weight the counts.
+    stage2 = [_open_corpus(path, args.format, policy).pairs for path in args.stage2]
+    joint = Corpus(sum(stage2, ()))
     model0 = initial_model(order=args.order, smoothing_k=args.smoothing_k)
     model1 = fit_stage(model0, stage1_corpus, args.heldout_fraction, args.seed)
     model2 = fit_stage(model1, joint, args.heldout_fraction, args.seed)
@@ -304,7 +306,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
     records = []
     for pair in corpus.pairs:
         refs = tuple(
-            extract_edits(pair.source, ref, merge, source_id=pair.id, ref_id=j)
+            extract_edits(pair.source, ref, merge, ref_id=j)
             for j, ref in enumerate(pair.references)
         )
         records.append((pair.source, refs))

@@ -1,4 +1,4 @@
-"""Parallel correction corpora and plain lines: parsing, unification, splits.
+"""Parallel correction corpora and plain lines: parsing and splits.
 
 File formats (external interfaces):
   * Parallel TSV — UTF-8, LF line endings, TAB-separated, no header, no
@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter, namedtuple
+from collections import namedtuple
 from itertools import chain, filterfalse, islice, repeat, starmap
 from operator import contains, itemgetter, methodcaller
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .errors import ConfigError, FormatError, NormalizationError, UsageError
+from .errors import FormatError, NormalizationError, UsageError
 from .records import Checked, Record
 from .textnorm import (
     NormalizePolicy, any_rejected, canonical_fields, canonical_texts, check_scalars, rejected_in,
@@ -50,21 +50,14 @@ class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
 
 
 class Corpus(Record):
-    """An immutable list of pairs sharing one normalization policy."""
+    """The pairs of a parallel corpus, in order. The package needs no more
+    than the tuple: Corpus remains as the holder of ``.pairs`` that the
+    benchmark harness (perfbench) reads."""
 
-    __slots__ = _fields = ("name", "pairs", "policy")
+    __slots__ = _fields = ("pairs",)
 
-    def __init__(
-        self,
-        name: str,
-        pairs: tuple[ParallelPair, ...],
-        policy: NormalizePolicy = NormalizePolicy.DEFAULT,
-    ) -> None:
-        ids = [p.id for p in pairs]
-        if len(set(ids)) != len(ids):
-            dupe = next(i for i, c in Counter(ids).items() if c > 1)
-            raise UsageError(f"corpus {name!r} has duplicate pair id {dupe!r}")
-        self._set(name, pairs, policy)
+    def __init__(self, pairs: tuple[ParallelPair, ...]) -> None:
+        self._set(pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -224,41 +217,9 @@ def parse_parallel(
     stream: Iterable[str],
     format: str = "tsv",
     policy: NormalizePolicy = NormalizePolicy.DEFAULT,
-    name: str = "corpus",
 ) -> Corpus:
-    """The pairs iter_parallel(stream, format, policy) yields, as a Corpus
-    named name."""
-    return Corpus(name, tuple(starmap(ParallelPair, iter_parallel(stream, format, policy))), policy)
-
-
-def unify(parts: Sequence[Corpus], name: str = "joint") -> Corpus:
-    """Concatenate corpora into one joint corpus.
-
-    Duplicates across parts are kept: training objectives weight pairs by
-    empirical frequency, so deduplication would silently reweight the
-    mixture. Pair ids are re-namespaced by source corpus name.
-    """
-    if not parts:
-        raise UsageError("unify needs at least one corpus")
-    policy = parts[0].policy
-    for part in parts[1:]:
-        if part.policy != policy:
-            raise ConfigError(
-                f"corpus {part.name!r} was normalized under a different policy "
-                f"than {parts[0].name!r}; unify requires one shared policy"
-            )
-    # Re-namespace ids; disambiguate repeated part names so ids stay unique.
-    name_counts = Counter(part.name for part in parts)
-    seen_names: Counter = Counter()
-    pairs: list[ParallelPair] = []
-    for part in parts:
-        ns = part.name
-        if name_counts[part.name] > 1:
-            ns = f"{part.name}#{seen_names[part.name]}"
-        seen_names[part.name] += 1
-        for p in part:
-            pairs.append(ParallelPair(id=f"{ns}:{p.id}", source=p.source, references=p.references))
-    return Corpus(name=name, pairs=tuple(pairs), policy=policy)
+    """The pairs iter_parallel(stream, format, policy) yields, as a Corpus."""
+    return Corpus(tuple(starmap(ParallelPair, iter_parallel(stream, format, policy))))
 
 
 def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -277,14 +238,6 @@ def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, C
     random.Random(seed).shuffle(indices)
     heldout_idx = sorted(indices[:n_heldout])
     train_idx = sorted(indices[n_heldout:])
-    train = Corpus(
-        name=f"{corpus.name}-train",
-        pairs=tuple(corpus.pairs[i] for i in train_idx),
-        policy=corpus.policy,
-    )
-    heldout = Corpus(
-        name=f"{corpus.name}-heldout",
-        pairs=tuple(corpus.pairs[i] for i in heldout_idx),
-        policy=corpus.policy,
-    )
+    train = Corpus(tuple(corpus.pairs[i] for i in train_idx))
+    heldout = Corpus(tuple(corpus.pairs[i] for i in heldout_idx))
     return train, heldout

@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .alignment import align
 from .corpus import iter_lines
-from .errors import FormatError, StructuralError, UsageError
+from .errors import FormatError, StructuralError
 from .records import Checked, Record
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
@@ -86,9 +86,9 @@ class Edit(Checked, namedtuple("Edit", "start end replacement")):
 class EditSet(Record):
     """Sorted, non-overlapping edits against one source sentence."""
 
-    __slots__ = _fields = ("source_id", "ref_id", "edits")
+    __slots__ = _fields = ("ref_id", "edits")
 
-    def __init__(self, source_id: str, ref_id: int, edits: tuple[Edit, ...]) -> None:
+    def __init__(self, ref_id: int, edits: tuple[Edit, ...]) -> None:
         for prev, cur in zip(edits, edits[1:]):
             if prev.end > cur.start:
                 raise StructuralError(
@@ -96,7 +96,7 @@ class EditSet(Record):
                 )
             if prev.start == prev.end == cur.start == cur.end:
                 raise StructuralError(f"two insertions at the same point {cur.start}")
-        self._set(source_id, ref_id, edits)
+        self._set(ref_id, edits)
 
     def __len__(self) -> int:
         return len(self.edits)
@@ -115,7 +115,6 @@ def extract_edits(
     src: str,
     tgt: str,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
-    source_id: str = "",
     ref_id: int = 0,
 ) -> EditSet:
     """The edits that turn src into tgt, read off align(src, tgt).
@@ -137,7 +136,7 @@ def extract_edits(
         dels += ops.count("D", start, stop)
         at = stop
         edits.append(Edit(src_start, stop - ins, tgt[tgt_start : stop - dels]))
-    return EditSet(source_id=source_id, ref_id=ref_id, edits=tuple(edits))
+    return EditSet(ref_id=ref_id, edits=tuple(edits))
 
 
 def apply_edits(src: str, edits: EditSet) -> str:
@@ -154,10 +153,6 @@ def apply_edits(src: str, edits: EditSet) -> str:
 
 def match_edits(hyp: EditSet, gold: EditSet) -> MatchCounts:
     """Exact-identity edit overlap: tp = |hyp ∩ gold| on (start, end, replacement)."""
-    if hyp.source_id != gold.source_id:
-        raise UsageError(
-            f"edit sets refer to different sources: {hyp.source_id!r} vs {gold.source_id!r}"
-        )
     h, g = set(hyp.edits), set(gold.edits)
     return MatchCounts(tp=len(h & g), fp=len(h - g), fn=len(g - h))
 
@@ -169,7 +164,6 @@ def match_edits(hyp: EditSet, gold: EditSet) -> MatchCounts:
 class GoldRecord(NamedTuple):
     """One source sentence plus its reference edit sets (one per annotator)."""
 
-    source_id: str
     source: str
     refs: tuple[EditSet, ...]
 
@@ -180,20 +174,28 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
     as parse_edit_file reads a record without "A" lines, and a noop line
     otherwise. Text parse_edit_file would not read back as written is a
     FormatError: a source with a line feed or a final carriage return, a
-    ref id on an "A" line that is not a non-negative int, or a replacement
-    with a line feed, equal to EMPTY_REPLACEMENT_MARK, or not split back out
-    of its "A" line (it holds "|||" or ends in "|")."""
+    record without references (read back as one empty ref 0) or with two of
+    one ref id (read back as one reference), a ref id on an "A" line that is
+    not a non-negative int, or a replacement with a line feed, equal to
+    EMPTY_REPLACEMENT_MARK, or not split back out of its "A" line (it holds
+    "|||" or ends in "|"). Each message but the source's names the record
+    by its position among the records, from 0."""
     out: list[str] = []
-    for source, refs in records:
+    for i, (source, refs) in enumerate(records):
         if "\n" in source or source.endswith("\r"):
             raise FormatError(f"source {source!r} cannot be written as an M2 'S' line")
+        if not refs:
+            raise FormatError(f"record {i} has no reference to write to an M2 file")
         out.append(f"S {source}")
-        for ref in sorted(refs, key=lambda r: r.ref_id):
+        refs = sorted(refs, key=lambda r: r.ref_id)
+        for prev, ref in zip(refs, refs[1:]):
+            if prev.ref_id == ref.ref_id:
+                raise FormatError(f"record {i}: two references have ref id {ref.ref_id!r}")
+        for ref in refs:
             noop = not ref.edits and (len(refs) > 1 or ref.ref_id != 0)
             if (ref.edits or noop) and not _REF_ID.fullmatch(str(ref.ref_id)):
                 raise FormatError(
-                    f"pair {ref.source_id!r}: reference id {ref.ref_id!r} cannot be "
-                    "written to an M2 file"
+                    f"record {i}: reference id {ref.ref_id!r} cannot be written to an M2 file"
                 )
             if noop:
                 out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref.ref_id))))
@@ -204,7 +206,7 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
                 unreadable = "\n" in repl or e.replacement == EMPTY_REPLACEMENT_MARK
                 if unreadable or line.split("|||") != fields:
                     raise FormatError(
-                        f"pair {ref.source_id!r}, reference {ref.ref_id}: replacement "
+                        f"record {i}, reference {ref.ref_id}: replacement "
                         f"{e.replacement!r} cannot be written to an M2 file"
                     )
                 out.append("A " + line)
@@ -230,22 +232,17 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
         nonlocal source, by_ref
         if source is None:
             return
-        sid = str(len(records))
         try:
             if by_ref:
                 refs = tuple(
-                    EditSet(
-                        source_id=sid,
-                        ref_id=rid,
-                        edits=tuple(sorted(by_ref[rid], key=lambda e: (e.start, e.end))),
-                    )
+                    EditSet(rid, tuple(sorted(by_ref[rid], key=lambda e: (e.start, e.end))))
                     for rid in sorted(by_ref)
                 )
             else:
-                refs = (EditSet(source_id=sid, ref_id=0, edits=()),)
+                refs = (EditSet(0, ()),)
         except StructuralError as exc:
             raise FormatError(f"record ending at line {lineno}: {exc}") from exc
-        records.append(GoldRecord(source_id=sid, source=source, refs=refs))
+        records.append(GoldRecord(source, refs))
         source, by_ref = None, {}
 
     lineno = 0

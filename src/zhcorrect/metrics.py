@@ -129,8 +129,7 @@ def sentence_edit_counts(
     """
     if not gold_refs:
         raise UsageError("sentence has no gold references")
-    sid = gold_refs[0].source_id
-    hyp_set = extract_edits(source, hypothesis, merge, source_id=sid)
+    hyp_set = extract_edits(source, hypothesis, merge)
     best: MatchCounts | None = None
     best_f = -1.0
     for ref in sorted(gold_refs, key=lambda r: r.ref_id):

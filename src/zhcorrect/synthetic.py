@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from .corpus import Corpus, ParallelPair, unify
+from .corpus import Corpus, ParallelPair
 
 WORD_INVENTORY: tuple[str, ...] = (
     "今天", "天气", "很好", "我们", "学校", "学生", "老师", "工作", "做饭", "吃饭",
@@ -94,7 +94,7 @@ def _spelling_corpus(name: str, size: int, rng: random.Random, force: bool) -> C
     for i in range(size):
         clean = _sentence(rng, force_eligible=force)
         pairs.append(_pair(f"{name}-{i:04d}", _substitute(rng, clean, force), clean))
-    return Corpus(name, tuple(pairs))
+    return Corpus(tuple(pairs))
 
 
 def _grammar_corpus(name: str, size: int, rng: random.Random) -> Corpus:
@@ -102,7 +102,7 @@ def _grammar_corpus(name: str, size: int, rng: random.Random) -> Corpus:
     for i in range(size):
         clean = _sentence(rng)
         pairs.append(_pair(f"{name}-{i:04d}", _length_error(rng, clean), clean))
-    return Corpus(name, tuple(pairs))
+    return Corpus(tuple(pairs))
 
 
 def _mixed_corpus(name: str, size: int, rng: random.Random) -> Corpus:
@@ -113,7 +113,7 @@ def _mixed_corpus(name: str, size: int, rng: random.Random) -> Corpus:
         if rng.random() < 0.3:
             corrupt = _length_error(rng, corrupt)
         pairs.append(_pair(f"{name}-{i:04d}", corrupt, clean))
-    return Corpus(name, tuple(pairs))
+    return Corpus(tuple(pairs))
 
 
 def make_suite(
@@ -133,7 +133,7 @@ def make_suite(
     stage1 = _mixed_corpus("syn-align", stage1_size, rng)
     csc = _spelling_corpus("syn-csc", csc_size, rng, force=False)
     cgc = _grammar_corpus("syn-cgc", cgc_size, rng)
-    joint = unify([csc, cgc], name="syn-joint")
+    joint = Corpus(csc.pairs + cgc.pairs)
     eval_rng = random.Random(seed + 7919)
     eval_csc = _spelling_corpus("syn-eval", eval_size, eval_rng, force=True)
     return SyntheticSuite(stage1=stage1, csc=csc, cgc=cgc, joint=joint, eval_csc=eval_csc)

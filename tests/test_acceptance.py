@@ -140,7 +140,7 @@ def test_criterion_5_scorer_fixed_points():
 
     gold_text = format_edit_records(
         [
-            (s, [extract_edits(s, r, source_id=str(i))])
+            (s, [extract_edits(s, r)])
             for i, (s, r) in enumerate(zip(sources, refs))
         ]
     )

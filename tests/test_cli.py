@@ -539,6 +539,28 @@ def test_train_writes_the_pinned_model_bytes_at_other_orders(tmp_path, capsys, o
     assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
 
 
+def test_train_reads_pairs_by_position_not_by_id(tmp_path, capsys):
+    # The stage-2 files are joined in file order, whatever their ids: JSONL
+    # files whose ids repeat across files train the model their rows give as
+    # TSV, where an id is a position.
+    suite, tsv_model = _train_pinned(tmp_path)
+    tsv_out = capsys.readouterr().out
+    paths = []
+    for name, corpus in (("stage1", suite.stage1), ("csc", suite.csc), ("cgc", suite.cgc)):
+        rows = (
+            {"id": str(i), "source": p.source, "references": list(p.references)}
+            for i, p in enumerate(corpus.pairs)
+        )
+        text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
+        paths.append(_write(tmp_path / f"{name}.jsonl", text))
+    model = tmp_path / "jsonl-model.json"
+    argv = ["train", "--stage1", paths[0], "--stage2", *paths[1:], "--format", "jsonl"]
+    assert main([*argv, "--seed", "0", "--out", str(model)]) == 0
+    assert capsys.readouterr().out == tsv_out
+    assert model.read_bytes() == tsv_model.read_bytes()
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == _PINNED_MODEL_SHA256
+
+
 def test_correct_writes_the_pinned_output(tmp_path, capsys):
     # Decoding's promise is byte-identical output too: the corrected lines of
     # make_suite(0).eval_csc under the pinned model.
@@ -967,7 +989,8 @@ def test_cli_import_leaves_the_process_pool_unimported():
 
 
 def test_train_on_repeated_pairs_leaves_logging_unimported(tmp_path):
-    # unify keeps exact duplicates and reports nothing about them.
+    # Training keeps exact duplicates, within a file and across files, and
+    # reports nothing about them.
     stage1 = _tsv(tmp_path / "stage1.tsv", [("天汽", "天气"), ("学生", "学生")])
     csc = _tsv(tmp_path / "csc.tsv", [("天汽", "天气"), ("天汽", "天气")])
     cgc = _tsv(tmp_path / "cgc.tsv", [("天汽", "天气")])
@@ -1100,7 +1123,8 @@ def test_pmap_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, jobs, n_it
 def test_extract_edits_refuses_a_replacement_m2_cannot_hold(tmp_path, capsys, reference, shown, out):
     # A file it wrote would not read back: a replacement holding "|||" or
     # ending in "|" splits into other fields, and a literal "-NONE-" reads
-    # back as a deletion. Exit 2 names the pair, and nothing is written.
+    # back as a deletion. Exit 2 names the record by its position, and nothing
+    # is written.
     parallel = _tsv(tmp_path / "par.tsv", [("甲乙", "甲乙"), ("abc", reference)])
     gold = tmp_path / "gold.m2"
     argv = ["extract-edits", parallel] + (["--out", str(gold)] if out else [])
@@ -1108,6 +1132,6 @@ def test_extract_edits_refuses_a_replacement_m2_cannot_hold(tmp_path, capsys, re
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: pair '1', reference 0: replacement {shown} cannot be written to an M2 file\n"
+        f"error: record 1, reference 0: replacement {shown} cannot be written to an M2 file\n"
     )
     assert not gold.exists() and sorted(os.listdir(tmp_path)) == ["par.tsv"]

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zhcorrect import (
-    ConfigError,
     Corpus,
     FormatError,
     NormalizationError,
@@ -16,7 +15,6 @@ from zhcorrect import (
     NormalizePolicy,
     parse_parallel,
     split,
-    unify,
     units_of,
 )
 from zhcorrect.corpus import _BLOCK_LINES, iter_lines, iter_parallel, iter_plain_lines, parse_lines
@@ -25,12 +23,12 @@ from zhcorrect.synthetic import make_suite
 _POLICIES = list(NormalizePolicy)
 
 
-def _corpus_of(texts, name="c"):
+def _corpus_of(texts):
     pairs = tuple(
         ParallelPair(str(i), src, tuple(refs))
         for i, (src, *refs) in enumerate(texts)
     )
-    return Corpus(name, pairs)
+    return Corpus(pairs)
 
 
 def test_tsv_single_record():
@@ -124,56 +122,6 @@ def test_unknown_format_rejected():
         parse_parallel(io.StringIO(""), format="csv")
 
 
-def test_unify_sizes_and_tag():
-    a = _corpus_of([("一", "壹"), ("二", "贰"), ("三", "叁")], name="a")
-    b = _corpus_of([("四", "肆"), ("五", "伍")], name="b")
-    joint = unify([a, b])
-    assert len(joint) == 5
-    assert joint.name == "joint"
-    assert [p.id for p in joint][:3] == ["a:0", "a:1", "a:2"]
-
-
-def test_unify_singleton_identity_up_to_ids():
-    a = _corpus_of([("甲", "乙"), ("丙", "丁")], name="only")
-    joint = unify([a])
-    assert [p.source for p in joint] == [p.source for p in a]
-    assert [p.references for p in joint] == [p.references for p in a]
-    assert [p.id for p in joint] == ["only:0", "only:1"]
-
-
-def test_unify_proportions_448():
-    csc = _corpus_of([(f"源{i}", f"参{i}") for i in range(380)], name="csc-sample")
-    cgc = _corpus_of([(f"文{i}", f"正{i}") for i in range(68)], name="cgc-sample")
-    joint = unify([csc, cgc])
-    assert len(joint) == 448
-
-
-def test_unify_policy_mismatch_is_config_error():
-    a = _corpus_of([("一", "二")], name="a")
-    b = Corpus("b", a.pairs, policy=NormalizePolicy.NONE)
-    with pytest.raises(ConfigError):
-        unify([a, b])
-
-
-def test_unify_empty_parts_rejected():
-    with pytest.raises(UsageError):
-        unify([])
-
-
-def test_unify_repeated_part_names_stay_unique():
-    a = _corpus_of([("一", "二")], name="x")
-    b = _corpus_of([("三", "四")], name="x")
-    joint = unify([a, b])
-    assert len({p.id for p in joint}) == 2
-
-
-def test_unify_keeps_duplicates():
-    a = _corpus_of([("同", "样")], name="a")
-    b = _corpus_of([("同", "样")], name="b")
-    joint = unify([a, b])
-    assert len(joint) == 2
-
-
 def test_split_sizes_partition_determinism():
     corpus = _corpus_of([(f"源{i}", f"参{i}") for i in range(10)])
     train, heldout = split(corpus, 0.2, seed=7)
@@ -211,15 +159,17 @@ def test_split_argument_errors():
         with pytest.raises(UsageError):
             split(corpus, bad, seed=0)
     with pytest.raises(UsageError):
-        split(Corpus("e", ()), 0.5, seed=0)
+        split(Corpus(()), 0.5, seed=0)
 
 
 def test_pair_requires_reference_and_unique_ids():
     with pytest.raises(UsageError):
         ParallelPair("p", "源", ())
-    pair = ParallelPair("p", "源", ("参",))
-    with pytest.raises(UsageError):
-        Corpus("c", (pair, pair))
+    # Ids are unique where a file names them: the JSONL reader refuses a
+    # repeated one, and a TSV pair's id is its position.
+    text = '{"id": "p", "source": "源", "references": ["参"]}\n' * 2
+    with pytest.raises(FormatError, match="^line 2: duplicate pair id 'p'$"):
+        parse_parallel(io.StringIO(text), "jsonl")
 
 
 def test_split_property_random():
@@ -258,7 +208,7 @@ def _located(line: str, lineno: int, exc: NormalizationError) -> NormalizationEr
     return NormalizationError(f"line {lineno}: {exc}")
 
 
-def _oracle_parse_tsv(stream, policy=NormalizePolicy.DEFAULT, name="corpus"):
+def _oracle_parse_tsv(stream, policy=NormalizePolicy.DEFAULT):
     pairs: list[ParallelPair] = []
     seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
@@ -272,12 +222,12 @@ def _oracle_parse_tsv(stream, policy=NormalizePolicy.DEFAULT, name="corpus"):
             raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
         seen_ids.add(pair.id)
         pairs.append(pair)
-    return Corpus(name=name, pairs=tuple(pairs), policy=policy)
+    return Corpus(tuple(pairs))
 
 
 def _both_parses(text, policy):
-    got = parse_parallel(io.StringIO(text), "tsv", policy, name="n")
-    want = _oracle_parse_tsv(io.StringIO(text), policy, name="n")
+    got = parse_parallel(io.StringIO(text), "tsv", policy)
+    want = _oracle_parse_tsv(io.StringIO(text), policy)
     return got, want
 
 
@@ -519,8 +469,8 @@ def test_parse_parallel_collects_what_iter_parallel_yields():
     text = '{"id": "b", "source": "天汽", "references": ["天气", "天汽"]}\n'
     for format, stream in (("tsv", "# c\n天汽\t天气\n学圣\t学生\t学圣\n"), ("jsonl", text)):
         rows = list(iter_parallel(io.StringIO(stream), format))
-        corpus = parse_parallel(io.StringIO(stream), format, name="n")
-        assert corpus.name == "n" and list(corpus) == [ParallelPair(*row) for row in rows]
+        corpus = parse_parallel(io.StringIO(stream), format)
+        assert list(corpus) == [ParallelPair(*row) for row in rows]
 
 
 def test_iter_parallel_rejects_an_unknown_format_before_reading():
@@ -611,7 +561,7 @@ def _round_trip_corpus(data, pieces, policy):
     for i in range(data.draw(st.integers(0, 5))):
         source, *refs = data.draw(st.lists(text, min_size=2, max_size=4))
         pairs.append(ParallelPair(str(i), source, tuple(refs)))
-    return Corpus("corpus", tuple(pairs), policy)
+    return Corpus(tuple(pairs))
 
 
 @pytest.mark.parametrize("policy", _POLICIES, ids=["default", "none", "widthfold"])

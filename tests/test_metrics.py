@@ -296,12 +296,12 @@ def test_score_cgc_counts_a_reference_without_edits_from_the_file_as_in_memory()
     # file and the do-nothing hypothesis matches it, not the edited one.
     source = "甲乙丙"
     refs = tuple(
-        extract_edits(source, ref, source_id="0", ref_id=j)
+        extract_edits(source, ref, ref_id=j)
         for j, ref in enumerate(("甲乙丙", "甲丁丙"))
     )
     gold_text = format_edit_records([(source, refs)])
     assert "A -1 -1|||noop|||-NONE-|||0\n" in gold_text
-    for gold in ([GoldRecord("0", source, refs)], parse_edit_file(io.StringIO(gold_text))):
+    for gold in ([GoldRecord(source, refs)], parse_edit_file(io.StringIO(gold_text))):
         assert score_cgc([(source, source)], gold).counts == MatchCounts(0, 0, 0)
 
 

@@ -22,17 +22,9 @@ def test_default_sizes():
     assert len(suite.eval_csc) == 200
 
 
-def test_tags_and_names():
-    suite = _small()
-    names = [corpus.name for corpus in suite]
-    assert names == ["syn-align", "syn-csc", "syn-cgc", "syn-joint", "syn-eval"]
-
-
 def test_ids_are_stable_and_patterned():
     suite = _small()
     assert all(re.fullmatch(r"syn-align-\d{4}", p.id) for p in suite.stage1.pairs)
-    # unified ids carry the part name
-    assert all(p.id.startswith(("syn-csc:", "syn-cgc:")) for p in suite.joint.pairs)
 
 
 def test_deterministic_per_seed():
