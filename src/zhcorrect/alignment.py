@@ -113,44 +113,53 @@ def _furthest_reach(x: str, y: str) -> list[list[int]] | None:
     return None
 
 
-def _walk_reach(x: str, y: str, reach: list[list[int]], ops: list[str]) -> tuple[int, int]:
-    """The core walk on suffix costs read from a furthest-reach table.
+def _within_reach(reach: list[list[int]], r: int, c: int, e: int) -> bool:
+    """Whether E[r][c] <= e, read from a furthest-reach table."""
+    k = r - c
+    return -e <= k <= e and reach[e][k + e] >= r
 
-    D[i][j] <= e exactly when reach[e][k+e] >= n-i, with k = (n-i) - (m-j)
-    and |k| <= e. At a mismatch D[i][j] = here >= 1, and a step is optimal
-    when its cell's cost is here-1, so one lookup in level here-1 answers
-    each question. A run of matches is one _run_length call. Appends the
-    codes to ops and returns where the walk stopped: (i, j) with
-    i == len(x) or j == len(y).
+
+def _within_rows(rows: tuple[list[int], list[int]], r: int, c: int, e: int) -> bool:
+    """Whether E[r][c] <= e, read from the bit-parallel rows."""
+    pvs, mvs = rows
+    mask = (1 << c) - 1
+    return r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count() <= e
+
+
+def _walk(src: str, tgt: str, p: int, nx: int, my: int, here: int, within, table) -> str:
+    """The codes of align's walk from (p, p), here being that cell's cost.
+
+    Cell (i, j) is the core's E[r][c], r = p+nx-i and c = p+my-j. A run of
+    matches is one _run_length call. At a mismatch a step is optimal when
+    its cell's cost is here-1: within(table, r, c, e) tests E[r][c] <= e in
+    the table, and past its last row or column the cost is |r - c|.
     """
-    nx, my = len(x), len(y)
-    here = len(reach) - 1
-    i = j = 0
-    while i < nx and j < my:
-        if x[i] == y[j]:
+    n, m = len(src), len(tgt)
+    ops = ["M" * p]
+    i = j = p
+    while i < n and j < m:
+        if src[i] == tgt[j]:
             # With unit costs a match is always an optimal continuation.
-            run = _run_length(x[i:], y[j:])
+            run = _run_length(src[i:], tgt[j:])
             ops.append("M" * run)
             i += run
             j += run
             continue
         here -= 1
-        level = reach[here]
-        # t indexes the diagonal of (i+1, j+1) in the level, t-1 that of
-        # (i+1, j); the walk only asks about searched diagonals.
-        t = (nx - i) - (my - j) + here
-        r = nx - i - 1
-        if 0 <= t <= 2 * here and level[t] >= r:
+        r = p + nx - i
+        c = p + my - j
+        if within(table, r - 1, c - 1, here) if r > 0 and c > 0 else abs(r - c) <= here:
             ops.append("S")
             i += 1
             j += 1
-        elif 0 < t <= 2 * here + 1 and level[t - 1] >= r:
+        elif within(table, r - 1, c, here) if r > 0 and c >= 0 else abs(r - 1 - c) <= here:
             ops.append("D")
             i += 1
         else:
             ops.append("I")
             j += 1
-    return i, j
+    ops.append("D" * (n - i) + "I" * (m - j))
+    return "".join(ops)
 
 
 def align(src: str, tgt: str) -> str:
@@ -170,9 +179,8 @@ def align(src: str, tgt: str) -> str:
     - A core of at least _LONG_CORE source units is first searched for its
       furthest-reach table (_furthest_reach), which costs O((n+m)*D) at
       distance D and holds (D+1)**2 ints. The search gives up above
-      D = isqrt(n). On the table, the walk jumps each run of matches with
-      one _run_length call and answers each question at a mismatch with one
-      lookup (_walk_reach).
+      D = isqrt(n). On the table, E[r][c] <= e is one lookup
+      (_within_reach).
     - Any other core, and one whose search gave up, is walked on the
       bit-parallel edit-distance recurrence of G. Myers ("A fast bit-vector
       algorithm for approximate string matching based on dynamic
@@ -180,7 +188,7 @@ def align(src: str, tgt: str) -> str:
       ("Explaining and extending the bit-parallel approximate string
       matching algorithm of Myers", 2001). Bit c-1 of a row's vectors is
       the vertical delta E[r][c] - E[r][c-1], +1 in Pv and -1 in Mv, and
-      E[r][0] = r. Row r = n-i then gives
+      E[r][0] = r. Row r = n-i then gives, as _within_rows reads it,
 
           D[i][j] = (n-i) + popcount(Pv & mask) - popcount(Mv & mask),
           mask = (1 << (m-j)) - 1.
@@ -197,29 +205,31 @@ def align(src: str, tgt: str) -> str:
     the pair: what is left of src and tgt after cutting their common prefix
     of p units and then the common suffix w (s units) of the rests. As in
     E. W. Myers ("An O(ND) difference algorithm and its variations",
-    Algorithmica 1(2), 1986) the free diagonal runs come first. The rest of
-    the walk is forced, so the ops are those of the whole-pair table:
+    Algorithmica 1(2), 1986) the free diagonal runs come first. One walk
+    (_walk) then runs from (p, p) to both ends, and its ops are those of
+    the whole-pair table:
 
     - the walk takes M on every equal pair, so the prefix is "M" * p;
     - ed(x' + w, y' + w) = ed(x', y') at unit costs, so every cost the walk
       reads inside the core box, up to and including its last row and
       column, equals the same cell of the core's own table;
-    - once the walk reaches the core's last row or column, one side's rest
-      is w and the other's is a tail of the core followed by w. The cost
-      left is then the length gap, which S can never keep, so each step is
-      M on equal units and otherwise I (the source core is used up) or D
-      (the target core is). At the corner this is "M" * s, returned at once.
+    - past the core's last row or column, one side's rest is a suffix of
+      the other's: a tail of w against a tail of the core followed by w, or
+      against a longer tail of w. The cost left is then the length gap |r - c|, which S can
+      never keep, since S leaves the gap as it is. So each step is M on
+      equal units and otherwise I (the target's rest is longer) or D (the
+      source's is).
 
-    The greedy tail, not "M" * s appended after the core's D/I rest, keeps
-    the tie-break: xbb/yb aligns as SMD, not SDM.
+    Walking on through the suffix, not appending "M" * s after the core's
+    D/I rest, keeps the tie-break: xbb/yb aligns as SMD, not SDM.
 
     Two kinds of core, most of those of short sentences with one or two
     edits, have a known path, so align returns its codes without a table:
 
     - One unit against at most one unit. Against none, the walk starts on
-      the core's last row or column, so the forced tail runs. Since p is
-      maximal its first run of M is empty: it takes its one D or I first
-      and then matches the suffix, "M" * p + "D" + "M" * s (or I for D).
+      the core's last row or column, where the gap decides. Since p is
+      maximal its first step is not M: it takes its one D or I first and
+      then matches the suffix, "M" * p + "D" + "M" * s (or I for D).
       Against one unit the path is "M" * p + "S" + "M" * s, by the argument
       below at len(x) == 1. Each is decided right after the prefix cut by
       one slice comparison, before the suffix search:
@@ -255,83 +265,32 @@ def align(src: str, tgt: str) -> str:
     # Equal cores of two or more units that differ only at their two ends:
     if nx == my and x[1:-1] == y[1:-1]:
         return "M" * p + "S" + "M" * (nx - 2) + "S" + "M" * s
-    ops = ["M" * p]
     reach = _furthest_reach(x, y) if nx >= _LONG_CORE else None
     if reach is not None:
-        i, j = _walk_reach(x, y, reach, ops)
-    else:
-        full = (1 << my) - 1
-        # peq[u] has bit c-1 set where y[my-c] == u: the target core, reversed.
-        peq: dict[str, int] = {}
-        bit = 1 << my
-        for unit in y:
-            bit >>= 1
-            peq[unit] = peq.get(unit, 0) | bit
+        return _walk(src, tgt, p, nx, my, len(reach) - 1, _within_reach, reach)
+    full = (1 << my) - 1
+    # peq[u] has bit c-1 set where y[my-c] == u: the target core, reversed.
+    peq: dict[str, int] = {}
+    bit = 1 << my
+    for unit in y:
+        bit >>= 1
+        peq[unit] = peq.get(unit, 0) | bit
 
-        pvs, mvs = [full], [0]
-        pv, mv = full, 0
-        for unit in reversed(x):
-            eq = peq.get(unit, 0)
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | (~(xh | pv) & full)
-            mh = pv & xh
-            # Row 0 of E grows by one per source unit: shift in a +1.
-            ph = ((ph << 1) | 1) & full
-            mh = (mh << 1) & full
-            pv = mh | (~(xv | ph) & full)
-            mv = ph & xv
-            pvs.append(pv)
-            mvs.append(mv)
-
-        i = j = 0
-        here = nx + pv.bit_count() - mv.bit_count()
-        while i < nx and j < my:
-            if x[i] == y[j]:
-                # With unit costs a match is always an optimal continuation.
-                ops.append("M")
-                i += 1
-                j += 1
-                continue
-            r = nx - i - 1
-            mask = (1 << (my - j - 1)) - 1
-            diag = r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count()
-            if diag + 1 == here:
-                ops.append("S")
-                i += 1
-                j += 1
-                here = diag
-                continue
-            mask = (mask << 1) | 1
-            up = r + (pvs[r] & mask).bit_count() - (mvs[r] & mask).bit_count()
-            if up + 1 == here:
-                ops.append("D")
-                i += 1
-                here = up
-            else:
-                ops.append("I")
-                j += 1
-                here -= 1
-
-    if i == nx and j == my:  # both cores are used up: the rest is the suffix
-        return "".join(ops) + "M" * s
-    # The forced tail: runs of M, each ended by the one op that skips a unit
-    # of the longer rest, until one side is used up.
-    skip = "I" if i == nx else "D"
-    i += p
-    j += p
-    while True:
-        run = _run_length(src[i:], tgt[j:])
-        ops.append("M" * run)
-        i += run
-        j += run
-        if i == n or j == m:
-            break
-        ops.append(skip)
-        if skip == "I":
-            j += 1
-        else:
-            i += 1
-    ops.append("D" * (n - i) + "I" * (m - j))
-    return "".join(ops)
+    pvs, mvs = [full], [0]
+    pv, mv = full, 0
+    for unit in reversed(x):
+        eq = peq.get(unit, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        # Row 0 of E grows by one per source unit: shift in a +1.
+        ph = ((ph << 1) | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
+        mv = ph & xv
+        pvs.append(pv)
+        mvs.append(mv)
+    here = nx + pv.bit_count() - mv.bit_count()
+    return _walk(src, tgt, p, nx, my, here, _within_rows, (pvs, mvs))
 

@@ -175,8 +175,8 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
     otherwise. Text parse_edit_file would not read back as written is a
     FormatError: a source with a line feed or a final carriage return, a
     record without references (read back as one empty ref 0) or with two of
-    one ref id (read back as one reference), a ref id on an "A" line that is
-    not a non-negative int, or a replacement with a line feed, equal to
+    one ref id (read back as one reference), a ref id that is not a
+    non-negative int, or a replacement with a line feed, equal to
     EMPTY_REPLACEMENT_MARK, or not split back out of its "A" line (it holds
     "|||" or ends in "|"). Each message but the source's names the record
     by its position among the records, from 0."""
@@ -186,6 +186,11 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
             raise FormatError(f"source {source!r} cannot be written as an M2 'S' line")
         if not refs:
             raise FormatError(f"record {i} has no reference to write to an M2 file")
+        for ref in refs:
+            if type(ref.ref_id) is not int or ref.ref_id < 0:
+                raise FormatError(
+                    f"record {i}: reference id {ref.ref_id!r} cannot be written to an M2 file"
+                )
         out.append(f"S {source}")
         refs = sorted(refs, key=lambda r: r.ref_id)
         for prev, ref in zip(refs, refs[1:]):
@@ -193,10 +198,6 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
                 raise FormatError(f"record {i}: two references have ref id {ref.ref_id!r}")
         for ref in refs:
             noop = not ref.edits and (len(refs) > 1 or ref.ref_id != 0)
-            if (ref.edits or noop) and not _REF_ID.fullmatch(str(ref.ref_id)):
-                raise FormatError(
-                    f"record {i}: reference id {ref.ref_id!r} cannot be written to an M2 file"
-                )
             if noop:
                 out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref.ref_id))))
             for e in ref.edits:

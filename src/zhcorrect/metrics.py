@@ -70,13 +70,16 @@ def precision_recall(counts: MatchCounts) -> tuple[float, float]:
 
 
 def macro_average(scores: Sequence[float]) -> float:
-    """Unweighted mean of per-dataset scores."""
+    """Unweighted mean of per-dataset scores, summed left to right: sum() of
+    floats is compensated from Python 3.12 on and would give other bits."""
     if not scores:
         raise UsageError("macro_average needs at least one score")
+    total = 0.0
     for s in scores:
         if not 0.0 <= s <= 1.0:
             raise UsageError(f"scores must be in [0, 1], got {s}")
-    return sum(scores) / len(scores)
+        total += s
+    return total / len(scores)
 
 
 def _report(

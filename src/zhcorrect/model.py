@@ -303,22 +303,23 @@ def _token_probs(
         yield row
 
 
-def _mean_nll(table: Iterable[list[tuple[float, float]]], lam: float) -> float:
+def _mean_nll(table: Sequence[list[tuple[float, float]]], lam: float) -> float:
     """Mean over the table's pairs of their nll under mixing weight lam.
 
-    The mixture is conditional's written out. The sum over a pair's units is a
-    left-to-right loop on purpose: sum() of floats is compensated from
-    Python 3.12 on, so it would give the objective other bits.
+    The mixture is conditional's written out. Both sums, over a pair's units
+    and over the pairs, are left-to-right loops on purpose: sum() of floats
+    is compensated from Python 3.12 on, so it would give the objective other
+    bits on other interpreters.
     """
     mu = 1.0 - lam
     log = math.log
-    per_pair = []
+    nll = 0.0
     for probs in table:
         total = 0.0
         for lm_p, ch_p in probs:
             total -= log(lam * lm_p + mu * ch_p)
-        per_pair.append(total)
-    return sum(per_pair) / len(per_pair)
+        nll += total
+    return nll / len(table)
 
 
 def dataset_objective(

@@ -278,6 +278,18 @@ def test_format_refuses_a_ref_id_it_could_not_read_back():
         format_edit_records([clean, ("甲乙", twice)])
     with pytest.raises(FormatError, match="^record 1 has no reference"):
         format_edit_records([clean, ("甲乙", [])])
+    # A ref id that is not an int is refused before the references are
+    # sorted: "1" would read back as int 1, "a" beside 0 would not sort, and
+    # a lone "0" would be written as a noop line read back as int 0.
+    for refs in (
+        [EditSet("1", (Edit(0, 1, "丙"),))],
+        [EditSet("a", ()), EditSet(0, ())],
+        [EditSet("0", ())],
+    ):
+        bad = next(ref.ref_id for ref in refs if type(ref.ref_id) is not int)
+        message = f"^record 1: reference id {bad!r} cannot be written to an M2 file$"
+        with pytest.raises(FormatError, match=message):
+            format_edit_records([clean, ("甲乙", refs)])
 
 
 def test_parse_clean_record_yields_implicit_empty_reference():
