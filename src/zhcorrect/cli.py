@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 from . import __version__
 from .alignment import align
 from .artifacts import write_artifact
-from .corpus import Corpus, iter_parallel, iter_plain_lines, parse_lines, parse_parallel
+from .corpus import Corpus, iter_parallel, iter_plain_lines, parse_parallel
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
 from .errors import FormatError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
@@ -123,13 +123,6 @@ def _iter_read(path: str, parse: Callable[[TextIO], Iterator[T]]) -> Iterator[T]
         yield from parse(handle)
 
 
-def _read_units(path: str, policy: NormalizePolicy) -> list[str]:
-    """The plain lines of the file at path, each normalized under policy by
-    corpus.parse_lines. A NormalizationError names its line, as
-    parse_parallel's do."""
-    return _read(path, partial(parse_lines, policy=policy))
-
-
 def _open_corpus(path: str, fmt: str, policy: NormalizePolicy) -> Corpus:
     """The pairs of the parallel file at path."""
     return _read(path, partial(parse_parallel, format=fmt, policy=policy))
@@ -207,7 +200,7 @@ def _csc_items(
     with closing(gold), closing(hyps):
         n_pairs = n_hyps = 0
         hyp_error = None
-        for _, source, references in gold:
+        for source, references in gold:
             n_pairs += 1
             try:
                 # StopIteration too once the hypotheses have ended or failed.
@@ -273,7 +266,8 @@ def cmd_correct(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if args.beam < 1:  # decode's check, made before an empty input skips decode
         raise UsageError(f"beam_width must be >= 1, got {args.beam}")
-    lines = _read_units(args.input, NormalizePolicy(args.normalize))
+    policy = NormalizePolicy(args.normalize)
+    lines = list(_iter_read(args.input, partial(iter_plain_lines, policy=policy)))
     corrected = _pmap(partial(decode, model, beam_width=args.beam), lines, args.jobs)
     _emit(args, "".join(line + "\n" for line in corrected), [args.model, args.input], started)
     return 0
@@ -305,10 +299,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
     corpus = _open_corpus(args.parallel, args.format, policy)
     records = []
     for pair in corpus.pairs:
-        refs = tuple(
-            extract_edits(pair.source, ref, merge, ref_id=j)
-            for j, ref in enumerate(pair.references)
-        )
+        refs = tuple(extract_edits(pair.source, ref, merge) for ref in pair.references)
         records.append((pair.source, refs))
     _emit(args, format_edit_records(records), [args.parallel], started)
     return 0

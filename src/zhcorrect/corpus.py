@@ -5,7 +5,8 @@ File formats (external interfaces):
     quoting. Column 1 is the source, columns 2..k are references. A '#' at
     byte 0 marks a comment line.
   * JSONL — one object per line: {"id": str, "source": str,
-    "references": [str, ...]}.
+    "references": [str, ...]}. The id must be a string that no earlier line
+    holds; it is checked and then dropped.
   * Plain lines — one text per line, no comments (hypotheses, lines to
     correct).
 Every reader drops one byte order mark (U+FEFF) from the start of a
@@ -34,19 +35,19 @@ _BLOCK_LINES = 512
 
 _is_comment = methodcaller("startswith", "#")
 
-# What a parallel reader yields for each pair: (id, source, references).
-PairTuple = tuple[str, str, tuple[str, ...]]
+# What a parallel reader yields for each pair: (source, references).
+PairTuple = tuple[str, tuple[str, ...]]
 
 
-class ParallelPair(Checked, namedtuple("ParallelPair", "id source references")):
+class ParallelPair(Checked, namedtuple("ParallelPair", "source references")):
     """A source sentence with one or more reference corrections."""
 
     __slots__ = ()
 
-    def __new__(cls, id: str, source: str, references: tuple[str, ...]) -> ParallelPair:
+    def __new__(cls, source: str, references: tuple[str, ...]) -> ParallelPair:
         if not references:
-            raise UsageError(f"pair {id!r} has no references")
-        return tuple.__new__(cls, (id, source, references))
+            raise UsageError(f"pair with source {source!r} has no references")
+        return tuple.__new__(cls, (source, references))
 
 
 class Corpus(Record):
@@ -66,7 +67,7 @@ class Corpus(Record):
         return iter(self.pairs)
 
 
-def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> PairTuple:
+def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> tuple[str, PairTuple]:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -83,7 +84,7 @@ def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> PairTu
         raise FormatError(f"line {lineno}: 'id' and 'source' must be strings")
     if not isinstance(refs, list) or not refs or not all(isinstance(r, str) for r in refs):
         raise FormatError(f"line {lineno}: 'references' must be a non-empty list of strings")
-    return pair_id, units_of(source, policy), tuple(units_of(r, policy) for r in refs)
+    return pair_id, (units_of(source, policy), tuple(units_of(r, policy) for r in refs))
 
 
 def iter_blocks(stream: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -134,13 +135,6 @@ def iter_plain_lines(
         yield from canonical_texts(block, policy)
 
 
-def parse_lines(
-    stream: Iterable[str], policy: NormalizePolicy = NormalizePolicy.DEFAULT
-) -> list[str]:
-    """The lines iter_plain_lines(stream, policy) yields, in a list."""
-    return list(iter_plain_lines(stream, policy))
-
-
 def _raise_tsv_error(block: list[str], lineno: int) -> None:
     """Raise the error of the block's first bad line, numbering its lines
     from lineno: a FormatError for a line without a tab, or a
@@ -154,8 +148,6 @@ def _raise_tsv_error(block: list[str], lineno: int) -> None:
 
 
 def _iter_tsv(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[PairTuple]:
-    # Ids are positions: none repeats.
-    n = 0
     for lineno, block in iter_blocks(stream):
         # A block without a '#' holds no comment, so its rows are the block.
         rows, text = block, "".join(block)
@@ -165,8 +157,7 @@ def _iter_tsv(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[PairTu
         if not all(map(contains, rows, repeat("\t"))) or rejected_in(text):
             _raise_tsv_error(block, lineno)
         for source, *references in canonical_fields(rows, policy):
-            yield str(n), source, tuple(references)
-            n += 1
+            yield source, tuple(references)
 
 
 def _iter_jsonl(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[PairTuple]:
@@ -176,13 +167,13 @@ def _iter_jsonl(stream: Iterable[str], policy: NormalizePolicy) -> Iterator[Pair
     seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
         try:
-            pair_id, source, references = _parse_jsonl_line(line, lineno, policy)
+            pair_id, pair = _parse_jsonl_line(line, lineno, policy)
         except NormalizationError as exc:
             raise NormalizationError(f"line {lineno}: {exc}") from exc
         if pair_id in seen_ids:
             raise FormatError(f"line {lineno}: duplicate pair id {pair_id!r}")
         seen_ids.add(pair_id)
-        yield pair_id, source, references
+        yield pair
 
 
 _READERS = {"tsv": _iter_tsv, "jsonl": _iter_jsonl}
@@ -193,7 +184,7 @@ def iter_parallel(
     format: str = "tsv",
     policy: NormalizePolicy = NormalizePolicy.DEFAULT,
 ) -> Iterator[PairTuple]:
-    """The ``(id, source, references)`` of each pair of a parallel corpus,
+    """The ``(source, references)`` of each pair of a parallel corpus,
     read lazily from an iterable of lines, split by iter_blocks.
 
     Malformed lines raise FormatError with the 1-based line number, and text
@@ -204,9 +195,9 @@ def iter_parallel(
 
     TSV is read a block at a time, and only a block whose data lines lack a
     tab or hold a rejected unit is checked line by line; a block's pairs are
-    yielded after the whole block is checked. A TSV pair's id is its
-    position among the pairs, from "0". A byte offset counts from the start
-    of the line (see textnorm.canonical_fields).
+    yielded after the whole block is checked. A pair has no id: pairs are
+    paired with hypotheses and gold records by position. A byte offset
+    counts from the start of the line (see textnorm.canonical_fields).
     """
     if format not in _READERS:
         raise UsageError(f"unknown corpus format {format!r}")

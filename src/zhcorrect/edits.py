@@ -8,10 +8,12 @@ External interface — M2-like gold edit file, bit-exact grammar:
     S <source>
     A <start> <end>|||<type>|||<replacement>|||<ref_id>     (zero or more)
     <blank line>                                            (ends the record)
-A replacement of "-NONE-" denotes empty. Indices are unit indices. A record
-with zero "A" lines denotes a single no-edit reference (ref 0). In a record
-with more than one reference, a reference without edits is the CoNLL noop
-line "A -1 -1|||noop|||-NONE-|||<ref_id>".
+A replacement of "-NONE-" denotes empty. Indices are unit indices. A ref id
+is its reference's position among its record's references, from 0: the
+writer numbers the references so, and the reader orders them by id and
+keeps no id. A record with zero "A" lines denotes a single no-edit
+reference. In a record with more than one reference, a reference without
+edits is the CoNLL noop line "A -1 -1|||noop|||-NONE-|||<ref_id>".
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ class Edit(Checked, namedtuple("Edit", "start end replacement")):
 class EditSet(Record):
     """Sorted, non-overlapping edits against one source sentence."""
 
-    __slots__ = _fields = ("ref_id", "edits")
+    __slots__ = _fields = ("edits",)
 
-    def __init__(self, ref_id: int, edits: tuple[Edit, ...]) -> None:
+    def __init__(self, edits: tuple[Edit, ...]) -> None:
         for prev, cur in zip(edits, edits[1:]):
             if prev.end > cur.start:
                 raise StructuralError(
@@ -96,7 +98,7 @@ class EditSet(Record):
                 )
             if prev.start == prev.end == cur.start == cur.end:
                 raise StructuralError(f"two insertions at the same point {cur.start}")
-        self._set(ref_id, edits)
+        self._set(edits)
 
     def __len__(self) -> int:
         return len(self.edits)
@@ -111,12 +113,7 @@ class MatchCounts(NamedTuple):
         return MatchCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
 
-def extract_edits(
-    src: str,
-    tgt: str,
-    merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
-    ref_id: int = 0,
-) -> EditSet:
+def extract_edits(src: str, tgt: str, merge: MergePolicy = MergePolicy.MAXIMAL_RUNS) -> EditSet:
     """The edits that turn src into tgt, read off align(src, tgt).
 
     Applying the result to src reproduces tgt exactly, under either merge
@@ -136,7 +133,7 @@ def extract_edits(
         dels += ops.count("D", start, stop)
         at = stop
         edits.append(Edit(src_start, stop - ins, tgt[tgt_start : stop - dels]))
-    return EditSet(ref_id=ref_id, edits=tuple(edits))
+    return EditSet(tuple(edits))
 
 
 def apply_edits(src: str, edits: EditSet) -> str:
@@ -162,52 +159,43 @@ def match_edits(hyp: EditSet, gold: EditSet) -> MatchCounts:
 
 
 class GoldRecord(NamedTuple):
-    """One source sentence plus its reference edit sets (one per annotator)."""
+    """One source sentence plus its reference edit sets (one per annotator,
+    in ref id order)."""
 
     source: str
     refs: tuple[EditSet, ...]
 
 
 def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str:
-    """Write records in the M2-like grammar. A reference with zero edits
-    emits no "A" line when it is its record's only one and its ref id is 0,
-    as parse_edit_file reads a record without "A" lines, and a noop line
+    """Write records in the M2-like grammar, each reference under its
+    position among its record's references as ref id. A reference with zero
+    edits emits no "A" line when it is its record's only one, as
+    parse_edit_file reads a record without "A" lines, and a noop line
     otherwise. Text parse_edit_file would not read back as written is a
     FormatError: a source with a line feed or a final carriage return, a
-    record without references (read back as one empty ref 0) or with two of
-    one ref id (read back as one reference), a ref id that is not a
-    non-negative int, or a replacement with a line feed, equal to
-    EMPTY_REPLACEMENT_MARK, or not split back out of its "A" line (it holds
-    "|||" or ends in "|"). Each message but the source's names the record
-    by its position among the records, from 0."""
+    record without references (read back as one empty reference), or a
+    replacement with a line feed, equal to EMPTY_REPLACEMENT_MARK, or not
+    split back out of its "A" line (it holds "|||" or ends in "|"). Each
+    message but the source's names the record by its position among the
+    records, from 0."""
     out: list[str] = []
     for i, (source, refs) in enumerate(records):
         if "\n" in source or source.endswith("\r"):
             raise FormatError(f"source {source!r} cannot be written as an M2 'S' line")
         if not refs:
             raise FormatError(f"record {i} has no reference to write to an M2 file")
-        for ref in refs:
-            if type(ref.ref_id) is not int or ref.ref_id < 0:
-                raise FormatError(
-                    f"record {i}: reference id {ref.ref_id!r} cannot be written to an M2 file"
-                )
         out.append(f"S {source}")
-        refs = sorted(refs, key=lambda r: r.ref_id)
-        for prev, ref in zip(refs, refs[1:]):
-            if prev.ref_id == ref.ref_id:
-                raise FormatError(f"record {i}: two references have ref id {ref.ref_id!r}")
-        for ref in refs:
-            noop = not ref.edits and (len(refs) > 1 or ref.ref_id != 0)
-            if noop:
-                out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref.ref_id))))
+        for ref_id, ref in enumerate(refs):
+            if not ref.edits and len(refs) > 1:
+                out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref_id))))
             for e in ref.edits:
                 repl = e.replacement or EMPTY_REPLACEMENT_MARK
-                fields = [f"{e.start} {e.end}", e.kind.value, repl, str(ref.ref_id)]
+                fields = [f"{e.start} {e.end}", e.kind.value, repl, str(ref_id)]
                 line = "|||".join(fields)
                 unreadable = "\n" in repl or e.replacement == EMPTY_REPLACEMENT_MARK
                 if unreadable or line.split("|||") != fields:
                     raise FormatError(
-                        f"record {i}, reference {ref.ref_id}: replacement "
+                        f"record {i}, reference {ref_id}: replacement "
                         f"{e.replacement!r} cannot be written to an M2 file"
                     )
                 out.append("A " + line)
@@ -218,12 +206,14 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
 def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
     """Parse the M2-like grammar back into gold records.
 
-    A record with no "A" lines yields a single empty reference (ref 0), which
-    is how a clean single-reference pair round-trips. A noop line names its
-    reference but adds no edit, so a reference with nothing else is empty.
-    A span is two runs of ASCII digits and one space, and a ref id one run;
-    only the noop line's span is negative. Any other edit whose span ends
-    past its "S" line's units is a FormatError.
+    A record's references are its ref ids' references in id order; the ids
+    themselves are not kept, so ids 0 and 2 read as two references. A record
+    with no "A" lines yields a single empty reference, which is how a clean
+    single-reference pair round-trips. A noop line names its reference but
+    adds no edit, so a reference with nothing else is empty. A span is two
+    runs of ASCII digits and one space, and a ref id one run; only the noop
+    line's span is negative. Any other edit whose span ends past its "S"
+    line's units is a FormatError.
     """
     records: list[GoldRecord] = []
     source: str | None = None
@@ -236,11 +226,11 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
         try:
             if by_ref:
                 refs = tuple(
-                    EditSet(rid, tuple(sorted(by_ref[rid], key=lambda e: (e.start, e.end))))
+                    EditSet(tuple(sorted(by_ref[rid], key=lambda e: (e.start, e.end))))
                     for rid in sorted(by_ref)
                 )
             else:
-                refs = (EditSet(0, ()),)
+                refs = (EditSet(()),)
         except StructuralError as exc:
             raise FormatError(f"record ending at line {lineno}: {exc}") from exc
         records.append(GoldRecord(source, refs))

@@ -128,14 +128,14 @@ def sentence_edit_counts(
 
     The hypothesis edit set is extracted from the source/hypothesis
     alignment; the reference maximizing sentence-local F_beta is selected,
-    ties going to the lowest ref id.
+    ties going to the first of gold_refs, as the M2 scorer's annotators.
     """
     if not gold_refs:
         raise UsageError("sentence has no gold references")
     hyp_set = extract_edits(source, hypothesis, merge)
     best: MatchCounts | None = None
     best_f = -1.0
-    for ref in sorted(gold_refs, key=lambda r: r.ref_id):
+    for ref in gold_refs:
         counts = match_edits(hyp_set, ref)
         p, r = precision_recall(counts)
         f = f_beta(p, r, beta)

@@ -19,7 +19,8 @@ so the do-nothing baseline is exactly zero.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .corpus import Corpus, ParallelPair
 
@@ -64,7 +65,7 @@ def _sentence(rng: random.Random, force_eligible: bool = False) -> str:
     return "".join(words)
 
 
-def _substitute(rng: random.Random, text: str, force: bool) -> str:
+def _substitute(rng: random.Random, text: str, force: bool = False) -> str:
     eligible = [i for i, c in enumerate(text) if c in CONFUSION]
     chars = list(text)
     hit = False
@@ -85,34 +86,20 @@ def _length_error(rng: random.Random, text: str) -> str:
     return text[:i] + text[i + 1 :]
 
 
-def _pair(pair_id: str, source: str, reference: str) -> ParallelPair:
-    return ParallelPair(pair_id, source, (reference,))
+def _mixed_error(rng: random.Random, text: str) -> str:
+    text = _substitute(rng, text)
+    return _length_error(rng, text) if rng.random() < 0.3 else text
 
 
-def _spelling_corpus(name: str, size: int, rng: random.Random, force: bool) -> Corpus:
+def _corpus(
+    size: int, rng: random.Random, corrupt: Callable[[random.Random, str], str], force: bool = False
+) -> Corpus:
+    """size pairs of corrupt(rng, clean) and clean, each clean sentence drawn
+    before its corruption."""
     pairs = []
-    for i in range(size):
+    for _ in range(size):
         clean = _sentence(rng, force_eligible=force)
-        pairs.append(_pair(f"{name}-{i:04d}", _substitute(rng, clean, force), clean))
-    return Corpus(tuple(pairs))
-
-
-def _grammar_corpus(name: str, size: int, rng: random.Random) -> Corpus:
-    pairs = []
-    for i in range(size):
-        clean = _sentence(rng)
-        pairs.append(_pair(f"{name}-{i:04d}", _length_error(rng, clean), clean))
-    return Corpus(tuple(pairs))
-
-
-def _mixed_corpus(name: str, size: int, rng: random.Random) -> Corpus:
-    pairs = []
-    for i in range(size):
-        clean = _sentence(rng)
-        corrupt = _substitute(rng, clean, force=False)
-        if rng.random() < 0.3:
-            corrupt = _length_error(rng, corrupt)
-        pairs.append(_pair(f"{name}-{i:04d}", corrupt, clean))
+        pairs.append(ParallelPair(corrupt(rng, clean), (clean,)))
     return Corpus(tuple(pairs))
 
 
@@ -130,10 +117,10 @@ def make_suite(
     evaluation source carries at least one substitution.
     """
     rng = random.Random(seed)
-    stage1 = _mixed_corpus("syn-align", stage1_size, rng)
-    csc = _spelling_corpus("syn-csc", csc_size, rng, force=False)
-    cgc = _grammar_corpus("syn-cgc", cgc_size, rng)
+    stage1 = _corpus(stage1_size, rng, _mixed_error)
+    csc = _corpus(csc_size, rng, _substitute)
+    cgc = _corpus(cgc_size, rng, _length_error)
     joint = Corpus(csc.pairs + cgc.pairs)
     eval_rng = random.Random(seed + 7919)
-    eval_csc = _spelling_corpus("syn-eval", eval_size, eval_rng, force=True)
+    eval_csc = _corpus(eval_size, eval_rng, partial(_substitute, force=True), force=True)
     return SyntheticSuite(stage1=stage1, csc=csc, cgc=cgc, joint=joint, eval_csc=eval_csc)

@@ -17,18 +17,14 @@ from zhcorrect import (
     split,
     units_of,
 )
-from zhcorrect.corpus import _BLOCK_LINES, iter_lines, iter_parallel, iter_plain_lines, parse_lines
+from zhcorrect.corpus import _BLOCK_LINES, iter_lines, iter_parallel, iter_plain_lines
 from zhcorrect.synthetic import make_suite
 
 _POLICIES = list(NormalizePolicy)
 
 
 def _corpus_of(texts):
-    pairs = tuple(
-        ParallelPair(str(i), src, tuple(refs))
-        for i, (src, *refs) in enumerate(texts)
-    )
-    return Corpus(pairs)
+    return Corpus(tuple(ParallelPair(src, tuple(refs)) for src, *refs in texts))
 
 
 def test_tsv_single_record():
@@ -93,7 +89,7 @@ def test_empty_stream_is_empty_corpus():
 def test_jsonl_parse_and_errors():
     good = '{"id": "x1", "source": "天汽", "references": ["天气"]}\n'
     corpus = parse_parallel(io.StringIO(good), format="jsonl")
-    assert corpus.pairs[0].id == "x1"
+    assert corpus.pairs == (ParallelPair("天汽", ("天气",)),)
 
     for bad, needle in [
         ("not json\n", "line 1"),
@@ -126,8 +122,8 @@ def test_split_sizes_partition_determinism():
     corpus = _corpus_of([(f"源{i}", f"参{i}") for i in range(10)])
     train, heldout = split(corpus, 0.2, seed=7)
     assert (len(train), len(heldout)) == (8, 2)
-    assert {p.id for p in train} | {p.id for p in heldout} == {p.id for p in corpus}
-    assert {p.id for p in train} & {p.id for p in heldout} == set()
+    assert {p.source for p in train} | {p.source for p in heldout} == {p.source for p in corpus}
+    assert {p.source for p in train} & {p.source for p in heldout} == set()
 
     train2, heldout2 = split(corpus, 0.2, seed=7)
     assert train2 == train and heldout2 == heldout
@@ -149,8 +145,8 @@ def test_split_preserves_original_order_within_parts():
     corpus = _corpus_of([(f"源{i}", f"参{i}") for i in range(30)])
     train, heldout = split(corpus, 0.3, seed=3)
     for part in (train, heldout):
-        ids = [int(p.id) for p in part]
-        assert ids == sorted(ids)
+        positions = [int(p.source[1:]) for p in part]
+        assert positions == sorted(positions)
 
 
 def test_split_argument_errors():
@@ -164,9 +160,9 @@ def test_split_argument_errors():
 
 def test_pair_requires_reference_and_unique_ids():
     with pytest.raises(UsageError):
-        ParallelPair("p", "源", ())
-    # Ids are unique where a file names them: the JSONL reader refuses a
-    # repeated one, and a TSV pair's id is its position.
+        ParallelPair("源", ())
+    # A pair has no id, but the JSONL format names one per line: the reader
+    # refuses a repeated one before it drops them.
     text = '{"id": "p", "source": "源", "references": ["参"]}\n' * 2
     with pytest.raises(FormatError, match="^line 2: duplicate pair id 'p'$"):
         parse_parallel(io.StringIO(text), "jsonl")
@@ -184,9 +180,9 @@ def test_split_property_random():
 
 
 # The TSV path of parse_parallel as it was when each field was normalized on
-# its own (units_of per column), kept verbatim but for the JSONL branch as the
-# oracle of the one-pass path (normalize_fields on the whole line).
-def _parse_tsv_line(line: str, lineno: int, policy: NormalizePolicy, pair_id: str) -> ParallelPair:
+# its own (units_of per column), kept but for the JSONL branch and the pair ids
+# as the oracle of the one-pass path (normalize_fields on the whole line).
+def _parse_tsv_line(line: str, lineno: int, policy: NormalizePolicy) -> ParallelPair:
     cols = line.split("\t")
     if len(cols) < 2:
         raise FormatError(
@@ -194,7 +190,6 @@ def _parse_tsv_line(line: str, lineno: int, policy: NormalizePolicy, pair_id: st
             f"(got {len(cols)} column{'s' if len(cols) != 1 else ''})"
         )
     return ParallelPair(
-        id=pair_id,
         source=units_of(cols[0], policy),
         references=tuple(units_of(c, policy) for c in cols[1:]),
     )
@@ -210,18 +205,13 @@ def _located(line: str, lineno: int, exc: NormalizationError) -> NormalizationEr
 
 def _oracle_parse_tsv(stream, policy=NormalizePolicy.DEFAULT):
     pairs: list[ParallelPair] = []
-    seen_ids: set[str] = set()
     for lineno, line in enumerate(iter_lines(stream), start=1):
         try:
             if line.startswith("#"):
                 continue
-            pair = _parse_tsv_line(line, lineno, policy, pair_id=str(len(pairs)))
+            pairs.append(_parse_tsv_line(line, lineno, policy))
         except NormalizationError as exc:
             raise _located(line, lineno, exc) from exc
-        if pair.id in seen_ids:
-            raise FormatError(f"line {lineno}: duplicate pair id {pair.id!r}")
-        seen_ids.add(pair.id)
-        pairs.append(pair)
     return Corpus(tuple(pairs))
 
 
@@ -291,7 +281,7 @@ def _oracle_parse_lines(stream, policy):
 
 def _outcome(parse, text, policy):
     try:
-        return parse(io.StringIO(text), policy)
+        return list(parse(io.StringIO(text), policy))
     except NormalizationError as exc:
         return str(exc)
 
@@ -309,7 +299,7 @@ def test_plain_lines_equal_the_per_line_oracle_on_random_lines():
         text = "".join(line + rng.choice(["\n", "\r\n"]) for line in lines)
         for policy in _POLICIES:
             want = _outcome(_oracle_parse_lines, text, policy)
-            assert _outcome(parse_lines, text, policy) == want
+            assert _outcome(iter_plain_lines, text, policy) == want
 
 
 def _three_blocks(make):
@@ -328,7 +318,7 @@ def test_a_comment_holding_a_reserved_unit_is_exempt_in_every_block():
         corpus = parse_parallel(io.StringIO(_text(lines)), "tsv", policy)
         last = len(lines) - 1
         assert len(corpus) == len(lines) - 3
-        assert corpus.pairs[-1] == ParallelPair(str(last - 3), f"源{last}", (f"参{last}",))
+        assert corpus.pairs[-1] == ParallelPair(f"源{last}", (f"参{last}",))
 
 
 def test_a_hash_inside_a_data_field_is_data():
@@ -339,7 +329,7 @@ def test_a_hash_inside_a_data_field_is_data():
         corpus = parse_parallel(io.StringIO(_text(lines)), "tsv", policy)
         assert len(corpus) == len(lines)
         assert corpus.pairs[_BLOCK_LINES + 5] == ParallelPair(
-            str(_BLOCK_LINES + 5), units_of("源#", policy), (units_of("参#", policy),)
+            units_of("源#", policy), (units_of("参#", policy),)
         )
 
 
@@ -352,9 +342,9 @@ def test_a_hash_at_byte_zero_of_a_later_block_is_a_comment():
     for policy in _POLICIES:
         corpus = parse_parallel(io.StringIO(_text(lines)), "tsv", policy)
         assert len(corpus) == len(lines) - 1
-        assert corpus.pairs[_BLOCK_LINES] == ParallelPair(str(_BLOCK_LINES), units_of("源#", policy), ("参",))
+        assert corpus.pairs[_BLOCK_LINES] == ParallelPair(units_of("源#", policy), ("参",))
         at = _BLOCK_LINES + 7
-        assert corpus.pairs[at] == ParallelPair(str(at), f"源{at + 1}", (f"参{at + 1}",))
+        assert corpus.pairs[at] == ParallelPair(f"源{at + 1}", (f"参{at + 1}",))
 
 
 @pytest.mark.parametrize(
@@ -398,7 +388,7 @@ def test_plain_lines_name_a_bad_line_of_the_third_block(bad, message):
     lines[2 * _BLOCK_LINES + 6] = bad
     for policy in _POLICIES:
         with pytest.raises(NormalizationError) as err:
-            parse_lines(io.StringIO(_text(lines)), policy)
+            list(iter_plain_lines(io.StringIO(_text(lines)), policy))
         assert str(err.value) == f"line {2 * _BLOCK_LINES + 7}: {message}"
 
 
@@ -460,7 +450,7 @@ def test_lazy_readers_yield_two_blocks_before_a_bad_line_of_the_third(kind, bad,
                 rows.append(row)
         assert len(rows) == 2 * _BLOCK_LINES
         if kind == "tsv":
-            assert rows == [(str(i), f"源{i}", (f"参{i}",)) for i in range(2 * _BLOCK_LINES)]
+            assert rows == [(f"源{i}", (f"参{i}",)) for i in range(2 * _BLOCK_LINES)]
         else:
             assert rows == [f"天气{i}" for i in range(2 * _BLOCK_LINES)]
 
@@ -483,8 +473,8 @@ def test_iter_parallel_rejects_an_unknown_format_before_reading():
 def test_only_the_cr_of_a_crlf_ending_is_dropped():
     text = "甲\r\r\n乙\r\n丙\r\r\r\n\r\n丁\r"
     assert list(iter_lines(io.StringIO(text))) == ["甲\r", "乙", "丙\r\r", "", "丁"]
-    assert parse_lines(io.StringIO(text), NormalizePolicy.NONE) == ["甲\r", "乙", "丙\r\r", "", "丁"]
-    assert parse_lines(io.StringIO(text), NormalizePolicy.DEFAULT) == ["甲", "乙", "丙", "", "丁"]
+    assert list(iter_plain_lines(io.StringIO(text), NormalizePolicy.NONE)) == ["甲\r", "乙", "丙\r\r", "", "丁"]
+    assert list(iter_plain_lines(io.StringIO(text), NormalizePolicy.DEFAULT)) == ["甲", "乙", "丙", "", "丁"]
     tsv = "甲\t乙\r\r\n丙\t丁\r\n"
     corpus = parse_parallel(io.StringIO(tsv), "tsv", NormalizePolicy.NONE)
     assert [p.references for p in corpus] == [("乙\r",), ("丁",)]
@@ -493,27 +483,31 @@ def test_only_the_cr_of_a_crlf_ending_is_dropped():
 _BOM = "\ufeff"
 
 
+def _plain_lines(stream, policy):
+    return list(iter_plain_lines(stream, policy))
+
+
 @pytest.mark.parametrize(
     ("text", "read", "rows"),
     [
         (
             f"{_BOM}{_BOM}源\t参\n{_BOM}源\t参{_BOM}\n",
             lambda stream, policy: list(iter_parallel(stream, "tsv", policy)),
-            [("0", f"{_BOM}源", ("参",)), ("1", f"{_BOM}源", (f"参{_BOM}",))],
+            [(f"{_BOM}源", ("参",)), (f"{_BOM}源", (f"参{_BOM}",))],
         ),
         (
             f"{_BOM}# a comment\n源\t参\n",
             lambda stream, policy: list(iter_parallel(stream, "tsv", policy)),
-            [("0", "源", ("参",))],
+            [("源", ("参",))],
         ),
         (
             f'{_BOM}{{"id": "a", "source": "源", "references": ["参"]}}\n'
             f'{{"id": "b", "source": "{_BOM}源", "references": ["参"]}}\n',
             lambda stream, policy: list(iter_parallel(stream, "jsonl", policy)),
-            [("a", "源", ("参",)), ("b", f"{_BOM}源", ("参",))],
+            [("源", ("参",)), (f"{_BOM}源", ("参",))],
         ),
-        (f"{_BOM}{_BOM}好\n{_BOM}好\n", parse_lines, [f"{_BOM}好", f"{_BOM}好"]),
-        (f"{_BOM}\n好\n", parse_lines, ["", "好"]),
+        (f"{_BOM}{_BOM}好\n{_BOM}好\n", _plain_lines, [f"{_BOM}好", f"{_BOM}好"]),
+        (f"{_BOM}\n好\n", _plain_lines, ["", "好"]),
     ],
     ids=["tsv", "tsv-comment", "jsonl", "plain", "plain-bom-only"],
 )
@@ -524,7 +518,7 @@ def test_readers_drop_one_byte_order_mark_from_the_first_line_only(text, read, r
 
 def test_a_byte_order_mark_counts_only_at_the_start_of_a_stream():
     lines = [f"{_BOM}好"] * (_BLOCK_LINES + 2)
-    got = parse_lines(io.StringIO(_text(lines)), NormalizePolicy.NONE)
+    got = _plain_lines(io.StringIO(_text(lines)), NormalizePolicy.NONE)
     assert got == ["好"] + [f"{_BOM}好"] * (_BLOCK_LINES + 1)
     assert list(iter_lines(io.StringIO(_text(lines)))) == got
 
@@ -558,9 +552,9 @@ _ROUND_TRIP_PIECES = ["天", "气", "学生", "a", " ", "\u3000", "a\u0301", "\u
 def _round_trip_corpus(data, pieces, policy):
     text = st.lists(st.sampled_from(pieces), max_size=5).map(lambda p: units_of("".join(p), policy))
     pairs = []
-    for i in range(data.draw(st.integers(0, 5))):
+    for _ in range(data.draw(st.integers(0, 5))):
         source, *refs = data.draw(st.lists(text, min_size=2, max_size=4))
-        pairs.append(ParallelPair(str(i), source, tuple(refs)))
+        pairs.append(ParallelPair(source, tuple(refs)))
     return Corpus(tuple(pairs))
 
 
@@ -571,6 +565,9 @@ def test_jsonl_serialization_reads_back_as_written(policy, data):
     # The parser reads back each pair as json.dumps writes it, U+2028, tab,
     # line feed, quote and backslash included.
     corpus = _round_trip_corpus(data, [*_ROUND_TRIP_PIECES, "\t", "\n", '"', "\\"], policy)
-    rows = ({"id": p.id, "source": p.source, "references": list(p.references)} for p in corpus)
+    rows = (
+        {"id": str(i), "source": p.source, "references": list(p.references)}
+        for i, p in enumerate(corpus)
+    )
     text = "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows)
     assert parse_parallel(io.StringIO(text), "jsonl", policy) == corpus

@@ -57,11 +57,11 @@ def test_editset_invariants():
     e1 = Edit(0, 2, "x")
     e2 = Edit(1, 3, "y")
     with pytest.raises(StructuralError):
-        EditSet(0, (e1, e2))  # overlap
+        EditSet((e1, e2))  # overlap
     i1 = Edit(2, 2, "x")
     i2 = Edit(2, 2, "y")
     with pytest.raises(StructuralError):
-        EditSet(0, (i1, i2))  # two insertions at one point
+        EditSet((i1, i2))  # two insertions at one point
 
 
 def test_extract_identity_is_empty():
@@ -99,14 +99,14 @@ def test_none_policy_coalesces_same_point_insertions():
 
 def test_apply_edits():
     src = "他是学生生"
-    assert apply_edits(src, EditSet(0, ())) == "他是学生生"
-    deletion = EditSet(0, (Edit(4, 5, ""),))
+    assert apply_edits(src, EditSet(())) == "他是学生生"
+    deletion = EditSet((Edit(4, 5, ""),))
     assert apply_edits(src, deletion) == "他是学生"
 
 
 def test_apply_rejects_out_of_range():
     src = "abc"
-    bad = EditSet(0, (Edit(2, 5, ""),))
+    bad = EditSet((Edit(2, 5, ""),))
     with pytest.raises(StructuralError):
         apply_edits(src, bad)
 
@@ -125,15 +125,15 @@ def test_match_edits_counts():
     e2 = Edit(2, 3, "乙")
     e3 = Edit(4, 5, "丙")
     e4 = Edit(6, 7, "丁")
-    gold3 = EditSet(0, (e1, e2, e3))
+    gold3 = EditSet((e1, e2, e3))
     assert match_edits(gold3, gold3) == MatchCounts(3, 0, 0)
 
-    hyp = EditSet(0, (e1, e2))
-    gold = EditSet(1, (e3, e4))
+    hyp = EditSet((e1, e2))
+    gold = EditSet((e3, e4))
     assert match_edits(hyp, gold) == MatchCounts(0, 2, 2)
 
-    hyp = EditSet(0, (e1, e2))
-    gold = EditSet(0, (e1, e3))
+    hyp = EditSet((e1, e2))
+    gold = EditSet((e1, e3))
     assert match_edits(hyp, gold) == MatchCounts(1, 1, 1)
 
 
@@ -153,21 +153,21 @@ def test_matchcounts_addition():
 
 def test_format_deletion_record_exact_bytes():
     source = "他是学生生"
-    refs = [EditSet(0, (Edit(4, 5, ""),))]
+    refs = [EditSet((Edit(4, 5, ""),))]
     text = format_edit_records([(source, refs)])
     assert text == "S 他是学生生\nA 4 5|||del|||-NONE-|||0\n\n"
 
 
 def test_format_clean_record_has_no_a_lines():
-    text = format_edit_records([("他是学生", [EditSet(0, ())])])
+    text = format_edit_records([("他是学生", [EditSet(())])])
     assert text == "S 他是学生\n\n"
 
 
 def test_format_two_references_carry_ref_ids():
     source = "天汽很号"
     refs = [
-        EditSet(0, (Edit(1, 2, "气"), Edit(3, 4, "好"))),
-        EditSet(1, (Edit(1, 2, "气"),)),
+        EditSet((Edit(1, 2, "气"), Edit(3, 4, "好"))),
+        EditSet((Edit(1, 2, "气"),)),
     ]
     text = format_edit_records([(source, refs)])
     assert "|||0\n" in text and "|||1\n" in text
@@ -176,8 +176,8 @@ def test_format_two_references_carry_ref_ids():
 def test_parse_edit_file_roundtrip():
     source = "天汽很号"
     refs = (
-        EditSet(0, (Edit(1, 2, "气"), Edit(3, 4, "好"))),
-        EditSet(1, (Edit(1, 2, "氣"),)),
+        EditSet((Edit(1, 2, "气"), Edit(3, 4, "好"))),
+        EditSet((Edit(1, 2, "氣"),)),
     )
     text = format_edit_records([(source, refs)])
     parsed = parse_edit_file(io.StringIO(text))
@@ -190,7 +190,7 @@ def test_parse_edit_file_roundtrip():
 
 
 def test_format_writes_a_noop_line_for_a_reference_without_edits_beside_others():
-    refs = [EditSet(0, ()), EditSet(1, (Edit(1, 2, "丁"),)), EditSet(2, ())]
+    refs = [EditSet(()), EditSet((Edit(1, 2, "丁"),)), EditSet(())]
     text = format_edit_records([("甲乙丙", refs)])
     assert text == (
         "S 甲乙丙\n"
@@ -203,19 +203,30 @@ def test_format_writes_a_noop_line_for_a_reference_without_edits_beside_others()
 
 
 def test_format_keeps_the_ref_id_of_a_lone_reference_without_edits():
-    # Only ref 0 goes without an "A" line, as a record without one reads back.
-    assert format_edit_records([("甲", [EditSet(0, ())])]) == "S 甲\n\n"
-    refs = (EditSet(5, ()),)
+    # A record's only reference, ref 0, goes without an "A" line when it has
+    # no edits, as a record without one reads back.
+    refs = (EditSet(()),)
     text = format_edit_records([("甲", refs)])
-    assert text == "S 甲\nA -1 -1|||noop|||-NONE-|||5\n\n"
+    assert text == "S 甲\n\n"
     [record] = parse_edit_file(io.StringIO(text))
     assert record.refs == refs
     assert format_edit_records([(record.source, record.refs)]) == text
 
 
+def test_parse_orders_references_by_ref_id_and_keeps_no_id():
+    # Ids 0 and 2 read as two references in id order, whatever the order of
+    # their lines, and are written back as refs 0 and 1.
+    text = "S 甲乙丙\nA 2 3|||sub|||戊|||2\nA 0 1|||sub|||丁|||0\n\n"
+    [record] = parse_edit_file(io.StringIO(text))
+    assert record.refs == (EditSet((Edit(0, 1, "丁"),)), EditSet((Edit(2, 3, "戊"),)))
+    assert format_edit_records([(record.source, record.refs)]) == (
+        "S 甲乙丙\nA 0 1|||sub|||丁|||0\nA 2 3|||sub|||戊|||1\n\n"
+    )
+
+
 def test_parse_reads_a_noop_line_and_refuses_other_negative_spans():
     text = "S 甲\nA -1 -1|||noop|||-NONE-|||3\n\n"
-    assert parse_edit_file(io.StringIO(text))[0].refs == (EditSet(3, ()),)
+    assert parse_edit_file(io.StringIO(text))[0].refs == (EditSet(()),)
     for line in (
         "A -1 -1|||del|||-NONE-|||0",
         "A -1 -1|||noop|||甲|||0",
@@ -258,38 +269,11 @@ def test_parse_refuses_a_span_or_ref_id_not_in_ascii_digits(line):
 
 
 def test_format_refuses_a_ref_id_it_could_not_read_back():
-    edits = (Edit(0, 1, "乙"),)
-    for ref_id in (-1, True):
-        message = f"record 0: reference id {ref_id!r} cannot be written"
-        with pytest.raises(FormatError, match=message):
-            format_edit_records([("甲", [EditSet(ref_id, edits)])])
-        # An empty reference beside another is written as a noop line.
-        with pytest.raises(FormatError, match="cannot be written"):
-            format_edit_records([("甲", [EditSet(ref_id, ()), EditSet(2, edits)])])
-        # So is a record's only reference without edits, unless its id is 0.
-        with pytest.raises(FormatError, match=message):
-            format_edit_records([("甲", [EditSet(ref_id, ())])])
-    # Two references of one ref id would read back as one merged reference,
-    # and a record without references as one empty ref 0. The error names
-    # the record by its position.
-    clean = ("甲", [EditSet(0, ())])
-    twice = [EditSet(0, (Edit(0, 1, "x"),)), EditSet(0, (Edit(1, 2, "y"),))]
-    with pytest.raises(FormatError, match="^record 1: two references have ref id 0$"):
-        format_edit_records([clean, ("甲乙", twice)])
+    # A record without references would read back as one empty reference.
+    # The error names the record by its position.
+    clean = ("甲", [EditSet(())])
     with pytest.raises(FormatError, match="^record 1 has no reference"):
         format_edit_records([clean, ("甲乙", [])])
-    # A ref id that is not an int is refused before the references are
-    # sorted: "1" would read back as int 1, "a" beside 0 would not sort, and
-    # a lone "0" would be written as a noop line read back as int 0.
-    for refs in (
-        [EditSet("1", (Edit(0, 1, "丙"),))],
-        [EditSet("a", ()), EditSet(0, ())],
-        [EditSet("0", ())],
-    ):
-        bad = next(ref.ref_id for ref in refs if type(ref.ref_id) is not int)
-        message = f"^record 1: reference id {bad!r} cannot be written to an M2 file$"
-        with pytest.raises(FormatError, match=message):
-            format_edit_records([clean, ("甲乙", refs)])
 
 
 def test_parse_clean_record_yields_implicit_empty_reference():
@@ -328,7 +312,7 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_reads_a_bare_s_line_as_an_empty_source():
     records = parse_edit_file(io.StringIO("S\nA 0 0|||ins|||甲|||0\n\nS \n\n"))
     assert [r.source for r in records] == ["", ""]
-    assert records[0].refs == (EditSet(0, (Edit(0, 0, "甲"),)),)
+    assert records[0].refs == (EditSet((Edit(0, 0, "甲"),)),)
 
 
 def test_parse_rejects_overlapping_edits_as_format_error():
@@ -353,7 +337,7 @@ def test_empty_replacement_mark_never_collides():
     # reserved: the writer refuses it rather than write a deletion.
     edit = Edit(0, 1, "-NONE-")
     with pytest.raises(FormatError, match="record 0, reference 0: replacement '-NONE-'"):
-        format_edit_records([("甲", [EditSet(0, (edit,))])])
+        format_edit_records([("甲", [EditSet((edit,))])])
     # the reserved mark parses back as an empty replacement, not the literal
     parsed = parse_edit_file(io.StringIO("S 甲\nA 0 1|||complex|||-NONE-|||0\n\n"))
     assert parsed[0].refs[0].edits[0].replacement == ""
@@ -372,10 +356,7 @@ def _m2_records(data, text, merge):
     for i in range(data.draw(st.integers(0, 4))):
         source = data.draw(text)
         refs = data.draw(st.lists(text, min_size=1, max_size=3))
-        sets = tuple(
-            extract_edits(source, ref, merge, ref_id=j)
-            for j, ref in enumerate(refs)
-        )
+        sets = tuple(extract_edits(source, ref, merge) for ref in refs)
         records.append(GoldRecord(source, sets))
     return records
 
@@ -412,7 +393,7 @@ def test_m2_writer_refuses_what_would_not_read_back(merge, data):
 def test_parse_edit_file_drops_a_byte_order_mark_before_the_first_s_line():
     [record] = parse_edit_file(io.StringIO("\ufeffS 学生生\nA 2 3|||del|||-NONE-|||0\n\n"))
     assert record.source == "学生生"
-    assert record.refs == (EditSet(0, (Edit(2, 3, ""),)),)
+    assert record.refs == (EditSet((Edit(2, 3, ""),)),)
     # Anywhere else U+FEFF is text, and a line that opens with it is no 'S' line.
     [record] = parse_edit_file(io.StringIO("S \ufeff学\nA 0 1|||del|||-NONE-|||0\n\n"))
     assert record.source == "\ufeff学"
@@ -439,8 +420,8 @@ def test_parse_edit_file_accepts_spans_that_end_at_its_source_end():
     text = "S 天气\nA 2 2|||ins|||了|||0\nA 1 2|||sub|||汽|||1\nA -1 -1|||noop|||-NONE-|||2\n\nS\nA 0 0|||ins|||x|||0\n\n"
     first, second = parse_edit_file(io.StringIO(text))
     assert first.refs == (
-        EditSet(0, (Edit(2, 2, "了"),)),
-        EditSet(1, (Edit(1, 2, "汽"),)),
-        EditSet(2, ()),
+        EditSet((Edit(2, 2, "了"),)),
+        EditSet((Edit(1, 2, "汽"),)),
+        EditSet(()),
     )
-    assert second.source == "" and second.refs == (EditSet(0, (Edit(0, 0, "x"),)),)
+    assert second.source == "" and second.refs == (EditSet((Edit(0, 0, "x"),)),)

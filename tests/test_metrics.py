@@ -275,30 +275,24 @@ def test_score_cgc_multi_reference_picks_best():
     assert (report.counts.tp, report.counts.fp, report.counts.fn) == (1, 0, 0)
 
 
-def test_score_cgc_f_tie_keeps_lowest_ref_id():
+def test_score_cgc_f_tie_keeps_the_first_reference():
     # do-nothing hypothesis scores F=0 against every reference; the tie
-    # resolves to ref 0, so its two misses are counted, not ref 1's one
-    gold_text = (
-        "S 天汽很号\n"
-        "A 1 2|||sub|||气|||0\n"
-        "A 3 4|||sub|||好|||0\n"
-        "A 1 2|||sub|||气|||1\n"
-        "\n"
-    )
-    gold = parse_edit_file(io.StringIO(gold_text))
+    # resolves to the first reference, ref 0, so its two misses are counted,
+    # not ref 1's one, in whatever order the file lists their "A" lines
+    ref0 = "A 1 2|||sub|||气|||0\nA 3 4|||sub|||好|||0\n"
+    ref1 = "A 1 2|||sub|||气|||1\n"
     hyp = [("天汽很号", "天汽很号")]
-    report = score_cgc(hyp, gold)
-    assert (report.counts.tp, report.counts.fp, report.counts.fn) == (0, 0, 2)
+    for a_lines in (ref0 + ref1, ref1 + ref0):
+        gold = parse_edit_file(io.StringIO(f"S 天汽很号\n{a_lines}\n"))
+        report = score_cgc(hyp, gold)
+        assert (report.counts.tp, report.counts.fp, report.counts.fn) == (0, 0, 2)
 
 
 def test_score_cgc_counts_a_reference_without_edits_from_the_file_as_in_memory():
     # The unchanged reference is written as a noop line, so it survives the
     # file and the do-nothing hypothesis matches it, not the edited one.
     source = "甲乙丙"
-    refs = tuple(
-        extract_edits(source, ref, ref_id=j)
-        for j, ref in enumerate(("甲乙丙", "甲丁丙"))
-    )
+    refs = tuple(extract_edits(source, ref) for ref in ("甲乙丙", "甲丁丙"))
     gold_text = format_edit_records([(source, refs)])
     assert "A -1 -1|||noop|||-NONE-|||0\n" in gold_text
     for gold in ([GoldRecord(source, refs)], parse_edit_file(io.StringIO(gold_text))):

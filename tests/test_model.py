@@ -40,8 +40,8 @@ from zhcorrect.synthetic import CONFUSION, WORD_INVENTORY, make_suite
 _NINE_CHARS = "天气很好我们学生说"
 
 
-def _pair(pid, src, ref):
-    return ParallelPair(pid, src, (ref,))
+def _pair(src, ref):
+    return ParallelPair(src, (ref,))
 
 
 def _corpus(pairs):
@@ -158,14 +158,14 @@ def test_conditional_distributions_sum_to_one(trained):
 
 def test_nll_uniform_is_length_times_log_v():
     model = initial_model(vocab=_NINE_CHARS)
-    pair = _pair("u", "天气好", "天气好")
+    pair = _pair("天气好", "天气好")
     assert _nll(model, pair) == pytest.approx(3 * math.log(10), abs=1e-9)
 
 
 def test_nll_trivial_vocab_is_exactly_zero():
     model = initial_model(vocab=())
     assert len(model.vocab) == 1
-    assert _nll(model, _pair("z", "甲乙丙", "甲乙丙")) == 0.0
+    assert _nll(model, _pair("甲乙丙", "甲乙丙")) == 0.0
 
 
 def test_nll_hand_computed_two_units():
@@ -176,13 +176,13 @@ def test_nll_hand_computed_two_units():
     p1 = 0.6 * (3.5 / 5.5) + 0.4 * (4.5 / 6.5)
     p2 = 0.6 * (2.5 / 3.5) + 0.4 * (3.5 / 4.5)
     expected = -(math.log(p1) + math.log(p2))
-    assert _nll(model, _pair("h", "甲乙", "甲乙")) == pytest.approx(expected, abs=1e-12)
+    assert _nll(model, _pair("甲乙", "甲乙")) == pytest.approx(expected, abs=1e-12)
 
 
 def test_nll_uses_first_reference_only():
     model = _hand_model()
-    one = _pair("a", "甲乙", "甲乙")
-    two = ParallelPair("b", "甲乙", ("甲乙", "乙乙"))
+    one = _pair("甲乙", "甲乙")
+    two = ParallelPair("甲乙", ("甲乙", "乙乙"))
     assert _nll(model, one) == _nll(model, two)
 
 
@@ -191,16 +191,16 @@ def test_nll_additive_over_independent_pairs_order_one():
     # alignment is the two diagonals laid end to end, so nll decomposes
     train = _corpus(
         [
-            _pair("a", "甲乙丙", "甲丁丙"),
-            _pair("b", "戊己", "庚己"),
-            _pair("c", "辛壬癸", "辛壬癸"),
-            _pair("d", "子丑", "子丑"),
+            _pair("甲乙丙", "甲丁丙"),
+            _pair("戊己", "庚己"),
+            _pair("辛壬癸", "辛壬癸"),
+            _pair("子丑", "子丑"),
         ],
     )
     model = fit_stage(initial_model(order=1), train, heldout_fraction=0.25)
-    left = _pair("l", "甲乙", "甲丁")
-    right = _pair("r", "戊己", "庚己")
-    joined = _pair("j", "甲乙戊己", "甲丁庚己")
+    left = _pair("甲乙", "甲丁")
+    right = _pair("戊己", "庚己")
+    joined = _pair("甲乙戊己", "甲丁庚己")
     assert _nll(model, left) + _nll(model, right) == pytest.approx(
         _nll(model, joined), abs=1e-9
     )
@@ -208,12 +208,11 @@ def test_nll_additive_over_independent_pairs_order_one():
 
 def test_dataset_objective_mean_semantics():
     model = _hand_model()
-    a = _pair("a", "甲乙", "甲乙")
-    a2 = _pair("a2", "甲乙", "甲乙")
-    b = _pair("b", "乙", "甲")
-    doubled = _corpus([a, a2])
+    a = _pair("甲乙", "甲乙")
+    b = _pair("乙", "甲")
+    doubled = _corpus([a, a])
     assert dataset_objective(model, doubled) == pytest.approx(_nll(model, a), abs=1e-12)
-    mixed = _corpus([a, a2, b])
+    mixed = _corpus([a, a, b])
     expected = (2 * _nll(model, a) + _nll(model, b)) / 3
     assert dataset_objective(model, mixed) == pytest.approx(expected, abs=1e-12)
 
@@ -231,7 +230,7 @@ def test_stage_config_validation():
         initial_model(order=0)
     with pytest.raises(StructuralError):
         initial_model(smoothing_k=0.0)
-    for pairs in ([_pair("a", "甲", "甲")], []):
+    for pairs in ([_pair("甲", "甲")], []):
         with pytest.raises(UsageError, match=r"^heldout_fraction must be in \(0, 1\), got 1.0$"):
             fit_stage(initial_model(), _corpus(pairs), heldout_fraction=1.0)
 
@@ -239,7 +238,7 @@ def test_stage_config_validation():
 def test_fit_stage_takes_its_stage_order_and_smoothing_from_init():
     init = initial_model(order=2, smoothing_k=0.5)
     init = init._replace(channel=init.channel._replace(smoothing_k=0.25))
-    corpus = _corpus([_pair("a", "甲乙", "甲丙"), _pair("b", "乙", "乙")])
+    corpus = _corpus([_pair("甲乙", "甲丙"), _pair("乙", "乙")])
     m1 = fit_stage(init, corpus)
     m2 = fit_stage(m1, corpus)
     assert (m1.stage, m2.stage) == (Stage.STAGE1, Stage.STAGE2)
@@ -250,7 +249,7 @@ def test_fit_stage_takes_its_stage_order_and_smoothing_from_init():
 def test_fit_stage_rejects_mismatches():
     # No stage follows stage 2, whatever the corpus.
     stage2 = initial_model()._replace(stage=Stage.STAGE2)
-    for pairs in ([_pair("a", "甲", "甲")], []):
+    for pairs in ([_pair("甲", "甲")], []):
         with pytest.raises(ConfigError, match="no stage follows"):
             fit_stage(stage2, _corpus(pairs))
 
@@ -264,7 +263,7 @@ def test_fit_stage_empty_corpus_only_advances_stage():
 
 
 def test_fit_repeated_pair_reaches_smoothing_floor():
-    pairs = [_pair(f"p{i}", "天汽很好", "天气很好") for i in range(100)]
+    pairs = [_pair("天汽很好", "天气很好")] * 100
     corpus = _corpus(pairs)
     model = fit_stage(initial_model(smoothing_k=1e-6), corpus)
     heldout = stage_heldout(corpus, 0.1, 0)
@@ -387,7 +386,7 @@ def _random_training_pairs(rng, pool, count):
     """Pairs over pool: edited copies, unrelated pairs and equal pairs, some
     of them empty."""
     pairs = []
-    for n in range(count):
+    for _ in range(count):
         src = "".join(rng.choice(pool) for _ in range(rng.randint(0, 14)))
         roll = rng.random()
         if roll < 0.6:
@@ -406,7 +405,7 @@ def _random_training_pairs(rng, pool, count):
             ref = "".join(rng.choice(pool) for _ in range(rng.randint(0, 14)))
         else:
             ref = src
-        pairs.append(_pair(str(n), src, ref))
+        pairs.append(_pair(src, ref))
     return pairs
 
 
@@ -485,7 +484,7 @@ def test_decode_fixes_planted_substitution():
         ("做饭好吃", "做饭好吃"),
         ("他在工做", "他在工作"),
     ]
-    corpus = _corpus([_pair(f"w{i}", s, t) for i, (s, t) in enumerate(texts)])
+    corpus = _corpus([_pair(s, t) for s, t in texts])
     model = fit_stage(initial_model(), corpus, heldout_fraction=0.25)
     assert model.channel.partners("做") == ("作",)
     assert decode(model, "他的工做") == "他的工作"
@@ -842,9 +841,10 @@ def test_what_the_benchmark_harness_reads_is_stable():
     # tracing.py:73: the source and references of each of parse_parallel's
     # result.pairs.
     corpus = parse_parallel(["甲\t乙\t丙\n"])
-    assert type(corpus) is Corpus and corpus.pairs == (ParallelPair("0", "甲", ("乙", "丙")),)
+    assert type(corpus) is Corpus and corpus.pairs == (ParallelPair("甲", ("乙", "丙")),)
+    assert ParallelPair._fields == ("source", "references")
     pair = corpus.pairs[0]
-    assert (pair.id, pair.source, pair.references) == ("0", "甲", ("乙", "丙"))
+    assert (pair.source, pair.references) == ("甲", ("乙", "丙"))
     # workloads.py:66-69 and 112: make_suite's stage1, csc and cgc .pairs,
     # written out and counted; workloads.py:121-128: eval_csc.pairs, sliced.
     suite = make_suite(0, stage1_size=3, csc_size=2, cgc_size=2, eval_size=4)

@@ -34,12 +34,12 @@ def _model():
 
 
 def _records():
-    pair = ParallelPair("0", "甲乙", ("甲丙",))
+    pair = ParallelPair("甲乙", ("甲丙",))
     return [
         pair,
         Corpus((pair,)),
         Edit(1, 2, "丙"),
-        EditSet(0, (Edit(1, 2, "丙"),)),
+        EditSet((Edit(1, 2, "丙"),)),
         _model(),
     ]
 
@@ -63,21 +63,21 @@ def test_copies_are_equal_and_pickle_back(record):
 
 def test_repr_names_every_field_as_a_dataclass_did():
     assert repr(Edit(1, 2, "丙")) == "Edit(start=1, end=2, replacement='丙')"
-    assert repr(EditSet(1, ())) == "EditSet(ref_id=1, edits=())"
+    assert repr(EditSet(())) == "EditSet(edits=())"
     assert repr(Corpus(())) == "Corpus(pairs=())"
 
 
 @pytest.mark.parametrize(
     ("record", "changes", "error"),
     [
-        (ParallelPair("0", "甲", ("乙",)), {"references": ()}, UsageError),
+        (ParallelPair("甲", ("乙",)), {"references": ()}, UsageError),
         # An int beyond any float is read as an infinity, out of range.
         (_model(), {"mixing_weight": 10**400}, UsageError),
         (_model(), {"mixing_weight": -0.1}, UsageError),
         (_model(), {"mixing_weight": math.nan}, UsageError),
         (Edit(1, 2, "丙"), {"end": 0}, StructuralError),
         (Edit(1, 2, ""), {"end": 1}, StructuralError),
-        (EditSet(0, ()), {"edits": (Edit(0, 2, "x"), Edit(1, 2, "y"))}, StructuralError),
+        (EditSet(()), {"edits": (Edit(0, 2, "x"), Edit(1, 2, "y"))}, StructuralError),
         (_model(), {"lm": _model().lm._replace(smoothing_k=1e308)}, ConfigError),
         (_model(), {"channel": _model().channel._replace(smoothing_k=5e-324)}, ConfigError),
         (initial_model(), {"vocab": frozenset("甲")}, StructuralError),
@@ -103,10 +103,10 @@ def test_replace_refuses_unknown_fields():
 
 def test_equal_records_hash_equal():
     a = parse_parallel(["甲\t乙\n"])
-    b = Corpus((ParallelPair("0", "甲", ("乙",)),))
+    b = Corpus((ParallelPair("甲", ("乙",)),))
     assert a == b and hash(a) == hash(b)
-    assert {EditSet(0, (Edit(0, 1, "x"),)), EditSet(0, (Edit(0, 1, "x"),))} == {
-        EditSet(0, (Edit(0, 1, "x"),))
+    assert {EditSet((Edit(0, 1, "x"),)), EditSet((Edit(0, 1, "x"),))} == {
+        EditSet((Edit(0, 1, "x"),))
     }
 
 

@@ -1,4 +1,6 @@
-import re
+import hashlib
+
+import pytest
 
 from zhcorrect.synthetic import CONFUSION, WORD_INVENTORY, make_suite
 
@@ -22,9 +24,30 @@ def test_default_sizes():
     assert len(suite.eval_csc) == 200
 
 
-def test_ids_are_stable_and_patterned():
-    suite = _small()
-    assert all(re.fullmatch(r"syn-align-\d{4}", p.id) for p in suite.stage1.pairs)
+@pytest.mark.parametrize(
+    ("sizes", "digest"),
+    [
+        ({}, "59f0a00b3a3984aa21bb1a60a30bda4ee2060594385b660e8465c86a35b22f2b"),
+        # the benchmark's train inputs (twice the default sizes)
+        (
+            {"stage1_size": 4000, "csc_size": 2000, "cgc_size": 2000, "eval_size": 1},
+            "62ed685ace0362047137d63fd79552f396c0a78928da395344e5441b5c47ada6",
+        ),
+        # the benchmark's correct lines draw on the evaluation set alone
+        (
+            {"stage1_size": 0, "csc_size": 0, "cgc_size": 0, "eval_size": 1500},
+            "496e139a1a100d3d8929b963f50050121b46a473d50eb85b853688a22e7340b1",
+        ),
+    ],
+    ids=["default", "train-2x", "eval-only"],
+)
+def test_seed_zero_pairs_are_pinned(sizes, digest):
+    # The pairs every trained model, benchmark input and pin downstream is
+    # built from: any change to the generator's draws shows here first.
+    h = hashlib.sha256()
+    for corpus in make_suite(0, **sizes):
+        h.update(repr([(p.source, p.references) for p in corpus.pairs]).encode())
+    assert h.hexdigest() == digest
 
 
 def test_deterministic_per_seed():
