@@ -9,8 +9,10 @@ on a held-out slice by grid search. A stage's counts are taken in one
 batched pass (equal pairs are not aligned), and the key order inside the
 count tables is not part of a model. Decoding is substitution-only beam
 search over a per-position candidate lattice that keeps one hypothesis per
-LM state. Its columns are cached on the model: each holds an option's cost
-and the LM state it leads to, so an expansion only adds and compares.
+LM state, the part of the prefix a step reads: its last order-1 units, or
+none at mixing weight 0, where one hypothesis is kept. Its columns are
+cached on the model: each holds an option's cost and the LM state it leads
+to, so an expansion only adds and compares.
 
 Reserved units: BOUNDARY pads LM contexts at the sentence start and UNK
 absorbs units outside the vocabulary, so every probability stays positive
@@ -161,13 +163,13 @@ class MixtureCorrectorModel(Record):
     _channel_totals, read by conditional and _token_probs, while decode
     caches its lattice in _columns: each source unit maps to its options,
     as (option, vocab-mapped option, channel probability), and to a dict
-    from LM tail to its column of (step, option, next tail) triples (see
-    decode). None of the three is a parameter: they
-    are left out of ==, repr, pickling and save_model, and every new model
-    (_replace, unpickling, fit_stage, load_model) derives the totals anew
-    and starts with an empty cache. So a model's tables must not be mutated
-    once it is built, or it would go on reading totals and scores of the old
-    counts.
+    from LM state to its column of (step, option, next state) triples (see
+    decode); at mixing weight 0 the one state is "". None of the three is a
+    parameter: they are left out of ==, repr, pickling and save_model, and
+    every new model (_replace, unpickling, fit_stage, load_model) derives
+    the totals anew and starts with an empty cache. So a model's tables must
+    not be mutated once it is built, or it would go on reading totals and
+    scores of the old counts.
     """
 
     _fields = ("lm", "channel", "vocab", "mixing_weight", "stage")
@@ -434,14 +436,16 @@ def _options(model: MixtureCorrectorModel, unit: str) -> tuple[tuple[str, str, f
 def _column(
     model: MixtureCorrectorModel, options: tuple[tuple[str, str, float], ...], tail: str
 ) -> tuple[tuple[float, str, str], ...]:
-    """The (step, option, next tail) of each of a source unit's _options
-    after tail: step is -log conditional(model, tail, unit, option), by
-    conditional's float expressions, and next tail the last order-1 units
-    of tail + option."""
+    """The (step, option, next state) of each of a source unit's _options
+    after the LM state tail: step is -log conditional(model, tail, unit,
+    option), by conditional's float expressions, and next state the part of
+    tail + option that a step reads: its last order-1 units, or "" at
+    mixing weight 0, where each step is -log(0.0 * lm_p + 1.0 * ch_p) ==
+    -log(ch_p) whatever the tail."""
     vocab, lm, lam = model.vocab, model.lm, model.mixing_weight
     key = _context_key(vocab, lm.order, tail)
     lm_ps = _add_k(lm, model._lm_totals, len(vocab), key, [mapped for _, mapped, _ in options])
-    full = len(tail) == lm.order - 1
+    full = len(tail) == (lm.order - 1 if lam else 0)
     return tuple(
         (
             -math.log(lam * lm_p + (1.0 - lam) * ch_p),
@@ -463,19 +467,22 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     order). Output length always equals input length.
 
     A conditional reads only the last order-1 units of the prefix (its
-    tail), so two hypotheses with one tail get the same future increments
-    and the costlier can never overtake the other. The beam therefore keeps
-    one hypothesis per tail, the least (cost, prefix), and beam_width counts
-    tails: after each position only the beam_width best survive. When the
-    beam holds every tail the search is exact (Viterbi). One corner is left
-    to rounding: two costs a < b of one tail can round to the same sum after
-    equal increments, and the prefix tie-break may then prefer the
-    hypothesis that was dropped.
+    tail), and at mixing weight 0 none of them, as the LM term is 0.0. A
+    hypothesis's state is the part of its prefix that is read: the tail, or
+    "" at weight 0. Two hypotheses with one state get the same future
+    increments and the costlier can never overtake the other. The beam
+    therefore keeps one hypothesis per state, the least (cost, prefix), and
+    beam_width counts states: after each position only the beam_width best
+    survive. When the beam holds every state the search is exact (Viterbi);
+    at weight 0 there is one state, so one hypothesis is kept and any
+    beam_width is exact. One corner is left to rounding: two costs a < b of
+    one state can round to the same sum after equal increments, and the
+    prefix tie-break may then prefer the hypothesis that was dropped.
 
-    model._columns maps each source unit to (its _options, a dict from tail
+    model._columns maps each source unit to (its _options, a dict from state
     to its _column). Each is built once per model, so an expansion only adds
-    its step, probes the tail it leads to and compares; it builds a string
-    only for the prefix of a hypothesis that wins its tail.
+    its step, probes the state it leads to and compares; it builds a string
+    only for the prefix of a hypothesis that wins its state.
     """
     if beam_width < 1:
         raise UsageError(f"beam_width must be >= 1, got {beam_width}")

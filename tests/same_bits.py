@@ -4,8 +4,9 @@ across Python versions.
 Run as `python tests/same_bits.py`: it needs only the standard library and
 the package under src/. It trains the two stages with fit_stage and prints
 the stage-2 model file's sha256, the sha256 of decode's output on the
-eval_csc lines at mixing weight 0.35, and the repr of each stage's
-held-out objectives over its weight grid, one line each.
+eval_csc lines at the trained mixing weight (0, one LM state) and at 0.35
+(one state per LM tail), and the repr of each stage's held-out objectives
+over its weight grid, one line each.
 """
 
 import hashlib
@@ -40,9 +41,9 @@ def main() -> None:
         path = Path(tmp) / "model.json"
         save_model(model, str(path))
         print(hashlib.sha256(path.read_bytes()).hexdigest())
-    mixed = model._replace(mixing_weight=0.35)
-    lines = "".join(decode(mixed, pair.source) + "\n" for pair in suite.eval_csc.pairs)
-    print(hashlib.sha256(lines.encode("utf-8")).hexdigest())
+    for weighted in (model, model._replace(mixing_weight=0.35)):
+        lines = "".join(decode(weighted, pair.source) + "\n" for pair in suite.eval_csc.pairs)
+        print(hashlib.sha256(lines.encode("utf-8")).hexdigest())
 
 
 if __name__ == "__main__":

@@ -628,8 +628,19 @@ def test_every_cached_column_holds_conditional_and_the_next_tail():
                     for step, option, next_tail in column:
                         exact = -math.log(conditional(model, tail, unit, option))
                         assert step.hex() == exact.hex(), (order, weight, unit, tail, option)
-                        assert next_tail == ((tail + option)[1:] if full else tail + option)
+                        if weight == 0.0:
+                            # No step reads the tail: after any other prefix,
+                            # OOV units among it, the step has the same bits.
+                            other = -math.log(conditional(model, "庚甲" * order, unit, option))
+                            assert step.hex() == other.hex(), (order, unit, option)
+                            assert next_tail == ""
+                        else:
+                            assert next_tail == ((tail + option)[1:] if full else tail + option)
                 tails.update(by_tail)
+            if weight == 0.0:
+                # One state, so one column per source unit.
+                assert tails == {""}
+                continue
             # The columns cover tails of every length, OOV units among them.
             assert {len(tail) for tail in tails} == set(range(order))
             assert order == 1 or any(u not in model.vocab for tail in tails for u in tail)
@@ -661,6 +672,20 @@ def test_decode_is_exact_when_the_beam_holds_every_tail():
             for _ in range(40):
                 src = "".join(rng.choice(units) for _ in range(rng.randint(1, 6)))
                 assert decode(model, src, beam_width) == _lattice_oracle(model, src), (order, weight, src)
+
+
+def test_decode_is_exact_at_any_beam_without_the_lm():
+    # At weight 0 no step reads the tail, so every hypothesis has the one
+    # state "" and even a beam of 1 holds every state.
+    rng = random.Random(73)
+    units = _ORACLE_VOCAB + _ORACLE_OOV
+    for order in (1, 2, 3, 4):
+        model = _random_model(rng, order, 0.0)
+        for n in range(60):
+            src = "".join(rng.choice(units) for _ in range(rng.randint(1, 6)))
+            beam_width = (1, 2, 8)[n % 3]
+            assert decode(model, src, beam_width) == _lattice_oracle(model, src), (order, src)
+        assert all(list(by_tail) == [""] for _, by_tail in model._columns.values())
 
 
 def test_decode_finds_the_optimum_the_plain_beam_misses():
@@ -716,6 +741,20 @@ def suite0_model():
     return suite, fit_stage(m1, suite.joint)
 
 
+def test_trained_model_caches_one_column_per_source_unit(suite0_model):
+    # Training picks weight 0 here, so no step reads the LM tail and each
+    # source unit's one column is keyed on, and leads to, the empty state.
+    suite, trained_model = suite0_model
+    assert trained_model.mixing_weight == 0.0
+    model = trained_model._replace()
+    for pair in suite.eval_csc.pairs:
+        decode(model, pair.source)
+    assert set(model._columns) == {unit for pair in suite.eval_csc.pairs for unit in pair.source}
+    for _, by_tail in model._columns.values():
+        assert list(by_tail) == [""]
+        assert {next_tail for _, _, next_tail in by_tail[""]} == {""}
+
+
 def test_decode_matches_reference_on_suite_eval(suite0_model):
     suite, model = suite0_model
     changed = 0
@@ -727,23 +766,29 @@ def test_decode_matches_reference_on_suite_eval(suite0_model):
 
 
 def test_decode_output_is_pinned_with_the_lm_in_play(tmp_path, suite0_model):
-    # The trained model's weight is 0, which leaves the LM tail unread, so the
-    # pinned lines are also decoded with the LM mixed in at 0.35.
+    # The trained model's weight is 0, which leaves the LM tail unread and
+    # decode with one state, so the pinned lines are also decoded with the
+    # LM mixed in at 0.35, one state per tail. The digests are those of the
+    # decode that kept one state per tail at every weight.
     suite, model = suite0_model
     path = tmp_path / "model.json"
     save_model(model, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "039dd0c055eefd03d1766e7027d629d6f414d218c27a2d556d017d18acab1a86"
     )
-    mixed = model._replace(mixing_weight=0.35)
+    channel_only = "8127ce8d1547f172608fbe39ba7aa453c67a4cd8a86b1a4d09869931c439b934"
     pinned = {
-        1: "8127ce8d1547f172608fbe39ba7aa453c67a4cd8a86b1a4d09869931c439b934",
-        2: "c82b7ebccfed7e0d9f5be4a3a8e30dd749eae3741c62c76a86b3cde01c03cd59",
-        8: "c82b7ebccfed7e0d9f5be4a3a8e30dd749eae3741c62c76a86b3cde01c03cd59",
+        (0.0, 1): channel_only,
+        (0.0, 2): channel_only,
+        (0.0, 8): channel_only,
+        (0.35, 1): "8127ce8d1547f172608fbe39ba7aa453c67a4cd8a86b1a4d09869931c439b934",
+        (0.35, 2): "c82b7ebccfed7e0d9f5be4a3a8e30dd749eae3741c62c76a86b3cde01c03cd59",
+        (0.35, 8): "c82b7ebccfed7e0d9f5be4a3a8e30dd749eae3741c62c76a86b3cde01c03cd59",
     }
-    for beam_width, expected in pinned.items():
-        lines = "".join(decode(mixed, p.source, beam_width) + "\n" for p in suite.eval_csc.pairs)
-        assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == expected, beam_width
+    for (weight, beam_width), expected in pinned.items():
+        weighted = model._replace(mixing_weight=weight)
+        lines = "".join(decode(weighted, p.source, beam_width) + "\n" for p in suite.eval_csc.pairs)
+        assert hashlib.sha256(lines.encode("utf-8")).hexdigest() == expected, (weight, beam_width)
 
 
 def test_decode_cache_ignores_line_order(suite0_model):

@@ -57,6 +57,6 @@ def test_training_and_decoding_agree_across_interpreters():
             f" on PATH or in {PYENV_ROOT}/versions/*/bin/python3"
         )
     expected = _run(sys.executable)
-    assert len(expected.splitlines()) == 4
+    assert len(expected.splitlines()) == 5
     for python, version in others:
         assert _run(python) == expected, version
