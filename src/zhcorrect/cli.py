@@ -358,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument(
         "--beam", type=int, default=8,
-        help="hypotheses kept per position, one per LM state (the last order-1 units, "
-        "none at mixing weight 0, where one is kept): the one of least cost, ties going "
+        help="hypotheses kept per position, one per LM state (the LM context a step reads: "
+        "the last order-1 units, mapped and padded; none at mixing weight 0, where one "
+        "is kept): the one of least cost, ties going "
         "to the code-point-smaller text. Exact once every state fits, up to rounding: "
         "two costs of one state can tie later, and the tie-break may then favour the "
         "dropped one",

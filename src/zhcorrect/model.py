@@ -9,10 +9,10 @@ on a held-out slice by grid search. A stage's counts are taken in one
 batched pass (equal pairs are not aligned), and the key order inside the
 count tables is not part of a model. Decoding is substitution-only beam
 search over a per-position candidate lattice that keeps one hypothesis per
-LM state, the part of the prefix a step reads: its last order-1 units, or
-none at mixing weight 0, where one hypothesis is kept. Its columns are
-cached on the model: each holds an option's cost and the LM state it leads
-to, so an expansion only adds and compares.
+LM state, the LM context a step reads (none at mixing weight 0, where one
+hypothesis is kept). Its columns are cached on the model: each holds an
+option's cost and the LM state it leads to, so an expansion only adds and
+compares. Training and decoding read both tables through one _add_k.
 
 Reserved units: BOUNDARY pads LM contexts at the sentence start and UNK
 absorbs units outside the vocabulary, so every probability stays positive
@@ -26,7 +26,7 @@ import math
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
@@ -68,6 +68,14 @@ def _real(name: str, value: object) -> float:
         return float(value) + 0.0
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _mixing_weight(name: str, value: object) -> float:
+    """value as a mixing weight: a number but no bool (see _real), in [0, 1]."""
+    weight = _real(name, value)
+    if not 0.0 <= weight <= 1.0:
+        raise UsageError(f"{name} must be in [0, 1], got {weight}")
+    return weight
 
 
 def _check_smoothing(owner: str, k: float, totals: dict[str, int], vocab_size: int) -> None:
@@ -141,14 +149,25 @@ _NO_COUNTS: dict[str, int] = {}
 
 def _add_k(
     table: NgramLM | ConfusionChannel, totals: dict[str, int], vocab_size: int,
-    key: str | None, units: Iterable[str],
-) -> list[float]:
-    """The table's add-k probabilities (count + k) / (total + k·|V|) of
-    units, each in the vocab or UNK, in the row of key (an LM context or a
-    channel source). A key without a row, None included, has no counts."""
-    row, k = table.counts.get(key, _NO_COUNTS), table.smoothing_k
-    denominator = totals.get(key, 0) + k * vocab_size
-    return [(row.get(unit, 0) + k) / denominator for unit in units]
+    keys: Iterable[str | None], units: Iterable[str],
+) -> Iterator[float]:
+    """The table's add-k probability (count + k) / (total + k·|V|) of each
+    unit, in the vocab or UNK, in the row of its key (an LM context or a
+    channel source), keys and units taken in pairs, lazily. A key without a
+    row, None included, has no counts."""
+    counts, k, kv = table.counts, table.smoothing_k, table.smoothing_k * vocab_size
+    return (
+        (counts.get(key, _NO_COUNTS).get(unit, 0) + k) / (totals.get(key, 0) + kv)
+        for key, unit in zip(keys, units)
+    )
+
+
+def _lm_windows(order: int, target: str, width: int) -> Iterator[str]:
+    """The width-unit slices of target padded with order-1 BOUNDARY units,
+    one starting at each unit of target: of width order, its LM n-grams; of
+    width order-1, its units' LM contexts if all are in the vocab."""
+    padded = BOUNDARY * (order - 1) + target
+    return map(padded.__getitem__, map(slice, range(len(target)), range(width, len(target) + width)))
 
 
 class MixtureCorrectorModel(Record):
@@ -160,11 +179,11 @@ class MixtureCorrectorModel(Record):
     single unit.
 
     It also derives each table's count totals into _lm_totals and
-    _channel_totals, read by conditional and _token_probs, while decode
+    _channel_totals, which _add_k reads for every caller, while decode
     caches its lattice in _columns: each source unit maps to its options,
     as (option, vocab-mapped option, channel probability), and to a dict
-    from LM state to its column of (step, option, next state) triples (see
-    decode); at mixing weight 0 the one state is "". None of the three is a
+    from LM state (the LM context a step reads) to its column of (step,
+    option, next state) triples (see decode). None of the three is a
     parameter: they are left out of ==, repr, pickling and save_model, and
     every new model (_replace, unpickling, fit_stage, load_model) derives
     the totals anew and starts with an empty cache. So a model's tables must
@@ -189,9 +208,7 @@ class MixtureCorrectorModel(Record):
             raise StructuralError("vocab must contain the UNK unit")
         channel = channel._replace(smoothing_k=_real("channel smoothing_k", channel.smoothing_k))
         _check_smoothing("channel", channel.smoothing_k, channel_totals, len(vocab))
-        mixing_weight = _real("mixing_weight", mixing_weight)
-        if not 0.0 <= mixing_weight <= 1.0:
-            raise UsageError(f"mixing_weight must be in [0, 1], got {mixing_weight}")
+        mixing_weight = _mixing_weight("mixing_weight", mixing_weight)
         self._set(lm, channel, vocab, mixing_weight, stage)
         object.__setattr__(self, "_lm_totals", lm_totals)
         object.__setattr__(self, "_channel_totals", channel_totals)
@@ -223,10 +240,9 @@ def conditional(
     """Mixture probability of emitting y_t after prev_context given the
     aligned source unit; always in (0, 1].
 
-    Each table gives the add-k probability (count + k) / (total + k·|V|),
-    units outside the vocabulary mapped to UNK. A source of None (no aligned
-    unit) takes the channel's zero-count case, i.e. uniform over the
-    vocabulary.
+    Each table gives its add-k probability (see _add_k), units outside the
+    vocabulary mapped to UNK. A source of None (no aligned unit) takes the
+    channel's zero-count case, i.e. uniform over the vocabulary.
     """
     vocab = model.vocab
     units = (y_t if y_t in vocab else UNK,)
@@ -234,8 +250,8 @@ def conditional(
     if src is not None and src not in vocab:
         src = UNK
     key = _context_key(vocab, model.lm.order, prev_context)
-    (lm_p,) = _add_k(model.lm, model._lm_totals, len(vocab), key, units)
-    (ch_p,) = _add_k(model.channel, model._channel_totals, len(vocab), src, units)
+    (lm_p,) = _add_k(model.lm, model._lm_totals, len(vocab), (key,), units)
+    (ch_p,) = _add_k(model.channel, model._channel_totals, len(vocab), (src,), units)
     lam = model.mixing_weight
     return lam * lm_p + (1.0 - lam) * ch_p
 
@@ -254,55 +270,27 @@ def _masks(sources: Sequence[str], targets: Sequence[str]) -> tuple[bytes, bytes
     return smask.encode().translate(_PAIRED), tmask.encode().translate(_PAIRED)
 
 
-def _aligned_source_units(sources: Sequence[str], targets: Sequence[str]) -> Iterator[str | None]:
-    """For each unit of the joined targets, the source unit aligned to it
-    (None for insertions): the next aligned source unit where the target
-    mask is true, else the default of next on an empty iterator."""
-    smask, tmask = _masks(sources, targets)
-    units = compress("".join(sources), smask)
-    return map(next, map((iter(()), units).__getitem__, tmask), repeat(None))
-
-
 def _token_probs(
     model: MixtureCorrectorModel, pairs: Sequence[ParallelPair]
 ) -> Iterator[list[tuple[float, float]]]:
-    """For each pair, the (lm_p, ch_p) of each unit of its first reference.
-    None of it depends on the mixing weight, so one table of them serves
-    every weight.
-
-    The values are conditional's two terms, read from the same tables and
-    totals by _add_k's float expressions, written out here. The target is
-    mapped to UNK once, so each LM context is a slice of the padded, mapped
-    target.
-    """
+    """For each pair, the (lm_p, ch_p) of each unit of its first reference:
+    conditional's two terms, which do not depend on the mixing weight. Each
+    side is mapped to UNK once. A unit's LM context is a window of its
+    mapped target, and its channel source the next mapped source unit where
+    the target mask is true, else None (an insertion)."""
     lm, channel, vocab = model.lm, model.channel, model.vocab
-    width = lm.order - 1
-    lm_counts, lm_totals = lm.counts, model._lm_totals
-    ch_counts, ch_totals = channel.counts, model._channel_totals
-    lm_k, ch_k = lm.smoothing_k, channel.smoothing_k
-    lm_kv, ch_kv = lm_k * len(vocab), ch_k * len(vocab)
-    no_counts: dict[str, int] = {}
-    references = [pair.references[0] for pair in pairs]
-    # One iterator over all pairs: zip takes from it only while target lasts.
-    aligned = _aligned_source_units([pair.source for pair in pairs], references)
-    for reference in references:
-        target = "".join(u if u in vocab else UNK for u in reference)
-        padded = BOUNDARY * width + target
-        row = []
-        for t, (unit, src) in enumerate(zip(target, aligned)):
-            key = padded[t : t + width]
-            lm_p = (lm_counts.get(key, no_counts).get(unit, 0) + lm_k) / (
-                lm_totals.get(key, 0) + lm_kv
-            )
-            if src is None:
-                count = total = 0
-            else:
-                if src not in vocab:
-                    src = UNK
-                count = ch_counts.get(src, no_counts).get(unit, 0)
-                total = ch_totals.get(src, 0)
-            row.append((lm_p, (count + ch_k) / (total + ch_kv)))
-        yield row
+    sources = [pair.source for pair in pairs]
+    targets = [pair.references[0] for pair in pairs]
+    smask, tmask = _masks(sources, targets)
+    targets = ["".join(u if u in vocab else UNK for u in target) for target in targets]
+    contexts = chain.from_iterable(_lm_windows(lm.order, target, lm.order - 1) for target in targets)
+    units = compress("".join(u if u in vocab else UNK for u in "".join(sources)), smask)
+    aligned = map(next, map((iter(()), units).__getitem__, tmask), repeat(None))
+    joined = "".join(targets)
+    lm_ps = _add_k(lm, model._lm_totals, len(vocab), contexts, joined)
+    probs = zip(lm_ps, _add_k(channel, model._channel_totals, len(vocab), aligned, joined))
+    for target in targets:
+        yield list(islice(probs, len(target)))
 
 
 def _mean_nll(table: Sequence[list[tuple[float, float]]], lam: float) -> float:
@@ -328,14 +316,14 @@ def dataset_objective(
     model: MixtureCorrectorModel, corpus: Corpus, weights: Sequence[float] | None = None
 ) -> float | list[float]:
     """Mean per-pair nll over the corpus at the model's mixing weight or,
-    given weights, the list of it at each weight. Every weight is scored
-    from one table, so each pair is aligned once however many there are."""
+    given weights, the list of it at each weight, checked as the model's.
+    Every weight is scored from one table, so each pair is aligned once."""
     if not corpus.pairs:
         raise UsageError("dataset_objective needs a non-empty corpus")
     table = list(_token_probs(model, corpus.pairs))
     if weights is None:
         return _mean_nll(table, model.mixing_weight)
-    return [_mean_nll(table, weight) for weight in weights]
+    return [_mean_nll(table, _mixing_weight("weight", weight)) for weight in weights]
 
 
 def _accumulate(
@@ -355,12 +343,8 @@ def _accumulate(
     vocab.update(joined_sources)
     vocab.update(joined_targets)
     # Every unit of a target is in vocab now, so none maps to UNK and each
-    # LM context (see _context_key) + unit is a slice of the padded target.
-    pad = BOUNDARY * (order - 1)
-    ngrams = chain.from_iterable(
-        map((pad + t).__getitem__, map(slice, range(len(t)), range(order, len(t) + order)))
-        for t in targets
-    )
+    # LM context + unit is a window of the padded target.
+    ngrams = chain.from_iterable(_lm_windows(order, t, order) for t in targets)
     # The channel counts source unit + target unit of each M or S code.
     # Insertions have no source unit and deletions no emission; the
     # substitution-only channel records neither.
@@ -429,30 +413,24 @@ def _options(model: MixtureCorrectorModel, unit: str) -> tuple[tuple[str, str, f
     options = sorted({unit, *model.channel.partners(unit)})
     mapped = [option if option in vocab else UNK for option in options]
     src = unit if unit in vocab else UNK
-    ch_ps = _add_k(model.channel, model._channel_totals, len(vocab), src, mapped)
+    ch_ps = _add_k(model.channel, model._channel_totals, len(vocab), repeat(src), mapped)
     return tuple(zip(options, mapped, ch_ps))
 
 
 def _column(
-    model: MixtureCorrectorModel, options: tuple[tuple[str, str, float], ...], tail: str
+    model: MixtureCorrectorModel, options: tuple[tuple[str, str, float], ...], state: str
 ) -> tuple[tuple[float, str, str], ...]:
-    """The (step, option, next state) of each of a source unit's _options
-    after the LM state tail: step is -log conditional(model, tail, unit,
-    option), by conditional's float expressions, and next state the part of
-    tail + option that a step reads: its last order-1 units, or "" at
-    mixing weight 0, where each step is -log(0.0 * lm_p + 1.0 * ch_p) ==
-    -log(ch_p) whatever the tail."""
-    vocab, lm, lam = model.vocab, model.lm, model.mixing_weight
-    key = _context_key(vocab, lm.order, tail)
-    lm_ps = _add_k(lm, model._lm_totals, len(vocab), key, [mapped for _, mapped, _ in options])
-    full = len(tail) == (lm.order - 1 if lam else 0)
+    """The (step, option, next state) of each of a source unit's _options in
+    the LM state state: step is -log conditional(model, prefix, unit,
+    option), by its float expressions, for a prefix of that LM context, and
+    next state is state + the mapped option less its first unit. At mixing
+    weight 0 state is "" and each step is -log(ch_p), as 0.0 * lm_p is 0.0."""
+    lam = model.mixing_weight
+    units = [mapped for _, mapped, _ in options]
+    lm_ps = _add_k(model.lm, model._lm_totals, len(model.vocab), repeat(state), units)
     return tuple(
-        (
-            -math.log(lam * lm_p + (1.0 - lam) * ch_p),
-            option,
-            (tail + option)[1:] if full else tail + option,
-        )
-        for (option, _, ch_p), lm_p in zip(options, lm_ps)
+        (-math.log(lam * lm_p + (1.0 - lam) * ch_p), option, (state + mapped)[1:])
+        for (option, mapped, ch_p), lm_p in zip(options, lm_ps)
     )
 
 
@@ -466,38 +444,43 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     in unit code-point order (prefixes are equal-length str, so plain str
     order). Output length always equals input length.
 
-    A conditional reads only the last order-1 units of the prefix (its
-    tail), and at mixing weight 0 none of them, as the LM term is 0.0. A
-    hypothesis's state is the part of its prefix that is read: the tail, or
-    "" at weight 0. Two hypotheses with one state get the same future
-    increments and the costlier can never overtake the other. The beam
-    therefore keeps one hypothesis per state, the least (cost, prefix), and
-    beam_width counts states: after each position only the beam_width best
-    survive. When the beam holds every state the search is exact (Viterbi);
-    at weight 0 there is one state, so one hypothesis is kept and any
-    beam_width is exact. One corner is left to rounding: two costs a < b of
-    one state can round to the same sum after equal increments, and the
-    prefix tie-break may then prefer the hypothesis that was dropped.
+    A conditional reads only the LM context of the prefix, its last order-1
+    units mapped to the vocab and padded with BOUNDARY (see _context_key),
+    and at mixing weight 0 none of it, as the LM term is 0.0. A hypothesis's
+    state is what is read: it starts as order-1 BOUNDARY units, or "" at
+    weight 0, and each option appends its mapped unit and drops the first.
+    Two hypotheses with one state get the same future increments and the
+    costlier can never overtake the other. The beam therefore keeps one
+    hypothesis per state, the least (cost, prefix), and beam_width counts
+    states: after each position only the beam_width best survive. When the
+    beam holds every state the search is exact (Viterbi); at weight 0 there
+    is one state, so one hypothesis is kept and any beam_width is exact. One
+    corner is left to rounding: two costs a < b of one state can round to
+    the same sum after equal increments, and the prefix tie-break may then
+    prefer the hypothesis that was dropped.
 
     model._columns maps each source unit to (its _options, a dict from state
     to its _column). Each is built once per model, so an expansion only adds
     its step, probes the state it leads to and compares; it builds a string
     only for the prefix of a hypothesis that wins its state.
     """
+    if type(beam_width) is not int:
+        raise StructuralError(f"beam_width must be an integer, got {beam_width!r}")
     if beam_width < 1:
         raise UsageError(f"beam_width must be >= 1, got {beam_width}")
     columns = model._columns
-    beams: dict[str, tuple[float, str]] = {"": (0.0, "")}
+    start = BOUNDARY * (model.lm.order - 1) if model.mixing_weight else ""
+    beams: dict[str, tuple[float, str]] = {start: (0.0, "")}
     for unit in src:
         cached = columns.get(unit)
         if cached is None:
             cached = columns[unit] = (_options(model, unit), {})
-        options, by_tail = cached
+        options, by_state = cached
         expanded: dict[str, tuple[float, str]] = {}
-        for tail, (cost, prefix) in beams.items():
-            column = by_tail.get(tail)
+        for state, (cost, prefix) in beams.items():
+            column = by_state.get(state)
             if column is None:
-                column = by_tail[tail] = _column(model, options, tail)
+                column = by_state[state] = _column(model, options, state)
             for step, option, key in column:
                 total = cost + step
                 held = expanded.get(key)

@@ -135,11 +135,23 @@ def test_channel_single_pair_tiny_smoothing():
 
 
 def test_mixing_weight_range_checked():
+    # The model's weight and each weight dataset_objective scores are
+    # checked alike: a number but no bool, in [0, 1].
     model = _hand_model()
-    with pytest.raises(UsageError):
-        model._replace(mixing_weight=1.5)
-    with pytest.raises(UsageError):
-        model._replace(mixing_weight=-0.1)
+    heldout = _corpus([_pair("甲乙", "甲乙")])
+    for weight in (1.5, -0.1, -0.5, math.nan, math.inf):
+        with pytest.raises(UsageError, match=r"^mixing_weight must be in \[0, 1\]"):
+            model._replace(mixing_weight=weight)
+        with pytest.raises(UsageError, match=r"^weight must be in \[0, 1\]"):
+            dataset_objective(model, heldout, [0.5, weight])
+    for weight in (True, "0.5", None):
+        with pytest.raises(StructuralError, match="^mixing_weight must be a number"):
+            model._replace(mixing_weight=weight)
+        with pytest.raises(StructuralError, match="^weight must be a number"):
+            dataset_objective(model, heldout, [weight])
+    assert dataset_objective(model, heldout, [0, 1, -0.0]) == dataset_objective(
+        model, heldout, [0.0, 1.0, 0.0]
+    )
 
 
 def test_conditional_distributions_sum_to_one(trained):
@@ -465,8 +477,13 @@ def test_stage_heldout_matches_split(small_suite):
 
 
 def test_decode_rejects_bad_beam():
-    with pytest.raises(UsageError):
-        decode(_hand_model(), "甲", 0)
+    # Checked before any position, so also where no beam would be cut.
+    for beam_width in (0, -1):
+        with pytest.raises(UsageError, match=r"^beam_width must be >= 1"):
+            decode(_hand_model(), "甲乙甲乙", beam_width)
+    for beam_width in (2.5, 8.0, True, "8", None):
+        with pytest.raises(StructuralError, match="^beam_width must be an integer"):
+            decode(_hand_model(), "甲乙甲乙", beam_width)
 
 
 def test_decode_identity_without_channel_mass():
@@ -605,6 +622,8 @@ def _column_model(rng, order, weight):
 
 
 def test_every_cached_column_holds_conditional_and_the_next_tail():
+    # Each column is keyed by an LM state, the mapped and padded LM context
+    # its steps read, and leads to the state of the prefix it extends.
     rng = random.Random(71)
     units = _ORACLE_VOCAB + _ORACLE_OOV
     for order in (1, 2, 3, 4):
@@ -615,35 +634,37 @@ def test_every_cached_column_holds_conditional_and_the_next_tail():
                 src = "".join(rng.choice(units) for _ in range(rng.randint(1, 12)))
                 decode(model, src, rng.choice((1, 2, 8)))
             assert set(model._columns) == set(units)
-            tails = set()
-            for unit, (options, by_tail) in model._columns.items():
+            states = set()
+            for unit, (options, by_state) in model._columns.items():
                 expected = sorted({unit, *model.channel.partners(unit)})
                 assert [option for option, _, _ in options] == expected
                 for option, mapped, ch_p in options:
                     assert mapped == (option if option in model.vocab else UNK)
                     assert ch_p.hex() == conditional(channel_only, "", unit, option).hex()
-                for tail, column in by_tail.items():
+                for state, column in by_state.items():
                     assert [option for _, option, _ in column] == expected
-                    full = len(tail) == order - 1
-                    for step, option, next_tail in column:
-                        exact = -math.log(conditional(model, tail, unit, option))
-                        assert step.hex() == exact.hex(), (order, weight, unit, tail, option)
+                    context = state.lstrip(BOUNDARY)
+                    if weight:
+                        assert _context_key(model.vocab, order, context) == state
+                    for (step, option, next_state), (_, mapped, _) in zip(column, options):
+                        exact = -math.log(conditional(model, context, unit, option))
+                        assert step.hex() == exact.hex(), (order, weight, unit, state, option)
                         if weight == 0.0:
-                            # No step reads the tail: after any other prefix,
+                            # No step reads the prefix: after any other one,
                             # OOV units among it, the step has the same bits.
                             other = -math.log(conditional(model, "庚甲" * order, unit, option))
                             assert step.hex() == other.hex(), (order, unit, option)
-                            assert next_tail == ""
+                            assert next_state == ""
                         else:
-                            assert next_tail == ((tail + option)[1:] if full else tail + option)
-                tails.update(by_tail)
+                            assert next_state == (state + mapped)[1:]
+                states.update(by_state)
             if weight == 0.0:
                 # One state, so one column per source unit.
-                assert tails == {""}
+                assert states == {""}
                 continue
-            # The columns cover tails of every length, OOV units among them.
-            assert {len(tail) for tail in tails} == set(range(order))
-            assert order == 1 or any(u not in model.vocab for tail in tails for u in tail)
+            # Every state is a full LM context, UNK in some of them.
+            assert {len(state) for state in states} == {order - 1}
+            assert order == 1 or any(UNK in state for state in states)
 
 
 def test_decoding_a_line_again_adds_no_column(suite0_model):
@@ -662,16 +683,36 @@ def test_decoding_a_line_again_adds_no_column(suite0_model):
 
 
 def test_decode_is_exact_when_the_beam_holds_every_tail():
+    # _column_model's x has two options outside the vocab, x and 辛, which
+    # share one LM state.
     rng = random.Random(67)
     units = _ORACLE_VOCAB + _ORACLE_OOV
-    for order in (1, 2, 3):
-        for weight in (0.0, 0.35, 1.0):
-            model = _random_model(rng, order, weight)
-            max_options = max(len({u, *model.channel.partners(u)}) for u in units)
-            beam_width = max_options ** (order - 1)
-            for _ in range(40):
-                src = "".join(rng.choice(units) for _ in range(rng.randint(1, 6)))
-                assert decode(model, src, beam_width) == _lattice_oracle(model, src), (order, weight, src)
+    for build in (_random_model, _column_model):
+        for order in (1, 2, 3):
+            for weight in (0.0, 0.35, 1.0):
+                model = build(rng, order, weight)
+                max_options = max(len({u, *model.channel.partners(u)}) for u in units)
+                beam_width = max_options ** (order - 1)
+                for _ in range(40):
+                    src = "".join(rng.choice(units) for _ in range(rng.randint(1, 6)))
+                    expected = _lattice_oracle(model, src)
+                    assert decode(model, src, beam_width) == expected, (build, order, weight, src)
+
+
+def test_decode_keeps_one_state_for_options_outside_the_vocab():
+    # Pure LM of order 2. Source x offers x, 甲 and 辛; x and 辛 are outside
+    # the vocab, so both read UNK and lead to one state with equal futures.
+    # They are the two cheapest first units, and a beam of 2 that gave each
+    # its own slot would drop 甲, the only way to a likely 乙.
+    vocab = frozenset("甲乙") | {UNK}
+    lm_counts = {BOUNDARY: Counter({UNK: 8, "甲": 1}), "甲": Counter({"乙": 100}), UNK: Counter({"甲": 100})}
+    channel_counts = {"x": Counter({"甲": 1, "辛": 1})}
+    model = MixtureCorrectorModel(
+        NgramLM(2, 0.01, lm_counts), ConfusionChannel(0.01, channel_counts), vocab, 1.0, Stage.STAGE1
+    )
+    assert _reference_decode(model, "x乙", 2) == "x乙"
+    assert decode(model, "x乙", 2) == "甲乙" == _lattice_oracle(model, "x乙")
+    assert set(model._columns["乙"][1]) == {UNK, "甲"}
 
 
 def test_decode_is_exact_at_any_beam_without_the_lm():
