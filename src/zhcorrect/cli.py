@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from contextlib import closing, contextmanager
@@ -41,7 +40,6 @@ _MERGE_POLICIES = tuple(policy.value for policy in MergePolicy)
 _OP_KINDS = {"M": "match", "S": "sub", "I": "ins", "D": "del"}
 
 T = TypeVar("T")
-R = TypeVar("R")
 
 
 def _sha256_file(path: str) -> str:
@@ -76,23 +74,6 @@ def _write_manifest(args: argparse.Namespace, inputs: Sequence[str], started: fl
         args.out + ".manifest.json",
         json.dumps(manifest, sort_keys=True, ensure_ascii=True, indent=2) + "\n",
     )
-
-
-def _pmap(func: Callable[[T], R], items: Sequence[T], jobs: int) -> list[R]:
-    """Order-preserving map, fanned out over processes when jobs > 1: at most
-    jobs of them, and no more than there are items or CPUs."""
-    if jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {jobs}")
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [func(item) for item in items]
-    # Imported here, so that a run with one job does not pay for the pool's
-    # import (concurrent.futures, multiprocessing, logging) at start-up.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(func, items, chunksize=chunk))
 
 
 @contextmanager
@@ -233,7 +214,6 @@ def cmd_score_cgc(args: argparse.Namespace) -> int:
         beta=args.beta,
         merge=MergePolicy(args.merge_policy),
         dataset=args.dataset or Path(args.gold_edits).stem,
-        map_fn=partial(_pmap, jobs=args.jobs),
     )
     return _finish_report(args, report, [args.hyp_file, args.gold_edits], started)
 
@@ -267,9 +247,9 @@ def cmd_correct(args: argparse.Namespace) -> int:
     if args.beam < 1:  # decode's check, made before an empty input skips decode
         raise UsageError(f"beam_width must be >= 1, got {args.beam}")
     policy = NormalizePolicy(args.normalize)
-    lines = list(_iter_read(args.input, partial(iter_plain_lines, policy=policy)))
-    corrected = _pmap(partial(decode, model, beam_width=args.beam), lines, args.jobs)
-    _emit(args, "".join(line + "\n" for line in corrected), [args.model, args.input], started)
+    lines = _iter_read(args.input, partial(iter_plain_lines, policy=policy))
+    text = "".join(decode(model, line, beam_width=args.beam) + "\n" for line in lines)
+    _emit(args, text, [args.model, args.input], started)
     return 0
 
 
@@ -313,6 +293,13 @@ def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = True, out: bool = T
         sub.add_argument("--out", default=None, help="artifact path; adds a .manifest.json sidecar")
 
 
+def _add_jobs(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--jobs", type=int, choices=(1,), default=1,
+        help="the command runs in one process; 1, the only value, is accepted and sets nothing",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zhcorrect",
@@ -337,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("gold_edits")
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--merge-policy", choices=_MERGE_POLICIES, default="maximal-runs")
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     p.add_argument("--dataset", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_score_cgc)
@@ -365,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
         "two costs of one state can tie later, and the tie-break may then favour the "
         "dropped one",
     )
-    p.add_argument("--jobs", type=int, default=1)
+    _add_jobs(p)
     _add_common(p, fmt=False)
     p.set_defaults(func=cmd_correct)
 

@@ -14,8 +14,7 @@ Conventions, stated once because they decide the numbers:
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .edits import EditSet, GoldRecord, MatchCounts, MergePolicy, extract_edits, match_edits
 from .errors import UsageError
@@ -44,6 +43,9 @@ def _check_beta(beta: float) -> None:
     # NaN fails both comparisons; an infinite beta makes every F NaN.
     if not 0.0 < beta < math.inf:
         raise UsageError(f"beta must be finite and > 0, got {beta}")
+    # So does a beta whose square overflows.
+    if beta * beta == math.inf:
+        raise UsageError(f"beta must have a finite square, got {beta}")
 
 
 def f_beta(precision: float, recall: float, beta: float = 0.5) -> float:
@@ -145,30 +147,20 @@ def sentence_edit_counts(
     return best
 
 
-def _sentence_counts(
-    task: tuple[str, str, Sequence[EditSet]], beta: float, merge: MergePolicy
-) -> MatchCounts:
-    source, hypothesis, refs = task
-    return sentence_edit_counts(source, hypothesis, refs, beta=beta, merge=merge)
-
-
 def score_cgc(
     hyp_corpus: Sequence[tuple[str, str]],
     gold: Sequence[GoldRecord],
     beta: float = 0.5,
     merge: MergePolicy = MergePolicy.MAXIMAL_RUNS,
     dataset: str = "",
-    map_fn: Callable[[Callable, list], Iterable[MatchCounts]] = map,
 ) -> ScoreReport:
     """Edit-level scoring (beta = 0.5 by default) with multi-reference selection.
 
     hyp_corpus holds (source, hypothesis) pairs, paired with the gold
     records by position as in the M2 scorers: the i-th hypothesis is scored
-    against the i-th record, whose source must equal its own. Per-sentence
-    counts from the selected reference are micro-summed before computing
-    corpus P/R/F_beta. map_fn(func, tasks) computes the per-sentence counts;
-    any order-preserving map will do, such as one that fans out over
-    processes (func is picklable).
+    against the i-th record, whose source must equal its own. The sentences
+    are scored in order, and the counts from each one's selected reference
+    are added to a running total before computing corpus P/R/F_beta.
     """
     _check_beta(beta)
     if not hyp_corpus:
@@ -177,7 +169,7 @@ def score_cgc(
         raise UsageError(
             f"hypothesis count {len(hyp_corpus)} differs from gold record count {len(gold)}"
         )
-    tasks = []
+    total = MatchCounts()
     for i, ((source, hypothesis), record) in enumerate(zip(hyp_corpus, gold)):
         if source != record.source:
             raise UsageError(
@@ -185,8 +177,5 @@ def score_cgc(
                 f"{record.source!r}; gold S lines are compared as written, while "
                 f"hypothesis sources are read normalized"
             )
-        tasks.append((source, hypothesis, record.refs))
-    total = MatchCounts()
-    for counts in map_fn(partial(_sentence_counts, beta=beta, merge=merge), tasks):
-        total = total + counts
+        total += sentence_edit_counts(source, hypothesis, record.refs, beta, merge)
     return _report("cgc", dataset, beta, total, len(hyp_corpus))

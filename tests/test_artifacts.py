@@ -39,6 +39,18 @@ def test_unwritable_targets_are_usage_errors(tmp_path):
     assert _names(directory) == []
 
 
+def test_a_target_that_may_not_be_written_keeps_its_bytes(tmp_path, monkeypatch):
+    # os.access stands in for a read-only file, which chmod cannot make for root.
+    path = tmp_path / "a.txt"
+    path.write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(os, "access", lambda target, mode: False)
+    with pytest.raises(UsageError) as err:
+        write_artifact(str(path), "new\n")
+    assert str(err.value).startswith(f"cannot write {path}: ")
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert _names(tmp_path) == ["a.txt"]
+
+
 def test_symlink_target_is_replaced_and_the_link_kept(tmp_path):
     real = tmp_path / "real.txt"
     real.write_text("old\n", encoding="utf-8")

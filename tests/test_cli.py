@@ -321,6 +321,13 @@ def test_score_cgc_rejects_a_beta_that_is_not_finite_and_positive(tmp_path, caps
     assert err.splitlines() == [f"error: beta must be finite and > 0, got {float(beta)}"]
 
 
+def test_score_cgc_rejects_a_beta_whose_square_overflows(tmp_path, capsys):
+    gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
+    hyp = _tsv(tmp_path / "hyp.tsv", [("他是学生生", "他是学生"), ("天汽很号", "天汽很呺")])
+    assert main(["score-cgc", hyp, gold, "--beta", "1e200"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: beta must have a finite square, got 1e+200"]
+
+
 def _bom_file(path, text):
     path.write_text(text, encoding="utf-8-sig")
     return str(path)
@@ -437,18 +444,6 @@ def test_extract_then_score_closes_to_one(tmp_path, capsys):
     assert main(["extract-edits", parallel, "--out", str(gold)]) == 0
     assert main(["score-cgc", parallel, str(gold)]) == 0
     assert "1.0000" in capsys.readouterr().out
-
-
-def test_score_cgc_jobs_give_identical_results(tmp_path, capsys):
-    suite = make_suite(seed=4, stage1_size=5, csc_size=5, cgc_size=12, eval_size=5)
-    parallel = _suite_tsv(tmp_path, suite.cgc, "cgc.tsv")
-    gold = tmp_path / "gold.m2"
-    assert main(["extract-edits", parallel, "--out", str(gold)]) == 0
-    capsys.readouterr()
-    assert main(["score-cgc", parallel, str(gold), "--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    assert main(["score-cgc", parallel, str(gold), "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial
 
 
 def _train_files(tmp_path):
@@ -695,14 +690,40 @@ def test_correct_rejects_bad_container(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_correct_jobs_give_identical_results(tmp_path, capsys):
-    stage1, csc, cgc, eval_src, _ = _train_files(tmp_path)
-    model = tmp_path / "model.json"
-    assert main(["train", "--stage1", stage1, "--stage2", csc, cgc, "--out", str(model)]) == 0
-    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    assert main(["correct", str(model), eval_src, "--jobs", "1", "--out", str(a)]) == 0
-    assert main(["correct", str(model), eval_src, "--jobs", "2", "--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def _jobs_argv(tmp_path, command):
+    """The argv of one run of command over small inputs, less --out."""
+    if command == "correct":
+        stage1, csc, cgc, eval_src, _ = _train_files(tmp_path)
+        model = tmp_path / "model.json"
+        assert main(["train", "--stage1", stage1, "--stage2", csc, cgc, "--out", str(model)]) == 0
+        return ["correct", str(model), eval_src]
+    suite = make_suite(seed=4, stage1_size=5, csc_size=5, cgc_size=12, eval_size=5)
+    parallel = _suite_tsv(tmp_path, suite.cgc, "cgc.tsv")
+    gold = tmp_path / "gold.m2"
+    assert main(["extract-edits", parallel, "--out", str(gold)]) == 0
+    return ["score-cgc", parallel, str(gold)]
+
+
+@pytest.mark.parametrize("command", ["correct", "score-cgc"])
+def test_jobs_accepts_only_one_and_changes_nothing(tmp_path, capsys, command):
+    # The command runs in one process. --jobs 1, which the benchmark harness
+    # passes, sets nothing (not even the config hash), and every other value
+    # is an invalid choice.
+    argv = _jobs_argv(tmp_path, command)
+    capsys.readouterr()
+    runs, out = [], tmp_path / "out"
+    for jobs in ([], ["--jobs", "1"]):
+        assert main([*argv, *jobs, "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text(encoding="utf-8"))
+        runs.append((out.read_bytes(), capsys.readouterr().out, manifest["config_hash"]))
+    assert runs[0] == runs[1]
+    for jobs in ("2", "0"):
+        out = tmp_path / f"jobs{jobs}"
+        assert main([*argv, "--jobs", jobs, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1].endswith(f"argument --jobs: invalid choice: {jobs} (choose from 1)")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -977,7 +998,7 @@ def _python(*args):
 
 
 def test_cli_import_leaves_the_process_pool_unimported():
-    # A run with one job never starts a pool, so it does not import one.
+    # Every command runs in one process, so none imports a process pool.
     done = _python(
         "-S",
         "-c",
@@ -1080,39 +1101,6 @@ def test_internal_error_prints_a_traceback_in_a_fresh_interpreter():
     assert done.returncode == 1
     assert done.stderr.startswith("Traceback (most recent call last):")
     assert done.stderr.endswith("RuntimeError: bug\n")
-
-
-@pytest.mark.parametrize(
-    ("jobs", "n_items", "cpus", "workers"),
-    [(100_000, 10, 4, 4), (100_000, 3, None, None), (3, 10, 8, 3), (8, 5, 16, 5), (2, 10, 1, None)],
-)
-def test_pmap_starts_at_most_one_worker_per_item_and_cpu(monkeypatch, jobs, n_items, cpus, workers):
-    # A recorder stands in for the pool, so no process is ever started. A
-    # cpu_count() of None counts as one CPU, and one worker runs in process.
-    import concurrent.futures
-
-    from zhcorrect.cli import _pmap
-
-    seen = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items, chunksize=1):
-            return map(func, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    items = list(range(n_items))
-    assert _pmap(str, items, jobs) == [str(i) for i in items]
-    assert seen == ([] if workers is None else [workers])
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from zhcorrect import (
     precision_recall,
     score_cgc,
     score_csc,
+    sentence_edit_counts,
 )
 
 # published precision/recall/F0.5 rows used as a cross-check of the formula
@@ -65,9 +66,19 @@ def test_f_beta_range_checks():
         f_beta(0.5, 0.5, 0.0)
     with pytest.raises(UsageError):
         f_beta(0.5, 0.5, -1.0)
-    for beta in (math.nan, math.inf):
+    # beta * beta is inf above about 1.34e154, and F would be NaN.
+    for beta in (math.nan, math.inf, 1e200):
         with pytest.raises(UsageError):
             f_beta(0.5, 0.5, beta)
+    assert f_beta(0.5, 0.5, 1e150) == 0.5
+
+
+def test_sentence_edit_counts_range_checks():
+    record = _cgc_gold()[0]
+    with pytest.raises(UsageError, match="finite square"):
+        sentence_edit_counts(record.source, record.source, record.refs, beta=1e200)
+    with pytest.raises(UsageError, match="no gold references"):
+        sentence_edit_counts(record.source, record.source, ())
 
 
 def test_f_beta_bounds_and_precision_weighting():

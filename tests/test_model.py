@@ -134,6 +134,14 @@ def test_channel_single_pair_tiny_smoothing():
     assert conditional(model, "", "甲", "乙") == pytest.approx(1.0, abs=1e-6)
 
 
+def test_a_count_total_beyond_any_float_is_a_config_error():
+    vocab = frozenset({"甲", "乙", UNK})
+    channel = ConfusionChannel(0.5, {"甲": Counter({"乙": 10**400})})
+    lm = initial_model(vocab=vocab).lm
+    with pytest.raises(ConfigError, match="channel smoothing_k 0.5 makes a probability 0.0"):
+        MixtureCorrectorModel(lm, channel, vocab, 0.0, Stage.STAGE1)
+
+
 def test_mixing_weight_range_checked():
     # The model's weight and each weight dataset_objective scores are
     # checked alike: a number but no bool, in [0, 1].
