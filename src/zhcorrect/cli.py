@@ -4,15 +4,17 @@ Every command is deterministic given its inputs, flags, and seed. Whenever
 a command writes an artifact via --out it also writes a sidecar
 ``<out>.manifest.json`` recording the command, a hash of the effective
 configuration, sha256 digests of the inputs, the seed, the toolkit version,
-and wall time. Exit codes: 0 success, 2 usage or data error, 1 internal
-invariant violation.
+and wall time. Exit codes: 0 success, 2 usage or data error (a failed
+write to stdout included), 1 internal invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
+import os
 import sys
 import time
 from contextlib import closing, contextmanager
@@ -109,10 +111,23 @@ def _open_corpus(path: str, fmt: str, policy: NormalizePolicy) -> Corpus:
     return _read(path, partial(parse_parallel, format=fmt, policy=policy))
 
 
+def _stdout_error(exc: OSError) -> UsageError:
+    return UsageError(f"cannot write stdout: {exc.strerror or exc}")
+
+
+def _print(text: str) -> None:
+    """Write text to stdout. A write that fails (a closed pipe, a full disk)
+    is a UsageError, as a failed artifact write is."""
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _stdout_error(exc) from None
+
+
 def _emit(args: argparse.Namespace, text: str, inputs: Sequence[str], started: float) -> None:
     """Write text to stdout or, given --out, to that artifact and its manifest."""
     if args.out is None:
-        sys.stdout.write(text)
+        _print(text)
     else:
         write_artifact(args.out, text)
         _write_manifest(args, inputs, started)
@@ -139,7 +154,7 @@ def _report_json(report: ScoreReport) -> str:
 
 
 def _finish_report(args: argparse.Namespace, report: ScoreReport, inputs: list[str], started: float) -> int:
-    sys.stdout.write(_table(report))
+    _print(_table(report))
     _emit(args, _report_json(report), inputs, started)
     return 0
 
@@ -207,9 +222,15 @@ def cmd_score_cgc(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     policy = NormalizePolicy(args.normalize)
     hyp = _open_corpus(args.hyp_file, args.format, policy)
+    for i, (_, hypotheses) in enumerate(hyp.pairs):
+        if len(hypotheses) != 1:
+            raise FormatError(
+                f"hypothesis {i}: {len(hypotheses)} hypotheses for one source; "
+                "score-cgc reads one"
+            )
     gold = _read(args.gold_edits, parse_edit_file)
     report = score_cgc(
-        [(pair.source, pair.references[0]) for pair in hyp.pairs],
+        [(source, hypothesis) for source, (hypothesis,) in hyp.pairs],
         gold,
         beta=args.beta,
         merge=MergePolicy(args.merge_policy),
@@ -234,8 +255,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             objective = f"{dataset_objective(model, heldout):.6f}"
         else:
             objective = "n/a (empty heldout slice)"
-        print(f"stage-{number} heldout objective: {objective}")
-    print(f"mixing weight: {model2.mixing_weight:g}")
+        _print(f"stage-{number} heldout objective: {objective}\n")
+    _print(f"mixing weight: {model2.mixing_weight:g}\n")
     save_model(model2, args.out)
     _write_manifest(args, [args.stage1, *args.stage2], started)
     return 0
@@ -300,8 +321,19 @@ def _add_jobs(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, except that its help and version text goes to
+    stdout through _print: argparse drops a failed write without a word."""
+
+    def _print_message(self, message: str, file: TextIO | None = None) -> None:
+        if file is sys.stdout:
+            _print(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zhcorrect",
         description="Correction toolkit: scoring, edit extraction, training, decoding.",
     )
@@ -389,10 +421,28 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
+    """The process: main() on sys.argv, then exit with its code."""
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
-    sys.exit(main())
+    code = main()
+    if sys.stdout is not None:  # None when the process started with fd 1 closed
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            # Shutdown flushes stdout once more: send what is left to the null
+            # device, as the Python docs' note on SIGPIPE does.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if code == 0:  # else main has reported an error, perhaps this one
+                print(f"error: {_stdout_error(exc)}", file=sys.stderr)
+                code = 2
+    # Shutdown runs the cyclic collector over the ~12,900 objects that the
+    # imports and the command leave alive: 3.5-4.9 ms of a correct process,
+    # and 8-11 % of the CPU of correct + score-csc (Python 3.11). Freezing
+    # moves them all into the permanent generation, which no collection
+    # walks. Only here: a frozen heap inside a test process is never freed.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

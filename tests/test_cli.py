@@ -1,4 +1,6 @@
 import argparse
+import errno
+import gc
 import hashlib
 import json
 import os
@@ -436,14 +438,32 @@ def test_extract_edits_exact_output(tmp_path, capsys):
 
 
 def test_extract_then_score_closes_to_one(tmp_path, capsys):
-    parallel = _tsv(
-        tmp_path / "par.tsv",
-        [("他是学生生", "他是学生"), ("天汽很号", "天气很号", "天汽很好"), ("工做很忙", "工作很忙")],
-    )
+    rows = [("他是学生生", "他是学生"), ("天汽很号", "天气很号", "天汽很好"), ("工做很忙", "工作很忙")]
+    parallel = _tsv(tmp_path / "par.tsv", rows)
+    hyp = _tsv(tmp_path / "hyp.tsv", [row[:2] for row in rows])
     gold = tmp_path / "gold.m2"
     assert main(["extract-edits", parallel, "--out", str(gold)]) == 0
-    assert main(["score-cgc", parallel, str(gold)]) == 0
+    assert main(["score-cgc", hyp, str(gold)]) == 0
     assert "1.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_score_cgc_refuses_a_row_with_two_hypotheses(tmp_path, capsys, fmt):
+    # One hypothesis per source: a second one would be dropped unscored.
+    gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
+    rows = [("他是学生生", ["他是学生"]), ("天汽很号", ["天气很号", "天汽很好"])]
+    if fmt == "tsv":
+        hyp = _tsv(tmp_path / "hyp.tsv", [(source, *refs) for source, refs in rows])
+    else:
+        lines = [
+            json.dumps({"id": str(i), "source": source, "references": refs}) + "\n"
+            for i, (source, refs) in enumerate(rows)
+        ]
+        hyp = _write(tmp_path / "hyp.jsonl", "".join(lines))
+    assert main(["score-cgc", hyp, gold, "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: hypothesis 1: 2 hypotheses for one source; score-cgc reads one\n"
 
 
 def _train_files(tmp_path):
@@ -1030,10 +1050,65 @@ def test_train_on_repeated_pairs_leaves_logging_unimported(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["zhcorrect", "zhcorrect.cli"])
-def test_python_dash_m_runs_the_cli(module):
+def test_python_dash_m_runs_the_cli(module, capsys):
     done = _python("-m", module, "--version")
     version = f"zhcorrect {zhcorrect.__version__}\n"
     assert (done.returncode, done.stdout, done.stderr) == (0, version, "")
+    # The process writes what main writes in-process and exits with its code.
+    for argv in (["align", "天汽", "天气"], ["score-csc", "one-file"]):
+        done = _python("-m", module, *argv)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    # main_entry freezes the heap just before the process exits. main, which
+    # tests and the benchmark's tracer call in-process, must not.
+    assert gc.get_freeze_count() == 0
+    assert main(["align", "天汽", "天气"]) == 0
+    assert main(["--version"]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+# Each stdout that fails every write, with the errno it fails with.
+_FAILED_WRITES = {"pipe": errno.EPIPE}
+if sys.platform == "linux":
+    _FAILED_WRITES["/dev/full"] = errno.ENOSPC
+
+
+@pytest.mark.parametrize("stdout", sorted(_FAILED_WRITES))
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("command", ["align", "version", "extract-edits"])
+def test_a_failed_write_to_stdout_exits_two_with_one_line(tmp_path, stdout, unbuffered, command):
+    # A closed pipe or a full device, met by the command's own write, by
+    # argparse's version text or by the flush before exit (buffered stdout
+    # holds short outputs until then). extract-edits writes more than a
+    # buffer holds.
+    parallel = _tsv(tmp_path / "par.tsv", [("天汽很号", "天气很好")] * 2000)
+    argv = {
+        "align": ["align", "天汽", "天气"],
+        "version": ["--version"],
+        "extract-edits": ["extract-edits", parallel],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    if stdout == "pipe":
+        read_end, target = os.pipe()
+        os.close(read_end)
+    else:
+        target = os.open(stdout, os.O_WRONLY)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "zhcorrect", *argv],
+            env=env, stdout=target, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(target)
+    reason = os.strerror(_FAILED_WRITES[stdout])
+    assert (done.returncode, done.stderr) == (2, f"error: cannot write stdout: {reason}\n")
 
 
 def test_internal_error_returns_one(tmp_path, monkeypatch, capsys):
@@ -1087,17 +1162,24 @@ def test_all_lists_exactly_the_public_names_the_package_binds():
     assert len(zhcorrect.__all__) == len(set(zhcorrect.__all__))
 
 
-def test_internal_error_prints_a_traceback_in_a_fresh_interpreter():
+def test_internal_error_prints_a_traceback_in_a_fresh_interpreter(monkeypatch, capsys):
     # A bug is no ZhcorrectError: exit 1 with a traceback, which main imports
-    # only then.
+    # only then. The process exits with the code and stdout of main in-process.
     done = _python(
         "-c",
         "import sys, zhcorrect.cli as cli\n"
         "def bug(src, tgt):\n"
         "    raise RuntimeError('bug')\n"
         "cli.align = bug\n"
-        "sys.exit(cli.main(['align', 'a', 'b']))\n",
+        "sys.argv = ['zhcorrect', 'align', 'a', 'b']\n"
+        "cli.main_entry()\n",
     )
+
+    def bug(src, tgt):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr("zhcorrect.cli.align", bug)
+    assert (done.returncode, done.stdout) == (main(["align", "a", "b"]), capsys.readouterr().out)
     assert done.returncode == 1
     assert done.stderr.startswith("Traceback (most recent call last):")
     assert done.stderr.endswith("RuntimeError: bug\n")
