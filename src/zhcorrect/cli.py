@@ -4,13 +4,15 @@ Every command is deterministic given its inputs, flags, and seed. Whenever
 a command writes an artifact via --out it also writes a sidecar
 ``<out>.manifest.json`` recording the command, a hash of the effective
 configuration, sha256 digests of the inputs, the seed, the toolkit version,
-and wall time. Exit codes: 0 success, 2 usage or data error (a failed
-write to stdout included), 1 internal invariant violation.
+and wall time. main owns a command's clock and exit code: 0 success, 2 usage
+or data error (a failed write to stdout or a closed stdout included), 1
+internal invariant violation. With stderr closed, only the message is lost.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import gc
 import hashlib
 import json
@@ -58,11 +60,11 @@ def _config_hash(options: dict) -> str:
 
 
 def _options_of(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
+    skip = {"func", "command", "started"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write_manifest(args: argparse.Namespace, inputs: Sequence[str], started: float) -> None:
+def _write_manifest(args: argparse.Namespace, inputs: Sequence[str]) -> None:
     """Write the <args.out>.manifest.json sidecar of the artifact at args.out."""
     manifest = {
         "command": args.command,
@@ -70,7 +72,7 @@ def _write_manifest(args: argparse.Namespace, inputs: Sequence[str], started: fl
         "inputs": {p: _sha256_file(p) for p in inputs},
         "seed": getattr(args, "seed", 0),
         "version": __version__,
-        "wall_time_s": round(time.perf_counter() - started, 6),
+        "wall_time_s": round(time.perf_counter() - args.started, 6),
     }
     write_artifact(
         args.out + ".manifest.json",
@@ -116,21 +118,23 @@ def _stdout_error(exc: OSError) -> UsageError:
 
 
 def _print(text: str) -> None:
-    """Write text to stdout. A write that fails (a closed pipe, a full disk)
-    is a UsageError, as a failed artifact write is."""
+    """Write text to stdout. A write that fails (a closed pipe or fd 1, a full
+    disk) is a UsageError, as a failed artifact write is."""
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise _stdout_error(OSError(errno.EBADF, os.strerror(errno.EBADF)))
     try:
         sys.stdout.write(text)
     except OSError as exc:
         raise _stdout_error(exc) from None
 
 
-def _emit(args: argparse.Namespace, text: str, inputs: Sequence[str], started: float) -> None:
+def _emit(args: argparse.Namespace, text: str, inputs: Sequence[str]) -> None:
     """Write text to stdout or, given --out, to that artifact and its manifest."""
     if args.out is None:
         _print(text)
     else:
         write_artifact(args.out, text)
-        _write_manifest(args, inputs, started)
+        _write_manifest(args, inputs)
 
 
 def _table(report: ScoreReport) -> str:
@@ -153,14 +157,12 @@ def _report_json(report: ScoreReport) -> str:
     return json.dumps(report.to_json_dict(), sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def _finish_report(args: argparse.Namespace, report: ScoreReport, inputs: list[str], started: float) -> int:
+def _finish_report(args: argparse.Namespace, report: ScoreReport, inputs: list[str]) -> None:
     _print(_table(report))
-    _emit(args, _report_json(report), inputs, started)
-    return 0
+    _emit(args, _report_json(report), inputs)
 
 
-def cmd_score_csc(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_score_csc(args: argparse.Namespace) -> None:
     if args.macro:
         values = []
         for path in args.files:
@@ -172,31 +174,39 @@ def cmd_score_csc(args: argparse.Namespace) -> int:
             if type(value) not in (int, float):
                 raise FormatError(f"{path}: report JSON lacks a numeric f_beta field")
             values.append(value)
-        _emit(args, f"Avg. F1 {macro_average(values):.4f}\n", args.files, started)
-        return 0
+        _emit(args, f"Avg. F1 {macro_average(values):.4f}\n", args.files)
+        return
 
     if len(args.files) != 2:
         raise UsageError("score-csc takes HYP_FILE GOLD_FILE (or --macro REPORT...)")
     hyp_path, gold_path = args.files
     items = _csc_items(hyp_path, gold_path, args.format, NormalizePolicy(args.normalize))
     report = score_csc(items, dataset=args.dataset or Path(gold_path).stem)
-    return _finish_report(args, report, [hyp_path, gold_path], started)
+    _finish_report(args, report, [hyp_path, gold_path])
 
 
 def _csc_items(
     hyp_path: str, gold_path: str, fmt: str, policy: NormalizePolicy
 ) -> Iterator[tuple[str, str, str]]:
-    """(source, first reference, hypothesis) of each gold pair and its
-    hypothesis line, read from both files in one pass. The errors are those
-    of reading the whole gold file and then the hypotheses: a hypothesis
-    error waits until the gold file has been read to its end, and the
-    hypotheses past the last pair are counted for the mismatch message."""
+    """(source, reference, hypothesis) of each gold pair, which must have one
+    reference, and its hypothesis line, read from both files in one pass.
+    The errors are those of reading the whole gold file and then the
+    hypotheses: a hypothesis error waits until the gold file has been read
+    to its end, and the hypotheses past the last pair are counted for the
+    mismatch message."""
     gold = _iter_read(gold_path, partial(iter_parallel, format=fmt, policy=policy))
     hyps = _iter_read(hyp_path, partial(iter_plain_lines, policy=policy))
     with closing(gold), closing(hyps):
         n_pairs = n_hyps = 0
         hyp_error = None
         for source, references in gold:
+            try:
+                (reference,) = references
+            except ValueError:
+                raise FormatError(
+                    f"gold pair {n_pairs}: {len(references)} references for one source; "
+                    "score-csc reads one"
+                ) from None
             n_pairs += 1
             try:
                 # StopIteration too once the hypotheses have ended or failed.
@@ -207,7 +217,7 @@ def _csc_items(
                 hyp_error = exc
                 continue
             n_hyps += 1
-            yield source, references[0], hypothesis
+            yield source, reference, hypothesis
         if hyp_error is not None:
             raise hyp_error
         n_hyps += sum(1 for _ in hyps)
@@ -218,8 +228,7 @@ def _csc_items(
         )
 
 
-def cmd_score_cgc(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_score_cgc(args: argparse.Namespace) -> None:
     policy = NormalizePolicy(args.normalize)
     hyp = _open_corpus(args.hyp_file, args.format, policy)
     for i, (_, hypotheses) in enumerate(hyp.pairs):
@@ -236,11 +245,10 @@ def cmd_score_cgc(args: argparse.Namespace) -> int:
         merge=MergePolicy(args.merge_policy),
         dataset=args.dataset or Path(args.gold_edits).stem,
     )
-    return _finish_report(args, report, [args.hyp_file, args.gold_edits], started)
+    _finish_report(args, report, [args.hyp_file, args.gold_edits])
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_train(args: argparse.Namespace) -> None:
     policy = NormalizePolicy(args.normalize)
     stage1_corpus = _open_corpus(args.stage1, args.format, policy)
     # The stage-2 files' pairs in file order, repeats kept: they weight the counts.
@@ -258,24 +266,20 @@ def cmd_train(args: argparse.Namespace) -> int:
         _print(f"stage-{number} heldout objective: {objective}\n")
     _print(f"mixing weight: {model2.mixing_weight:g}\n")
     save_model(model2, args.out)
-    _write_manifest(args, [args.stage1, *args.stage2], started)
-    return 0
+    _write_manifest(args, [args.stage1, *args.stage2])
 
 
-def cmd_correct(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_correct(args: argparse.Namespace) -> None:
     model = load_model(args.model)
     if args.beam < 1:  # decode's check, made before an empty input skips decode
         raise UsageError(f"beam_width must be >= 1, got {args.beam}")
     policy = NormalizePolicy(args.normalize)
     lines = _iter_read(args.input, partial(iter_plain_lines, policy=policy))
     text = "".join(decode(model, line, beam_width=args.beam) + "\n" for line in lines)
-    _emit(args, text, [args.model, args.input], started)
-    return 0
+    _emit(args, text, [args.model, args.input])
 
 
-def cmd_align(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_align(args: argparse.Namespace) -> None:
     policy = NormalizePolicy(args.normalize)
     src, tgt = units_of(args.source, policy), units_of(args.target, policy)
     path = align(src, tgt)
@@ -289,12 +293,10 @@ def cmd_align(args: argparse.Namespace) -> int:
     # At unit costs the cost is the number of codes other than M.
     cost = float(len(path) - path.count("M"))
     payload = {"source": src, "target": tgt, "total_cost": cost, "ops": ops}
-    _emit(args, json.dumps(payload, ensure_ascii=False, indent=2) + "\n", [], started)
-    return 0
+    _emit(args, json.dumps(payload, ensure_ascii=False, indent=2) + "\n", [])
 
 
-def cmd_extract_edits(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_extract_edits(args: argparse.Namespace) -> None:
     policy = NormalizePolicy(args.normalize)
     merge = MergePolicy(args.merge_policy)
     corpus = _open_corpus(args.parallel, args.format, policy)
@@ -302,8 +304,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> int:
     for pair in corpus.pairs:
         refs = tuple(extract_edits(pair.source, ref, merge) for ref in pair.references)
         records.append((pair.source, refs))
-    _emit(args, format_edit_records(records), [args.parallel], started)
-    return 0
+    _emit(args, format_edit_records(records), [args.parallel])
 
 
 def _add_common(sub: argparse.ArgumentParser, *, fmt: bool = True, out: bool = True) -> None:
@@ -409,7 +410,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
-        return args.func(args)
+        args.started = time.perf_counter()
+        args.func(args)
+        return 0
     except ZhcorrectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -422,6 +425,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def main_entry() -> None:
     """The process: main() on sys.argv, then exit with its code."""
+    if sys.stderr is None:  # fd 2 closed: print and argparse would fall back to stdout
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")

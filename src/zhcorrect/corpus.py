@@ -216,13 +216,11 @@ def parse_parallel(
 def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
     """Deterministic disjoint train/heldout partition.
 
-    Heldout size is round(fraction * N); pair order within each part follows
-    the original corpus order.
+    Heldout size is round(fraction * N), half up; pair order within each part
+    follows the original corpus order. An empty corpus gives two empty parts.
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise UsageError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
-    if len(corpus) == 0:
-        raise UsageError("cannot split an empty corpus")
     n = len(corpus)
     n_heldout = int(n * heldout_fraction + 0.5)
     indices = list(range(n))

@@ -162,7 +162,7 @@ def score_cgc(
     are scored in order, and the counts from each one's selected reference
     are added to a running total before computing corpus P/R/F_beta.
     """
-    _check_beta(beta)
+    _check_beta(beta)  # f_beta's check, made before any sentence is aligned
     if not hyp_corpus:
         raise UsageError("score_cgc needs at least one sentence")
     if len(hyp_corpus) != len(gold):

@@ -14,9 +14,9 @@ hypothesis is kept). Its columns are cached on the model: each holds an
 option's cost and the LM state it leads to, so an expansion only adds and
 compares. Training and decoding read both tables through one _add_k.
 
-Reserved units: BOUNDARY pads LM contexts at the sentence start and UNK
-absorbs units outside the vocabulary, so every probability stays positive
-and every distribution proper.
+Reserved units (textnorm's, which input text may not hold): BOUNDARY pads
+LM contexts at the sentence start and UNK absorbs units outside the
+vocabulary, so every probability stays positive and every distribution proper.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from .alignment import align
 from .artifacts import write_artifact
 from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
 from .records import Record
-
-BOUNDARY = ""
-UNK = ""
+from .textnorm import BOUNDARY, UNK
 
 MODEL_FORMAT = "zhcorrect-model"
 MODEL_VERSION = 1
@@ -356,10 +354,8 @@ def _accumulate(
 
 
 def stage_heldout(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
-    """The held-out slice fit_stage tunes on, reproducible from its arguments.
-    fit_stage tunes nothing on an empty corpus, so its slice is empty."""
-    if not corpus.pairs:
-        return corpus
+    """The held-out slice fit_stage tunes on: split's, reproducible from its
+    arguments."""
     return split(corpus, heldout_fraction, seed)[1]
 
 
@@ -377,12 +373,6 @@ def fit_stage(
     if init.stage is Stage.STAGE2:
         raise ConfigError("a stage2 model is fully trained: no stage follows it")
     stage = Stage.STAGE2 if init.stage is Stage.STAGE1 else Stage.STAGE1
-    # split's check, made before an empty corpus returns early.
-    if not 0.0 < heldout_fraction < 1.0:
-        raise UsageError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")
-    if not corpus.pairs:
-        return init._replace(stage=stage)
-
     train_part, heldout_part = split(corpus, heldout_fraction, seed)
     lm_counts = {key: Counter(c) for key, c in init.lm.counts.items()}
     ch_counts = {key: Counter(c) for key, c in init.channel.counts.items()}

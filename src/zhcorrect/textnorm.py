@@ -44,9 +44,11 @@ _WIDTH_FOLD_TABLE = str.maketrans(
 )
 
 
-# Surrogates are not scalars; U+0002 and U+001A are the model's reserved
-# BOUNDARY and UNK units, which input text must not forge.
-_REJECTED = re.compile("[\x02\x1a\ud800-\udfff]")
+# The model's reserved units, which input text must not forge: BOUNDARY pads
+# LM contexts and UNK stands for unseen units. Surrogates are not scalars.
+BOUNDARY = "\x02"
+UNK = "\x1a"
+_REJECTED = re.compile(f"[{BOUNDARY}{UNK}\ud800-\udfff]")
 
 
 def check_scalars(text: str) -> None:
@@ -66,7 +68,7 @@ def rejected_in(text: str) -> bool:
     scans rather than the regex: a reserved unit is a substring, and the
     strict UTF-32 encoder refuses every surrogate code point, a high one
     followed by a low one included."""
-    if "\x02" in text or "\x1a" in text:
+    if BOUNDARY in text or UNK in text:
         return True
     try:
         text.encode("utf-32-le")

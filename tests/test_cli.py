@@ -201,9 +201,9 @@ def test_score_csc_jsonl_duplicate_id_names_its_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: line 3: duplicate pair id 'a'\n"
 
 
-def test_score_csc_scores_a_jsonl_gold_file_by_its_first_reference(tmp_path, capsys):
+def test_score_csc_scores_a_jsonl_gold_file(tmp_path, capsys):
     rows = [
-        {"id": "x", "source": "天汽", "references": ["天气", "天汽"]},
+        {"id": "x", "source": "天汽", "references": ["天气"]},
         {"id": "y", "source": "学圣", "references": ["学生"]},
     ]
     gold = _write(tmp_path / "gold.jsonl", "".join(json.dumps(r) + "\n" for r in rows))
@@ -211,6 +211,28 @@ def test_score_csc_scores_a_jsonl_gold_file_by_its_first_reference(tmp_path, cap
     assert main(["score-csc", hyp, gold, "--format", "jsonl"]) == 0
     report = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert (report["dataset"], report["tp"], report["fp"], report["fn"]) == ("gold", 1, 0, 1)
+
+
+@pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+def test_score_csc_refuses_a_gold_pair_with_two_references(tmp_path, capsys, fmt):
+    # The hypothesis equals the second reference: scoring it against the
+    # first alone would count a miss and a false alarm. A gold error comes
+    # before the hypotheses' (line 2 holds a reserved unit).
+    rows = [("天气", "天气"), ("甲乙丙", "甲乙丁", "甲乙戊"), ("学生", "学生")]
+    if fmt == "tsv":
+        gold = _tsv(tmp_path / "gold.tsv", rows)
+    else:
+        lines = (
+            json.dumps({"id": str(i), "source": s, "references": refs}) + "\n"
+            for i, (s, *refs) in enumerate(rows)
+        )
+        gold = _write(tmp_path / "gold.jsonl", "".join(lines))
+    for hyps in ("天气\n甲乙戊\n学生\n", "天气\n\x02\n学生\n"):
+        hyp = _write(tmp_path / "hyp.txt", hyps)
+        assert main(["score-csc", hyp, gold, "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gold pair 1: 2 references for one source; score-csc reads one\n"
 
 
 def _score_csc_peak(folder, n):
@@ -276,19 +298,23 @@ def test_score_csc_single_file_is_usage_error(tmp_path, capsys):
     assert main(["score-csc", hyp]) == 2
 
 
-def test_score_csc_out_writes_report_and_manifest(tmp_path, gold_tsv, capsys):
-    hyp = _write(tmp_path / "hyp.txt", "天气很好\n我们学习\n他是学生\n")
-    out = tmp_path / "report.json"
-    assert main(["score-csc", hyp, gold_tsv, "--out", str(out)]) == 0
-    payload = json.loads(out.read_text(encoding="utf-8"))
+def test_score_csc_out_writes_report_and_manifest(tmp_path, gold_tsv, capsys, monkeypatch):
+    # Relative paths, so that the configuration hash is a fixed value: the
+    # options as parsed, and not the command's clock.
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "hyp.txt", "天气很好\n我们学习\n他是学生\n")
+    assert main(["score-csc", "hyp.txt", "gold.tsv", "--out", "report.json"]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
     assert payload["f_beta"] == pytest.approx(1.0)
     assert payload["task"] == "csc"
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert set(manifest) == {
         "command", "config_hash", "inputs", "seed", "version", "wall_time_s",
     }
+    assert manifest["config_hash"] == "sha256:fcdc0c4bd27e871fe57bb34361b274f87c19c069a20f315639ca166fcb1a7486"
     assert manifest["version"] == zhcorrect.__version__
-    assert set(manifest["inputs"]) == {hyp, gold_tsv}
+    assert manifest["wall_time_s"] >= 0
+    assert set(manifest["inputs"]) == {"hyp.txt", "gold.tsv"}
     assert all(v.startswith("sha256:") for v in manifest["inputs"].values())
 
 
@@ -1109,6 +1135,55 @@ def test_a_failed_write_to_stdout_exits_two_with_one_line(tmp_path, stdout, unbu
         os.close(target)
     reason = os.strerror(_FAILED_WRITES[stdout])
     assert (done.returncode, done.stderr) == (2, f"error: cannot write stdout: {reason}\n")
+
+
+def _run_closing(redirect, *args):
+    """sys.executable on args, started by sh with redirect (">&-", "2>&-")
+    closing its stdout or stderr."""
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    return subprocess.run(
+        ["sh", "-c", f'"$@" {redirect}', "sh", sys.executable, *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("command", ["align", "score-csc --out", "version"])
+def test_a_closed_stdout_exits_two_with_one_line(tmp_path, gold_tsv, command):
+    # Python's sys.stdout is None when the process starts with fd 1 closed.
+    hyp = _write(tmp_path / "hyp.txt", "天气很好\n我们学习\n他是学生\n")
+    argv = {
+        "align": ["align", "天气", "天汽"],
+        "score-csc --out": ["score-csc", hyp, gold_tsv, "--out", str(tmp_path / "o.json")],
+        "version": ["--version"],
+    }[command]
+    for redirect in (">&-", ">&- 2>&-"):
+        done = _run_closing(redirect, "-m", "zhcorrect", *argv)
+        message = "error: cannot write stdout: Bad file descriptor\n"
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == ("" if "2>&-" in redirect else message)
+
+
+def test_a_closed_stderr_drops_the_message_and_keeps_the_exit_code(tmp_path, gold_tsv):
+    # Python's sys.stderr is None when the process starts with fd 2 closed,
+    # and print, traceback and argparse then write to stdout.
+    model = tmp_path / "m.json"
+    save_model(initial_model(), str(model))
+    inp = _write(tmp_path / "in.txt", "天气\n")
+    internal_error = (
+        "import sys, zhcorrect.cli as cli; "
+        f"sys.argv[1:] = ['correct', {str(model)!r}, {inp!r}]; "
+        "cli.load_model = lambda path: 1 / 0; cli.main_entry()"
+    )
+    for code, args in (
+        (2, ["-m", "zhcorrect", "score-csc", str(tmp_path / "missing.txt"), gold_tsv]),
+        (2, ["-m", "zhcorrect", "no-such-command"]),
+        (1, ["-c", internal_error]),
+    ):
+        done = _run_closing("2>&-", *args)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+    # The same runs with stderr open write their messages there.
+    done = _python("-c", internal_error)
+    assert done.returncode == 1 and "ZeroDivisionError" in done.stderr
 
 
 def test_internal_error_returns_one(tmp_path, monkeypatch, capsys):

@@ -154,8 +154,8 @@ def test_split_argument_errors():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(UsageError):
             split(corpus, bad, seed=0)
-    with pytest.raises(UsageError):
-        split(Corpus(()), 0.5, seed=0)
+    # round(0.5 * 0) = 0: an empty corpus splits into two empty parts.
+    assert split(Corpus(()), 0.5, seed=0) == (Corpus(()), Corpus(()))
 
 
 def test_pair_requires_reference_and_unique_ids():

@@ -245,7 +245,7 @@ def test_dataset_objective_rejects_empty():
 def test_stage_config_validation():
     # A stage's settings are checked where they are used: the order and the
     # smoothing constant by the model's tables, the heldout fraction by
-    # fit_stage before it looks at the corpus, so an empty one too.
+    # split, which fit_stage calls first, so on an empty corpus too.
     with pytest.raises(StructuralError):
         initial_model(order=0)
     with pytest.raises(StructuralError):
@@ -482,6 +482,10 @@ def test_stage_heldout_matches_split(small_suite):
     _, expected = split(small_suite.joint, 0.25, 3)
     assert heldout == expected
     assert len(heldout) == int(len(small_suite.joint) * 0.25 + 0.5)
+    # An empty corpus too: its slice is empty, and its fraction is checked.
+    assert stage_heldout(Corpus(()), 0.25, 3) == Corpus(())
+    with pytest.raises(UsageError, match=r"^heldout_fraction must be in \(0, 1\)"):
+        stage_heldout(Corpus(()), 1.0, 3)
 
 
 def test_decode_rejects_bad_beam():
