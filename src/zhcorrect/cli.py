@@ -6,7 +6,15 @@ a command writes an artifact via --out it also writes a sidecar
 configuration, sha256 digests of the inputs, the seed, the toolkit version,
 and wall time. main owns a command's clock and exit code: 0 success, 2 usage
 or data error (a failed write to stdout or a closed stdout included), 1
-internal invariant violation. With stderr closed, only the message is lost.
+internal invariant violation. With stderr closed or failing, only the
+message is lost.
+
+The process behind ``zhcorrect`` and ``python -m zhcorrect`` (main_entry)
+runs its command with the cyclic collector off and ends with os._exit once
+stdout and stderr are flushed, so no collection and no interpreter teardown
+walks the heap. atexit hooks therefore do not run in it, those of other
+tools included (coverage's subprocess mode, for one). main, which tests
+call in-process, leaves the collector as it finds it.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import json
 import os
 import sys
 import time
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
@@ -414,40 +422,43 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.func(args)
         return 0
     except ZhcorrectError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        with suppress(OSError):  # a stderr that cannot be written keeps the exit code
+            print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         import traceback  # imported only here: every other run would pay for it
 
-        traceback.print_exc()
+        with suppress(OSError):
+            traceback.print_exc()
         return 1
 
 
 def main_entry() -> None:
-    """The process: main() on sys.argv, then exit with its code."""
+    """The process: main() on sys.argv with the cyclic collector off, then
+    exit with its code once both streams are flushed, skipping teardown."""
     if sys.stderr is None:  # fd 2 closed: print and argparse would fall back to stdout
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
     for stream in (sys.stdout, sys.stderr):
         if hasattr(stream, "reconfigure"):
             stream.reconfigure(encoding="utf-8")
+    # Nothing here needs the collector or the interpreter's teardown: every
+    # command leaves the same ~400 unreachable objects (argparse's parser
+    # graph) whatever its input size, write_artifact has closed every
+    # artifact before main returns, and the package registers no atexit
+    # handler. A train process skips 37 collections and about 2 ms of teardown.
+    gc.disable()
     code = main()
     if sys.stdout is not None:  # None when the process started with fd 1 closed
         try:
             sys.stdout.flush()
         except OSError as exc:
-            # Shutdown flushes stdout once more: send what is left to the null
-            # device, as the Python docs' note on SIGPIPE does.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             if code == 0:  # else main has reported an error, perhaps this one
-                print(f"error: {_stdout_error(exc)}", file=sys.stderr)
+                with suppress(OSError):
+                    print(f"error: {_stdout_error(exc)}", file=sys.stderr)
                 code = 2
-    # Shutdown runs the cyclic collector over the ~12,900 objects that the
-    # imports and the command leave alive: 3.5-4.9 ms of a correct process,
-    # and 8-11 % of the CPU of correct + score-csc (Python 3.11). Freezing
-    # moves them all into the permanent generation, which no collection
-    # walks. Only here: a frozen heap inside a test process is never freed.
-    gc.freeze()
-    sys.exit(code)
+    with suppress(OSError):
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

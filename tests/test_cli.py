@@ -1076,7 +1076,7 @@ def test_train_on_repeated_pairs_leaves_logging_unimported(tmp_path):
 
 
 @pytest.mark.parametrize("module", ["zhcorrect", "zhcorrect.cli"])
-def test_python_dash_m_runs_the_cli(module, capsys):
+def test_python_dash_m_runs_the_cli(tmp_path, module, capsys):
     done = _python("-m", module, "--version")
     version = f"zhcorrect {zhcorrect.__version__}\n"
     assert (done.returncode, done.stdout, done.stderr) == (0, version, "")
@@ -1086,15 +1086,69 @@ def test_python_dash_m_runs_the_cli(module, capsys):
         code = main(argv)
         captured = capsys.readouterr()
         assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+    # The process ends with os._exit: its artifact and manifest are whole.
+    parallel = _tsv(tmp_path / "parallel.tsv", [("他是学生生", "他是学生"), ("天汽很号", "天气很好")])
+    gold = tmp_path / "gold.m2"
+    sidecar = tmp_path / "gold.m2.manifest.json"
+    argv = ["extract-edits", parallel, "--out", str(gold)]
+    done = _python("-m", module, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    written, manifest = gold.read_bytes(), json.loads(sidecar.read_text(encoding="utf-8"))
+    assert main(argv) == 0
+    assert written == gold.read_bytes() == _GOLD_EDITS.encode("utf-8")
+    in_process = json.loads(sidecar.read_text(encoding="utf-8"))
+    assert manifest.pop("wall_time_s") >= 0 and in_process.pop("wall_time_s") >= 0
+    assert manifest == in_process
 
 
-def test_main_leaves_the_collector_unfrozen(capsys):
-    # main_entry freezes the heap just before the process exits. main, which
-    # tests and the benchmark's tracer call in-process, must not.
-    assert gc.get_freeze_count() == 0
+def test_main_leaves_the_collector_on_and_unfrozen(capsys):
+    # main_entry turns the collector off for the command and ends the process
+    # with os._exit. main, which tests and the benchmark's tracer call
+    # in-process, must leave the collector on and nothing frozen.
+    assert gc.isenabled() and gc.get_freeze_count() == 0
     assert main(["align", "天汽", "天气"]) == 0
     assert main(["--version"]) == 0
-    assert gc.get_freeze_count() == 0
+    assert main(["score-csc", "one-file"]) == 2
+    assert gc.isenabled() and gc.get_freeze_count() == 0
+
+
+def _collector_argvs(tmp_path, scale):
+    """Each command's argv on make_suite inputs, scale times the smallest."""
+    suite = make_suite(seed=scale, stage1_size=40 * scale, csc_size=20 * scale,
+                       cgc_size=20 * scale, eval_size=10 * scale)
+    stage1, csc, cgc, gold = (
+        _suite_tsv(tmp_path, corpus, f"{name}{scale}.tsv")
+        for name, corpus in (("stage1", suite.stage1), ("csc", suite.csc),
+                             ("cgc", suite.cgc), ("gold", suite.eval_csc))
+    )
+    src = _write(tmp_path / f"src{scale}.txt", "".join(p.source + "\n" for p in suite.eval_csc.pairs))
+    out = {name: str(tmp_path / f"{name}{scale}.out") for name in ("model", "fixed", "csc", "m2", "cgc")}
+    return {
+        "train": ["train", "--stage1", stage1, "--stage2", csc, cgc, "--out", out["model"]],
+        "correct": ["correct", str(tmp_path / "model1.out"), src, "--out", out["fixed"]],
+        "score-csc": ["score-csc", src, gold, "--out", out["csc"]],
+        "extract-edits": ["extract-edits", cgc, "--out", out["m2"]],
+        "score-cgc": ["score-cgc", cgc, out["m2"], "--out", out["cgc"]],
+    }
+
+
+def test_a_command_leaves_as_many_cycles_on_four_times_the_input(tmp_path, capsys):
+    # main_entry runs a command with the collector off. That is safe only
+    # while a command's cyclic garbage does not grow with its input: one
+    # cycle per line would grow a CLI process without bound.
+    argvs = {scale: _collector_argvs(tmp_path, scale) for scale in (1, 4)}
+    for command in argvs[1]:  # in this order: correct reads train's model1.out
+        unreachable = []
+        for scale in (1, 4):
+            gc.collect()
+            gc.disable()
+            try:
+                assert main(argvs[scale][command]) == 0, capsys.readouterr().err
+                unreachable.append(gc.collect())
+            finally:
+                gc.enable()
+        assert unreachable[0] == unreachable[1], command
+    capsys.readouterr()
 
 
 # Each stdout that fails every write, with the errno it fails with.
@@ -1135,6 +1189,33 @@ def test_a_failed_write_to_stdout_exits_two_with_one_line(tmp_path, stdout, unbu
         os.close(target)
     reason = os.strerror(_FAILED_WRITES[stdout])
     assert (done.returncode, done.stderr) == (2, f"error: cannot write stdout: {reason}\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs /dev/full")
+def test_a_failing_stderr_keeps_the_exit_code(tmp_path, capsys):
+    # Every write to /dev/full fails with ENOSPC: the message is lost, the
+    # exit code and stdout are not.
+    missing = str(tmp_path / "missing.txt")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    for code, argv in (
+        (2, ["score-csc", missing, missing]),
+        (0, ["align", "天汽", "天气"]),
+        (2, ["--bogus"]),
+    ):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "zhcorrect", *argv],
+                env=env, stdout=subprocess.PIPE, stderr=full, text=True, timeout=60,
+            )
+        assert main(argv) == code
+        assert (done.returncode, done.stdout) == (code, capsys.readouterr().out)
+    # A failed stdout is exit 2 even when its message cannot be written.
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "zhcorrect", "align", "天汽", "天气"],
+            env=env, stdout=full, stderr=full, timeout=60,
+        )
+    assert done.returncode == 2
 
 
 def _run_closing(redirect, *args):
