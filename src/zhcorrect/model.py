@@ -6,10 +6,12 @@ channel conditioned on the aligned source unit. Training is count
 accumulation: stage 1 fits on alignment-tagged data, stage 2 keeps those
 counts and accumulates the joint corpus on top, re-tuning the mixing weight
 on a held-out slice by grid search. A stage's counts are taken in one
-batched pass (equal pairs are not aligned), and the key order inside the
-count tables is not part of a model. Decoding is substitution-only beam
-search over a per-position candidate lattice that keeps one hypothesis per
-LM state, the LM context a step reads (none at mixing weight 0, where one
+batched pass (equal pairs are not aligned). The channel's copies are not
+counted one by one: a unit's copy count is its count in the targets less
+its substitution and insertion targets. The key order inside the count
+tables is not part of a model. Decoding is substitution-only beam search
+over a per-position candidate lattice that keeps one hypothesis per LM
+state, the LM context a step reads (none at mixing weight 0, where one
 hypothesis is kept). Its columns are cached on the model: each holds an
 option's cost and the LM state it leads to, so an expansion only adds and
 compares. Training and decoding read both tables through one _add_k.
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import Counter
 from enum import Enum
 from itertools import chain, compress, islice, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, ParallelPair, split
@@ -258,12 +261,18 @@ def conditional(
 _PAIRED = bytes.maketrans(b"MSDI", b"\1\1\0\0")
 
 
+def _codes(sources: Sequence[str], targets: Sequence[str]) -> str:
+    """The joined alignment codes of the pairs; an equal pair is all M
+    without align. A pair's codes consume its own units, so the joined codes
+    line up with the joined sides."""
+    return "".join("M" * len(s) if s == t else align(s, t) for s, t in zip(sources, targets))
+
+
 def _masks(sources: Sequence[str], targets: Sequence[str]) -> tuple[bytes, bytes]:
     """Byte masks over the joined sources and the joined targets, true at
-    each unit that an M or S code of its pair's alignment pairs with a unit
-    of the other side; an equal pair is all M without align. A pair's codes
-    consume its own units, so the joined codes line up with the joined sides."""
-    codes = "".join("M" * len(s) if s == t else align(s, t) for s, t in zip(sources, targets))
+    each unit that an M or S code of _codes pairs with a unit of the other
+    side."""
+    codes = _codes(sources, targets)
     smask, tmask = codes.replace("I", ""), codes.replace("D", "")
     return smask.encode().translate(_PAIRED), tmask.encode().translate(_PAIRED)
 
@@ -332,25 +341,51 @@ def _accumulate(
     pairs: Sequence[ParallelPair],
 ) -> None:
     """Add the counts of the pairs' first references to the tables and their
-    units to vocab in one batch. Each LM n-gram and each channel emission is
-    a str, all of a table's are counted by one Counter in C, and each
-    distinct one then adds its count to its last unit in the row of the rest."""
+    units to vocab in one batch. Each LM n-gram is a str, all are counted by
+    one Counter in C, and each distinct one then adds its count to its last
+    unit in the row of the rest and to that unit's total in the targets.
+
+    The channel counts the source and target unit of each M or S code, but
+    only the non-M codes are visited: an S counts its emission, and an S or
+    I takes its target unit from that unit's total. What is left is the
+    unit's copies (its M codes), stored only when positive, as _totals
+    refuses a zero. Insertions have no source unit and deletions no
+    emission; the substitution-only channel records neither. An M pairs
+    equal units, so vocab gains the targets' units and the S and D sources."""
     sources = [pair.source for pair in pairs]
     targets = [pair.references[0] for pair in pairs]
-    joined_sources, joined_targets = "".join(sources), "".join(targets)
-    vocab.update(joined_sources)
-    vocab.update(joined_targets)
-    # Every unit of a target is in vocab now, so none maps to UNK and each
-    # LM context + unit is a window of the padded target.
+    # Every target unit joins vocab, so none maps to UNK and each LM context
+    # + unit is a window of the padded target; every unit ends one window.
+    copies: Counter[str] = Counter()
     ngrams = chain.from_iterable(_lm_windows(order, t, order) for t in targets)
-    # The channel counts source unit + target unit of each M or S code.
-    # Insertions have no source unit and deletions no emission; the
-    # substitution-only channel records neither.
-    smask, tmask = _masks(sources, targets)
-    emissions = map(add, compress(joined_sources, smask), compress(joined_targets, tmask))
-    for table, grams in ((lm_counts, ngrams), (ch_counts, emissions)):
-        for gram, n in Counter(grams).items():
-            table.setdefault(gram[:-1], Counter())[gram[-1]] += n
+    for gram, n in Counter(ngrams).items():
+        lm_counts.setdefault(gram[:-1], Counter())[gram[-1]] += n
+        copies[gram[-1]] += n
+    # At a code, the units before it number its index less the I codes
+    # before it on the source side and less the D codes on the target side.
+    joined_sources, joined_targets = "".join(sources), "".join(targets)
+    edited: list[str] = []
+    inserted = deleted = 0
+    for match in re.finditer("[DIS]", _codes(sources, targets)):
+        code, at = match[0], match.start()
+        if code == "S":
+            src, unit = joined_sources[at - inserted], joined_targets[at - deleted]
+            row = ch_counts.get(src)
+            if row is None:
+                row = ch_counts[src] = Counter()
+            row[unit] += 1
+            copies[unit] -= 1
+            edited.append(src)
+        elif code == "I":
+            copies[joined_targets[at - deleted]] -= 1
+            inserted += 1
+        else:
+            edited.append(joined_sources[at - inserted])
+            deleted += 1
+    vocab.update(copies, edited)
+    for unit, n in copies.items():
+        if n > 0:
+            ch_counts.setdefault(unit, Counter())[unit] += n
 
 
 def stage_heldout(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:

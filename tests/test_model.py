@@ -444,7 +444,7 @@ def _with_unk_counts(rng, lm_counts, ch_counts, vocab):
     return lm_counts, ch_counts
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
 def test_accumulate_and_token_probs_match_their_references(order):
     # Exact ==, not approx: training must keep every count and every bit.
     rng = random.Random(order)
@@ -475,6 +475,70 @@ def test_accumulate_and_token_probs_match_their_references(order):
             )
             expected = list(_reference_token_probs(model, heldout))
             assert list(_token_probs(model, heldout)) == expected
+
+
+def _accumulated(stages, order=2):
+    """The tables after each stage's pairs, from _accumulate and from its
+    reference, asserted equal after every stage."""
+    tables = [({}, {}, {UNK}) for _ in range(2)]
+    for pairs in stages:
+        _accumulate(*tables[0], order, pairs)
+        for pair in pairs:
+            _reference_accumulate(*tables[1], order, pair)
+        assert tables[0] == tables[1]
+    return tables[0]
+
+
+def test_accumulate_stores_no_copy_of_a_unit_never_copied():
+    # 乙 is only ever a substituted target and 丙 only a substituted or an
+    # inserted one: their totals are used up, and no zero copy is stored.
+    lm_counts, ch_counts, vocab = _accumulated(
+        [[_pair("甲", "乙"), _pair("甲", "甲丙"), _pair("丁乙", "甲丙")]]
+    )
+    assert ch_counts == {
+        "甲": Counter({"乙": 1, "甲": 1}), "丁": Counter({"甲": 1}), "乙": Counter({"丙": 1})
+    }
+    assert all(n > 0 for row in ch_counts.values() for n in row.values())
+    model = MixtureCorrectorModel(
+        NgramLM(2, 0.01, lm_counts), ConfusionChannel(0.01, ch_counts),
+        frozenset(vocab), 0.5, Stage.STAGE1,
+    )
+    assert model.channel.partners("甲") == ("乙", "甲")
+
+
+def test_accumulate_takes_deleted_and_substituted_sources_into_the_vocab():
+    # 丁 is only ever deleted and 戊 only ever substituted: neither is a
+    # target unit, and both join the vocabulary.
+    lm_counts, ch_counts, vocab = _accumulated([[_pair("甲丁", "甲"), _pair("戊乙", "甲乙")]])
+    assert vocab == {UNK, "甲", "乙", "丁", "戊"}
+    assert ch_counts == {"甲": Counter({"甲": 1}), "戊": Counter({"甲": 1}), "乙": Counter({"乙": 1})}
+
+
+def test_accumulate_adds_copies_onto_an_earlier_stages_row():
+    stage1 = [_pair("甲乙", "甲丙"), _pair("甲", "甲")]
+    stage2 = [_pair("甲甲", "甲甲"), _pair("乙甲", "丙甲")]
+    _, ch_counts, _ = _accumulated([stage1, stage2])
+    assert ch_counts == {"甲": Counter({"甲": 5}), "乙": Counter({"丙": 2})}
+
+
+def test_fit_stage_aligns_each_unequal_pair_once(small_suite, monkeypatch):
+    # Training and the held-out search each align their slice once, and an
+    # equal pair is never aligned.
+    calls = []
+
+    def counted_align(source, target):
+        calls.append((source, target))
+        return align(source, target)
+
+    monkeypatch.setattr("zhcorrect.model.align", counted_align)
+    corpus = small_suite.stage1
+    fit_stage(initial_model(), corpus)
+    unequal = [
+        sum(pair.source != pair.references[0] for pair in part.pairs)
+        for part in split(corpus, 0.1, 0)
+    ]
+    assert all(unequal) and len(calls) == sum(unequal)
+    assert all(source != target for source, target in calls)
 
 
 def test_stage_heldout_matches_split(small_suite):
