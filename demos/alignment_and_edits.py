@@ -8,6 +8,7 @@ from zhcorrect import (
     extract_edits,
     format_edit_records,
 )
+from zhcorrect.alignment import positions
 
 src = "他是学生生"
 tgt = "他是学生"
@@ -16,13 +17,9 @@ ops = align(src, tgt)
 # At unit costs every code but M costs 1.
 print(f"{src} -> {tgt}  (cost {len(ops) - ops.count('M')})")
 print(f"  ops {ops}")
-# Walk the codes with both cursors: every code but I consumes a source unit,
-# every code but D a target unit.
-i = j = 0
-for code in ops:
+# Each code with the source and target index it sits at.
+for code, i, j in positions(ops, "."):
     print(f"  {code} src[{i}] tgt[{j}]")
-    i += code != "I"
-    j += code != "D"
 
 # extract_edits aligns the pair itself and reads the edits off those codes.
 edits = extract_edits(src, tgt)

@@ -7,12 +7,16 @@ are written against this scheme.
 
 A path is a str of one-letter op codes: M (match), S (substitution), D
 (deletion: consumes a source unit only) and I (insertion: consumes a target
-unit only). At unit costs a path's cost is its number of non-M codes.
+unit only). At unit costs a path's cost is its number of non-M codes. A
+code's source index is its position less the I codes before it, and its
+target index its position less the D codes before it (see positions).
 """
 
 from __future__ import annotations
 
+import re
 from math import isqrt
+from typing import Iterator
 
 # Cores of fewer source units keep the bit-parallel rows; see align.
 _LONG_CORE = 10
@@ -294,3 +298,15 @@ def align(src: str, tgt: str) -> str:
     here = nx + pv.bit_count() - mv.bit_count()
     return _walk(src, tgt, p, nx, my, here, _within_rows, (pvs, mvs))
 
+
+def positions(path: str, runs: str) -> Iterator[tuple[str, int, int]]:
+    """(codes, i, j) for each match of the regex runs in path: the matched
+    codes and the source and target index at the match's start. The codes
+    between matches are counted too, so runs need not cover every I or D."""
+    ins = dels = at = 0
+    for match in re.finditer(runs, path):
+        start = match.start()
+        ins += path.count("I", at, start)
+        dels += path.count("D", at, start)
+        at = start
+        yield match[0], start - ins, start - dels

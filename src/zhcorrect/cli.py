@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
 from . import __version__
-from .alignment import align
+from .alignment import align, positions
 from .artifacts import write_artifact
 from .corpus import Corpus, iter_parallel, iter_plain_lines, parse_parallel
 from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_file
@@ -72,12 +72,13 @@ def _options_of(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write_manifest(args: argparse.Namespace, inputs: Sequence[str]) -> None:
-    """Write the <args.out>.manifest.json sidecar of the artifact at args.out."""
+def _write_manifest(args: argparse.Namespace, digests: dict[str, str]) -> None:
+    """Write the <args.out>.manifest.json sidecar, given the digests of the
+    inputs as read before the artifact (which may overwrite one) was written."""
     manifest = {
         "command": args.command,
         "config_hash": _config_hash(_options_of(args)),
-        "inputs": {p: _sha256_file(p) for p in inputs},
+        "inputs": digests,
         "seed": getattr(args, "seed", 0),
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - args.started, 6),
@@ -141,8 +142,9 @@ def _emit(args: argparse.Namespace, text: str, inputs: Sequence[str]) -> None:
     if args.out is None:
         _print(text)
     else:
+        digests = {path: _sha256_file(path) for path in inputs}
         write_artifact(args.out, text)
-        _write_manifest(args, inputs)
+        _write_manifest(args, digests)
 
 
 def _table(report: ScoreReport) -> str:
@@ -273,8 +275,9 @@ def cmd_train(args: argparse.Namespace) -> None:
             objective = "n/a (empty heldout slice)"
         _print(f"stage-{number} heldout objective: {objective}\n")
     _print(f"mixing weight: {model2.mixing_weight:g}\n")
+    digests = {path: _sha256_file(path) for path in [args.stage1, *args.stage2]}
     save_model(model2, args.out)
-    _write_manifest(args, [args.stage1, *args.stage2])
+    _write_manifest(args, digests)
 
 
 def cmd_correct(args: argparse.Namespace) -> None:
@@ -291,13 +294,10 @@ def cmd_align(args: argparse.Namespace) -> None:
     policy = NormalizePolicy(args.normalize)
     src, tgt = units_of(args.source, policy), units_of(args.target, policy)
     path = align(src, tgt)
-    # Each op with the cursor positions before it: every code but I consumes
-    # a source unit, every code but D a target unit.
-    ops, i, j = [], 0, 0
-    for code in path:
-        ops.append({"kind": _OP_KINDS[code], "src_index": i, "tgt_index": j})
-        i += code != "I"
-        j += code != "D"
+    ops = [
+        {"kind": _OP_KINDS[code], "src_index": i, "tgt_index": j}
+        for code, i, j in positions(path, ".")
+    ]
     # At unit costs the cost is the number of codes other than M.
     cost = float(len(path) - path.count("M"))
     payload = {"source": src, "target": tgt, "total_cost": cost, "ops": ops}

@@ -23,7 +23,7 @@ from collections import namedtuple
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
-from .alignment import align
+from .alignment import align, positions
 from .corpus import iter_lines
 from .errors import FormatError, StructuralError
 from .records import Checked, Record
@@ -46,8 +46,9 @@ class MergePolicy(Enum):
 
 
 # The op-code runs each policy turns into edits. Consecutive insertions
-# share one source point, so they form one edit even under NONE.
-_RUNS = {MergePolicy.MAXIMAL_RUNS: re.compile("[^M]+"), MergePolicy.NONE: re.compile("I+|[SD]")}
+# share one source point, so they form one edit even under NONE. A str
+# pattern is found in re's cache at once, a compiled one after a miss.
+_RUNS = {MergePolicy.MAXIMAL_RUNS: "[^M]+", MergePolicy.NONE: "I+|[SD]"}
 
 
 class EditKind(Enum):
@@ -120,19 +121,10 @@ def extract_edits(src: str, tgt: str, merge: MergePolicy = MergePolicy.MAXIMAL_R
     policy.
     """
     ops = align(src, tgt)
-    # A code's source index is its position less the I codes before it, and
-    # its target index its position less the D codes before it.
-    ins = dels = at = 0
-    edits = []
-    for run in _RUNS[merge].finditer(ops):
-        start, stop = run.span()
-        ins += ops.count("I", at, start)
-        dels += ops.count("D", at, start)
-        src_start, tgt_start = start - ins, start - dels
-        ins += ops.count("I", start, stop)
-        dels += ops.count("D", start, stop)
-        at = stop
-        edits.append(Edit(src_start, stop - ins, tgt[tgt_start : stop - dels]))
+    edits = [
+        Edit(i, i + len(run) - run.count("I"), tgt[j : j + len(run) - run.count("D")])
+        for run, i, j in positions(ops, _RUNS[merge])
+    ]
     return EditSet(tuple(edits))
 
 

@@ -25,16 +25,15 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, ParallelPair, split
-from .alignment import align
+from .alignment import align, positions
 from .artifacts import write_artifact
 from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
 from .records import Record
@@ -257,10 +256,6 @@ def conditional(
     return lam * lm_p + (1.0 - lam) * ch_p
 
 
-# M and S pair a source unit with a target unit; D and I pair none.
-_PAIRED = bytes.maketrans(b"MSDI", b"\1\1\0\0")
-
-
 def _codes(sources: Sequence[str], targets: Sequence[str]) -> str:
     """The joined alignment codes of the pairs; an equal pair is all M
     without align. A pair's codes consume its own units, so the joined codes
@@ -268,32 +263,29 @@ def _codes(sources: Sequence[str], targets: Sequence[str]) -> str:
     return "".join("M" * len(s) if s == t else align(s, t) for s, t in zip(sources, targets))
 
 
-def _masks(sources: Sequence[str], targets: Sequence[str]) -> tuple[bytes, bytes]:
-    """Byte masks over the joined sources and the joined targets, true at
-    each unit that an M or S code of _codes pairs with a unit of the other
-    side."""
-    codes = _codes(sources, targets)
-    smask, tmask = codes.replace("I", ""), codes.replace("D", "")
-    return smask.encode().translate(_PAIRED), tmask.encode().translate(_PAIRED)
-
-
 def _token_probs(
     model: MixtureCorrectorModel, pairs: Sequence[ParallelPair]
 ) -> Iterator[list[tuple[float, float]]]:
     """For each pair, the (lm_p, ch_p) of each unit of its first reference:
     conditional's two terms, which do not depend on the mixing weight. Each
-    side is mapped to UNK once. A unit's LM context is a window of its
-    mapped target, and its channel source the next mapped source unit where
-    the target mask is true, else None (an insertion)."""
+    target is mapped to UNK once. A unit's LM context is a window of its
+    mapped target. Its channel source is the mapped unit itself under an M
+    code, which pairs equal units, the mapped source unit under an S, and
+    None under an I (no aligned unit)."""
     lm, channel, vocab = model.lm, model.channel, model.vocab
     sources = [pair.source for pair in pairs]
     targets = [pair.references[0] for pair in pairs]
-    smask, tmask = _masks(sources, targets)
+    codes = _codes(sources, targets)
     targets = ["".join(u if u in vocab else UNK for u in target) for target in targets]
     contexts = chain.from_iterable(_lm_windows(lm.order, target, lm.order - 1) for target in targets)
-    units = compress("".join(u if u in vocab else UNK for u in "".join(sources)), smask)
-    aligned = map(next, map((iter(()), units).__getitem__, tmask), repeat(None))
-    joined = "".join(targets)
+    joined, joined_sources = "".join(targets), "".join(sources)
+    aligned: list[str | None] = list(joined)
+    for code, i, j in positions(codes, "[SI]"):
+        if code == "S":
+            src = joined_sources[i]
+            aligned[j] = src if src in vocab else UNK
+        else:
+            aligned[j] = None
     lm_ps = _add_k(lm, model._lm_totals, len(vocab), contexts, joined)
     probs = zip(lm_ps, _add_k(channel, model._channel_totals, len(vocab), aligned, joined))
     for target in targets:
@@ -361,15 +353,11 @@ def _accumulate(
     for gram, n in Counter(ngrams).items():
         lm_counts.setdefault(gram[:-1], Counter())[gram[-1]] += n
         copies[gram[-1]] += n
-    # At a code, the units before it number its index less the I codes
-    # before it on the source side and less the D codes on the target side.
     joined_sources, joined_targets = "".join(sources), "".join(targets)
     edited: list[str] = []
-    inserted = deleted = 0
-    for match in re.finditer("[DIS]", _codes(sources, targets)):
-        code, at = match[0], match.start()
+    for code, i, j in positions(_codes(sources, targets), "[DIS]"):
         if code == "S":
-            src, unit = joined_sources[at - inserted], joined_targets[at - deleted]
+            src, unit = joined_sources[i], joined_targets[j]
             row = ch_counts.get(src)
             if row is None:
                 row = ch_counts[src] = Counter()
@@ -377,11 +365,9 @@ def _accumulate(
             copies[unit] -= 1
             edited.append(src)
         elif code == "I":
-            copies[joined_targets[at - deleted]] -= 1
-            inserted += 1
+            copies[joined_targets[j]] -= 1
         else:
-            edited.append(joined_sources[at - inserted])
-            deleted += 1
+            edited.append(joined_sources[i])
     vocab.update(copies, edited)
     for unit, n in copies.items():
         if n > 0:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -16,8 +17,9 @@ from zhcorrect import (
     apply_edits,
     extract_edits,
 )
-from zhcorrect.alignment import _furthest_reach
+from zhcorrect.alignment import _furthest_reach, positions
 from zhcorrect.cli import main
+from zhcorrect.edits import _RUNS
 from zhcorrect.synthetic import make_suite
 
 from oracles import ORACLE_MAX_TOTAL_UNITS, oracle_min_cost
@@ -161,6 +163,54 @@ def test_path_consumes_both_sequences():
 def test_alignment_is_deterministic():
     s, t = "天汽很好好", "天气很好"
     assert align(s, t) == align(s, t)
+
+
+# Every pattern the package reads a path with: the merge policies' runs,
+# the training walks' codes and the align command's single codes.
+_POSITION_PATTERNS = [*_RUNS.values(), "[DIS]", "[SI]", "."]
+
+
+def _reference_positions(path, runs):
+    """positions by a cursor walk over the path, one code at a time: every
+    code but I consumes a source unit, every code but D a target unit."""
+    cursors, i, j = [], 0, 0
+    for code in path:
+        cursors.append((i, j))
+        i += code != "I"
+        j += code != "D"
+    return [(match[0], *cursors[match.start()]) for match in re.finditer(runs, path)]
+
+
+@pytest.mark.parametrize("runs", _POSITION_PATTERNS, ids=str)
+def test_positions_match_a_cursor_walk_on_random_pairs(runs):
+    rng = random.Random(47)
+    for _ in range(300):
+        s = _rand_units(rng, 12)
+        t = _corrupt(rng, s) if rng.random() < 0.7 else _rand_units(rng, 12)
+        path = align(s, t)
+        assert list(positions(path, runs)) == _reference_positions(path, runs), (s, t, path)
+
+
+@pytest.mark.parametrize(
+    "path, runs, expected",
+    [
+        ("", ".", []),
+        ("", "[^M]+", []),
+        ("III", ".", [("I", 0, 0), ("I", 0, 1), ("I", 0, 2)]),
+        ("III", "[^M]+", [("III", 0, 0)]),
+        ("DDD", ".", [("D", 0, 0), ("D", 1, 0), ("D", 2, 0)]),
+        ("DDD", "I+|[SD]", [("D", 0, 0), ("D", 1, 0), ("D", 2, 0)]),
+        ("SIMMMD", ".", [("S", 0, 0), ("I", 1, 1), ("M", 1, 2), ("M", 2, 3), ("M", 3, 4), ("D", 4, 5)]),
+        ("SIMMMD", "[^M]+", [("SI", 0, 0), ("D", 4, 5)]),
+        ("SIMMMD", "I+|[SD]", [("S", 0, 0), ("I", 1, 1), ("D", 4, 5)]),
+        ("SIMMMD", "[DIS]", [("S", 0, 0), ("I", 1, 1), ("D", 4, 5)]),
+        ("SIMMMD", "[SI]", [("S", 0, 0), ("I", 1, 1)]),
+        ("SIMMMD", "D", [("D", 4, 5)]),
+    ],
+)
+def test_positions_hand_cases(path, runs, expected):
+    assert list(positions(path, runs)) == expected
+    assert expected == _reference_positions(path, runs)
 
 
 def test_align_signature_is_stable():

@@ -318,6 +318,26 @@ def test_score_csc_out_writes_report_and_manifest(tmp_path, gold_tsv, capsys, mo
     assert all(v.startswith("sha256:") for v in manifest["inputs"].values())
 
 
+def test_manifest_records_the_input_as_read_when_out_overwrites_it(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    save_model(initial_model(), str(model))
+    # No final line feed, so each artifact differs from the input it replaces.
+    lines = _write(tmp_path / "in.txt", "天汽很好")
+    pairs = _write(tmp_path / "pairs.tsv", "天汽很好\t天气很好")
+    stage1 = _tsv(tmp_path / "stage1.tsv", [("天汽很好", "天气很好"), ("他是学圣", "他是学生")])
+    stage2 = _tsv(tmp_path / "stage2.tsv", [("我们学习", "我们学习")])
+    for argv, path in (
+        (["correct", str(model), lines, "--out", lines], lines),
+        (["extract-edits", pairs, "--out", pairs], pairs),
+        (["train", "--stage1", stage1, "--stage2", stage2, "--out", stage1], stage1),
+    ):
+        read = Path(path).read_bytes()
+        assert main(argv) == 0, argv
+        assert Path(path).read_bytes() != read
+        manifest = json.loads(Path(path + ".manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"][path] == "sha256:" + hashlib.sha256(read).hexdigest()
+
+
 def test_score_cgc_fixture_numbers(tmp_path, capsys):
     gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
     hyp = _tsv(tmp_path / "hyp.tsv", [("他是学生生", "他是学生"), ("天汽很号", "天汽很呺")])
