@@ -302,7 +302,10 @@ def align(src: str, tgt: str) -> str:
 def positions(path: str, runs: str) -> Iterator[tuple[str, int, int]]:
     """(codes, i, j) for each match of the regex runs in path: the matched
     codes and the source and target index at the match's start. The codes
-    between matches are counted too, so runs need not cover every I or D."""
+    between matches are counted too, so runs need not cover every I or D.
+    Only positions takes a path, and it is handed align's own, so no path
+    is checked at run time; the tests check align's paths on random and
+    edge-case pairs against three reference aligners."""
     ins = dels = at = 0
     for match in re.finditer(runs, path):
         start = match.start()

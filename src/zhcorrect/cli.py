@@ -13,8 +13,9 @@ The process behind ``zhcorrect`` and ``python -m zhcorrect`` (main_entry)
 runs its command with the cyclic collector off and ends with os._exit once
 stdout and stderr are flushed, so no collection and no interpreter teardown
 walks the heap. atexit hooks therefore do not run in it, those of other
-tools included (coverage's subprocess mode, for one). main, which tests
-call in-process, leaves the collector as it finds it.
+tools included (coverage's subprocess mode, for one). main leaves the
+collector as it finds it and never exits: measure coverage in-process
+through it, as the tests call it.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ from typing import Iterable, Iterator
 from .errors import FormatError, NormalizationError, UsageError
 from .records import Checked, Record
 from .textnorm import (
-    NormalizePolicy, any_rejected, canonical_fields, canonical_texts, check_scalars, rejected_in,
-    units_of,
+    NormalizePolicy, canonical_fields, canonical_texts, check_scalars, rejected_in, units_of,
 )
 
 # Lines a reader takes at a time: enough that the calls made once per block
@@ -124,12 +123,12 @@ def iter_plain_lines(
     stream: Iterable[str], policy: NormalizePolicy = NormalizePolicy.DEFAULT
 ) -> Iterator[str]:
     """``units_of(line, policy)`` of each line of iter_lines(stream), read
-    lazily a block at a time: only a block that any_rejected flags is checked
-    line by line, for the NormalizationError of its first bad line, prefixed
-    "line N: ". A block's lines are yielded after the whole block is checked,
-    and before the next block is read."""
+    lazily a block at a time: only a block whose joined lines rejected_in
+    flags is checked line by line, for the NormalizationError of its first
+    bad line, prefixed "line N: ". A block's lines are yielded after the
+    whole block is checked, and before the next block is read."""
     for lineno, block in iter_blocks(stream):
-        if any_rejected(block):
+        if rejected_in("".join(block)):
             for n, line in enumerate(block, lineno):
                 _check_line(line, n)
         yield from canonical_texts(block, policy)
@@ -218,6 +217,8 @@ def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, C
 
     Heldout size is round(fraction * N), half up; pair order within each part
     follows the original corpus order. An empty corpus gives two empty parts.
+    A heldout_fraction outside (0, 1) raises UsageError, for an empty corpus
+    too.
     """
     if not 0.0 < heldout_fraction < 1.0:
         raise UsageError(f"heldout_fraction must be in (0, 1), got {heldout_fraction}")

@@ -135,16 +135,11 @@ def sentence_edit_counts(
     if not gold_refs:
         raise UsageError("sentence has no gold references")
     hyp_set = extract_edits(source, hypothesis, merge)
-    best: MatchCounts | None = None
-    best_f = -1.0
-    for ref in gold_refs:
-        counts = match_edits(hyp_set, ref)
-        p, r = precision_recall(counts)
-        f = f_beta(p, r, beta)
-        if f > best_f:
-            best, best_f = counts, f
-    assert best is not None
-    return best
+    # max keeps the first of equal keys.
+    return max(
+        (match_edits(hyp_set, ref) for ref in gold_refs),
+        key=lambda counts: f_beta(*precision_recall(counts), beta),
+    )
 
 
 def score_cgc(

@@ -12,13 +12,14 @@ its substitution and insertion targets. The key order inside the count
 tables is not part of a model. Decoding is substitution-only beam search
 over a per-position candidate lattice that keeps one hypothesis per LM
 state, the LM context a step reads (none at mixing weight 0, where one
-hypothesis is kept). Its columns are cached on the model: each holds an
-option's cost and the LM state it leads to, so an expansion only adds and
-compares. Training and decoding read both tables through one _add_k.
+hypothesis is kept), its columns cached on the model (see decode).
+Training and decoding read both tables through one _add_k.
 
 Reserved units (textnorm's, which input text may not hold): BOUNDARY pads
 LM contexts at the sentence start and UNK absorbs units outside the
-vocabulary, so every probability stays positive and every distribution proper.
+vocabulary, so every probability stays positive. Every distribution is
+proper in the models training builds, whose vocabulary holds every unit they
+count; a loaded container's row that counts a unit outside it sums to less.
 """
 
 from __future__ import annotations
@@ -180,10 +181,7 @@ class MixtureCorrectorModel(Record):
 
     It also derives each table's count totals into _lm_totals and
     _channel_totals, which _add_k reads for every caller, while decode
-    caches its lattice in _columns: each source unit maps to its options,
-    as (option, vocab-mapped option, channel probability), and to a dict
-    from LM state (the LM context a step reads) to its column of (step,
-    option, next state) triples (see decode). None of the three is a
+    caches its lattice in _columns (see decode). None of the three is a
     parameter: they are left out of ==, repr, pickling and save_model, and
     every new model (_replace, unpickling, fit_stage, load_model) derives
     the totals anew and starts with an empty cache. So a model's tables must
@@ -389,7 +387,8 @@ def fit_stage(
 
     The candidates are DEFAULT_MIX_GRID plus init's weight, so on the slice
     the search runs over the tuned objective cannot exceed init's under the
-    same counts. Deterministic for a fixed seed.
+    same counts. Deterministic for a fixed seed. An empty corpus splits into
+    two empty corpora, and its stage keeps init's counts and weight.
     """
     if init.stage is Stage.STAGE2:
         raise ConfigError("a stage2 model is fully trained: no stage follows it")
@@ -408,11 +407,7 @@ def fit_stage(
         return fitted
 
     grid = sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight})
-    best_weight, best_objective = None, math.inf
-    for weight, objective in zip(grid, dataset_objective(fitted, heldout_part, grid)):
-        if objective < best_objective:
-            best_weight, best_objective = weight, objective
-    assert best_weight is not None
+    _, best_weight = min(zip(dataset_objective(fitted, heldout_part, grid), grid))
     return fitted._replace(mixing_weight=best_weight)
 
 
@@ -465,10 +460,16 @@ def decode(model: MixtureCorrectorModel, src: str, beam_width: int = 8) -> str:
     hypothesis per state, the least (cost, prefix), and beam_width counts
     states: after each position only the beam_width best survive. When the
     beam holds every state the search is exact (Viterbi); at weight 0 there
-    is one state, so one hypothesis is kept and any beam_width is exact. One
-    corner is left to rounding: two costs a < b of one state can round to
-    the same sum after equal increments, and the prefix tie-break may then
-    prefer the hypothesis that was dropped.
+    is one state, so one hypothesis is kept and any beam_width is exact. It
+    can change output only where a plain beam made a search error, usually
+    to a cheaper output; but a cut beam is not monotone, since a freed slot
+    changes which states survive later cuts, so the output can also cost
+    more. Options outside the vocabulary all map to UNK, so where one source
+    unit offers two or more of them they share a state, which can move the
+    output of a cut beam; a trained model never offers two, since every unit
+    it emits is in its vocabulary. One corner is left to rounding: two costs
+    a < b of one state can round to the same sum after equal increments, and
+    the prefix tie-break may then prefer the hypothesis that was dropped.
 
     model._columns maps each source unit to (its _options, a dict from state
     to its _column). Each is built once per model, so an expansion only adds

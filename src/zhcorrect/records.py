@@ -1,6 +1,8 @@
 """Bases of the checked immutable records. A record with no checks is a
 plain typing.NamedTuple; both kinds here run their checks on every
-construction, a copy made with _replace included."""
+construction, a copy made with _replace included. Record serves where tuple
+behaviour would be wrong: Corpus and EditSet have a length of their own, and
+MixtureCorrectorModel holds derived totals and the decode cache."""
 
 from __future__ import annotations
 

@@ -67,7 +67,8 @@ def rejected_in(text: str) -> bool:
     """Whether check_scalars would raise on text, found by whole-string C
     scans rather than the regex: a reserved unit is a substring, and the
     strict UTF-32 encoder refuses every surrogate code point, a high one
-    followed by a low one included."""
+    followed by a low one included. The readers test a block of lines
+    joined into one str, which is exact because joining adds no unit."""
     if BOUNDARY in text or UNK in text:
         return True
     try:
@@ -75,12 +76,6 @@ def rejected_in(text: str) -> bool:
     except UnicodeEncodeError:
         return True
     return False
-
-
-def any_rejected(lines: Iterable[str]) -> bool:
-    """Whether check_scalars would raise on some line: rejected_in of the
-    lines joined, which is exact because joining adds no unit."""
-    return rejected_in("".join(lines))
 
 
 # The steps of each policy short of the strip, C callables applied in order

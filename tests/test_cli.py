@@ -1302,9 +1302,11 @@ def test_internal_error_returns_one(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_dataclasses_traceback_and_synthetic_unimported():
-    # None of them is needed by a command that succeeds: the records are
-    # namedtuples and slot classes, traceback is imported on exit 1 only, and
-    # no command imports the synthetic suite.
+    # Start-up is a large share of a short command, since every command is a
+    # new interpreter. None of them is needed by a command that succeeds: the
+    # records are namedtuples and slot classes, dataclasses would pull in
+    # inspect, traceback is imported on exit 1 only, and no command imports
+    # the synthetic suite.
     done = _python(
         "-S",
         "-c",

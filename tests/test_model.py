@@ -176,6 +176,23 @@ def test_conditional_distributions_sum_to_one(trained):
                 assert total == pytest.approx(1.0, abs=1e-9)
 
 
+def test_a_container_may_count_a_unit_outside_its_vocab(tmp_path):
+    # Only a trained model's vocab holds every unit it counts. A container
+    # whose channel counts "b" outside its vocab loads and decodes, and its
+    # row p(. | a) is no longer a distribution over the vocab: "b" maps to
+    # UNK, whose count in the row is 0.
+    path = tmp_path / "model.json"
+    save_model(initial_model(order=1, mixing_weight=0.0), str(path))
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload.update(vocab=[UNK, "a"], channel_counts={"a": {"b": 1}})
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    model = load_model(str(path))
+    assert decode(model, "aa") == "aa"
+    row = [conditional(model, "", "a", y) for y in sorted(model.vocab)]
+    assert row == [0.01 / 1.02, 0.01 / 1.02]
+    assert sum(row) == pytest.approx(0.0196, abs=1e-4)
+
+
 def test_nll_uniform_is_length_times_log_v():
     model = initial_model(vocab=_NINE_CHARS)
     pair = _pair("天气好", "天气好")

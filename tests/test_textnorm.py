@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from zhcorrect import NormalizationError, NormalizePolicy, units_of
 from zhcorrect.model import BOUNDARY, UNK
 from zhcorrect.corpus import parse_parallel
-from zhcorrect.textnorm import any_rejected, canonical_fields
+from zhcorrect.textnorm import canonical_fields, rejected_in
 
 _POOL = (
     "我爱北京他是学生天气很好"
@@ -200,14 +200,14 @@ def test_canonical_fields_equal_units_of_per_field(line, policy):
     try:
         units_of(line, NormalizePolicy.NONE)
     except NormalizationError as whole:
-        assert any_rejected(["天气", line])
+        assert rejected_in("".join(["天气", line]))
         if "\t" in line and not line.startswith("#"):
             # the line's first offender, its offset counted from the line's start
             with pytest.raises(NormalizationError) as err:
                 parse_parallel(stream, "tsv", policy)
             assert str(err.value) == f"line 2: {whole}"
         return
-    assert not any_rejected(["天气", line])
+    assert not rejected_in("".join(["天气", line]))
     [fields] = canonical_fields([line], policy)
     assert list(fields) == [units_of(f, policy) for f in line.split("\t")]
     if "\t" in line and not line.startswith("#") and not line.endswith("\r"):
@@ -235,5 +235,6 @@ _BLOCK_UNITS = ("天", "气", "学", "\U00020000", "\x02", "\x1a", "\ud800", "\u
 @example(["\U00010000\x1a"])
 @example(["天\U00020000", "气"])
 @example([])
-def test_any_rejected_equals_check_scalars_on_some_line(lines):
-    assert any_rejected(lines) == any(map(_check_raises, lines))
+def test_rejected_in_joined_lines_equals_check_scalars_on_some_line(lines):
+    # Joining adds no unit, so the joined block is rejected exactly when a line is.
+    assert rejected_in("".join(lines)) == any(map(_check_raises, lines))
