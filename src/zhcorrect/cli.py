@@ -184,6 +184,8 @@ def cmd_score_csc(args: argparse.Namespace) -> None:
             value = payload.get("f_beta") if isinstance(payload, dict) else None
             if type(value) not in (int, float):
                 raise FormatError(f"{path}: report JSON lacks a numeric f_beta field")
+            if payload.get("beta", 1) != 1:
+                raise FormatError(f"{path}: report is F_beta at beta {payload['beta']!r}, not F1")
             values.append(value)
         _emit(args, f"Avg. F1 {macro_average(values):.4f}\n", args.files)
         return

@@ -163,12 +163,12 @@ def _add_k(
     )
 
 
-def _lm_windows(order: int, target: str, width: int) -> Iterator[str]:
-    """The width-unit slices of target padded with order-1 BOUNDARY units,
-    one starting at each unit of target: of width order, its LM n-grams; of
-    width order-1, its units' LM contexts if all are in the vocab."""
+def _lm_windows(order: int, target: str) -> Iterator[str]:
+    """The LM n-grams of target, one ending at each of its units: its
+    order-unit slices once padded with order-1 BOUNDARY units. If every unit
+    is in the vocab, an n-gram is its last unit's LM context and the unit."""
     padded = BOUNDARY * (order - 1) + target
-    return map(padded.__getitem__, map(slice, range(len(target)), range(width, len(target) + width)))
+    return map(padded.__getitem__, map(slice, range(len(target)), range(order, len(target) + order)))
 
 
 class MixtureCorrectorModel(Record):
@@ -263,19 +263,23 @@ def _codes(sources: Sequence[str], targets: Sequence[str]) -> str:
 
 def _token_probs(
     model: MixtureCorrectorModel, pairs: Sequence[ParallelPair]
-) -> Iterator[list[tuple[float, float]]]:
-    """For each pair, the (lm_p, ch_p) of each unit of its first reference:
-    conditional's two terms, which do not depend on the mixing weight. Each
-    target is mapped to UNK once. A unit's LM context is a window of its
-    mapped target. Its channel source is the mapped unit itself under an M
-    code, which pairs equal units, the mapped source unit under an S, and
-    None under an I (no aligned unit)."""
+) -> tuple[list[tuple[float, float]], list[list[int]]]:
+    """The pairs' (lm_p, ch_p) terms, conditional's two terms, which do not
+    depend on the mixing weight, as (terms, rows): terms holds each distinct
+    term once, in first-seen order, and rows[p] the index of the term of
+    each unit of pair p's first reference.
+
+    Each target is mapped to UNK once. A unit's key is its LM window (its
+    LM context and itself, a window of the mapped target) and its channel
+    source: the mapped unit itself under an M code, which pairs equal units,
+    the mapped source unit under an S, and None under an I (no aligned
+    unit). Each distinct key is looked up once, and keys whose two
+    probabilities are equal share one term."""
     lm, channel, vocab = model.lm, model.channel, model.vocab
     sources = [pair.source for pair in pairs]
     targets = [pair.references[0] for pair in pairs]
     codes = _codes(sources, targets)
     targets = ["".join(u if u in vocab else UNK for u in target) for target in targets]
-    contexts = chain.from_iterable(_lm_windows(lm.order, target, lm.order - 1) for target in targets)
     joined, joined_sources = "".join(targets), "".join(sources)
     aligned: list[str | None] = list(joined)
     for code, i, j in positions(codes, "[SI]"):
@@ -284,29 +288,38 @@ def _token_probs(
             aligned[j] = src if src in vocab else UNK
         else:
             aligned[j] = None
-    lm_ps = _add_k(lm, model._lm_totals, len(vocab), contexts, joined)
-    probs = zip(lm_ps, _add_k(channel, model._channel_totals, len(vocab), aligned, joined))
-    for target in targets:
-        yield list(islice(probs, len(target)))
+    keys = list(zip(chain.from_iterable(_lm_windows(lm.order, t) for t in targets), aligned))
+    distinct = list(dict.fromkeys(keys))
+    units = [window[-1] for window, _ in distinct]
+    contexts = [window[:-1] for window, _ in distinct]
+    lm_ps = _add_k(lm, model._lm_totals, len(vocab), contexts, units)
+    ch_ps = _add_k(channel, model._channel_totals, len(vocab), map(itemgetter(1), distinct), units)
+    terms: dict[tuple[float, float], int] = {}
+    index = dict(zip(distinct, [terms.setdefault(term, len(terms)) for term in zip(lm_ps, ch_ps)]))
+    ids = map(index.__getitem__, keys)
+    return list(terms), [list(islice(ids, len(target))) for target in targets]
 
 
-def _mean_nll(table: Sequence[list[tuple[float, float]]], lam: float) -> float:
-    """Mean over the table's pairs of their nll under mixing weight lam.
+def _mean_nll(terms: Sequence[tuple[float, float]], rows: Sequence[list[int]], lam: float) -> float:
+    """Mean over the rows' pairs of their nll under mixing weight lam.
 
-    The mixture is conditional's written out. Both sums, over a pair's units
-    and over the pairs, are left-to-right loops on purpose: sum() of floats
-    is compensated from Python 3.12 on, so it would give the objective other
-    bits on other interpreters.
+    The mixture is conditional's written out, and each distinct term is
+    logged once. Both sums, over a pair's units and over the pairs, are
+    left-to-right loops on purpose: sum() of floats is compensated from
+    Python 3.12 on, so it would give the objective other bits on other
+    interpreters. (functools.reduce over the same order keeps the bits but
+    takes twice as long on CPython 3.11.)
     """
     mu = 1.0 - lam
     log = math.log
+    logs = [log(lam * lm_p + mu * ch_p) for lm_p, ch_p in terms]
     nll = 0.0
-    for probs in table:
+    for row in rows:
         total = 0.0
-        for lm_p, ch_p in probs:
-            total -= log(lam * lm_p + mu * ch_p)
+        for term in row:
+            total -= logs[term]
         nll += total
-    return nll / len(table)
+    return nll / len(rows)
 
 
 def dataset_objective(
@@ -314,13 +327,15 @@ def dataset_objective(
 ) -> float | list[float]:
     """Mean per-pair nll over the corpus at the model's mixing weight or,
     given weights, the list of it at each weight, checked as the model's.
-    Every weight is scored from one table, so each pair is aligned once."""
+    Every weight is scored from one table of terms (see _token_probs), so
+    each pair is aligned once and each distinct key looked up once, and
+    _mean_nll logs each distinct term once per weight."""
     if not corpus.pairs:
         raise UsageError("dataset_objective needs a non-empty corpus")
-    table = list(_token_probs(model, corpus.pairs))
+    terms, rows = _token_probs(model, corpus.pairs)
     if weights is None:
-        return _mean_nll(table, model.mixing_weight)
-    return [_mean_nll(table, _mixing_weight("weight", weight)) for weight in weights]
+        return _mean_nll(terms, rows, model.mixing_weight)
+    return [_mean_nll(terms, rows, _mixing_weight("weight", weight)) for weight in weights]
 
 
 def _accumulate(
@@ -347,7 +362,7 @@ def _accumulate(
     # Every target unit joins vocab, so none maps to UNK and each LM context
     # + unit is a window of the padded target; every unit ends one window.
     copies: Counter[str] = Counter()
-    ngrams = chain.from_iterable(_lm_windows(order, t, order) for t in targets)
+    ngrams = chain.from_iterable(_lm_windows(order, t) for t in targets)
     for gram, n in Counter(ngrams).items():
         lm_counts.setdefault(gram[:-1], Counter())[gram[-1]] += n
         copies[gram[-1]] += n

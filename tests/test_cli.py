@@ -293,6 +293,23 @@ def test_score_csc_macro_rejects_non_reports(tmp_path, capsys):
     assert "f_beta" in capsys.readouterr().err
 
 
+def test_score_csc_macro_refuses_a_report_that_is_not_f1(tmp_path, capsys):
+    # A score-cgc report holds F0.5, which an "Avg. F1" line must not average.
+    gold = _write(tmp_path / "gold.m2", _GOLD_EDITS)
+    hyp = _tsv(tmp_path / "hyp.tsv", [("他是学生生", "他是学生"), ("天汽很号", "天汽很呺")])
+    report = str(tmp_path / "cgc.json")
+    assert main(["score-cgc", hyp, gold, "--out", report]) == 0
+    assert json.loads(Path(report).read_text(encoding="utf-8"))["beta"] == 0.5
+    f1 = _write(tmp_path / "f1.json", json.dumps({"beta": 1.0, "f_beta": 0.5}))
+    capsys.readouterr()
+    assert main(["score-csc", "--macro", f1, report]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {report}: report is F_beta at beta 0.5, not F1\n"
+    assert main(["score-csc", "--macro", f1]) == 0
+    assert capsys.readouterr().out == "Avg. F1 0.5000\n"
+
+
 def test_score_csc_single_file_is_usage_error(tmp_path, capsys):
     hyp = _write(tmp_path / "hyp.txt", "天气很好\n")
     assert main(["score-csc", hyp]) == 2

@@ -345,6 +345,16 @@ def _per_weight_nll(model, pair):
     return total
 
 
+def _per_weight_objective(model, pairs):
+    """The objective as one _per_weight_nll per pair, added left to right as
+    macro_average adds: sum() of floats is compensated from Python 3.12 on
+    and would give other bits."""
+    total = 0.0
+    for pair in pairs:
+        total += _per_weight_nll(model, pair)
+    return total / len(pairs)
+
+
 def test_grid_search_matches_per_weight_objective_loop():
     # The old search: one full dataset objective per grid weight. The table
     # of weight-free probabilities must pick the same weight and give the
@@ -358,7 +368,7 @@ def test_grid_search_matches_per_weight_objective_loop():
         best_weight, best_objective, objectives = None, math.inf, []
         for weight in grid:
             candidate = fitted._replace(mixing_weight=weight)
-            expected = sum(_per_weight_nll(candidate, p) for p in heldout.pairs) / len(heldout)
+            expected = _per_weight_objective(candidate, heldout.pairs)
             assert dataset_objective(candidate, heldout) == expected, weight
             objectives.append(expected)
             if expected < best_objective:
@@ -491,7 +501,50 @@ def test_accumulate_and_token_probs_match_their_references(order):
                 NgramLM(order, k, lm_counts), ConfusionChannel(k, ch_counts), vocab, 0.5, Stage.STAGE1
             )
             expected = list(_reference_token_probs(model, heldout))
-            assert list(_token_probs(model, heldout)) == expected
+            terms, rows = _token_probs(model, heldout)
+            assert len(set(terms)) == len(terms)
+            assert [[terms[i] for i in row] for row in rows] == expected
+
+
+@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("slice_kind", ["repeated", "dense"])
+def test_token_table_shares_terms_and_scores_as_the_per_weight_loop(order, slice_kind):
+    # A slice of repeated pairs has fewer terms than units; one of unrelated
+    # pairs over a large alphabet has a distinct key at nearly every unit. In both, the table
+    # expands to its reference and every weight's objective is the per-weight
+    # loop's, bit for bit.
+    rng = random.Random(order)
+    if slice_kind == "repeated":
+        pool = "甲乙丙丁戊"
+        training = _random_training_pairs(rng, pool, 300)
+        heldout = _random_training_pairs(rng, pool + "己", 40) * 3
+    else:
+        pool = [chr(0x4E00 + i) for i in range(3000)]
+
+        def unrelated(count):
+            return [_pair(*("".join(rng.choices(pool, k=9)) for _ in range(2))) for _ in range(count)]
+
+        training, heldout = unrelated(1500), unrelated(150)
+    model = fit_stage(initial_model(order=order), _corpus(training))
+    terms, rows = _token_probs(model, heldout)
+    assert [[terms[i] for i in row] for row in rows] == list(_reference_token_probs(model, heldout))
+    n_units = sum(map(len, rows))
+    if slice_kind == "repeated":
+        assert len(terms) < n_units / 3
+    else:
+        keys = set()
+        for pair in heldout:
+            target = pair.references[0]
+            padded = BOUNDARY * (order - 1) + target
+            aligned = _reference_aligned(pair.source, target)
+            keys.update((padded[t : t + order], aligned[t]) for t in range(len(target)))
+        assert len(keys) > 0.9 * n_units
+    weights = [0.0, 0.05, 0.3, 0.5, 0.95, 1.0]
+    expected = [
+        _per_weight_objective(model._replace(mixing_weight=w), heldout) for w in weights
+    ]
+    assert dataset_objective(model, _corpus(heldout), weights) == expected
+    assert dataset_objective(model, _corpus(heldout)) == expected[weights.index(model.mixing_weight)]
 
 
 def _accumulated(stages, order=2):
