@@ -26,19 +26,22 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import Counter
 from enum import Enum
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
 from typing import AbstractSet, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import Corpus, ParallelPair, split
 from .alignment import align, positions
 from .artifacts import write_artifact
-from .errors import ConfigError, FormatError, StructuralError, UsageError, ZhcorrectError
+from .errors import (
+    ConfigError, FormatError, NormalizationError, StructuralError, UsageError, ZhcorrectError,
+)
 from .records import Record
-from .textnorm import BOUNDARY, UNK
+from .textnorm import BOUNDARY, UNK, check_scalars, rejected_in
 
 MODEL_FORMAT = "zhcorrect-model"
 MODEL_VERSION = 1
@@ -49,6 +52,12 @@ DEFAULT_ORDER = 3
 MAX_ORDER = 64
 DEFAULT_SMOOTHING_K = 0.01
 DEFAULT_MIX_GRID: tuple[float, ...] = tuple(i / 20 for i in range(21))
+
+# Text units _lm_windows scans at a time, padding included: enough that the
+# join and the regex call made once per chunk cost little per window, few
+# enough that a chunk's windows, one str of order units per target unit,
+# stay small whatever the order and the sentence lengths.
+_SCAN_UNITS = 4096
 
 
 class Stage(str, Enum):
@@ -132,15 +141,17 @@ class ConfusionChannel(NamedTuple):
 
 def _totals(counts: dict[str, Counter]) -> dict[str, int]:
     """Each row's count total, the count part of its add-k denominator.
-    Every count must be a positive int of a single unit: decode emits the
-    counted units, and a zero, which Counter == ignores, would make equal
-    models differ in their tables."""
+    Every count must be a positive int of a single unit other than
+    BOUNDARY: decode emits the counted units, and a zero, which Counter ==
+    ignores, would make equal models differ in their tables."""
     totals = {}
     for key, row in counts.items():
         if not all(
             type(u) is str and len(u) == 1 and type(n) is int and n > 0 for u, n in row.items()
         ):
             raise StructuralError("counts must map single units to positive integers")
+        if BOUNDARY in row:
+            raise StructuralError("BOUNDARY may pad an LM context but is never a counted unit")
         totals[key] = sum(row.values())
     return totals
 
@@ -163,12 +174,41 @@ def _add_k(
     )
 
 
-def _lm_windows(order: int, target: str) -> Iterator[str]:
-    """The LM n-grams of target, one ending at each of its units: its
-    order-unit slices once padded with order-1 BOUNDARY units. If every unit
-    is in the vocab, an n-gram is its last unit's LM context and the unit."""
-    padded = BOUNDARY * (order - 1) + target
-    return map(padded.__getitem__, map(slice, range(len(target)), range(order, len(target) + order)))
+def _scan_chunks(targets: Iterable[str], width: int) -> Iterator[list[str]]:
+    """The targets in lists whose padded text, each target with width
+    units of padding, holds about _SCAN_UNITS units; a longer target is a
+    list of its own."""
+    chunk: list[str] = []
+    size = 0
+    for target in targets:
+        chunk.append(target)
+        size += len(target) + width
+        if size >= _SCAN_UNITS:
+            yield chunk
+            chunk, size = [], 0
+    if chunk:
+        yield chunk
+
+
+def _lm_windows(order: int, targets: Iterable[str]) -> Iterator[str]:
+    """The LM n-grams of the targets, lazily and in order, one ending at
+    each unit of each target: the order-unit slices of each target once
+    padded with order-1 BOUNDARY units. If every unit is in the vocab, an
+    n-gram is its last unit's LM context and the unit.
+
+    No target may hold BOUNDARY: no model counts or scores it (a vocab
+    refuses it, and _token_probs maps held-out units outside the vocab to
+    UNK first). Then the windows are found in C, a chunk of targets at a
+    time: the chunk is joined with each target after its padding, and one
+    regex scan takes the window at each position whose last unit is not
+    BOUNDARY, which is exactly where a target unit is, so no window that
+    ends on padding is made. A chunk holds about _SCAN_UNITS units (see
+    _scan_chunks), so the windows alive at once stay few whatever the batch,
+    the order and the sentence lengths."""
+    pad = BOUNDARY * (order - 1)
+    scan = re.compile(f"(?=(.{{{order - 1}}}[^{BOUNDARY}]))", re.S).findall
+    chunks = _scan_chunks(targets, order - 1)
+    return chain.from_iterable(scan(pad + pad.join(chunk)) for chunk in chunks)
 
 
 class MixtureCorrectorModel(Record):
@@ -177,7 +217,8 @@ class MixtureCorrectorModel(Record):
     order is an int and the weight and smoothing constants are numbers,
     none of them a bool, and the latter three are stored as floats, so equal
     models save to identical bytes. Every count is a positive int of a
-    single unit.
+    single unit. BOUNDARY is neither in the vocab nor a counted unit: it
+    only pads LM context keys.
 
     It also derives each table's count totals into _lm_totals and
     _channel_totals, which _add_k reads for every caller, while decode
@@ -204,6 +245,8 @@ class MixtureCorrectorModel(Record):
         _check_smoothing("lm", lm.smoothing_k, lm_totals, len(vocab))
         if UNK not in vocab:
             raise StructuralError("vocab must contain the UNK unit")
+        if BOUNDARY in vocab:
+            raise StructuralError("vocab must not contain the BOUNDARY unit")
         channel = channel._replace(smoothing_k=_real("channel smoothing_k", channel.smoothing_k))
         _check_smoothing("channel", channel.smoothing_k, channel_totals, len(vocab))
         mixing_weight = _mixing_weight("mixing_weight", mixing_weight)
@@ -269,18 +312,25 @@ def _token_probs(
     term once, in first-seen order, and rows[p] the index of the term of
     each unit of pair p's first reference.
 
-    Each target is mapped to UNK once. A unit's key is its LM window (its
-    LM context and itself, a window of the mapped target) and its channel
-    source: the mapped unit itself under an M code, which pairs equal units,
-    the mapped source unit under an S, and None under an I (no aligned
-    unit). Each distinct key is looked up once, and keys whose two
+    The targets are mapped to UNK in one translate of their joined text,
+    made only if a unit is outside the vocab, and cut back by their lengths;
+    they are mapped before _lm_windows pads them, as BOUNDARY is never in a
+    vocab and would map to UNK too. A unit's key is its LM window (its LM
+    context and itself, a window of the mapped target, see _lm_windows) and
+    its channel source: the mapped unit itself under an M code, which pairs
+    equal units, the mapped source unit under an S, and None under an I (no
+    aligned unit). Each distinct key is looked up once, and keys whose two
     probabilities are equal share one term."""
     lm, channel, vocab = model.lm, model.channel, model.vocab
     sources = [pair.source for pair in pairs]
     targets = [pair.references[0] for pair in pairs]
     codes = _codes(sources, targets)
-    targets = ["".join(u if u in vocab else UNK for u in target) for target in targets]
     joined, joined_sources = "".join(targets), "".join(sources)
+    outside = set(joined) - vocab
+    if outside:
+        joined = joined.translate(dict.fromkeys(map(ord, outside), UNK))
+        ends = list(accumulate(map(len, targets), initial=0))
+        targets = list(map(joined.__getitem__, map(slice, ends, ends[1:])))
     aligned: list[str | None] = list(joined)
     for code, i, j in positions(codes, "[SI]"):
         if code == "S":
@@ -288,7 +338,7 @@ def _token_probs(
             aligned[j] = src if src in vocab else UNK
         else:
             aligned[j] = None
-    keys = list(zip(chain.from_iterable(_lm_windows(lm.order, t) for t in targets), aligned))
+    keys = list(zip(_lm_windows(lm.order, targets), aligned))
     distinct = list(dict.fromkeys(keys))
     units = [window[-1] for window, _ in distinct]
     contexts = [window[:-1] for window, _ in distinct]
@@ -346,9 +396,11 @@ def _accumulate(
     pairs: Sequence[ParallelPair],
 ) -> None:
     """Add the counts of the pairs' first references to the tables and their
-    units to vocab in one batch. Each LM n-gram is a str, all are counted by
-    one Counter in C, and each distinct one then adds its count to its last
-    unit in the row of the rest and to that unit's total in the targets.
+    units to vocab in one batch. Each LM n-gram is a str, made by the
+    chunked scan of _lm_windows (no target holds BOUNDARY: fit_stage refuses
+    it), and all are counted by one Counter in C; each distinct one then
+    adds its count to its last unit in the row of the rest and to that
+    unit's total in the targets.
 
     The channel counts the source and target unit of each M or S code, but
     only the non-M codes are visited: an S counts its emission, and an S or
@@ -362,8 +414,7 @@ def _accumulate(
     # Every target unit joins vocab, so none maps to UNK and each LM context
     # + unit is a window of the padded target; every unit ends one window.
     copies: Counter[str] = Counter()
-    ngrams = chain.from_iterable(_lm_windows(order, t) for t in targets)
-    for gram, n in Counter(ngrams).items():
+    for gram, n in Counter(_lm_windows(order, targets)).items():
         lm_counts.setdefault(gram[:-1], Counter())[gram[-1]] += n
         copies[gram[-1]] += n
     joined_sources, joined_targets = "".join(sources), "".join(targets)
@@ -387,6 +438,23 @@ def _accumulate(
             ch_counts.setdefault(unit, Counter())[unit] += n
 
 
+def _check_units(pairs: Sequence[ParallelPair]) -> None:
+    """Raise check_scalars' NormalizationError for the first text of the
+    pairs that holds a rejected unit, prefixed with its place. The texts
+    are tested joined first, by rejected_in, which is exact (see there)."""
+    sources = "".join(map(itemgetter(0), pairs))
+    refs = "".join(chain.from_iterable(map(itemgetter(1), pairs)))
+    if not (rejected_in(sources) or rejected_in(refs)):
+        return
+    for n, (source, references) in enumerate(pairs):
+        named = [("source", source), *((f"references[{r}]", t) for r, t in enumerate(references))]
+        for field, text in named:
+            try:
+                check_scalars(text)
+            except NormalizationError as exc:
+                raise NormalizationError(f"pairs[{n}].{field}: {exc}") from None
+
+
 def stage_heldout(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
     """The held-out slice fit_stage tunes on: split's, reproducible from its
     arguments."""
@@ -404,9 +472,16 @@ def fit_stage(
     the search runs over the tuned objective cannot exceed init's under the
     same counts. Deterministic for a fixed seed. An empty corpus splits into
     two empty corpora, and its stage keeps init's counts and weight.
+
+    A pair whose source or a reference holds a reserved unit (BOUNDARY,
+    UNK) or a surrogate is refused, as the corpus readers refuse it: a
+    NormalizationError names the first such text, e.g. "pairs[3].source:
+    reserved unit U+0002 at byte offset 3". So training never counts
+    BOUNDARY or UNK.
     """
     if init.stage is Stage.STAGE2:
         raise ConfigError("a stage2 model is fully trained: no stage follows it")
+    _check_units(corpus.pairs)
     stage = Stage.STAGE2 if init.stage is Stage.STAGE1 else Stage.STAGE1
     train_part, heldout_part = split(corpus, heldout_fraction, seed)
     lm_counts = {key: Counter(c) for key, c in init.lm.counts.items()}

@@ -773,6 +773,23 @@ def test_correct_rejects_bad_container(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("vocab", [["天", "\x1a"], ["天", "\x02", "\x1a"]])
+def test_correct_refuses_a_container_that_counts_boundary(tmp_path, capsys, vocab):
+    # Loaded, this channel would rewrite 天 as U+0002, which score-csc then
+    # refuses as input; the container is refused instead, vocab or not.
+    model = tmp_path / "m.json"
+    save_model(initial_model(vocab="天"), str(model))
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload.update(vocab=vocab, channel_counts={"天": {"\x02": 100}})
+    bad = _write(tmp_path / "boundary.json", json.dumps(payload))
+    out = tmp_path / "hyp.txt"
+    assert main(["correct", bad, _write(tmp_path / "in.txt", "天天\n"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: malformed model container: ") and err.count("\n") == 1
+    assert "BOUNDARY" in err
+    assert not out.exists()
+
+
 def _jobs_argv(tmp_path, command):
     """The argv of one run of command over small inputs, less --out."""
     if command == "correct":

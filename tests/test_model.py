@@ -6,13 +6,14 @@ import json
 import math
 import pickle
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zhcorrect import ConfigError, FormatError, StructuralError, UsageError
+from zhcorrect import ConfigError, FormatError, NormalizationError, StructuralError, UsageError
 from zhcorrect.alignment import align
 from zhcorrect.corpus import Corpus, ParallelPair, split
 from zhcorrect.model import (
@@ -31,8 +32,11 @@ from zhcorrect.model import (
     load_model,
     save_model,
     stage_heldout,
+    _SCAN_UNITS,
     _accumulate,
     _context_key,
+    _lm_windows,
+    _scan_chunks,
     _token_probs,
 )
 from zhcorrect.synthetic import CONFUSION, WORD_INVENTORY, make_suite
@@ -545,6 +549,60 @@ def test_token_table_shares_terms_and_scores_as_the_per_weight_loop(order, slice
     ]
     assert dataset_objective(model, _corpus(heldout), weights) == expected
     assert dataset_objective(model, _corpus(heldout)) == expected[weights.index(model.mixing_weight)]
+
+
+def _reference_windows(order, targets):
+    """_lm_windows as it was before it scanned chunks of targets: the
+    order-unit slices of each padded target, one target at a time. Oracle
+    only."""
+    for target in targets:
+        padded = BOUNDARY * (order - 1) + target
+        yield from map(padded.__getitem__, map(slice, range(len(target)), range(order, len(target) + order)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 5, 16, 64])
+def test_lm_windows_match_the_per_target_slices(order):
+    rng = random.Random(order)
+    pool = "甲乙丙\n\U00020000" + UNK
+    # Empty and one-unit targets among longer ones, a target longer than a
+    # chunk, and a batch whose padded text fills several chunks; a JSONL
+    # value may hold a line feed.
+    crossing = ["".join(rng.choices(pool, k=rng.randint(0, 30))) for _ in range(3 * _SCAN_UNITS // order)]
+    assert len(list(_scan_chunks(crossing, order - 1))) >= 3
+    batches = [
+        [], [""], ["", "", ""], ["甲"], ["甲"] * 5, ["", "甲", "", "乙丙", ""],
+        [UNK, "甲" + UNK, UNK * 3], ["乙", "甲" * (_SCAN_UNITS + 5), "", "丙"], crossing,
+    ]
+    for targets in batches:
+        assert list(_lm_windows(order, targets)) == list(_reference_windows(order, targets))
+        assert list(_lm_windows(order, iter(targets))) == list(_reference_windows(order, targets))
+
+
+def test_accumulate_memory_stays_within_one_chunk():
+    # _lm_windows makes its windows one chunk of about _SCAN_UNITS units at a
+    # time, so _accumulate over four copies of one chunk's worth of pairs
+    # peaks within a few bytes per added unit of the one copy: the joined
+    # texts and codes it keeps take 5 bytes a unit, where a scan of the
+    # whole batch would hold a window for each, 80 bytes at order 3 and 200
+    # at order 64. The pairs are one equal pair repeated, so the tables stay
+    # a few windows and the windows alive at once make the peak.
+    rng = random.Random(5)
+    pool = [chr(0x4E00 + i) for i in range(3000)]
+    for order, length in ((3, 9), (64, 200)):
+        count = _SCAN_UNITS // (length + order - 1)
+        target = "".join(rng.choices(pool, k=length))
+        pairs = [_pair(target, target)] * count
+        peaks = []
+        for batch in (pairs, pairs * 4):
+            tables = ({}, {}, {UNK})
+            tracemalloc.start()
+            try:
+                _accumulate(*tables, order, batch)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        added_units = 3 * count * length
+        assert peaks[1] - peaks[0] < 16 * added_units, (order, peaks)
 
 
 def _accumulated(stages, order=2):
@@ -1125,6 +1183,38 @@ def test_constructor_refuses_a_zero_count():
                 model._replace(**{field: table})
 
 
+def test_no_model_counts_or_holds_boundary():
+    # BOUNDARY pads LM context keys, and only there: a vocab that held it or
+    # a row that counted it would let decode emit it.
+    model = _hand_model()
+    assert BOUNDARY in model.lm.counts
+    with pytest.raises(StructuralError, match="^vocab must not contain the BOUNDARY unit$"):
+        model._replace(vocab=model.vocab | {BOUNDARY})
+    for field in ("lm", "channel"):
+        table = getattr(model, field)._replace(counts={"甲": Counter({"乙": 1, BOUNDARY: 1})})
+        with pytest.raises(StructuralError, match="^BOUNDARY may pad an LM context but is never a"):
+            model._replace(**{field: table})
+
+
+@pytest.mark.parametrize(
+    "pairs, message",
+    [
+        ([("ab", "ab"), ("a\x02", "ab")], "pairs[1].source: reserved unit U+0002 at byte offset 1"),
+        ([("ab", "ab"), ("ab", "ab", "天\x1a")], "pairs[1].references[1]: reserved unit U+001A at byte offset 3"),
+        ([("ab", "a\udc00")], "pairs[0].references[0]: invalid Unicode scalar U+DC00 at byte offset 1"),
+    ],
+)
+def test_fit_stage_refuses_a_reserved_unit_or_a_surrogate(pairs, message):
+    # The corpus readers refuse these units; a Corpus built in code meets the
+    # same check, wherever split would put the pair. A model trained on
+    # "a\x02" would hold BOUNDARY in its vocab and could emit it.
+    corpus = _corpus(ParallelPair(source, tuple(refs)) for source, *refs in pairs * 10)
+    for fraction in (0.1, 0.9):
+        with pytest.raises(NormalizationError) as raised:
+            fit_stage(initial_model(), corpus, heldout_fraction=fraction)
+        assert str(raised.value) == message
+
+
 def test_load_rejects_bad_containers(tmp_path):
     good = tmp_path / "good.json"
     save_model(initial_model(), str(good))
@@ -1152,6 +1242,17 @@ def test_load_rejects_bad_containers(tmp_path):
     p.write_text(json.dumps(gutted))
     with pytest.raises(FormatError):
         load_model(str(p))
+
+    # BOUNDARY is no unit a model may hold or count.
+    for field, value in (
+        ("vocab", [UNK, "a", BOUNDARY]),
+        ("channel_counts", {"a": {BOUNDARY: 100}}),
+        ("lm_counts", {BOUNDARY: {BOUNDARY: 1}}),
+    ):
+        p = tmp_path / "boundary.json"
+        p.write_text(json.dumps(dict(payload, **{field: value})))
+        with pytest.raises(FormatError, match="BOUNDARY"):
+            load_model(str(p))
 
     # A str or an object would read as the set of its characters or keys.
     for vocab in ("a" + UNK, {"a": 1, UNK: 1}):
