@@ -30,6 +30,7 @@ import sys
 import time
 from contextlib import closing, contextmanager, suppress
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterator, Sequence, TextIO, TypeVar
 
@@ -244,7 +245,7 @@ def _csc_items(
 def cmd_score_cgc(args: argparse.Namespace) -> None:
     policy = NormalizePolicy(args.normalize)
     hyp = _open_corpus(args.hyp_file, args.format, policy)
-    for i, (_, hypotheses) in enumerate(hyp.pairs):
+    for i, (_, hypotheses) in enumerate(hyp):
         if len(hypotheses) != 1:
             raise FormatError(
                 f"hypothesis {i}: {len(hypotheses)} hypotheses for one source; "
@@ -252,7 +253,7 @@ def cmd_score_cgc(args: argparse.Namespace) -> None:
             )
     gold = _read(args.gold_edits, parse_edit_file)
     report = score_cgc(
-        [(source, hypothesis) for source, (hypothesis,) in hyp.pairs],
+        [(source, hypothesis) for source, (hypothesis,) in hyp],
         gold,
         beta=args.beta,
         merge=MergePolicy(args.merge_policy),
@@ -265,14 +266,15 @@ def cmd_train(args: argparse.Namespace) -> None:
     policy = NormalizePolicy(args.normalize)
     stage1_corpus = _open_corpus(args.stage1, args.format, policy)
     # The stage-2 files' pairs in file order, repeats kept: they weight the counts.
-    stage2 = [_open_corpus(path, args.format, policy).pairs for path in args.stage2]
-    joint = Corpus(sum(stage2, ()))
+    joint = Corpus(
+        chain.from_iterable(_open_corpus(path, args.format, policy) for path in args.stage2)
+    )
     model0 = initial_model(order=args.order, smoothing_k=args.smoothing_k)
     model1 = fit_stage(model0, stage1_corpus, args.heldout_fraction, args.seed)
     model2 = fit_stage(model1, joint, args.heldout_fraction, args.seed)
     for number, model, corpus in ((1, model1, stage1_corpus), (2, model2, joint)):
         heldout = stage_heldout(corpus, args.heldout_fraction, args.seed)
-        if heldout.pairs:
+        if heldout:
             objective = f"{dataset_objective(model, heldout):.6f}"
         else:
             objective = "n/a (empty heldout slice)"
@@ -312,7 +314,7 @@ def cmd_extract_edits(args: argparse.Namespace) -> None:
     merge = MergePolicy(args.merge_policy)
     corpus = _open_corpus(args.parallel, args.format, policy)
     records = []
-    for pair in corpus.pairs:
+    for pair in corpus:
         refs = tuple(extract_edits(pair.source, ref, merge) for ref in pair.references)
         records.append((pair.source, refs))
     _emit(args, format_edit_records(records), [args.parallel])

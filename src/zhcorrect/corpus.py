@@ -23,7 +23,7 @@ from operator import contains, itemgetter, methodcaller
 from typing import Iterable, Iterator
 
 from .errors import FormatError, NormalizationError, UsageError
-from .records import Checked, Record
+from .records import Checked
 from .textnorm import (
     NormalizePolicy, canonical_fields, canonical_texts, check_scalars, rejected_in, units_of,
 )
@@ -49,21 +49,17 @@ class ParallelPair(Checked, namedtuple("ParallelPair", "source references")):
         return tuple.__new__(cls, (source, references))
 
 
-class Corpus(Record):
-    """The pairs of a parallel corpus, in order. The package needs no more
-    than the tuple: Corpus remains as the holder of ``.pairs`` that the
-    benchmark harness (perfbench) reads."""
+class Corpus(tuple):
+    """The pairs of a parallel corpus, in order, as a tuple of them: it equals
+    the plain tuple of its pairs, and copies rebuild it (see records).
+    ``.pairs`` copies them into that plain tuple for library users and the
+    benchmark harness (perfbench); package code iterates the corpus."""
 
-    __slots__ = _fields = ("pairs",)
+    __slots__ = ()
+    pairs = property(tuple)
 
-    def __init__(self, pairs: tuple[ParallelPair, ...]) -> None:
-        self._set(pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __iter__(self) -> Iterator[ParallelPair]:
-        return iter(self.pairs)
+    def __repr__(self) -> str:
+        return f"Corpus(pairs={tuple.__repr__(self)})"
 
 
 def _parse_jsonl_line(line: str, lineno: int, policy: NormalizePolicy) -> tuple[str, PairTuple]:
@@ -209,7 +205,7 @@ def parse_parallel(
     policy: NormalizePolicy = NormalizePolicy.DEFAULT,
 ) -> Corpus:
     """The pairs iter_parallel(stream, format, policy) yields, as a Corpus."""
-    return Corpus(tuple(starmap(ParallelPair, iter_parallel(stream, format, policy))))
+    return Corpus(starmap(ParallelPair, iter_parallel(stream, format, policy)))
 
 
 def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, Corpus]:
@@ -228,6 +224,6 @@ def split(corpus: Corpus, heldout_fraction: float, seed: int) -> tuple[Corpus, C
     random.Random(seed).shuffle(indices)
     heldout_idx = sorted(indices[:n_heldout])
     train_idx = sorted(indices[n_heldout:])
-    train = Corpus(tuple(corpus.pairs[i] for i in train_idx))
-    heldout = Corpus(tuple(corpus.pairs[i] for i in heldout_idx))
+    train = Corpus(corpus[i] for i in train_idx)
+    heldout = Corpus(corpus[i] for i in heldout_idx)
     return train, heldout

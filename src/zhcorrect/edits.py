@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .alignment import align, positions
 from .corpus import iter_lines
 from .errors import FormatError, StructuralError
-from .records import Checked, Record
+from .records import Checked
 
 EMPTY_REPLACEMENT_MARK = "-NONE-"
 _NOOP_FIELDS = ("-1 -1", "noop", EMPTY_REPLACEMENT_MARK)
@@ -86,23 +86,28 @@ class Edit(Checked, namedtuple("Edit", "start end replacement")):
         return EditKind.COMPLEX
 
 
-class EditSet(Record):
-    """Sorted, non-overlapping edits against one source sentence."""
+class EditSet(tuple):
+    """Sorted, non-overlapping edits against one source sentence, as a tuple
+    of them: it equals the plain tuple of its edits. __new__ checks them, and
+    so does every copy (see records). ``.edits`` copies them into that plain
+    tuple for library users and the benchmark harness (perfbench)."""
 
-    __slots__ = _fields = ("edits",)
+    __slots__ = ()
+    edits = property(tuple)
 
-    def __init__(self, edits: tuple[Edit, ...]) -> None:
-        for prev, cur in zip(edits, edits[1:]):
+    def __new__(cls, edits: Iterable[Edit]) -> EditSet:
+        self = tuple.__new__(cls, edits)
+        for prev, cur in zip(self, self[1:]):
             if prev.end > cur.start:
                 raise StructuralError(
                     f"edits overlap: [{prev.start},{prev.end}) then [{cur.start},{cur.end})"
                 )
             if prev.start == prev.end == cur.start == cur.end:
                 raise StructuralError(f"two insertions at the same point {cur.start}")
-        self._set(edits)
+        return self
 
-    def __len__(self) -> int:
-        return len(self.edits)
+    def __repr__(self) -> str:
+        return f"EditSet(edits={tuple.__repr__(self)})"
 
 
 class MatchCounts(NamedTuple):
@@ -120,29 +125,27 @@ def extract_edits(src: str, tgt: str, merge: MergePolicy = MergePolicy.MAXIMAL_R
     Applying the result to src reproduces tgt exactly, under either merge
     policy.
     """
-    ops = align(src, tgt)
-    edits = [
+    return EditSet(
         Edit(i, i + len(run) - run.count("I"), tgt[j : j + len(run) - run.count("D")])
-        for run, i, j in positions(ops, _RUNS[merge])
-    ]
-    return EditSet(tuple(edits))
+        for run, i, j in positions(align(src, tgt), _RUNS[merge])
+    )
 
 
 def apply_edits(src: str, edits: EditSet) -> str:
     """Apply an edit set right-to-left. Spans must lie within the source."""
-    for e in edits.edits:
+    for e in edits:
         if e.end > len(src):
             raise StructuralError(
                 f"edit span [{e.start},{e.end}) exceeds source length {len(src)}"
             )
-    for e in reversed(edits.edits):
+    for e in reversed(edits):
         src = src[: e.start] + e.replacement + src[e.end :]
     return src
 
 
 def match_edits(hyp: EditSet, gold: EditSet) -> MatchCounts:
     """Exact-identity edit overlap: tp = |hyp ∩ gold| on (start, end, replacement)."""
-    h, g = set(hyp.edits), set(gold.edits)
+    h, g = set(hyp), set(gold)
     return MatchCounts(tp=len(h & g), fp=len(h - g), fn=len(g - h))
 
 
@@ -178,9 +181,9 @@ def format_edit_records(records: Iterable[tuple[str, Sequence[EditSet]]]) -> str
             raise FormatError(f"record {i} has no reference to write to an M2 file")
         out.append(f"S {source}")
         for ref_id, ref in enumerate(refs):
-            if not ref.edits and len(refs) > 1:
+            if not ref and len(refs) > 1:
                 out.append("A " + "|||".join((*_NOOP_FIELDS, str(ref_id))))
-            for e in ref.edits:
+            for e in ref:
                 repl = e.replacement or EMPTY_REPLACEMENT_MARK
                 fields = [f"{e.start} {e.end}", e.kind.value, repl, str(ref_id)]
                 line = "|||".join(fields)
@@ -218,7 +221,7 @@ def parse_edit_file(stream: Iterable[str]) -> tuple[GoldRecord, ...]:
         try:
             if by_ref:
                 refs = tuple(
-                    EditSet(tuple(sorted(by_ref[rid], key=lambda e: (e.start, e.end))))
+                    EditSet(sorted(by_ref[rid], key=lambda e: (e.start, e.end)))
                     for rid in sorted(by_ref)
                 )
             else:

@@ -28,7 +28,7 @@ import json
 import math
 import re
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from enum import Enum
 from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter
@@ -40,7 +40,7 @@ from .artifacts import write_artifact
 from .errors import (
     ConfigError, FormatError, NormalizationError, StructuralError, UsageError, ZhcorrectError,
 )
-from .records import Record
+from .records import Checked
 from .textnorm import BOUNDARY, UNK, check_scalars, rejected_in
 
 MODEL_FORMAT = "zhcorrect-model"
@@ -200,20 +200,23 @@ def _lm_windows(order: int, targets: Iterable[str]) -> Iterator[str]:
     refuses it, and _token_probs maps held-out units outside the vocab to
     UNK first). Then the windows are found in C, a chunk of targets at a
     time: the chunk is joined with each target after its padding, and one
-    regex scan takes the window at each position whose last unit is not
-    BOUNDARY, which is exactly where a target unit is, so no window that
-    ends on padding is made. A chunk holds about _SCAN_UNITS units (see
-    _scan_chunks), so the windows alive at once stay few whatever the batch,
-    the order and the sentence lengths."""
+    regex scan matches each unit that is not BOUNDARY, exactly each target
+    unit, and captures the order units that end there by a lookbehind; at
+    padding it fails after one unit, so no window ending on padding is
+    tried. A chunk holds about _SCAN_UNITS units (see _scan_chunks), so the
+    windows alive at once stay few whatever the batch, the order and the
+    sentence lengths."""
     pad = BOUNDARY * (order - 1)
-    scan = re.compile(f"(?=(.{{{order - 1}}}[^{BOUNDARY}]))", re.S).findall
+    scan = re.compile(f"[^{BOUNDARY}](?<=(.{{{order}}}))", re.S).findall
     chunks = _scan_chunks(targets, order - 1)
     return chain.from_iterable(scan(pad + pad.join(chunk)) for chunk in chunks)
 
 
-class MixtureCorrectorModel(Record):
+class MixtureCorrectorModel(
+    Checked, namedtuple("MixtureCorrectorModel", "lm channel vocab mixing_weight stage")
+):
     """The LM and channel over one vocabulary, mixed with weight
-    mixing_weight on the LM. __init__ is where the fields are checked: the
+    mixing_weight on the LM. __new__ is where the fields are checked: the
     order is an int and the weight and smoothing constants are numbers,
     none of them a bool, and the latter three are stored as floats, so equal
     models save to identical bytes. Every count is a positive int of a
@@ -223,20 +226,19 @@ class MixtureCorrectorModel(Record):
     It also derives each table's count totals into _lm_totals and
     _channel_totals, which _add_k reads for every caller, while decode
     caches its lattice in _columns (see decode). None of the three is a
-    parameter: they are left out of ==, repr, pickling and save_model, and
-    every new model (_replace, unpickling, fit_stage, load_model) derives
-    the totals anew and starts with an empty cache. So a model's tables must
-    not be mutated once it is built, or it would go on reading totals and
-    scores of the old counts.
+    field: they sit in the instance __dict__, out of ==, repr and
+    save_model, and __getstate__ returns None, so pickling, copy and
+    deepcopy rebuild the model from its fields through __new__. Every new
+    model (_replace, a copy, fit_stage, load_model) derives the totals anew
+    and starts with an empty cache. So no attribute may be set, and a
+    model's tables must not be mutated once it is built, or it would go on
+    reading totals and scores of the old counts.
     """
 
-    _fields = ("lm", "channel", "vocab", "mixing_weight", "stage")
-    __slots__ = (*_fields, "_lm_totals", "_channel_totals", "_columns")
-
-    def __init__(
-        self, lm: NgramLM, channel: ConfusionChannel, vocab: frozenset[str],
+    def __new__(
+        cls, lm: NgramLM, channel: ConfusionChannel, vocab: frozenset[str],
         mixing_weight: float, stage: Stage,
-    ) -> None:
+    ) -> MixtureCorrectorModel:
         lm_totals, channel_totals = _totals(lm.counts), _totals(channel.counts)
         order = lm.order
         if type(order) is not int or not 1 <= order <= MAX_ORDER:
@@ -250,10 +252,17 @@ class MixtureCorrectorModel(Record):
         channel = channel._replace(smoothing_k=_real("channel smoothing_k", channel.smoothing_k))
         _check_smoothing("channel", channel.smoothing_k, channel_totals, len(vocab))
         mixing_weight = _mixing_weight("mixing_weight", mixing_weight)
-        self._set(lm, channel, vocab, mixing_weight, stage)
-        object.__setattr__(self, "_lm_totals", lm_totals)
-        object.__setattr__(self, "_channel_totals", channel_totals)
-        object.__setattr__(self, "_columns", {})
+        self = tuple.__new__(cls, (lm, channel, vocab, mixing_weight, stage))
+        vars(self).update(_lm_totals=lm_totals, _channel_totals=channel_totals, _columns={})
+        return self
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __getstate__(self) -> None:
+        return None
 
 
 def initial_model(
@@ -380,9 +389,9 @@ def dataset_objective(
     Every weight is scored from one table of terms (see _token_probs), so
     each pair is aligned once and each distinct key looked up once, and
     _mean_nll logs each distinct term once per weight."""
-    if not corpus.pairs:
+    if not corpus:
         raise UsageError("dataset_objective needs a non-empty corpus")
-    terms, rows = _token_probs(model, corpus.pairs)
+    terms, rows = _token_probs(model, corpus)
     if weights is None:
         return _mean_nll(terms, rows, model.mixing_weight)
     return [_mean_nll(terms, rows, _mixing_weight("weight", weight)) for weight in weights]
@@ -481,19 +490,19 @@ def fit_stage(
     """
     if init.stage is Stage.STAGE2:
         raise ConfigError("a stage2 model is fully trained: no stage follows it")
-    _check_units(corpus.pairs)
+    _check_units(corpus)
     stage = Stage.STAGE2 if init.stage is Stage.STAGE1 else Stage.STAGE1
     train_part, heldout_part = split(corpus, heldout_fraction, seed)
     lm_counts = {key: Counter(c) for key, c in init.lm.counts.items()}
     ch_counts = {key: Counter(c) for key, c in init.channel.counts.items()}
     vocab = set(init.vocab)
-    _accumulate(lm_counts, ch_counts, vocab, init.lm.order, train_part.pairs)
+    _accumulate(lm_counts, ch_counts, vocab, init.lm.order, train_part)
 
     fitted = MixtureCorrectorModel(
         init.lm._replace(counts=lm_counts), init.channel._replace(counts=ch_counts),
         frozenset(vocab), init.mixing_weight, stage,
     )
-    if not heldout_part.pairs:
+    if not heldout_part:
         return fitted
 
     grid = sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight})

@@ -100,7 +100,7 @@ def _corpus(
     for _ in range(size):
         clean = _sentence(rng, force_eligible=force)
         pairs.append(ParallelPair(corrupt(rng, clean), (clean,)))
-    return Corpus(tuple(pairs))
+    return Corpus(pairs)
 
 
 def make_suite(
@@ -120,7 +120,7 @@ def make_suite(
     stage1 = _corpus(stage1_size, rng, _mixed_error)
     csc = _corpus(csc_size, rng, _substitute)
     cgc = _corpus(cgc_size, rng, _length_error)
-    joint = Corpus(csc.pairs + cgc.pairs)
+    joint = Corpus(csc + cgc)
     eval_rng = random.Random(seed + 7919)
     eval_csc = _corpus(eval_size, eval_rng, partial(_substitute, force=True), force=True)
     return SyntheticSuite(stage1=stage1, csc=csc, cgc=cgc, joint=joint, eval_csc=eval_csc)

@@ -1,6 +1,7 @@
 """The records keep what frozen dataclasses gave them: immutable fields,
 equality, hashing and repr by value, and checks on every construction,
-copies made with _replace and by pickling included."""
+copies made with _replace, copy, deepcopy and pickling included. A corpus
+and an edit set are tuples of their items, without _fields or _replace."""
 
 import copy
 import math
@@ -33,6 +34,10 @@ def _model():
     return MixtureCorrectorModel(initial_model(vocab="甲乙").lm, channel, vocab, 0.4, Stage.STAGE1)
 
 
+# The tuples of items, each with the property that reads it as a plain tuple.
+_ITEMS = {Corpus: "pairs", EditSet: "edits"}
+
+
 def _records():
     pair = ParallelPair("甲乙", ("甲丙",))
     return [
@@ -46,7 +51,7 @@ def _records():
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_fields_cannot_be_assigned_or_deleted(record):
-    field = record._fields[0]
+    field = _ITEMS.get(type(record)) or record._fields[0]
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     with pytest.raises(AttributeError):
@@ -57,8 +62,42 @@ def test_fields_cannot_be_assigned_or_deleted(record):
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_copies_are_equal_and_pickle_back(record):
-    for clone in (record._replace(), copy.copy(record), pickle.loads(pickle.dumps(record))):
+    clones = [copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))]
+    if type(record) not in _ITEMS:
+        clones.append(record._replace())
+    for clone in clones:
         assert clone == record and type(clone) is type(record)
+
+
+@pytest.mark.parametrize(
+    "record", [r for r in _records() if type(r) in _ITEMS], ids=lambda r: type(r).__name__
+)
+def test_a_corpus_and_an_edit_set_are_tuples_of_their_items(record):
+    items = getattr(record, _ITEMS[type(record)])
+    assert type(items) is tuple and items == record == tuple(record) and len(record) == 1
+    assert not hasattr(record, "_fields") and not hasattr(record, "_replace")
+
+
+def test_one_built_from_a_list_equals_one_built_from_a_tuple():
+    edit, pair = Edit(1, 2, "丙"), ParallelPair("甲乙", ("甲丙",))
+    assert EditSet([edit]) == EditSet((edit,))
+    assert hash(EditSet([edit])) == hash(EditSet((edit,)))
+    assert Corpus([pair]) == Corpus((pair,))
+
+
+@pytest.mark.parametrize(
+    ("bad", "error"),
+    [
+        # tuple.__new__ skips the checks of __new__, which every copy reruns.
+        (tuple.__new__(EditSet, (Edit(0, 2, "x"), Edit(1, 2, "y"))), StructuralError),
+        (tuple.__new__(MixtureCorrectorModel, (*_model()[:3], 1.5, Stage.STAGE1)), UsageError),
+    ],
+    ids=["EditSet", "MixtureCorrectorModel"],
+)
+def test_copies_rerun_the_checks(bad, error):
+    for clone in (copy.copy, copy.deepcopy, lambda record: pickle.loads(pickle.dumps(record))):
+        with pytest.raises(error):
+            clone(bad)
 
 
 def test_repr_names_every_field_as_a_dataclass_did():
@@ -77,7 +116,7 @@ def test_repr_names_every_field_as_a_dataclass_did():
         (_model(), {"mixing_weight": math.nan}, UsageError),
         (Edit(1, 2, "丙"), {"end": 0}, StructuralError),
         (Edit(1, 2, ""), {"end": 1}, StructuralError),
-        (EditSet(()), {"edits": (Edit(0, 2, "x"), Edit(1, 2, "y"))}, StructuralError),
+        (Edit(1, 2, "丙"), {"start": -1}, StructuralError),
         (_model(), {"lm": _model().lm._replace(smoothing_k=1e308)}, ConfigError),
         (_model(), {"channel": _model().channel._replace(smoothing_k=5e-324)}, ConfigError),
         (initial_model(), {"vocab": frozenset("甲")}, StructuralError),
@@ -90,13 +129,12 @@ def test_repr_names_every_field_as_a_dataclass_did():
 def test_replace_runs_the_checks(record, changes, error):
     with pytest.raises(error):
         record._replace(**changes)
-    if isinstance(record, tuple):  # a namedtuple's other copy path
-        with pytest.raises(error):
-            type(record)._make({**record._asdict(), **changes}.values())
+    with pytest.raises(error):  # a namedtuple's other copy path
+        type(record)._make({**record._asdict(), **changes}.values())
 
 
 def test_replace_refuses_unknown_fields():
-    for record in _records():
+    for record in (r for r in _records() if type(r) not in _ITEMS):
         with pytest.raises((TypeError, ValueError)):
             record._replace(no_such_field=1)
 
@@ -121,3 +159,15 @@ def test_decode_cache_stays_out_of_equality_repr_and_pickles():
     assert "_columns" not in repr(model) and "_totals" not in repr(model)
     with pytest.raises(TypeError):
         hash(model)  # its counts are dicts, as with the frozen dataclass
+
+
+def test_a_copied_model_derives_its_totals_and_starts_with_an_empty_cache():
+    model = _model()
+    assert decode(model, "甲甲") and model._columns
+    for clone in (copy.copy(model), copy.deepcopy(model)):
+        assert clone == model and clone._columns == {}
+        assert clone._lm_totals == model._lm_totals
+        assert clone._channel_totals == model._channel_totals == {"甲": 2}
+    # The model is the tuple of its five fields.
+    assert len(model) == 5
+    assert model == (model.lm, model.channel, model.vocab, model.mixing_weight, model.stage)
