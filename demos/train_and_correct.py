@@ -1,7 +1,7 @@
 """Train the two-stage mixture corrector on the bundled synthetic suite and
 decode its evaluation split. Takes a few seconds on one core."""
 
-from zhcorrect.model import dataset_objective, decode, fit_stage, initial_model, stage_heldout
+from zhcorrect.model import dataset_objective, decode, fit_stage, initial_model
 from zhcorrect.metrics import score_csc
 from zhcorrect.synthetic import make_suite
 
@@ -14,9 +14,11 @@ print(f"stage-1 corpus {len(suite.stage1)} pairs, joint {len(suite.joint)}, "
 theta1 = fit_stage(initial_model(), suite.stage1)
 theta2 = fit_stage(theta1, suite.joint)
 
-heldout = stage_heldout(suite.joint, 0.1, 0)
+# theta2.tuning records stage 2's weight search: the held-out slice of the
+# joint corpus, the grid and the objective at each weight.
+heldout = theta2.tuning.heldout
 print(f"joint heldout objective: stage1={dataset_objective(theta1, heldout):.4f} "
-      f"stage2={dataset_objective(theta2, heldout):.4f}")
+      f"stage2={theta2.tuning.objective:.4f}")
 print(f"mixing weight after stage 2: {theta2.mixing_weight:g}")
 
 items = []

@@ -28,6 +28,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 from contextlib import closing, contextmanager, suppress
 from functools import partial
 from itertools import chain
@@ -42,8 +43,8 @@ from .edits import MergePolicy, extract_edits, format_edit_records, parse_edit_f
 from .errors import FormatError, UsageError, ZhcorrectError
 from .metrics import ScoreReport, macro_average, score_cgc, score_csc
 from .model import (
-    DEFAULT_ORDER, DEFAULT_SMOOTHING_K,
-    decode, dataset_objective, fit_stage, initial_model, load_model, save_model, stage_heldout,
+    DEFAULT_ORDER, DEFAULT_SMOOTHING_K, MixtureCorrectorModel,
+    decode, dataset_objective, fit_stage, initial_model, load_model, save_model,
 )
 from .textnorm import NormalizePolicy, units_of
 
@@ -74,9 +75,10 @@ def _options_of(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _write_manifest(args: argparse.Namespace, digests: dict[str, str]) -> None:
+def _write_manifest(args: argparse.Namespace, digests: dict[str, str], **blocks: object) -> None:
     """Write the <args.out>.manifest.json sidecar, given the digests of the
-    inputs as read before the artifact (which may overwrite one) was written."""
+    inputs as read before the artifact (which may overwrite one) was written
+    and any blocks the command adds."""
     manifest = {
         "command": args.command,
         "config_hash": _config_hash(_options_of(args)),
@@ -84,6 +86,7 @@ def _write_manifest(args: argparse.Namespace, digests: dict[str, str]) -> None:
         "seed": getattr(args, "seed", 0),
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - args.started, 6),
+        **blocks,
     }
     write_artifact(
         args.out + ".manifest.json",
@@ -272,17 +275,53 @@ def cmd_train(args: argparse.Namespace) -> None:
     model0 = initial_model(order=args.order, smoothing_k=args.smoothing_k)
     model1 = fit_stage(model0, stage1_corpus, args.heldout_fraction, args.seed)
     model2 = fit_stage(model1, joint, args.heldout_fraction, args.seed)
-    for number, model, corpus in ((1, model1, stage1_corpus), (2, model2, joint)):
-        heldout = stage_heldout(corpus, args.heldout_fraction, args.seed)
-        if heldout:
-            objective = f"{dataset_objective(model, heldout):.6f}"
-        else:
-            objective = "n/a (empty heldout slice)"
+    for number, model in ((1, model1), (2, model2)):
+        tuning = model.tuning
+        objective = f"{tuning.objective:.6f}" if tuning else "n/a (empty heldout slice)"
         _print(f"stage-{number} heldout objective: {objective}\n")
     _print(f"mixing weight: {model2.mixing_weight:g}\n")
+    training = {
+        "stage1": _stage_block(model1, stage1_corpus),
+        "stage2": _stage_block(model2, joint),
+        # Does stage 2 help on its own held-out slice? Its objective there under stage 1.
+        "stage2_heldout_objective_under_stage1": (
+            dataset_objective(model1, model2.tuning.heldout) if model2.tuning else None
+        ),
+    }
     digests = {path: _sha256_file(path) for path in [args.stage1, *args.stage2]}
     save_model(model2, args.out)
-    _write_manifest(args, digests)
+    _write_manifest(args, digests, training=training)
+
+
+def _stage_block(model: MixtureCorrectorModel, corpus: Corpus) -> dict:
+    """What a curriculum stage fitted on corpus computed and holds, for the
+    train manifest: its weight search (see Tuning), its sizes, its count
+    totals and each channel source's substitution partners with their
+    counts (the source's own copies left out)."""
+    tuning = model.tuning
+    heldout, grid, objectives = (
+        (len(tuning.heldout), tuning.grid, tuning.objectives) if tuning else (0, (), ())
+    )
+    lm, channel = model.lm.counts, model.channel.counts
+    substitutions = {
+        source: partners
+        for source, row in channel.items()
+        if (partners := {unit: n for unit, n in row.items() if unit != source})
+    }
+    return {
+        "train_pairs": len(corpus) - heldout,
+        "heldout_pairs": heldout,
+        "grid": grid,
+        "objectives": objectives,
+        "mixing_weight": model.mixing_weight,
+        "heldout_objective": tuning.objective if tuning else None,
+        "vocab_size": len(model.vocab),
+        "lm_contexts": len(lm),
+        "channel_rows": len(channel),
+        "lm_count_total": sum(map(Counter.total, lm.values())),
+        "channel_count_total": sum(map(Counter.total, channel.values())),
+        "substitutions": substitutions,
+    }
 
 
 def cmd_correct(args: argparse.Namespace) -> None:

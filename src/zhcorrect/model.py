@@ -212,6 +212,21 @@ def _lm_windows(order: int, targets: Iterable[str]) -> Iterator[str]:
     return chain.from_iterable(scan(pad + pad.join(chunk)) for chunk in chunks)
 
 
+class Tuning(NamedTuple):
+    """fit_stage's search for the mixing weight: the held-out slice it scored,
+    the grid of weights and the objective at each (see dataset_objective).
+    The chosen weight is the one of least objective, the smaller on a tie."""
+
+    heldout: Corpus
+    grid: tuple[float, ...]
+    objectives: tuple[float, ...]
+
+    @property
+    def objective(self) -> float:
+        """The held-out objective at the chosen weight."""
+        return min(self.objectives)
+
+
 class MixtureCorrectorModel(
     Checked, namedtuple("MixtureCorrectorModel", "lm channel vocab mixing_weight stage")
 ):
@@ -225,14 +240,16 @@ class MixtureCorrectorModel(
 
     It also derives each table's count totals into _lm_totals and
     _channel_totals, which _add_k reads for every caller, while decode
-    caches its lattice in _columns (see decode). None of the three is a
-    field: they sit in the instance __dict__, out of ==, repr and
-    save_model, and __getstate__ returns None, so pickling, copy and
+    caches its lattice in _columns (see decode). tuning is the Tuning of the
+    model fit_stage returns after scoring a non-empty held-out slice, and
+    None on every other model; it holds a reference to that slice. None of
+    the four is a field: they sit in the instance __dict__, out of ==, repr
+    and save_model, and __getstate__ returns None, so pickling, copy and
     deepcopy rebuild the model from its fields through __new__. Every new
     model (_replace, a copy, fit_stage, load_model) derives the totals anew
-    and starts with an empty cache. So no attribute may be set, and a
-    model's tables must not be mutated once it is built, or it would go on
-    reading totals and scores of the old counts.
+    and starts with an empty cache and no tuning. So no attribute may be
+    set, and a model's tables must not be mutated once it is built, or it
+    would go on reading totals and scores of the old counts.
     """
 
     def __new__(
@@ -253,7 +270,9 @@ class MixtureCorrectorModel(
         _check_smoothing("channel", channel.smoothing_k, channel_totals, len(vocab))
         mixing_weight = _mixing_weight("mixing_weight", mixing_weight)
         self = tuple.__new__(cls, (lm, channel, vocab, mixing_weight, stage))
-        vars(self).update(_lm_totals=lm_totals, _channel_totals=channel_totals, _columns={})
+        vars(self).update(
+            _lm_totals=lm_totals, _channel_totals=channel_totals, _columns={}, tuning=None
+        )
         return self
 
     def __setattr__(self, name, value=None):
@@ -466,7 +485,8 @@ def _check_units(pairs: Sequence[ParallelPair]) -> None:
 
 def stage_heldout(corpus: Corpus, heldout_fraction: float, seed: int) -> Corpus:
     """The held-out slice fit_stage tunes on: split's, reproducible from its
-    arguments."""
+    arguments. It equals the slice that the fitted model's tuning holds, and
+    splits the corpus again to make it."""
     return split(corpus, heldout_fraction, seed)[1]
 
 
@@ -479,8 +499,12 @@ def fit_stage(
 
     The candidates are DEFAULT_MIX_GRID plus init's weight, so on the slice
     the search runs over the tuned objective cannot exceed init's under the
-    same counts. Deterministic for a fixed seed. An empty corpus splits into
-    two empty corpora, and its stage keeps init's counts and weight.
+    same counts. The returned model's tuning records the search: the slice
+    (held by reference), the grid and the objective at each weight. Only
+    the model returned here carries it. Deterministic for a fixed seed. An
+    empty corpus splits into two empty corpora, and its stage keeps init's
+    counts and weight; with an empty slice nothing is scored, and tuning is
+    None.
 
     A pair whose source or a reference holds a reserved unit (BOUNDARY,
     UNK) or a surrogate is refused, as the corpus readers refuse it: a
@@ -505,9 +529,12 @@ def fit_stage(
     if not heldout_part:
         return fitted
 
-    grid = sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight})
-    _, best_weight = min(zip(dataset_objective(fitted, heldout_part, grid), grid))
-    return fitted._replace(mixing_weight=best_weight)
+    grid = tuple(sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight}))
+    objectives = tuple(dataset_objective(fitted, heldout_part, grid))
+    _, best_weight = min(zip(objectives, grid))
+    tuned = fitted._replace(mixing_weight=best_weight)
+    vars(tuned)["tuning"] = Tuning(heldout_part, grid, objectives)
+    return tuned
 
 
 def _options(model: MixtureCorrectorModel, unit: str) -> tuple[tuple[str, str, float], ...]:

@@ -9,13 +9,18 @@ import subprocess
 import sys
 import tracemalloc
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import zhcorrect
+from zhcorrect.alignment import align
 from zhcorrect.cli import build_parser, main
-from zhcorrect.model import initial_model, load_model, save_model
+from zhcorrect.corpus import Corpus, parse_parallel, split
+from zhcorrect.model import (
+    DEFAULT_MIX_GRID, dataset_objective, fit_stage, initial_model, load_model, save_model,
+)
 from zhcorrect.synthetic import make_suite
 from zhcorrect.textnorm import NormalizePolicy
 
@@ -617,6 +622,116 @@ def test_train_writes_the_pinned_model_bytes_at_other_orders(tmp_path, capsys, o
     assert hashlib.sha256(model.read_bytes()).hexdigest() == sha256
 
 
+def _read_corpus(path):
+    with open(path, encoding="utf-8") as handle:
+        return parse_parallel(handle)
+
+
+def test_train_manifest_records_what_training_computed(tmp_path, capsys, monkeypatch):
+    # Relative paths, so that the configuration hash is a fixed value. The
+    # hash and the input digests are those the manifest held before it had
+    # a training block.
+    monkeypatch.chdir(tmp_path)
+    suite = make_suite(0)
+    for corpus, name in ((suite.stage1, "stage1.tsv"), (suite.csc, "csc.tsv"), (suite.cgc, "cgc.tsv")):
+        _suite_tsv(tmp_path, corpus, name)
+    argv = ["train", "--stage1", "stage1.tsv", "--stage2", "csc.tsv", "cgc.tsv", "--seed", "0"]
+    assert main([*argv, "--out", "model.json"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    manifest = json.loads((tmp_path / "model.json.manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest) == {
+        "command", "config_hash", "inputs", "seed", "version", "wall_time_s", "training",
+    }
+    assert manifest["config_hash"] == "sha256:0da2a5a0385691bee13408a54d630817ad0ff560a087aca35ae1438a6e0d3cd2"
+    assert manifest["inputs"] == {
+        "cgc.tsv": "sha256:fecfd3e3eced005916fa921da9b8c596d2715d6aecbfa018d8206c8e8eba61c4",
+        "csc.tsv": "sha256:56180684dd7e9ccdf84ee9eeeb2ed6f903fc9f41fa477a32726c1ef5e89e9ed6",
+        "stage1.tsv": "sha256:d568e17965a0a02c89a7f9d8feac8e8ded226df5037190326621cf0408760960",
+    }
+
+    stage1 = _read_corpus("stage1.tsv")
+    joint = Corpus((*_read_corpus("csc.tsv"), *_read_corpus("cgc.tsv")))
+    model1 = fit_stage(initial_model(), stage1)
+    model2 = load_model("model.json")
+    training = manifest["training"]
+    assert set(training) == {"stage1", "stage2", "stage2_heldout_objective_under_stage1"}
+    for number, model, corpus in ((1, model1, stage1), (2, model2, joint)):
+        block = training[f"stage{number}"]
+        assert set(block) == {
+            "train_pairs", "heldout_pairs", "grid", "objectives", "mixing_weight",
+            "heldout_objective", "vocab_size", "lm_contexts", "channel_rows",
+            "lm_count_total", "channel_count_total", "substitutions",
+        }
+        heldout = split(corpus, 0.1, 0)[1]
+        assert (block["train_pairs"], block["heldout_pairs"]) == (len(corpus) - len(heldout), len(heldout))
+        assert block["grid"] == list(DEFAULT_MIX_GRID)  # holds 0.5, stage 1's starting weight
+        assert block["mixing_weight"] == model.mixing_weight
+        chosen = block["objectives"][block["grid"].index(model.mixing_weight)]
+        assert block["heldout_objective"] == chosen == min(block["objectives"])
+        assert printed[number - 1] == f"stage-{number} heldout objective: {chosen:.6f}"
+        assert block["vocab_size"] == len(model.vocab)
+        assert block["lm_contexts"] == len(model.lm.counts)
+        assert block["channel_rows"] == len(model.channel.counts)
+        assert block["lm_count_total"] == sum(sum(row.values()) for row in model.lm.counts.values())
+        assert block["channel_count_total"] == sum(
+            sum(row.values()) for row in model.channel.counts.values()
+        )
+        substitutions = {
+            source: {unit: n for unit, n in row.items() if unit != source}
+            for source, row in model.channel.counts.items()
+        }
+        assert block["substitutions"] == {s: p for s, p in substitutions.items() if p}
+    # Partners nobody planted show beside the planted ones.
+    assert "师" in training["stage2"]["substitutions"]["老"]
+    assert "天" in training["stage2"]["substitutions"]["汽"]
+    # The curriculum check: the stage-2 slice under the stage-1 model.
+    curriculum = training["stage2_heldout_objective_under_stage1"]
+    assert curriculum == dataset_objective(model1, split(joint, 0.1, 0)[1])
+    assert curriculum > training["stage2"]["heldout_objective"]
+
+
+def test_train_splits_each_corpus_once_and_scores_each_slice_once(tmp_path, capsys, monkeypatch):
+    # fit_stage splits its corpus and scores its held-out slice at every grid
+    # weight in one call; train prints both report lines from those records
+    # and scores one slice more, the stage-2 slice under the stage-1 model.
+    # So that slice's unequal pairs are aligned twice, and every other
+    # unequal pair once (equal pairs never).
+    stage1_path, csc, cgc, _, _ = _train_files(tmp_path)
+    splits, objectives, aligned = [], [], Counter()
+
+    def counted(calls, name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    def counted_align(source, target):
+        aligned[source, target] += 1
+        return align(source, target)
+
+    monkeypatch.setattr("zhcorrect.model.split", counted(splits, "split", split))
+    for module in ("model", "cli"):
+        monkeypatch.setattr(
+            f"zhcorrect.{module}.dataset_objective", counted(objectives, module, dataset_objective)
+        )
+    monkeypatch.setattr("zhcorrect.model.align", counted_align)
+    model = tmp_path / "model.json"
+    assert main(["train", "--stage1", stage1_path, "--stage2", csc, cgc, "--out", str(model)]) == 0
+    capsys.readouterr()
+    assert len(splits) == 2
+    assert sorted(objectives) == ["cli", "model", "model"]
+
+    def unequal(corpus):
+        return Counter((source, refs[0]) for source, refs in corpus if source != refs[0])
+
+    stage1 = _read_corpus(stage1_path)
+    joint = Corpus((*_read_corpus(csc), *_read_corpus(cgc)))
+    stage2_heldout = split(joint, 0.1, 0)[1]
+    assert unequal(stage2_heldout)
+    assert aligned == unequal(stage1) + unequal(joint) + unequal(stage2_heldout)
+
+
 def test_train_reads_pairs_by_position_not_by_id(tmp_path, capsys):
     # The stage-2 files are joined in file order, whatever their ids: JSONL
     # files whose ids repeat across files train the model their rows give as
@@ -1016,7 +1131,14 @@ def test_train_on_tiny_corpus_reports_empty_heldout(tmp_path, capsys, stage1_row
         "mixing weight: 0.5\n"
     )
     assert load_model(str(model)).stage.value == "stage2"
-    assert (tmp_path / "model.json.manifest.json").exists()
+    manifest = json.loads((tmp_path / "model.json.manifest.json").read_text(encoding="utf-8"))
+    training = manifest["training"]
+    assert training["stage2_heldout_objective_under_stage1"] is None
+    for number, pairs in ((1, len(stage1_rows)), (2, 1)):
+        block = training[f"stage{number}"]
+        assert (block["train_pairs"], block["heldout_pairs"]) == (pairs, 0)
+        assert (block["grid"], block["objectives"], block["heldout_objective"]) == ([], [], None)
+        assert block["mixing_weight"] == 0.5
 
 
 def test_align_json_payload(capsys):

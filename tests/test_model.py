@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import importlib
 import inspect
@@ -678,6 +679,56 @@ def test_stage_heldout_matches_split(small_suite):
     assert stage_heldout(Corpus(()), 0.25, 3) == Corpus(())
     with pytest.raises(UsageError, match=r"^heldout_fraction must be in \(0, 1\)"):
         stage_heldout(Corpus(()), 1.0, 3)
+
+
+@pytest.mark.parametrize("order", [1, 3, 5])
+def test_tuning_records_the_heldout_search(small_suite, order):
+    # fit_stage keeps what its search computed: the slice, the grid and the
+    # objective at each weight. The chosen weight's entry is, bit for bit,
+    # what scoring the slice again under the fitted model gives.
+    init = initial_model(order=order, mixing_weight=0.37)
+    for corpus, fraction, seed in ((small_suite.stage1, 0.1, 0), (small_suite.joint, 0.25, 3)):
+        model = fit_stage(init, corpus, fraction, seed)
+        tuning = model.tuning
+        heldout = split(corpus, fraction, seed)[1]
+        assert type(tuning.heldout) is Corpus and tuning.heldout == heldout
+        assert tuning.grid == tuple(sorted(set(DEFAULT_MIX_GRID) | {init.mixing_weight}))
+        assert tuning.objectives == tuple(dataset_objective(model, heldout, tuning.grid))
+        chosen = tuning.objectives[tuning.grid.index(model.mixing_weight)]
+        assert chosen == tuning.objective == dataset_objective(model, heldout)
+        assert chosen.hex() == dataset_objective(model, heldout).hex()
+        init = model
+
+
+def test_an_empty_heldout_slice_leaves_no_tuning():
+    # No pair, or one pair, whose slice rounds to none: nothing is scored.
+    for pairs in ([], [_pair("天汽很好", "天气很好")]):
+        model = fit_stage(initial_model(), _corpus(pairs))
+        assert model.tuning is None
+        assert fit_stage(model, _corpus(pairs)).tuning is None
+
+
+def test_only_the_fitted_model_carries_its_tuning(tmp_path, trained):
+    # The tuning is no field: out of ==, repr and the model file, and every
+    # copy or reload starts without it.
+    _, model = trained
+    assert model.tuning is not None
+    with pytest.raises(AttributeError):
+        model.tuning = None
+    assert "tuning" not in repr(model)
+    path, bare = tmp_path / "model.json", tmp_path / "bare.json"
+    save_model(model, str(path))
+    save_model(model._replace(), str(bare))
+    assert path.read_bytes() == bare.read_bytes()
+    copies = {
+        "_replace": model._replace(),
+        "copy": copy.copy(model),
+        "deepcopy": copy.deepcopy(model),
+        "pickle": pickle.loads(pickle.dumps(model)),
+        "load_model": load_model(str(path)),
+    }
+    for how, clone in copies.items():
+        assert clone == model and clone.tuning is None, how
 
 
 def test_decode_rejects_bad_beam():
